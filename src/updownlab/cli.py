@@ -13,17 +13,17 @@ import decimal
 import json
 import os
 import sys
-from importlib import resources
 
 import mpmath
 from mpmath import mpf
 
-from .numerics import DomainError, PrecisionContext, QuadExpr
+from .numerics import DomainError, PrecisionContext
 from .lfunctions import dirichlet_l2
 from .epstein import epstein_gamma0, epstein_sl2
 from .modular import CMPoint, alpha_n
 from .series import series_constants_from_cm
 from . import identities as ident
+from .identities import check_table, load_tables  # noqa: F401 (re-exported)
 
 ENV_DIGITS = "UPDOWNLAB_DIGITS"
 
@@ -115,10 +115,10 @@ def cmd_verify(args) -> int:
             except KeyError:
                 print(f"unknown id: {args.id}", file=sys.stderr)
                 return EXIT_USAGE
-        reports = ident.verify_all(ctx, args.id, corpus, cache, args.parallelism)
+        reports = ident.verify_all(ctx, args.id, corpus, cache)
     else:
         pattern = args.filter  # None selects everything
-        reports = ident.verify_all(ctx, pattern, corpus, cache, args.parallelism)
+        reports = ident.verify_all(ctx, pattern, corpus, cache)
         if pattern is not None and not reports:
             print(f"filter matched nothing: {pattern}", file=sys.stderr)
             return EXIT_USAGE
@@ -136,14 +136,10 @@ def cmd_lvalue(args) -> int:
     return EXIT_OK
 
 
-def _parse_point(text: str):
-    return CMPoint.from_string(text)
-
-
 def cmd_epstein(args) -> int:
     ctx = _context(args)
     try:
-        z = _parse_point(args.z)
+        z = CMPoint.from_string(args.z)
         if args.gamma0:
             value = epstein_gamma0(z.to_point(ctx), args.gamma0, ctx).value
             label = f"E_gamma0({args.gamma0})({args.z}, 2)"
@@ -160,7 +156,7 @@ def cmd_epstein(args) -> int:
 def cmd_alpha(args) -> int:
     ctx = _context(args)
     try:
-        z = _parse_point(args.z)
+        z = CMPoint.from_string(args.z)
         value = alpha_n(z.to_point(ctx), args.N, ctx)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -172,7 +168,7 @@ def cmd_alpha(args) -> int:
 def cmd_constants(args) -> int:
     ctx = _context(args)
     try:
-        z = _parse_point(args.z)
+        z = CMPoint.from_string(args.z)
         c1, c2, m = series_constants_from_cm(z, args.N, ctx)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -198,53 +194,6 @@ def _print_value(label, value, args) -> None:
                          indent=2))
     else:
         print(f"{label} = {text}")
-
-
-# -- table reconstruction --------------------------------------------------
-
-def load_tables(path=None) -> list:
-    """Rows of the three CM-point tables, with exact expected cell values."""
-    if path is None:
-        text = resources.files(__package__).joinpath("data/tables.json") \
-            .read_text("utf-8")
-    else:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    data = json.loads(text)
-    tables = []
-    for tab in data["tables"]:
-        rows = []
-        for row in tab["rows"]:
-            cells = {}
-            for name in ("c1", "c2", "m"):
-                cells[name] = QuadExpr(
-                    ident._quad_from_json(row[name]["num"], "tables"),
-                    ident._quad_from_json(row[name]["den"], "tables"),
-                )
-            rows.append({"point": CMPoint.from_string(row["point"]),
-                         "text": row["point"], "cells": cells})
-        tables.append({"table": tab["table"], "level": tab["level"], "rows": rows})
-    return tables
-
-
-def check_table(table_no: int, ctx: PrecisionContext):
-    """Recompute every cell of one table; yields (row_text, cell, residual)."""
-    for tab in load_tables():
-        if tab["table"] != table_no:
-            continue
-        level = tab["level"]
-        for row in tab["rows"]:
-            z = row["point"].to_point(ctx)
-            with ctx.working():
-                c1, c2, m = series_constants_from_cm(z, level, ctx)
-                y = z.imag
-                computed = {"c1": c1 / 2 / y, "c2": c2 / y, "m": m}
-                for name in ("c1", "c2", "m"):
-                    expected = row["cells"][name].embed(ctx)
-                    residual = abs(computed[name] - expected)
-                    yield row["text"], name, residual
-        return
-    raise DomainError(f"no table {table_no}")
 
 
 def cmd_tables(args) -> int:
@@ -312,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--filter", help="glob over record ids")
     p.add_argument("--corpus", default=None, help="corpus JSON path")
     p.add_argument("--cache", default=None, help="constants cache path")
-    p.add_argument("--parallelism", type=int, default=1)
     p.add_argument("--timings", action="store_true",
                    help="include elapsed milliseconds in reports")
     p.set_defaults(func=cmd_verify)

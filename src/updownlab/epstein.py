@@ -9,7 +9,6 @@ coset sums used to check the two-line lattice lemma.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import mpmath
@@ -17,17 +16,7 @@ import numpy as np
 from mpmath import mp, mpf
 
 from .numerics import DomainError, PrecisionContext, zeta_int
-from .modular import _as_mpc, _sigma3_table
-
-
-@dataclass(frozen=True)
-class EpsteinQuery:
-    z: object
-    level: int = 1
-
-    def __post_init__(self) -> None:
-        if self.level not in (1, 2, 3, 4):
-            raise DomainError(f"level must be in {{1, 2, 3, 4}}, got {self.level}")
+from .modular import _as_mpc, _qseries_cutoff, _sigma3_table
 
 
 class LatticeSum(NamedTuple):
@@ -48,7 +37,7 @@ def epstein_sl2(z, ctx: PrecisionContext) -> mpf:
     z = _as_mpc(z)
     with ctx.working():
         x, y = z.real, z.imag
-        n_max = int((ctx.dps + 10) * math.log(10) / (2 * math.pi * float(y))) + 2
+        n_max = _qseries_cutoff(y, ctx)
         sig = _sigma3_table(n_max)
         q_abs = mpmath.exp(-2 * mp.pi * y)
         qn = mpf(1)

@@ -18,10 +18,16 @@ from fractions import Fraction
 from importlib import resources
 from typing import Optional, Sequence, Tuple, Union
 
-import mpmath
-from mpmath import mp, mpf
+from mpmath import libmp, mp, mpf
 
-from .numerics import DomainError, PrecisionContext, QuadraticNumber, embed_quadratic
+from .numerics import (
+    DomainError,
+    PrecisionContext,
+    QuadExpr,
+    QuadraticNumber,
+    embed_quadratic,
+    zeta_int,
+)
 from .lfunctions import Discriminant, dirichlet_l2
 from .epstein import epstein_sl2
 from .modular import CMPoint
@@ -31,6 +37,7 @@ from .series import (
     UpsideDownSeries,
     evaluate_fib_series,
     evaluate_updown,
+    series_constants_from_cm,
 )
 
 
@@ -315,23 +322,70 @@ def _point_string(p: CMPoint) -> str:
     return f"{x}+{r}*sqrt({rad})*i"
 
 
-_DEFAULT_CORPUS = "data/corpus.json"
+def _read_data(path: Optional[str], packaged: str) -> str:
+    """Text of the file at ``path``, or of the named file shipped in the package."""
+    if path is None:
+        return resources.files(__package__).joinpath(packaged).read_text("utf-8")
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
 
 
 def load_corpus(path: Optional[str] = None) -> Corpus:
     """Load and validate a corpus; defaults to the file shipped in the package."""
-    if path is None:
-        text = resources.files(__package__).joinpath(_DEFAULT_CORPUS).read_text("utf-8")
-    else:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    return corpus_from_json(text)
+    return corpus_from_json(_read_data(path, "data/corpus.json"))
+
+
+# -- table reconstruction --------------------------------------------------
+
+def load_tables(path: Optional[str] = None) -> list:
+    """Rows of the three CM-point tables, with exact expected cell values."""
+    data = json.loads(_read_data(path, "data/tables.json"))
+    tables = []
+    for tab in data["tables"]:
+        rows = []
+        for row in tab["rows"]:
+            cells = {}
+            for name in ("c1", "c2", "m"):
+                cells[name] = QuadExpr(
+                    _quad_from_json(row[name]["num"], "tables"),
+                    _quad_from_json(row[name]["den"], "tables"),
+                )
+            rows.append({"point": CMPoint.from_string(row["point"]),
+                         "text": row["point"], "cells": cells})
+        tables.append({"table": tab["table"], "level": tab["level"], "rows": rows})
+    return tables
+
+
+def check_table(table_no: int, ctx: PrecisionContext):
+    """Recompute every cell of one table; yields (row_text, cell, residual)."""
+    for tab in load_tables():
+        if tab["table"] != table_no:
+            continue
+        level = tab["level"]
+        for row in tab["rows"]:
+            z = row["point"].to_point(ctx)
+            with ctx.working():
+                c1, c2, m = series_constants_from_cm(z, level, ctx)
+                y = z.imag
+                computed = {"c1": c1 / 2 / y, "c2": c2 / y, "m": m}
+                for name in ("c1", "c2", "m"):
+                    expected = row["cells"][name].embed(ctx)
+                    residual = abs(computed[name] - expected)
+                    yield row["text"], name, residual
+        return
+    raise DomainError(f"no table {table_no}")
 
 
 # -- constants cache -------------------------------------------------------
 
 class ConstantsCache:
-    """Decimal strings for RHS constants, keyed by (tag, digits)."""
+    """RHS constants stored exactly, keyed by tag and working precision (dps).
+
+    Each value is kept as mpf's ``(man, exp)`` pair, so a warm cache returns
+    the very bits a cold run computed. An entry of any other shape, such as a
+    decimal string written by an older version, counts as a miss and is
+    overwritten by the next ``put``.
+    """
 
     def __init__(self, path: Optional[str] = None):
         self.path = path
@@ -339,15 +393,22 @@ class ConstantsCache:
         if path and os.path.exists(path):
             try:
                 with open(path, encoding="utf-8") as fh:
-                    self._data = json.load(fh)
-            except (OSError, json.JSONDecodeError):
-                self._data = {}
+                    data = json.load(fh)
+            except (OSError, ValueError):
+                data = None
+            if isinstance(data, dict):
+                self._data = data
 
-    def get(self, tag: str, digits: int) -> Optional[str]:
-        return self._data.get(f"{tag}@{digits}")
+    def get(self, tag: str, dps: int) -> Optional[mpf]:
+        entry = self._data.get(f"{tag}@{dps}")
+        if not (isinstance(entry, list) and len(entry) == 2
+                and all(type(x) is int for x in entry)):
+            return None
+        return mp.make_mpf(libmp.from_man_exp(entry[0], entry[1]))
 
-    def put(self, tag: str, digits: int, value: str) -> None:
-        self._data[f"{tag}@{digits}"] = value
+    def put(self, tag: str, dps: int, value: mpf) -> None:
+        man, exp = value.man_exp
+        self._data[f"{tag}@{dps}"] = [int(man), int(exp)]
         if self.path:
             tmp = self.path + ".tmp"
             with open(tmp, "w", encoding="utf-8") as fh:
@@ -357,15 +418,14 @@ class ConstantsCache:
 
 def constant_value(tag: str, ctx: PrecisionContext,
                    cache: Optional[ConstantsCache] = None) -> mpf:
-    """Value of a RHS constant tag, via the cache when possible."""
-    from .numerics import zeta_int
-
+    """Value of a RHS constant tag at the working precision, via the cache
+    when possible. Every RHS constant of either record kind comes from here."""
     _check_tag(tag)
     with ctx.working():
         if cache is not None:
-            hit = cache.get(tag, ctx.digits)
+            hit = cache.get(tag, ctx.dps)
             if hit is not None:
-                return mpf(hit)
+                return hit
         if tag == "PI2":
             value = mp.pi**2
         elif tag == "ZETA2":
@@ -375,8 +435,7 @@ def constant_value(tag: str, ctx: PrecisionContext,
         else:
             value = dirichlet_l2(int(_L_TAG_RE.match(tag).group(1)), ctx)
         if cache is not None:
-            cache.put(tag, ctx.digits, mpmath.nstr(
-                value, ctx.digits, strip_zeros=False))
+            cache.put(tag, ctx.dps, value)
         return value
 
 
@@ -433,17 +492,15 @@ def verify_kronecker(instance: Union[str, KroneckerInstance],
         lhs = mpf(0)
         for point, sign in zip(instance.points, instance.signs):
             lhs += sign * epstein_sl2(point.to_point(ctx), ctx)
-        from .numerics import zeta_int
-
         four_zeta4 = 4 * zeta_int(4, ctx)
         twist = mpf(instance.twist.numerator) / instance.twist.denominator
         d1, d2 = instance.d1.d, instance.d2.d
         if instance.kind == "KRONECKER":
-            rhs = -twist * d1 * d2 * dirichlet_l2(d1, ctx) \
-                * dirichlet_l2(d2, ctx) / four_zeta4
+            rhs = -twist * d1 * d2 * constant_value(f"L({d1})", ctx, cache) \
+                * constant_value(f"L({d2})", ctx, cache) / four_zeta4
         else:
-            rhs = -twist * d1 * d2 * zeta_int(2, ctx) \
-                * dirichlet_l2(d1 * d2, ctx) / four_zeta4
+            rhs = -twist * d1 * d2 * constant_value("ZETA2", ctx, cache) \
+                * constant_value(f"L({d1 * d2})", ctx, cache) / four_zeta4
         if not instance.points:
             rhs = mpf(0)
     return _report(instance.id, ctx, lhs, rhs, len(instance.points), t0)
@@ -453,7 +510,13 @@ def verify_all(ctx: PrecisionContext, pattern: Optional[str] = None,
                corpus: Optional[Corpus] = None,
                cache: Optional[ConstantsCache] = None,
                parallelism: int = 1) -> Sequence[VerificationReport]:
-    """Verify every matching record and instance, in ascending id order."""
+    """Verify every matching record and instance, in ascending id order.
+
+    Records run one after another in this process: mpmath's working
+    precision is process-global, so ``parallelism`` must be 1.
+    """
+    if parallelism != 1:
+        raise ValueError(f"parallelism must be 1, got {parallelism}")
     corpus = corpus if corpus is not None else load_corpus()
     work = [("identity", r) for r in corpus.identities]
     work += [("kronecker", k) for k in corpus.kronecker]
@@ -461,17 +524,8 @@ def verify_all(ctx: PrecisionContext, pattern: Optional[str] = None,
         work = [w for w in work if fnmatch.fnmatchcase(w[1].id, pattern)]
     work.sort(key=lambda w: w[1].id)
 
-    def run(item):
-        kind, rec = item
-        if kind == "identity":
-            return verify_identity(rec, ctx, corpus, cache)
-        return verify_kronecker(rec, ctx, corpus, cache)
-
-    if parallelism > 1 and len(work) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            reports = list(pool.map(run, work))
-    else:
-        reports = [run(item) for item in work]
-    return reports
+    return [
+        verify_identity(rec, ctx, corpus, cache) if kind == "identity"
+        else verify_kronecker(rec, ctx, corpus, cache)
+        for kind, rec in work
+    ]

@@ -118,10 +118,6 @@ class CMPoint:
             )
 
 
-def discriminant(p: CMPoint) -> int:
-    return p.disc
-
-
 # -- eta, alpha_N, j, E4 ---------------------------------------------------
 
 def _qseries_cutoff(y: mpf, ctx: PrecisionContext, log_margin: float = 10.0) -> int:
@@ -182,19 +178,25 @@ def _sigma3_table(n_max: int) -> list:
     return sig
 
 
+def _sigma3_qsum(z: mpc, ctx: PrecisionContext, weight) -> mpc:
+    """sum_n sigma_3(n) q^n weight(n) with q = e^{2 pi i z}, cut off 20 digits
+    below the working epsilon. The caller holds ``ctx.working()``."""
+    q = mpmath.exp(2j * mp.pi * z)
+    n_max = _qseries_cutoff(z.imag, ctx, log_margin=20.0)
+    sig = _sigma3_table(n_max)
+    qn = mpc(1)
+    total = mpc(0)
+    for n in range(1, n_max + 1):
+        qn *= q
+        total += sig[n] * qn * weight(n)
+    return total
+
+
 def eisenstein_e4(z, ctx: PrecisionContext) -> mpc:
     """E4(z) = 1 + 240 sum sigma_3(n) q^n."""
     z = _as_mpc(z)
     with ctx.working():
-        q = mpmath.exp(2j * mp.pi * z)
-        n_max = _qseries_cutoff(z.imag, ctx, log_margin=20.0)
-        sig = _sigma3_table(n_max)
-        qn = mpc(1)
-        total = mpc(0)
-        for n in range(1, n_max + 1):
-            qn *= q
-            total += sig[n] * qn
-        return 1 + 240 * total
+        return 1 + 240 * _sigma3_qsum(z, ctx, lambda n: 1)
 
 
 def eichler_e4_tilde(z, ctx: PrecisionContext) -> mpc:
@@ -207,15 +209,9 @@ def eichler_e4_tilde(z, ctx: PrecisionContext) -> mpc:
     z = _as_mpc(z)
     with ctx.working():
         y = z.imag
-        q = mpmath.exp(2j * mp.pi * z)
-        n_max = _qseries_cutoff(y, ctx, log_margin=20.0)
-        sig = _sigma3_table(n_max)
-        qn = mpc(1)
-        total = mpc(0)
-        for n in range(1, n_max + 1):
-            qn *= q
-            total += sig[n] * qn * (y / (2 * mp.pi**2 * n**2) + 1 / (4 * mp.pi**3 * n**3))
-        return 240j * total
+        return 240j * _sigma3_qsum(
+            z, ctx,
+            lambda n: y / (2 * mp.pi**2 * n**2) + 1 / (4 * mp.pi**3 * n**3))
 
 
 def re_eichler_closed_form(z, ctx: PrecisionContext) -> mpf:
@@ -264,32 +260,24 @@ def _check_nu(nu) -> Fraction:
     return nu
 
 
-def _on_cut(t: mpc) -> bool:
-    return t.imag == 0 and t.real >= 1
+def _off_cut(t) -> mpc:
+    """t as an mpc, rejected on the cut [1, oo). Call under ``ctx.working()``."""
+    t = mpc(t)
+    if t.imag == 0 and t.real >= 1:
+        raise DomainError(f"argument t = {t} lies on the cut [1, oo)")
+    return t
 
 
 def legendre_p(nu, t, ctx: PrecisionContext) -> mpc:
-    """P_nu(1 - 2t) for t off the cut [1, oo).
+    """P_nu(1 - 2t) = 2F1(-nu, nu + 1; 1; t) for t off the cut [1, oo).
 
-    Power series sum ((-nu)_k (nu+1)_k / (k!)^2) t^k for |t| < 1/2, analytic
-    continuation of the same hypergeometric function otherwise.
+    Every t takes the same path, ``mpmath.hyp2f1``, which sums the power
+    series near 0 and continues it analytically elsewhere;
+    ``legendre_p_quadrature`` is the independent check.
     """
     nu = _check_nu(nu)
     with ctx.working():
-        t = mpc(t)
-        if _on_cut(t):
-            raise DomainError(f"argument t = {t} lies on the cut [1, oo)")
-        if abs(t) < 0.5:
-            coeff = mpc(1)
-            total = mpc(1)
-            k = 0
-            eps = ctx.eps
-            while True:
-                coeff *= t * (-nu + k) * (nu + 1 + k) / (k + 1) ** 2
-                total += coeff
-                k += 1
-                if abs(coeff) < eps * abs(total) / 4 and k > 4:
-                    return total
+        t = _off_cut(t)
         return mpmath.hyp2f1(-_frac_mpf(nu), _frac_mpf(nu) + 1, 1, t)
 
 
@@ -298,25 +286,12 @@ def _frac_mpf(x: Fraction) -> mpf:
 
 
 def legendre_p_dt(nu, t, ctx: PrecisionContext) -> mpc:
-    """d/dt of the hypergeometric series behind legendre_p."""
+    """d/dt of the hypergeometric function behind legendre_p, through the
+    same ``mpmath.hyp2f1`` path: -nu (nu + 1) 2F1(1 - nu, nu + 2; 2; t)."""
     nu = _check_nu(nu)
     with ctx.working():
-        t = mpc(t)
-        if _on_cut(t):
-            raise DomainError(f"argument t = {t} lies on the cut [1, oo)")
+        t = _off_cut(t)
         nv = _frac_mpf(nu)
-        if abs(t) < 0.5:
-            coeff = -nv * (nv + 1)
-            total = mpc(coeff)
-            cur = mpc(coeff)
-            k = 1
-            eps = ctx.eps
-            while True:
-                cur *= t * (-nv + k) * (nv + 1 + k) / (k * (k + 1))
-                total += cur
-                k += 1
-                if abs(cur) < eps * (abs(total) + 1) / 4 and k > 4:
-                    return total
         return -nv * (nv + 1) * mpmath.hyp2f1(1 - nv, nv + 2, 2, t)
 
 
@@ -325,9 +300,7 @@ def legendre_p_quadrature(nu, t, ctx: PrecisionContext) -> mpc:
     -sin(nu pi)/pi int_0^1 [X(1-tX)/(1-X)]^nu dX/(1-X)."""
     nu = _check_nu(nu)
     with ctx.working():
-        t = mpc(t)
-        if _on_cut(t):
-            raise DomainError(f"argument t = {t} lies on the cut [1, oo)")
+        t = _off_cut(t)
         nv = _frac_mpf(nu)
 
         def integrand(X):

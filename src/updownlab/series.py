@@ -18,6 +18,7 @@ from mpmath import mp, mpf
 from .numerics import DomainError, PrecisionContext, QuadraticNumber, embed_quadratic
 from .modular import (
     _NU_BY_LEVEL,
+    CMPoint,
     _as_mpc,
     alpha_n,
     eichler_e4_tilde,
@@ -181,8 +182,6 @@ def evaluate_fib_series(s: FibLucasSeries, ctx: PrecisionContext,
 def series_constants_from_cm(z, N: int, ctx: PrecisionContext):
     """The triple (2[1 - 2 alpha_N(z)], R_nu(1 - 2 alpha_N(z)),
     const_N / {alpha_N(z)[1 - alpha_N(z)]}) defining the weighted series at z."""
-    from .modular import CMPoint
-
     if isinstance(z, CMPoint):
         z = z.to_point(ctx)
     z = _as_mpc(z)

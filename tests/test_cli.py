@@ -6,7 +6,7 @@ import mpmath
 import pytest
 from mpmath import mpf
 
-from updownlab import cli, load_corpus, serialize_corpus
+from updownlab import cli, identities, load_corpus, serialize_corpus
 from updownlab.cli import (
     EXIT_CORPUS,
     EXIT_OK,
@@ -105,7 +105,8 @@ class TestVerifyCommand:
         code, _, _ = run(capsys, *argv)  # cold run populates the cache
         assert code == EXIT_OK and cache.exists()
         stored = json.loads(cache.read_text(encoding="utf-8"))
-        assert any(key.endswith("@25") for key in stored)
+        # Keys carry the working precision: 25 digits + 15 guard digits.
+        assert any(key.endswith("@40") for key in stored)
         # Two warm runs read identical cached constants, so their output
         # must be byte-identical.
         code, out1, _ = run(capsys, *argv)
@@ -162,6 +163,10 @@ class TestValueCommands:
 
 
 class TestTablesCommand:
+    def test_table_logic_lives_in_the_library(self):
+        assert cli.check_table is identities.check_table
+        assert cli.load_tables is identities.load_tables
+
     @pytest.mark.parametrize("table", [1, 2, 3])
     def test_all_cells_match(self, capsys, table):
         code, out, _ = run(capsys, "tables", "--table", str(table),

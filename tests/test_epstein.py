@@ -13,7 +13,6 @@ from updownlab import (
     epstein_sl2_bruteforce,
     zeta_int,
 )
-from updownlab.epstein import EpsteinQuery
 from updownlab.numerics import DomainError
 
 from conftest import random_points
@@ -94,13 +93,6 @@ class TestGamma0:
     def test_invalid_level(self, ctx30):
         with pytest.raises(DomainError):
             epstein_gamma0(mpc(0, 1), 1, ctx30)
-
-
-class TestEpsteinQuery:
-    def test_level_validation(self):
-        assert EpsteinQuery(mpc(0, 1)).level == 1
-        with pytest.raises(DomainError):
-            EpsteinQuery(mpc(0, 1), level=5)
 
 
 def test_precision_escalation():

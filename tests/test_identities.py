@@ -1,5 +1,6 @@
 """Corpus loading, serialization, the constants cache, and the verifier."""
 
+import dataclasses
 import json
 import os
 from fractions import Fraction
@@ -7,7 +8,7 @@ from importlib import resources
 
 import mpmath
 import pytest
-from mpmath import mpf
+from mpmath import mp, mpf
 
 from updownlab import (
     ConstantsCache,
@@ -140,31 +141,53 @@ class TestConstantsCache:
     def test_put_get_and_persistence(self, tmp_path):
         path = str(tmp_path / "cache.json")
         cache = ConstantsCache(path)
-        cache.put("PI2", 30, "9.87")
-        assert cache.get("PI2", 30) == "9.87"
-        assert cache.get("PI2", 40) is None
-        assert ConstantsCache(path).get("PI2", 30) == "9.87"
+        with mpmath.workdps(45):
+            value = mp.pi**2
+        cache.put("PI2", 45, value)
+        assert cache.get("PI2", 45)._mpf_ == value._mpf_
+        assert cache.get("PI2", 30) is None
+        # Read back bit for bit, whatever the ambient precision.
+        assert ConstantsCache(path).get("PI2", 45)._mpf_ == value._mpf_
 
     def test_corrupt_file_ignored(self, tmp_path):
         path = tmp_path / "cache.json"
         path.write_text("{nope", encoding="utf-8")
         assert ConstantsCache(str(path)).get("PI2", 30) is None
+        path.write_text("[1, 2]", encoding="utf-8")
+        assert ConstantsCache(str(path)).get("PI2", 30) is None
+
+    def test_old_format_entries_are_misses(self, tmp_path):
+        # An older version stored decimal strings under tag@digits; at 25
+        # digits the working precision is 40, so "ZETA3@40" collides.
+        path = tmp_path / "cache.json"
+        path.write_text(json.dumps({
+            "ZETA3@40": "1.202056903159594285399738161511449990765",
+            "PI2@40": [True, 3],
+            "L(-4)@40": [1, 2, 3],
+        }), encoding="utf-8")
+        ctx = PrecisionContext(digits=25)
+        cache = ConstantsCache(str(path))
+        for tag in ("ZETA3", "PI2", "L(-4)"):
+            assert cache.get(tag, ctx.dps) is None
+        value = constant_value("ZETA3", ctx, cache)
+        assert value._mpf_ == constant_value("ZETA3", ctx)._mpf_
+        stored = json.loads(path.read_text(encoding="utf-8"))
+        assert stored["ZETA3@40"] == list(value.man_exp)
 
     def test_constant_value_uses_cache(self):
         ctx = PrecisionContext(digits=20)
         cache = ConstantsCache()
-        sentinel = "123.5"
-        cache.put("ZETA3", 20, sentinel)
-        assert constant_value("ZETA3", ctx, cache) == mpf(sentinel)
+        sentinel = mpf("123.5")
+        cache.put("ZETA3", ctx.dps, sentinel)
+        assert constant_value("ZETA3", ctx, cache) == sentinel
 
     def test_constant_value_fills_cache(self):
         ctx = PrecisionContext(digits=20)
         cache = ConstantsCache()
-        with ctx.working():
-            v = constant_value("L(-4)", ctx, cache)
-            stored = cache.get("L(-4)", 20)
-            assert stored is not None
-            assert abs(mpf(stored) - v) < mpf(10) ** -19
+        v = constant_value("L(-4)", ctx, cache)
+        stored = cache.get("L(-4)", ctx.dps)
+        assert stored is not None
+        assert stored._mpf_ == v._mpf_
 
 
 class TestVerification:
@@ -190,12 +213,29 @@ class TestVerification:
         assert [r.id for r in reports] == ["fib1", "fib1p", "fib2", "fib2p"]
         assert all(r.passed for r in reports)
 
-    def test_parallel_matches_serial(self, corpus, ctx30):
-        serial = verify_all(ctx30, "d-*", corpus)
-        parallel = verify_all(ctx30, "d-*", corpus, parallelism=4)
-        assert [r.id for r in serial] == [r.id for r in parallel]
-        for a, b in zip(serial, parallel):
-            assert a.lhs_value == b.lhs_value
+    def test_parallelism_other_than_one_rejected(self, corpus, ctx30):
+        with pytest.raises(ValueError):
+            verify_all(ctx30, "d-*", corpus, parallelism=4)
+
+    def test_precision_restored_after_verify_all(self, corpus, ctx30):
+        before = mp.dps
+        verify_all(ctx30, "d-*", corpus)
+        assert mp.dps == before
+
+    def test_cache_never_changes_a_report(self, corpus, tmp_path):
+        # Cold and warm cache runs must reproduce the uncached run exactly,
+        # on every record and every field but the timing.
+        ctx = PrecisionContext(digits=20)
+        path = str(tmp_path / "cache.json")
+
+        def untimed(cache):
+            return [dataclasses.replace(r, elapsed_ms=0.0)
+                    for r in verify_all(ctx, None, corpus, cache)]
+
+        plain = untimed(None)
+        assert len(plain) == len(corpus.identities) + len(corpus.kronecker)
+        assert untimed(ConstantsCache(path)) == plain  # cold
+        assert untimed(ConstantsCache(path)) == plain  # warm
 
     def test_vacuous_instance_passes(self, ctx30):
         inst = KroneckerInstance("empty", (), (), Fraction(1),
