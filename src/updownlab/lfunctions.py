@@ -1,8 +1,15 @@
 """Kronecker symbols, fundamental-discriminant tests, and L_d(2) values.
 
-L_d(2) = sum_{k>=1} (d/k) / k^2 is evaluated exactly over residue classes:
-L_d(2) = |d|^-2 sum_{a=1}^{|d|} (d/a) * trigamma(a/|d|), which presumes the
-symbol is periodic mod |d| (true for every discriminant in the corpus).
+For every valid discriminant d (d = 1, or d = 0, 1 mod 4), chi(k) = (d/k) is
+a Dirichlet character mod |d| with chi(-1) = sign(d), so L_d(2) =
+sum_{k>=1} chi(k) / k^2 is a finite sum over residue classes:
+
+* d < 0 (odd character): L_d(2) = |d|^-2 sum_{0<a<|d|} chi(a) psi'(a/|d|),
+  with the trigamma psi' from ``numerics``;
+* d > 1 (even character): pairing a with d - a and using
+  psi'(x) + psi'(1-x) = pi^2 / sin^2(pi x) gives the closed sine sum
+  L_d(2) = pi^2 / (2 d^2) sum_{0<a<d} chi(a) / sin^2(pi a / d);
+* d = 1: zeta(2).
 """
 
 from __future__ import annotations
@@ -10,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import mpmath
 from mpmath import mpf
 
 from .numerics import DomainError, PrecisionContext, trigamma, zeta_int, _is_squarefree
@@ -68,17 +76,31 @@ def is_fundamental_discriminant(D: int) -> bool:
 
 
 def dirichlet_l2(d, ctx: PrecisionContext) -> mpf:
-    """L_d(2) to ctx.digits; d may be a Discriminant or an integer."""
+    """L_d(2) to ctx.digits; d may be a Discriminant or an integer.
+
+    The sum runs over the |d| - 1 residues mod |d|: the closed sine sum for
+    d > 1 and the trigamma sum for d < 0 (see the module docstring). Both rest
+    on chi being periodic mod |d| with chi(-1) = sign(d), which holds for
+    every valid Discriminant. Raises DomainError when |d| > ctx.max_terms.
+    """
     if isinstance(d, Discriminant):
         d = d.d
     else:
         d = Discriminant(d).d
+    q = abs(d)
+    if q > ctx.max_terms:
+        raise DomainError(f"|d| = {q} residues exceed max_terms = {ctx.max_terms}")
     with ctx.working():
         if d == 1:
             return zeta_int(2, ctx)
-        q = abs(d)
         total = mpf(0)
-        for a in range(1, q + 1):
+        if d > 0:
+            for a in range(1, q):
+                chi = kronecker_symbol(d, a)
+                if chi:
+                    total += chi / mpmath.sinpi(mpf(a) / q) ** 2
+            return mpmath.pi**2 * total / (2 * q**2)
+        for a in range(1, q):
             chi = kronecker_symbol(d, a)
             if chi:
                 total += chi * trigamma(Fraction(a, q), ctx)

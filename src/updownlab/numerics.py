@@ -7,9 +7,9 @@ Exact algebraic coefficients live in QuadraticNumber (a + b*sqrt(D) over Q).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Union
 
 import mpmath
@@ -301,39 +301,50 @@ def _zeta3(ctx: PrecisionContext) -> mpf:
         return mpf(5) / 2 * total
 
 
-# Bernoulli numbers B_2 .. B_18 (B_18 only enters the remainder bound).
-_BERNOULLI = [
-    Fraction(1, 6),
-    Fraction(-1, 30),
-    Fraction(1, 42),
-    Fraction(-1, 30),
-    Fraction(5, 66),
-    Fraction(-691, 2730),
-    Fraction(7, 6),
-    Fraction(-3617, 510),
-]
-_B18 = Fraction(43867, 798)
+@lru_cache(maxsize=16)
+def _trigamma_plan(dps: int):
+    """(N, (B_2, ..., B_2M)) for trigamma at ``dps`` working digits.
+
+    M comes out near 0.45 * dps, so the search stops at dps.
+    """
+    n = int(0.7 * dps)
+    with mpmath.workdps(dps):
+        bound = mpf(10) ** -(dps + 1)
+        coeffs = []
+        for k in range(1, dps + 1):
+            p, q = mpmath.bernfrac(2 * k)
+            b = mpf(p) / q
+            if abs(b) / mpf(n) ** (2 * k + 1) < bound:
+                return n, tuple(coeffs)
+            coeffs.append(b)
+    raise RuntimeError(f"no Euler-Maclaurin order reaches 10^-{dps} with N = {n}")
 
 
 def trigamma(x, ctx: PrecisionContext) -> mpf:
-    """sum_{n>=0} 1/(n+x)^2 for 0 < x <= 1, via Euler-Maclaurin.
+    """psi'(x) = sum_{n>=0} 1/(n+x)^2 for 0 < x <= 1, via Euler-Maclaurin.
 
-    Eight correction terms; the cutoff is chosen so the first dropped term,
-    |B_18| / y^19, is below 10^-(digits+guard).
+    The first N terms are summed directly, and the rest is
+    psi'(y) ~ 1/y + 1/(2y^2) + sum_{k=1}^{M} B_{2k} / y^(2k+1) at y = x + N.
+    For real y > 0 this series envelops psi'(y): its remainder is at most
+    the first dropped term, |B_{2M+2}| / y^(2M+3) <= |B_{2M+2}| / N^(2M+3).
+
+    N = floor(0.7 * dps), safely above the dps * ln(10) / (2 pi) below which
+    no M reaches 10^-dps; M is the least order whose bound is below
+    10^-(dps+1). Both grow linearly with ctx.dps (38 and 25 at 55 digits),
+    so a call costs O(dps) operations. The (N, B_2..B_2M) plan is memoized
+    per dps; values are not.
     """
     with ctx.working():
         xv = mpf(x.numerator) / x.denominator if isinstance(x, Fraction) else mpf(x)
         if not (0 < xv <= 1):
             raise DomainError(f"trigamma requires 0 < x <= 1, got {xv}")
-        # |B_18| / M^19 < 10^-dps  =>  M > (|B_18| * 10^dps)^(1/19)
-        cutoff = int(math.ceil(10 ** ((math.log10(float(_B18)) + ctx.dps) / 19))) + 1
+        n, coeffs = _trigamma_plan(ctx.dps)
         total = mpf(0)
-        for n in range(cutoff):
-            total += 1 / (xv + n) ** 2
-        y = xv + cutoff
-        tail = 1 / y + 1 / (2 * y**2)
-        ypow = y**3
-        for b in _BERNOULLI:
-            tail += mpf(b.numerator) / b.denominator / ypow
-            ypow *= y**2
-        return total + tail
+        for k in range(n):
+            total += 1 / (xv + k) ** 2
+        y = xv + n
+        w = 1 / y**2
+        horner = mpf(0)
+        for b in reversed(coeffs):
+            horner = horner * w + b
+        return total + 1 / y + w / 2 + horner * w / y

@@ -124,9 +124,21 @@ class TestValueCommands:
             expected = mpmath.nstr(+mpmath.catalan, 25)
         assert expected[:20] in out
 
+    def test_lvalue_catalan_300_digits(self, capsys):
+        code, out, _ = run(capsys, "lvalue", "--d", "-4", "--digits", "300")
+        assert code == EXIT_OK
+        with mpmath.workdps(320):
+            expected = format_ap(+mpmath.catalan, 300)
+        assert out.strip() == f"L_-4(2) = {expected}"
+
     def test_lvalue_bad_discriminant(self, capsys):
         code, _, err = run(capsys, "lvalue", "--d", "-5")
         assert code == EXIT_USAGE
+
+    def test_lvalue_more_residues_than_max_terms(self, capsys):
+        code, _, err = run(capsys, "lvalue", "--d", "-40000003")
+        assert code == EXIT_USAGE
+        assert "max_terms" in err
 
     def test_epstein_gaussian_point(self, capsys):
         code, out, _ = run(capsys, "epstein", "--z", "i", "--digits", "25",

@@ -213,6 +213,11 @@ class TestVerification:
         assert [r.id for r in reports] == ["fib1", "fib1p", "fib2", "fib2p"]
         assert all(r.passed for r in reports)
 
+    def test_full_corpus_passes_at_100_digits(self, corpus):
+        reports = verify_all(PrecisionContext(digits=100), corpus=corpus)
+        assert len(reports) == 54
+        assert all(r.passed for r in reports), [r.id for r in reports if not r.passed]
+
     def test_parallelism_other_than_one_rejected(self, corpus, ctx30):
         with pytest.raises(ValueError):
             verify_all(ctx30, "d-*", corpus, parallelism=4)

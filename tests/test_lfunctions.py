@@ -46,6 +46,18 @@ class TestKroneckerSymbol:
         for k in range(1, 3 * q):
             assert kronecker_symbol(d, k) == kronecker_symbol(d, k + q)
 
+    def test_every_discriminant_gives_a_character_of_sign_d(self):
+        # dirichlet_l2 presumes chi(k + |d|) = chi(k) and chi(|d| - a) =
+        # sign(d) chi(a) for every valid discriminant, fundamental or not.
+        for d in range(-200, 201):
+            if d in (0, 1) or d % 4 not in (0, 1):
+                continue
+            q, sign = abs(d), (1 if d > 0 else -1)
+            for a in range(1, q):
+                chi = kronecker_symbol(d, a)
+                assert kronecker_symbol(d, a + q) == chi, (d, a)
+                assert kronecker_symbol(d, q - a) == sign * chi, (d, a)
+
     def test_two_part(self):
         assert kronecker_symbol(7, 2) == 1    # 7 = -1 mod 8
         assert kronecker_symbol(3, 2) == -1
@@ -125,3 +137,20 @@ class TestDirichletL2:
         lo = dirichlet_l2(-7, PrecisionContext(digits=30))
         hi = dirichlet_l2(-7, PrecisionContext(digits=45))
         assert abs(lo - hi) < mpf(10) ** -28
+
+    @pytest.mark.parametrize("d", [-4, -111, 12, 32, 253])
+    def test_hurwitz_at_300_digits(self, d):
+        # Both branches (12 and 32 are not fundamental) against
+        # |d|^-2 sum_a chi(a) zeta(2, a/|d|).
+        ctx = PrecisionContext(digits=300)
+        q = abs(d)
+        with ctx.working():
+            expected = sum(
+                kronecker_symbol(d, a) * mpmath.zeta(2, mpf(a) / q)
+                for a in range(1, q)
+            ) / q**2
+            assert abs(dirichlet_l2(d, ctx) - expected) < ctx.tol
+
+    def test_more_residues_than_max_terms(self):
+        with pytest.raises(DomainError):
+            dirichlet_l2(-4003, PrecisionContext(digits=20, max_terms=1000))

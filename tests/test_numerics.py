@@ -147,13 +147,17 @@ class TestZetaAndTrigamma:
         with pytest.raises(DomainError):
             zeta_int(5, ctx40)
 
-    @pytest.mark.parametrize("x", [Fraction(1), Fraction(1, 2),
-                                   Fraction(1, 3), Fraction(5, 7),
-                                   Fraction(11, 12)])
-    def test_trigamma_against_mpmath(self, x, ctx40):
-        with ctx40.working():
+    @pytest.mark.parametrize("x, digits", [
+        pytest.param(x, digits, id=f"x{i}" if digits == 40 else f"x{i}-{digits}")
+        for digits in (40, 300, 1000)
+        for i, x in enumerate([Fraction(1), Fraction(1, 2), Fraction(1, 3),
+                               Fraction(5, 7), Fraction(11, 12)])
+    ])
+    def test_trigamma_against_mpmath(self, x, digits):
+        ctx = PrecisionContext(digits=digits)
+        with ctx.working():
             expected = mpmath.polygamma(1, mpf(x.numerator) / x.denominator)
-            assert abs(trigamma(x, ctx40) - expected) < 10 * ctx40.tol
+            assert abs(trigamma(x, ctx) - expected) < 10 * ctx.tol
 
     def test_trigamma_domain(self, ctx40):
         with pytest.raises(DomainError):
