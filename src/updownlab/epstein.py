@@ -11,12 +11,11 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-import mpmath
 import numpy as np
 from mpmath import mp, mpf
 
 from .numerics import DomainError, PrecisionContext, zeta_int
-from .modular import _as_mpc, _qseries_cutoff, _sigma3_table
+from .modular import _as_mpc, _sigma3_qsum
 
 
 class LatticeSum(NamedTuple):
@@ -31,23 +30,15 @@ def epstein_sl2(z, ctx: PrecisionContext) -> mpf:
     expansion
 
         E(z, 2) = y^2 + 45 zeta(3) / (pi^3 y)
-                + (180/pi^2) sum_n sigma_3(n)/n^2 (1 + 1/(2 pi n y))
-                  e^{-2 pi n y} cos(2 pi n x).
+                + (180/pi^2) Re sum_n sigma_3(n)/n^2 (1 + c/n) q^n,
+
+    c = 1/(2 pi y), q = e^{2 pi i z}, on the shared sigma_3 q-series kernel.
     """
     z = _as_mpc(z)
     with ctx.working():
-        x, y = z.real, z.imag
-        n_max = _qseries_cutoff(y, ctx)
-        sig = _sigma3_table(n_max)
-        q_abs = mpmath.exp(-2 * mp.pi * y)
-        qn = mpf(1)
-        total = mpf(0)
-        for n in range(1, n_max + 1):
-            qn *= q_abs
-            total += (
-                mpf(sig[n]) / n**2 * (1 + 1 / (2 * mp.pi * n * y))
-                * qn * mpmath.cos(2 * mp.pi * n * x)
-            )
+        y = z.imag
+        c = 1 / (2 * mp.pi * y)
+        total = _sigma3_qsum(z, ctx, lambda n: (c + n) / n**3).real
         return y**2 + 45 * zeta_int(3, ctx) / (mp.pi**3 * y) + 180 / mp.pi**2 * total
 
 

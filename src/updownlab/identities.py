@@ -513,10 +513,13 @@ def verify_all(ctx: PrecisionContext, pattern: Optional[str] = None,
     """Verify every matching record and instance, in ascending id order.
 
     Records run one after another in this process: mpmath's working
-    precision is process-global, so ``parallelism`` must be 1.
+    precision is process-global, so ``parallelism`` must be 1. Without a
+    ``cache``, an in-memory one lasts for this call, so each RHS constant
+    is computed once per run.
     """
     if parallelism != 1:
         raise ValueError(f"parallelism must be 1, got {parallelism}")
+    cache = cache if cache is not None else ConstantsCache()
     corpus = corpus if corpus is not None else load_corpus()
     work = [("identity", r) for r in corpus.identities]
     work += [("kronecker", k) for k in corpus.kronecker]

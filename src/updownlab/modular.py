@@ -121,8 +121,13 @@ class CMPoint:
 # -- eta, alpha_N, j, E4 ---------------------------------------------------
 
 def _qseries_cutoff(y: mpf, ctx: PrecisionContext, log_margin: float = 10.0) -> int:
-    """Smallest n with |q|^n below the working epsilon (with margin)."""
-    return int((ctx.dps + log_margin) * math.log(10) / (2 * math.pi * float(y))) + 2
+    """Smallest n with |q|^n below the working epsilon (with margin); a
+    DomainError if that exceeds ``ctx.max_terms``."""
+    n_max = int((ctx.dps + log_margin) * math.log(10) / (2 * math.pi * float(y))) + 2
+    if n_max > ctx.max_terms:
+        raise DomainError(f"q-series at Im z = {float(y):.3g} needs {n_max} terms, "
+                          f"more than max_terms = {ctx.max_terms}")
+    return n_max
 
 
 def dedekind_eta(z, ctx: PrecisionContext) -> mpc:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Tuple
+from typing import Tuple
 
 import mpmath
 from mpmath import mp, mpf
@@ -20,6 +20,7 @@ from .modular import (
     _NU_BY_LEVEL,
     CMPoint,
     _as_mpc,
+    _frac_mpf,
     alpha_n,
     eichler_e4_tilde,
     legendre_ramanujan_r,
@@ -38,25 +39,14 @@ class SeriesFamily(enum.Enum):
         self.tag = tag
         self.scale = scale
 
-    def denominators(self) -> Iterator[int]:
-        """Yield the binomial product at k = 1, 2, ... by exact recurrences."""
-        b2 = 2   # binom(2k, k)
-        b3 = 3   # binom(3k, k)
-        b4 = 6   # binom(4k, 2k)
-        k = 1
-        while True:
-            if self is SeriesFamily.CENTRAL3:
-                yield b2**3
-            elif self is SeriesFamily.C2X3K:
-                yield b2**2 * b3
-            else:
-                yield b2**2 * b4
-            b4 = b4 * ((4 * k + 1) * (4 * k + 2) * (4 * k + 3) * (4 * k + 4)) \
-                // ((2 * k + 1) * (2 * k + 2)) ** 2
-            b3 = b3 * ((3 * k + 1) * (3 * k + 2) * (3 * k + 3)) \
-                // ((k + 1) * (2 * k + 1) * (2 * k + 2))
-            b2 = b2 * 2 * (2 * k + 1) // (k + 1)
-            k += 1
+    def ratio(self, k: int) -> Tuple[int, int]:
+        """denom(k-1) / denom(k) as the exact small-integer pair (num, den),
+        with denom(0) = 1. The numerator is k^3 in every family."""
+        if self is SeriesFamily.CENTRAL3:
+            return k**3, 8 * (2 * k - 1) ** 3
+        if self is SeriesFamily.C2X3K:
+            return k**3, 6 * (2 * k - 1) * (3 * k - 1) * (3 * k - 2)
+        return k**3, 8 * (2 * k - 1) * (4 * k - 1) * (4 * k - 3)
 
 
 _FAMILY_BY_LEVEL = {2: SeriesFamily.C2X4K, 3: SeriesFamily.C2X3K, 4: SeriesFamily.CENTRAL3}
@@ -90,32 +80,54 @@ class FibLucasSeries:
     u: Fraction = Fraction(0)
 
 
+# Extra digits for the term recurrence and the running sum. Term k carries
+# about 3k roundings and the sum one per term; 10 digits cover the default
+# max_terms (10^7) of each.
+_LOOP_GUARD = 10
+
+
+def _widened(ctx: PrecisionContext) -> PrecisionContext:
+    return PrecisionContext(ctx.digits, ctx.guard + _LOOP_GUARD, ctx.max_terms)
+
+
 def _sum_linear_series(c1, c2, m, family: SeriesFamily, ctx: PrecisionContext,
                        counter: list = None):
     """sum_{k>=1} (c1*k - c2) m^k / (k^3 denom(k)) for mpf/mpc coefficients.
 
-    If ``counter`` is given, the number of summed terms is appended to it.
+    u_k = m^k / denom(k) is carried by the family's small-integer ratio
+    k^3 / den_k, whose k^3 cancels the term's: term_k = (c1 k - c2) u_{k-1} m / den_k.
+    Real c1, c2 and m keep the sum in mpf. If ``counter`` is given, the
+    number of summed terms is appended to it.
     """
     with ctx.working():
         ratio = abs(m) / family.scale
         if ratio >= 1 - mpf(10) ** (-ctx.guard):
             raise DomainError(f"series diverges: |m|/{family.scale} = {float(ratio)}")
-        eps = ctx.eps
-        total = mp.mpc(0)
-        mk = mp.mpc(1)
-        denoms = family.denominators()
-        for k in range(1, ctx.max_terms + 1):
-            mk *= m
-            term = (c1 * k - c2) * mk / (k**3 * next(denoms))
-            total += term
-            # Coefficient growth is linear, denominator decay geometric.
-            if abs(term) * ratio / (1 - ratio) < eps and k > 4:
-                break
-        else:
-            raise RuntimeError("series truncation exceeded max_terms")
+        budget = ctx.dps * mpmath.ln10 / -mpmath.log(ratio)
+        if budget > ctx.max_terms:
+            raise DomainError(f"series needs about {int(budget)} terms at {ctx.dps} "
+                              f"digits, more than max_terms = {ctx.max_terms}")
+        # Coefficient growth is linear, denominator decay geometric, so the
+        # tail after a term is below |term| ratio / (1 - ratio).
+        threshold = ctx.eps * (1 - ratio) / ratio if ratio else mpmath.inf
+        with _widened(ctx).working():
+            total = mpf(0)
+            u = mpf(1)
+            lin = -c2
+            for k in range(1, ctx.max_terms + 1):
+                num, den = family.ratio(k)
+                step = u * m / den
+                lin += c1
+                term = lin * step
+                total += term
+                if k > 4 and abs(term) < threshold:
+                    break
+                u = step * num
+            else:
+                raise RuntimeError("series truncation exceeded max_terms")
         if counter is not None:
             counter.append(k)
-        return total
+        return +total
 
 
 def evaluate_updown(s: UpsideDownSeries, ctx: PrecisionContext,
@@ -126,9 +138,9 @@ def evaluate_updown(s: UpsideDownSeries, ctx: PrecisionContext,
             if counter is not None:
                 counter.append(0)
             return mpf(0)
-        a = embed_quadratic(s.a, ctx)
-        b = embed_quadratic(s.b, ctx)
-        m = embed_quadratic(s.m, ctx)
+        # m carries the loop's guard digits too: its error grows k-fold in term k.
+        wide = _widened(ctx)
+        a, b, m = (embed_quadratic(q, wide) for q in (s.a, s.b, s.m))
         return _sum_linear_series(a, b, m, s.family, ctx, counter).real
 
 
@@ -154,29 +166,30 @@ def fibonacci_lucas(n: int) -> Tuple[int, int]:
 
 def evaluate_fib_series(s: FibLucasSeries, ctx: PrecisionContext,
                         counter: list = None) -> mpf:
-    """Value of a Fibonacci/Lucas series, with exact integer F and L terms."""
+    """Value of a Fibonacci/Lucas series.
+
+    With L_n = F_n + 2 F_{n-1} and Binet's F_n = (phi^n - psi^n)/sqrt(5), the
+    series is the difference of two CENTRAL3 upside-down sums, with
+    m = phi^8 (ratio 0.73) and m = psi^8 (ratio 3e-4). Only the phi^8 sum's
+    terms are counted.
+    """
+    # The weights and the roots carry the loop's guard digits, as in
+    # evaluate_updown.
+    with _widened(ctx).working():
+        # Weights of F_{8k} and F_{8k-1}, each linear in k.
+        f1, f0 = _frac_mpf(s.p + s.r), _frac_mpf(s.q + s.s)
+        g1, g0 = _frac_mpf(2 * s.r + s.t), _frac_mpf(2 * s.s + s.u)
+        sqrt5 = mpmath.sqrt(5)
+
+        def binet_sum(root, tally):
+            # F_{8k-1} takes root^(8k) / root from each root's power.
+            return _sum_linear_series((f1 + g1 / root) / sqrt5, -(f0 + g0 / root) / sqrt5,
+                                      root**8, SeriesFamily.CENTRAL3, ctx, tally)
+
+        phi_sum = binet_sum((1 + sqrt5) / 2, counter)
+        psi_sum = binet_sum((1 - sqrt5) / 2, None)
     with ctx.working():
-        eps = ctx.eps
-        # Dominant growth phi^8 / 64 per term.
-        ratio = ((1 + mpmath.sqrt(5)) / 2) ** 8 / 64
-        total = mpf(0)
-        f_prev, f_cur = fibonacci_lucas(7)[0], fibonacci_lucas(8)[0]  # F_7, F_8
-        denoms = SeriesFamily.CENTRAL3.denominators()
-        for k in range(1, ctx.max_terms + 1):
-            lucas = f_cur + 2 * f_prev
-            num = (s.p * k + s.q) * f_cur + (s.r * k + s.s) * lucas \
-                + (s.t * k + s.u) * f_prev
-            term = mpf(num.numerator) / num.denominator / (k**3 * next(denoms))
-            total += term
-            if abs(term) * ratio / (1 - ratio) < eps and k > 4:
-                break
-            # Step the pair (F_{8k-1}, F_{8k}) forward by eight indices.
-            f_prev, f_cur = 21 * f_cur + 13 * f_prev, 34 * f_cur + 21 * f_prev
-        else:
-            raise RuntimeError("series truncation exceeded max_terms")
-        if counter is not None:
-            counter.append(k)
-        return total
+        return phi_sum - psi_sum
 
 
 def series_constants_from_cm(z, N: int, ctx: PrecisionContext):

@@ -169,6 +169,12 @@ class TestValueCommands:
         payload = json.loads(out)
         assert set(payload) >= {"c1", "c2", "m"}
 
+    def test_epstein_height_beyond_max_terms(self, capsys):
+        # Im z = 10^-8 would need about 2 * 10^9 q-series terms.
+        code, _, err = run(capsys, "epstein", "--z", "1/100000000*i")
+        assert code == EXIT_USAGE
+        assert "max_terms" in err
+
     def test_bad_point_string(self, capsys):
         code, _, err = run(capsys, "epstein", "--z", "not-a-point")
         assert code == EXIT_USAGE

@@ -95,6 +95,36 @@ class TestGamma0:
             epstein_gamma0(mpc(0, 1), 1, ctx30)
 
 
+class TestFourierExpansion:
+    def test_against_cosine_loop_at_300_digits(self):
+        # The Fourier expansion written out term by term, with a cosine per
+        # term, mpmath's zeta(3), and sigma_3 by trial division.
+        ctx = PrecisionContext(digits=300)
+        z = mpc("0.3", "0.45")
+        with ctx.working():
+            x, y = z.real, z.imag
+            q_abs = mpmath.exp(-2 * mp.pi * y)
+            total = mpf(0)
+            n = 0
+            while True:
+                n += 1
+                sigma3 = sum(d**3 for d in range(1, n + 1) if n % d == 0)
+                term = (mpf(sigma3) / n**2 * (1 + 1 / (2 * mp.pi * n * y))
+                        * q_abs**n * mpmath.cos(2 * mp.pi * n * x))
+                total += term
+                if q_abs**n * sigma3 < ctx.eps / 10**5:
+                    break
+            expected = (y**2 + 45 * mpmath.zeta(3) / (mp.pi**3 * y)
+                        + 180 / mp.pi**2 * total)
+            assert abs(epstein_sl2(z, ctx) - expected) < ctx.tol
+
+    def test_height_beyond_max_terms_rejected(self):
+        # Im z = 1/1000 needs about 20000 q-series terms at 45 digits.
+        ctx = PrecisionContext(digits=30, max_terms=1000)
+        with pytest.raises(DomainError, match="max_terms"):
+            epstein_sl2(mpc("0.1", "0.001"), ctx)
+
+
 def test_precision_escalation():
     z = mpc("0.37", "1.21")
     lo = epstein_sl2(z, PrecisionContext(digits=30))

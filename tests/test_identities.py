@@ -27,7 +27,8 @@ from updownlab.identities import (
     constant_value,
     corpus_from_json,
 )
-from updownlab.lfunctions import Discriminant
+from updownlab import identities
+from updownlab.lfunctions import Discriminant, dirichlet_l2
 from updownlab.modular import CMPoint
 
 
@@ -241,6 +242,33 @@ class TestVerification:
         assert len(plain) == len(corpus.identities) + len(corpus.kronecker)
         assert untimed(ConstantsCache(path)) == plain  # cold
         assert untimed(ConstantsCache(path)) == plain  # warm
+
+    def test_each_l_value_computed_once_per_run(self, corpus, monkeypatch):
+        # Without a cache, verify_all still computes every L(d) tag once,
+        # and its reports equal those of records verified one by one.
+        ctx = PrecisionContext(digits=20)
+        tags = {tag for rec in corpus.identities for _, tag in rec.rhs
+                if tag.startswith("L(")}
+        for inst in corpus.kronecker:
+            d1, d2 = inst.d1.d, inst.d2.d
+            tags |= ({f"L({d1})", f"L({d2})"} if inst.kind == "KRONECKER"
+                     else {f"L({d1 * d2})"})
+        separate = [dataclasses.replace(verify_identity(r, ctx), elapsed_ms=0.0)
+                    for r in corpus.identities]
+        separate += [dataclasses.replace(verify_kronecker(k, ctx), elapsed_ms=0.0)
+                     for k in corpus.kronecker]
+        calls = []
+
+        def counting(d, ctx):
+            calls.append(d)
+            return dirichlet_l2(d, ctx)
+
+        monkeypatch.setattr(identities, "dirichlet_l2", counting)
+        reports = [dataclasses.replace(r, elapsed_ms=0.0)
+                   for r in verify_all(ctx, None, corpus)]
+        assert len(calls) == len(tags) == len(set(calls))
+        assert sorted(reports, key=lambda r: r.id) == \
+            sorted(separate, key=lambda r: r.id)
 
     def test_vacuous_instance_passes(self, ctx30):
         inst = KroneckerInstance("empty", (), (), Fraction(1),

@@ -112,6 +112,17 @@ class TestEisensteinE4:
             assert abs(lhs - rhs) < 10 * ctx30.tol
 
 
+class TestQSeriesCutoff:
+    def test_height_beyond_max_terms_rejected(self):
+        # Im z = 1/1000 needs about 20000 q-series terms at 45 digits; every
+        # q-series raises before it sums or tabulates anything.
+        ctx = PrecisionContext(digits=30, max_terms=1000)
+        z = mpc("0.1", "0.001")
+        for fn in (eisenstein_e4, eichler_e4_tilde, dedekind_eta):
+            with pytest.raises(DomainError, match="max_terms"):
+                fn(z, ctx)
+
+
 class TestJInvariant:
     def test_special_values(self, ctx30):
         with ctx30.working():

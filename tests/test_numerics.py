@@ -143,6 +143,13 @@ class TestZetaAndTrigamma:
         with ctx40.working():
             assert abs(zeta_int(n, ctx40) - mpmath.zeta(n)) < ctx40.tol
 
+    def test_zeta3_memoized_per_context(self):
+        ctx = PrecisionContext(digits=300)
+        first = zeta_int(3, ctx)
+        assert zeta_int(3, ctx) is first
+        with mpmath.workdps(ctx.dps + 20):
+            assert abs(first - mpmath.zeta(3)) < ctx.eps
+
     def test_zeta_rejects_other_orders(self, ctx40):
         with pytest.raises(DomainError):
             zeta_int(5, ctx40)

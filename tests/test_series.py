@@ -16,6 +16,7 @@ from updownlab import (
     evaluate_fib_series,
     evaluate_updown,
     fibonacci_lucas,
+    satisfies_region,
     series_constants_from_cm,
     sigma_gr,
     sigma_gr_im_rhs,
@@ -26,18 +27,22 @@ from updownlab.series import _FAMILY_BY_LEVEL
 from conftest import random_admissible
 
 
+DENOMINATORS = {
+    SeriesFamily.CENTRAL3: lambda k: math.comb(2 * k, k) ** 3,
+    SeriesFamily.C2X3K: lambda k: math.comb(2 * k, k) ** 2 * math.comb(3 * k, k),
+    SeriesFamily.C2X4K: lambda k: math.comb(2 * k, k) ** 2 * math.comb(4 * k, 2 * k),
+}
+
+
 class TestDenominators:
-    @pytest.mark.parametrize("family,formula", [
-        (SeriesFamily.CENTRAL3, lambda k: math.comb(2 * k, k) ** 3),
-        (SeriesFamily.C2X3K,
-         lambda k: math.comb(2 * k, k) ** 2 * math.comb(3 * k, k)),
-        (SeriesFamily.C2X4K,
-         lambda k: math.comb(2 * k, k) ** 2 * math.comb(4 * k, 2 * k)),
-    ])
+    @pytest.mark.parametrize("family,formula", list(DENOMINATORS.items()))
     def test_recurrence_matches_comb(self, family, formula):
-        gen = family.denominators()
+        # The product of the term ratios denom(j-1)/denom(j) is 1/denom(k).
+        product = Fraction(1)
         for k in range(1, 26):
-            assert next(gen) == formula(k)
+            num, den = family.ratio(k)
+            product *= Fraction(num, den)
+            assert product == Fraction(1, formula(k))
 
     def test_scales(self):
         assert SeriesFamily.CENTRAL3.scale == 64
@@ -60,22 +65,54 @@ class TestFibonacciLucas:
 
 
 class TestEvaluateUpdown:
-    def test_against_direct_mpmath_loop(self, ctx30):
-        # Independent re-summation with math.comb denominators.
-        s = UpsideDownSeries(
-            SeriesFamily.CENTRAL3,
-            QuadraticNumber(-105, 48, 5),
-            QuadraticNumber(-44, 20, 5),
-            QuadraticNumber(Fraction(47, 2), Fraction(21, 2), 5),
-        )
+    def test_against_direct_mpmath_loop(self):
+        # Independent re-summation with math.comb denominators and m**k, for
+        # every family, at 30 and 300 digits.
+        cases = [
+            (SeriesFamily.CENTRAL3, QuadraticNumber(-105, 48, 5),
+             QuadraticNumber(-44, 20, 5),
+             QuadraticNumber(Fraction(47, 2), Fraction(21, 2), 5)),
+            (SeriesFamily.C2X3K, QuadraticNumber(7, -3, 5),
+             QuadraticNumber(Fraction(1, 3), 2, 5), QuadraticNumber(27, 9, 5)),
+            (SeriesFamily.C2X4K, QuadraticNumber(-5, 2, 2),
+             QuadraticNumber(11, Fraction(-1, 4), 2), QuadraticNumber(64, -16, 2)),
+        ]
+        for digits in (30, 300):
+            ctx = PrecisionContext(digits=digits)
+            for family, a_q, b_q, m_q in cases:
+                s = UpsideDownSeries(family, a_q, b_q, m_q)
+                denom = DENOMINATORS[family]
+                with ctx.working():
+                    a = embed_quadratic(a_q, ctx)
+                    b = embed_quadratic(b_q, ctx)
+                    m = embed_quadratic(m_q, ctx)
+                    direct = mpf(0)
+                    k = 0
+                    while True:
+                        k += 1
+                        term = (a * k - b) * m**k / (k**3 * denom(k))
+                        direct += term
+                        if abs(term) < ctx.eps / 10**6:
+                            break
+                    got = evaluate_updown(s, ctx)
+                    assert abs(got - direct) < 10 * ctx.tol, (family, digits)
+
+    def test_complex_m_through_sigma_gr(self, ctx30):
+        # At a point with complex m the weighted series is summed in mpc;
+        # compare with a direct loop over the same constants.
+        z = mpc("0.3", "0.6")
+        assert satisfies_region(z, 4, ctx30)
         with ctx30.working():
-            a = embed_quadratic(s.a, ctx30)
-            b = embed_quadratic(s.b, ctx30)
-            m = embed_quadratic(s.m, ctx30)
-            direct = mpf(0)
-            for k in range(1, 400):
-                direct += (a * k - b) * m**k / (k**3 * math.comb(2 * k, k) ** 3)
-            got = evaluate_updown(s, ctx30)
+            c1, c2, m = series_constants_from_cm(z, 4, ctx30)
+            assert abs(m.imag) > 1
+            direct = mpc(0)
+            for k in range(1, 2000):
+                term = (c1 * k - c2) * m**k / (k**3 * math.comb(2 * k, k) ** 3)
+                direct += term
+                if abs(term) < ctx30.eps / 10**6:
+                    break
+            got = sigma_gr(z, 4, ctx30)
+            assert isinstance(got, mpc)
             assert abs(got - direct) < 10 * ctx30.tol
 
     def test_zero_series(self, ctx30):
@@ -90,6 +127,14 @@ class TestEvaluateUpdown:
                              QuadraticNumber(0), QuadraticNumber(64))
         with pytest.raises(DomainError):
             evaluate_updown(s, ctx30)
+
+    def test_term_budget_over_max_terms_rejected(self):
+        # |m|/64 = 0.9375 needs about 1600 terms at 45 digits.
+        ctx = PrecisionContext(digits=30, max_terms=1000)
+        s = UpsideDownSeries(SeriesFamily.CENTRAL3, QuadraticNumber(1),
+                             QuadraticNumber(0), QuadraticNumber(60))
+        with pytest.raises(DomainError, match="max_terms"):
+            evaluate_updown(s, ctx)
 
     def test_term_counter(self, ctx30):
         s = UpsideDownSeries(SeriesFamily.CENTRAL3, QuadraticNumber(1),
@@ -143,6 +188,28 @@ class TestFibLucasSeries:
                 direct += mpf(fibonacci_lucas(8 * k - 1)[0]) \
                     / (k**3 * math.comb(2 * k, k) ** 3)
             assert abs(diff - direct) < 10 * ctx30.tol
+
+    def test_against_direct_exact_loop(self):
+        # Exact-integer F_{8k}, L_{8k}, F_{8k-1} and binomials at 300 digits.
+        s = FibLucasSeries(Fraction(3, 2), Fraction(-5), Fraction(1, 7),
+                           Fraction(2), Fraction(-4, 3), Fraction(1, 5))
+        ctx = PrecisionContext(digits=300)
+        with ctx.working():
+            direct = mpf(0)
+            for k in range(1, 3000):
+                f, lucas = fibonacci_lucas(8 * k)
+                f_prev = fibonacci_lucas(8 * k - 1)[0]
+                num = (s.p * k + s.q) * f + (s.r * k + s.s) * lucas \
+                    + (s.t * k + s.u) * f_prev
+                term = mpf(num.numerator) / num.denominator \
+                    / (k**3 * math.comb(2 * k, k) ** 3)
+                direct += term
+                if abs(term) < ctx.eps / 10**6:
+                    break
+            counter = []
+            got = evaluate_fib_series(s, ctx, counter)
+            assert abs(got - direct) < 10 * ctx.tol
+            assert 0 < counter[0] < k
 
 
 class TestSeriesConstants:
