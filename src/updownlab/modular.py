@@ -265,24 +265,26 @@ def _check_nu(nu) -> Fraction:
     return nu
 
 
-def _off_cut(t) -> mpc:
-    """t as an mpc, rejected on the cut [1, oo). Call under ``ctx.working()``."""
+def _off_branch_point(t) -> mpc:
+    """t as an mpc, rejected at the singular point t = 1. Call under
+    ``ctx.working()``."""
     t = mpc(t)
-    if t.imag == 0 and t.real >= 1:
-        raise DomainError(f"argument t = {t} lies on the cut [1, oo)")
+    if t == 1:
+        raise DomainError("argument t = 1 is the singular point of P_nu(1 - 2t)")
     return t
 
 
 def legendre_p(nu, t, ctx: PrecisionContext) -> mpc:
-    """P_nu(1 - 2t) = 2F1(-nu, nu + 1; 1; t) for t off the cut [1, oo).
+    """P_nu(1 - 2t) = 2F1(-nu, nu + 1; 1; t) for t != 1.
 
     Every t takes the same path, ``mpmath.hyp2f1``, which sums the power
     series near 0 and continues it analytically elsewhere;
-    ``legendre_p_quadrature`` is the independent check.
+    ``legendre_p_quadrature`` is the independent check. On the cut
+    (1, oo) the value is the limit from below, Im t -> 0-.
     """
     nu = _check_nu(nu)
     with ctx.working():
-        t = _off_cut(t)
+        t = _off_branch_point(t)
         return mpmath.hyp2f1(-_frac_mpf(nu), _frac_mpf(nu) + 1, 1, t)
 
 
@@ -292,20 +294,25 @@ def _frac_mpf(x: Fraction) -> mpf:
 
 def legendre_p_dt(nu, t, ctx: PrecisionContext) -> mpc:
     """d/dt of the hypergeometric function behind legendre_p, through the
-    same ``mpmath.hyp2f1`` path: -nu (nu + 1) 2F1(1 - nu, nu + 2; 2; t)."""
+    same ``mpmath.hyp2f1`` path: -nu (nu + 1) 2F1(1 - nu, nu + 2; 2; t).
+    On the cut (1, oo) it is the limit from below, as for legendre_p."""
     nu = _check_nu(nu)
     with ctx.working():
-        t = _off_cut(t)
+        t = _off_branch_point(t)
         nv = _frac_mpf(nu)
         return -nv * (nv + 1) * mpmath.hyp2f1(1 - nv, nv + 2, 2, t)
 
 
 def legendre_p_quadrature(nu, t, ctx: PrecisionContext) -> mpc:
     """Independent oracle: direct quadrature of the defining integral
-    -sin(nu pi)/pi int_0^1 [X(1-tX)/(1-X)]^nu dX/(1-X)."""
+    -sin(nu pi)/pi int_0^1 [X(1-tX)/(1-X)]^nu dX/(1-X).
+
+    On the cut (1, oo) the base is negative for X > 1/t, and its principal
+    power is the limit from Im t -> 0-, the same side as legendre_p.
+    """
     nu = _check_nu(nu)
     with ctx.working():
-        t = _off_cut(t)
+        t = _off_branch_point(t)
         nv = _frac_mpf(nu)
 
         def integrand(X):
@@ -346,9 +353,11 @@ def _r_direct(nu: Fraction, xi: mpc, ctx: PrecisionContext) -> mpc:
 def legendre_ramanujan_r(nu, xi, ctx: PrecisionContext) -> mpc:
     """Legendre-Ramanujan combination R_nu(xi).
 
-    Real xi with |xi| >= 1 sits on a branch line; the value is obtained by
-    Richardson extrapolation of evaluations at xi (1 + i delta), with a
-    two-sided agreement check.
+    Real xi with |xi| > 1 sits on a branch line: one of the two Legendre
+    arguments lies on the cut, where ``legendre_p`` returns the limit from
+    below. The limit from above is the complex conjugate, so the real part
+    is the value on the line and 2 |Im| is the two-sided gap, which must be
+    below 10^-(digits//2). xi = +-1 raises DomainError.
     """
     nu = _check_nu(nu)
     with ctx.working():
@@ -356,27 +365,14 @@ def legendre_ramanujan_r(nu, xi, ctx: PrecisionContext) -> mpc:
         scale = 1 + abs(xi)
         if abs(xi.imag) > mpf(10) ** (-(ctx.digits // 2)) * scale:
             return _r_direct(nu, xi, ctx)
-        x = xi.real
-        if abs(x) < 1:
-            return _r_direct(nu, mpc(x), ctx)
-        delta = mpf(10) ** (-(ctx.digits // 3))
-
-        def extrapolate(sign):
-            # Quadratic Richardson at delta, delta/2, delta/4: error O(delta^3).
-            r1 = _r_direct(nu, x * (1 + sign * 1j * delta), ctx)
-            r2 = _r_direct(nu, x * (1 + sign * 1j * delta / 2), ctx)
-            r4 = _r_direct(nu, x * (1 + sign * 1j * delta / 4), ctx)
-            return (8 * r4 - 6 * r2 + r1) / 3
-
-        above = extrapolate(+1)
-        below = extrapolate(-1)
-        tol = mpf(10) ** (-(ctx.digits // 2)) * (1 + abs(above))
-        if abs(above - below) > tol:
+        r = _r_direct(nu, mpc(xi.real), ctx)
+        tol = mpf(10) ** (-(ctx.digits // 2)) * (1 + abs(r))
+        if 2 * abs(r.imag) > tol:
             raise ArithmeticError(
                 f"one-sided limits of R_nu disagree at xi = {xi}: "
-                f"{above} vs {below}"
+                f"{r} vs {mpmath.conj(r)}"
             )
-        return (above + below) / 2
+        return mpc(r.real)
 
 
 def satisfies_region(z, N: int, ctx: PrecisionContext) -> bool:

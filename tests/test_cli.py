@@ -98,6 +98,19 @@ class TestVerifyCommand:
         assert code == EXIT_VERIFY_FAILED
         assert "FAIL zeilberger" in out
 
+    def test_id_with_glob_characters_matched_literally(self, capsys, tmp_path):
+        data = json.loads(serialize_corpus(load_corpus()))
+        rec = next(r for r in data["identities"] if r["id"] == "zeilberger")
+        rec["id"] = "zeil[1]"
+        data = {"identities": [rec], "kronecker": []}
+        path = tmp_path / "glob.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, out, _ = run(capsys, "verify", "--id", "zeil[1]",
+                           "--digits", "20", "--corpus", str(path))
+        assert code == EXIT_OK
+        assert "PASS zeil[1]" in out
+        assert "1/1 passed" in out
+
     def test_cache_reused_across_runs(self, capsys, tmp_path):
         cache = tmp_path / "cache.json"
         argv = ("verify", "--id", "zeilberger", "--digits", "25",
@@ -178,6 +191,13 @@ class TestValueCommands:
     def test_bad_point_string(self, capsys):
         code, _, err = run(capsys, "epstein", "--z", "not-a-point")
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("command", ["alpha", "constants"])
+    def test_bad_point_rejected(self, capsys, command):
+        code, out, err = run(capsys, command, "--z", "not-a-point", "--N", "2")
+        assert code == EXIT_USAGE
+        assert err.startswith("error: ")
+        assert out == ""
 
 
 class TestTablesCommand:

@@ -22,7 +22,7 @@ from updownlab import (
     reflection_residual,
     satisfies_region,
 )
-from updownlab.modular import legendre_p_dt, legendre_p_quadrature
+from updownlab.modular import _r_direct, legendre_p_dt, legendre_p_quadrature
 from updownlab.numerics import DomainError
 
 from conftest import random_points
@@ -226,8 +226,33 @@ class TestLegendreFunctions:
             assert abs(legendre_p_dt(nu, t, ctx30) - fd) < mpf(10) ** -20
 
     def test_cut_rejected(self, ctx30):
-        with pytest.raises(DomainError):
-            legendre_p(Fraction(-1, 2), mpf(2), ctx30)
+        # Only the branch point t = 1 is rejected; (1, oo) has a value.
+        for f in (legendre_p, legendre_p_dt, legendre_p_quadrature):
+            with pytest.raises(DomainError):
+                f(Fraction(-1, 2), mpf(1), ctx30)
+
+    @pytest.mark.parametrize("nu", NUS)
+    def test_on_cut_against_quadrature(self, nu, ctx30):
+        with ctx30.working():
+            for t in (mpf("1.3"), mpf("2.5"), mpf(40)):
+                a = legendre_p(nu, t, ctx30)
+                b = legendre_p_quadrature(nu, t, ctx30)
+                # The base of the integrand changes sign at X = 1/t, so
+                # the quadrature certifies fewer digits than off the cut.
+                assert abs(a - b) < mpf(10) ** -8
+
+    @pytest.mark.parametrize("nu", NUS)
+    def test_on_cut_is_limit_from_below(self, nu, ctx30):
+        with ctx30.working():
+            eps = mpf(10) ** -(ctx30.dps + 5)
+            for t in (mpf("1.3"), mpf("2.5"), mpf(40)):
+                for f in (legendre_p, legendre_p_dt):
+                    on = f(nu, t, ctx30)
+                    assert abs(on - f(nu, mpc(t, -eps), ctx30)) < ctx30.tol
+                    # The limit from above is the conjugate, a jump of 2i Im.
+                    above = f(nu, mpc(t, eps), ctx30)
+                    assert abs(above - mpmath.conj(on)) < ctx30.tol
+                    assert abs(on.imag) > abs(on) / 10
 
     def test_bad_degree_rejected(self, ctx30):
         with pytest.raises(DomainError):
@@ -238,8 +263,8 @@ class TestLegendreFunctions:
 
 class TestLegendreRamanujanR:
     def test_continuity_across_real_axis(self, ctx30):
-        # The Richardson limit on the line |xi| > 1 must agree with nearby
-        # off-axis evaluations.
+        # The value on the line |xi| > 1, the real part of the one-sided
+        # limit, must agree with nearby off-axis evaluations.
         with ctx30.working():
             xi = mpf("3.7")
             on_line = legendre_ramanujan_r(Fraction(-1, 2), xi, ctx30)
@@ -247,6 +272,42 @@ class TestLegendreRamanujanR:
                 Fraction(-1, 2), mpc(xi, mpf(10) ** -10), ctx30)
             # The off-axis value differs from the limit by O(offset).
             assert abs(on_line - near) < mpf(10) ** -8
+
+    @pytest.mark.parametrize("nu", [Fraction(-1, 4), Fraction(-1, 3),
+                                    Fraction(-1, 2)])
+    def test_real_line_matches_richardson(self, nu):
+        # Reference: the quadratic Richardson extrapolation of off-axis
+        # values at xi (1 +- i delta), delta/2, delta/4, averaged over the
+        # two sides; its error is O(delta^3).
+        ctx = PrecisionContext(digits=100)
+        with ctx.working():
+            delta = mpf(10) ** (-(ctx.digits // 3))
+
+            def richardson(x, sign):
+                r1, r2, r4 = (_r_direct(nu, x * (1 + sign * 1j * d), ctx)
+                              for d in (delta, delta / 2, delta / 4))
+                return (8 * r4 - 6 * r2 + r1) / 3
+
+            for x in ("1.0000001", "1.8", "-2.5", "3.7", "-19602"):
+                x = mpf(x)
+                ref = (richardson(x, +1) + richardson(x, -1)) / 2
+                got = legendre_ramanujan_r(nu, x, ctx)
+                assert got.imag == 0
+                assert abs(got - ref) < mpf(10) ** -90 * abs(ref)
+
+    @pytest.mark.parametrize("nu", [Fraction(-1, 4), Fraction(-1, 3),
+                                    Fraction(-1, 2)])
+    def test_odd_in_xi(self, nu, ctx30):
+        with ctx30.working():
+            for x in (mpf("0.4"), mpf("1.8"), mpf("3.7"), mpf(19602)):
+                r = legendre_ramanujan_r(nu, x, ctx30)
+                r_neg = legendre_ramanujan_r(nu, -x, ctx30)
+                assert abs(r_neg + r) < ctx30.tol * (1 + abs(r))
+
+    def test_branch_points_rejected(self, ctx30):
+        for x in (mpf(1), mpf(-1)):
+            with pytest.raises(DomainError):
+                legendre_ramanujan_r(Fraction(-1, 2), x, ctx30)
 
     @pytest.mark.parametrize("nu", [Fraction(-1, 4), Fraction(-1, 3),
                                     Fraction(-1, 2)])
