@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+import mpmath
 import numpy as np
 from mpmath import mp, mpf
 
@@ -25,9 +26,24 @@ class LatticeSum(NamedTuple):
     tail: mpf
 
 
+def _reduce_sl2(z, ctx: PrecisionContext):
+    """z moved into the SL(2, Z) fundamental domain |Re z| <= 1/2, |z| >= 1
+    by translations z - nint(Re z) and inversions -1/z. Each inversion
+    raises Im z, so Im z ends at least sqrt(3)/2. |z| within 10^-digits of
+    1 counts as on the circle, so rounding noise cannot bounce a boundary
+    point between z and -1/z. The caller holds ``ctx.working()``."""
+    for _ in range(ctx.max_terms):
+        z -= mpmath.nint(z.real)
+        if abs(z) >= 1 - ctx.tol:
+            return z
+        z = -1 / z
+    raise DomainError(f"no SL(2, Z) reduction of {z} within max_terms steps")
+
+
 def epstein_sl2(z, ctx: PrecisionContext) -> mpf:
-    """E(z, 2) summed over Im of the full modular orbit, via the Fourier
-    expansion
+    """E(z, 2) summed over Im of the full modular orbit. E is SL(2, Z)
+    invariant, so z is first reduced to the fundamental domain, where
+    Im z >= sqrt(3)/2, and then fed to the Fourier expansion
 
         E(z, 2) = y^2 + 45 zeta(3) / (pi^3 y)
                 + (180/pi^2) Re sum_n sigma_3(n)/n^2 (1 + c/n) q^n,
@@ -36,9 +52,10 @@ def epstein_sl2(z, ctx: PrecisionContext) -> mpf:
     """
     z = _as_mpc(z)
     with ctx.working():
+        z = _reduce_sl2(z, ctx)
         y = z.imag
-        c = 1 / (2 * mp.pi * y)
-        total = _sigma3_qsum(z, ctx, lambda n: (c + n) / n**3).real
+        s2, s3 = _sigma3_qsum(z, ctx, (2, 3))
+        total = (s2 + s3 / (2 * mp.pi * y)).real
         return y**2 + 45 * zeta_int(3, ctx) / (mp.pi**3 * y) + 180 / mp.pi**2 * total
 
 

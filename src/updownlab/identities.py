@@ -381,7 +381,7 @@ def check_table(table_no: int, ctx: PrecisionContext):
 class ConstantsCache:
     """RHS constants stored exactly, keyed by tag and working precision (dps).
 
-    Each value is kept as mpf's ``(man, exp)`` pair, so a warm cache returns
+    Each value is kept as its signed ``(man, exp)`` pair, so a warm cache returns
     the very bits a cold run computed. An entry of any other shape, such as a
     decimal string written by an older version, counts as a miss and is
     overwritten by the next ``put``.
@@ -407,8 +407,9 @@ class ConstantsCache:
         return mp.make_mpf(libmp.from_man_exp(entry[0], entry[1]))
 
     def put(self, tag: str, dps: int, value: mpf) -> None:
-        man, exp = value.man_exp
-        self._data[f"{tag}@{dps}"] = [int(man), int(exp)]
+        # The signed mantissa: ``mpf.man_exp`` drops the sign.
+        sign, man, exp, _ = value._mpf_
+        self._data[f"{tag}@{dps}"] = [int(-man if sign else man), int(exp)]
         if self.path:
             tmp = self.path + ".tmp"
             with open(tmp, "w", encoding="utf-8") as fh:

@@ -10,10 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Union
+from typing import Tuple, Union
 
 import mpmath
-from mpmath import mp, mpf
+from mpmath import libmp, mp, mpf
 
 RationalLike = Union[int, Fraction]
 
@@ -239,6 +239,13 @@ def embed_quadratic(q: QuadraticNumber, ctx: PrecisionContext) -> mpf:
             with mpmath.workdps(ctx.dps + lost):
                 value, _ = at_current_dps()
         return +value
+
+
+def to_fixed(x, prec: int) -> Tuple[int, int]:
+    """(Re x, Im x) of an mpf or mpc as Python ints scaled by 2^prec,
+    truncated toward -oo. Reads the signed fixed-point value from the raw
+    mpf: ``mpf.man_exp`` returns the unsigned mantissa."""
+    return libmp.to_fixed(x.real._mpf_, prec), libmp.to_fixed(x.imag._mpf_, prec)
 
 
 @dataclass(frozen=True)

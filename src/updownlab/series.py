@@ -13,9 +13,15 @@ from fractions import Fraction
 from typing import Tuple
 
 import mpmath
-from mpmath import mp, mpf
+from mpmath import libmp, mp, mpc, mpf
 
-from .numerics import DomainError, PrecisionContext, QuadraticNumber, embed_quadratic
+from .numerics import (
+    DomainError,
+    PrecisionContext,
+    QuadraticNumber,
+    embed_quadratic,
+    to_fixed,
+)
 from .modular import (
     _NU_BY_LEVEL,
     CMPoint,
@@ -80,14 +86,27 @@ class FibLucasSeries:
     u: Fraction = Fraction(0)
 
 
-# Extra digits for the term recurrence and the running sum. Term k carries
-# about 3k roundings and the sum one per term; 10 digits cover the default
-# max_terms (10^7) of each.
+# Extra digits for the fixed-point loop, on top of the bits that
+# _fixed_guard_bits counts for the rounding the loop itself commits.
 _LOOP_GUARD = 10
 
 
 def _widened(ctx: PrecisionContext) -> PrecisionContext:
     return PrecisionContext(ctx.digits, ctx.guard + _LOOP_GUARD, ctx.max_terms)
+
+
+def _fixed_guard_bits(c1, c2, ratio, budget) -> int:
+    """Bits that cover the truncations of the fixed-point loop.
+
+    Each step truncates u_k by under 2 ulps. The error already in u_k is
+    carried on multiplied by at most ``ratio`` (k^3 |m| / den_{k+1} <= |m| / scale),
+    so it stays below about 4 / (1 - ratio) ulps, and term k multiplies it
+    by |c1 k - c2|. Over K = 2 budget + 10 terms the sum is off by about
+    4 K (|c1| K + |c2| + 1) / (1 - ratio) ulps at most.
+    """
+    k = 2 * int(budget) + 10
+    bound = 4 * k * (abs(c1) * k + abs(c2) + 1) / (1 - ratio)
+    return int(bound).bit_length()
 
 
 def _sum_linear_series(c1, c2, m, family: SeriesFamily, ctx: PrecisionContext,
@@ -96,8 +115,11 @@ def _sum_linear_series(c1, c2, m, family: SeriesFamily, ctx: PrecisionContext,
 
     u_k = m^k / denom(k) is carried by the family's small-integer ratio
     k^3 / den_k, whose k^3 cancels the term's: term_k = (c1 k - c2) u_{k-1} m / den_k.
-    Real c1, c2 and m keep the sum in mpf. If ``counter`` is given, the
-    number of summed terms is appended to it.
+    The loop runs on exact Gaussian pairs of Python ints scaled by 2^P, P
+    the bits of the working dps plus _LOOP_GUARD digits plus
+    _fixed_guard_bits; a real m keeps every imaginary part at 0. Real c1,
+    c2 and m give an mpf, anything else an mpc. If ``counter`` is given,
+    the number of summed terms is appended to it.
     """
     with ctx.working():
         ratio = abs(m) / family.scale
@@ -108,26 +130,38 @@ def _sum_linear_series(c1, c2, m, family: SeriesFamily, ctx: PrecisionContext,
             raise DomainError(f"series needs about {int(budget)} terms at {ctx.dps} "
                               f"digits, more than max_terms = {ctx.max_terms}")
         # Coefficient growth is linear, denominator decay geometric, so the
-        # tail after a term is below |term| ratio / (1 - ratio).
-        threshold = ctx.eps * (1 - ratio) / ratio if ratio else mpmath.inf
-        with _widened(ctx).working():
-            total = mpf(0)
-            u = mpf(1)
-            lin = -c2
-            for k in range(1, ctx.max_terms + 1):
-                num, den = family.ratio(k)
-                step = u * m / den
-                lin += c1
-                term = lin * step
-                total += term
-                if k > 4 and abs(term) < threshold:
-                    break
-                u = step * num
-            else:
-                raise RuntimeError("series truncation exceeded max_terms")
-        if counter is not None:
-            counter.append(k)
-        return +total
+        # tail after a term is below |term| ratio / (1 - ratio). With m = 0
+        # every term after the first is exactly 0, below any threshold.
+        threshold = ctx.eps * (1 - ratio) / ratio if ratio else mpf(1)
+        prec = (libmp.dps_to_prec(ctx.dps + _LOOP_GUARD)
+                + _fixed_guard_bits(c1, c2, ratio, budget))
+    (c1r, c1i), (c2r, c2i), (mr, mi) = (to_fixed(v, prec) for v in (c1, c2, m))
+    thr = to_fixed(threshold, prec)[0]
+    thr2 = thr * thr
+    ur, ui = 1 << prec, 0
+    lr, li = -c2r, -c2i
+    total_r = total_i = 0
+    for k in range(1, ctx.max_terms + 1):
+        num, den = family.ratio(k)
+        sr = ((ur * mr - ui * mi) >> prec) // den
+        si = ((ur * mi + ui * mr) >> prec) // den
+        lr += c1r
+        li += c1i
+        tr = (lr * sr - li * si) >> prec
+        ti = (lr * si + li * sr) >> prec
+        total_r += tr
+        total_i += ti
+        if k > 4 and abs(tr) < thr and abs(ti) < thr and tr * tr + ti * ti < thr2:
+            break
+        ur, ui = sr * num, si * num
+    else:
+        raise RuntimeError("series truncation exceeded max_terms")
+    if counter is not None:
+        counter.append(k)
+    with ctx.working():
+        if any(isinstance(v, mpc) for v in (c1, c2, m)):
+            return mpc(mpmath.ldexp(total_r, -prec), mpmath.ldexp(total_i, -prec))
+        return mpmath.ldexp(total_r, -prec)
 
 
 def evaluate_updown(s: UpsideDownSeries, ctx: PrecisionContext,

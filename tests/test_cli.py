@@ -6,7 +6,17 @@ import mpmath
 import pytest
 from mpmath import mpf
 
-from updownlab import cli, identities, load_corpus, serialize_corpus
+from updownlab import (
+    CMPoint,
+    PrecisionContext,
+    alpha_n,
+    cli,
+    epstein_sl2,
+    identities,
+    load_corpus,
+    serialize_corpus,
+    series_constants_from_cm,
+)
 from updownlab.cli import (
     EXIT_CORPUS,
     EXIT_OK,
@@ -183,10 +193,42 @@ class TestValueCommands:
         assert set(payload) >= {"c1", "c2", "m"}
 
     def test_epstein_height_beyond_max_terms(self, capsys):
-        # Im z = 10^-8 would need about 2 * 10^9 q-series terms.
-        code, _, err = run(capsys, "epstein", "--z", "1/100000000*i")
-        assert code == EXIT_USAGE
-        assert "max_terms" in err
+        # Im z = 10^-8 would need about 2 * 10^9 q-series terms; the SL(2, Z)
+        # reduction takes it to 10^8 i, where E is the same.
+        code, out, _ = run(capsys, "epstein", "--z", "1/100000000*i", "--json")
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        ctx = PrecisionContext(payload["digits"])
+        with ctx.working():
+            expected = epstein_sl2(mpmath.mpc(0, 10**8), ctx)
+        assert payload["value"] == format_ap(expected, ctx.digits)
+
+    @pytest.mark.parametrize("command, point, level", [
+        ("epstein", "sqrt(232)*i", None),
+        ("alpha", "1/2+1/2*sqrt(7)*i", 3),
+        ("constants", "-1/8+1/8*sqrt(15)*i", 4),
+    ])
+    def test_point_kept_at_working_precision(self, capsys, command, point, level):
+        # The point is embedded at 60 digits; no public function may round
+        # it to mpmath's ambient 53 bits before its own working context.
+        ctx = PrecisionContext(60)
+        with ctx.working():
+            z = CMPoint.from_string(point).to_point(ctx)
+            if command == "constants":
+                expected = series_constants_from_cm(z, level, ctx)
+            elif command == "alpha":
+                expected = (alpha_n(z, level, ctx),)
+            else:
+                expected = (epstein_sl2(z, ctx),)
+        argv = [command, f"--z={point}", "--digits", "60", "--json"]
+        if level is not None:
+            argv += ["--N", str(level)]
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        printed = [payload[k] for k in ("c1", "c2", "m")] \
+            if command == "constants" else [payload["value"]]
+        assert printed == [format_ap(v, 60) for v in expected]
 
     def test_bad_point_string(self, capsys):
         code, _, err = run(capsys, "epstein", "--z", "not-a-point")

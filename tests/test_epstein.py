@@ -1,11 +1,14 @@
 """Epstein zeta values: Fourier expansion vs lattice oracles, closed forms,
 and the two-line coset-sum lemma."""
 
+import math
+
 import mpmath
 import pytest
 from mpmath import mp, mpc, mpf
 
 from updownlab import (
+    CMPoint,
     PrecisionContext,
     dirichlet_l2,
     epstein_gamma0,
@@ -37,6 +40,17 @@ class TestClosedForms:
             got = epstein_sl2(mpc(0, mpmath.sqrt(2)), ctx30)
             expected = 30 * dirichlet_l2(-8, ctx30) / mp.pi**2
             assert abs(got - expected) < ctx30.tol
+
+
+    def test_corner_point_at_300_digits(self):
+        # rho = (1 + sqrt(-3))/2 sits on the corner of the fundamental
+        # domain, where rounding puts |z| on either side of 1.
+        ctx = PrecisionContext(digits=300)
+        with ctx.working():
+            for text in ("1/2+1/2*sqrt(3)*i", "-1/2+1/2*sqrt(3)*i"):
+                got = epstein_sl2(CMPoint.from_string(text).to_point(ctx), ctx)
+                expected = 135 * dirichlet_l2(-3, ctx) / (4 * mp.pi**2)
+                assert abs(got - expected) < ctx.tol
 
 
 class TestModularInvariance:
@@ -118,11 +132,61 @@ class TestFourierExpansion:
                         + 180 / mp.pi**2 * total)
             assert abs(epstein_sl2(z, ctx) - expected) < ctx.tol
 
-    def test_height_beyond_max_terms_rejected(self):
-        # Im z = 1/1000 needs about 20000 q-series terms at 45 digits.
+    def test_height_beyond_max_terms_reduced(self):
+        # Im z = 10^-8 would need about 2 * 10^9 q-series terms; reduced to
+        # 10^8 i it needs 2, and E(10^8 i, 2) is y^2 + 45 zeta(3) / (pi^3 y)
+        # up to e^(-2 pi 10^8).
         ctx = PrecisionContext(digits=30, max_terms=1000)
-        with pytest.raises(DomainError, match="max_terms"):
-            epstein_sl2(mpc("0.1", "0.001"), ctx)
+        with ctx.working():
+            y = mpf(10) ** 8
+            expected = y**2 + 45 * mpmath.zeta(3) / (mp.pi**3 * y)
+            got = epstein_sl2(mpc(0, 1 / y), ctx)
+            assert abs(got - expected) < ctx.tol * expected
+
+
+def _fourier_reference(z, dps):
+    """E(z, 2) from the Fourier expansion at z itself, unreduced, summed
+    term by term in mpf at ``dps`` digits with mpmath's zeta(3)."""
+    with mpmath.workdps(dps):
+        x, y = z.real, z.imag
+        q = mpmath.exp(2j * mp.pi * z)
+        eps = mpf(10) ** (-dps - 5)
+        n_max = int((dps + 20) * math.log(10) / (2 * math.pi * float(y)))
+        sigma3 = [0] * (n_max + 1)
+        for d in range(1, n_max + 1):
+            for m in range(d, n_max + 1, d):
+                sigma3[m] += d**3
+        total = mpc(0)
+        qn = mpc(1)
+        for n in range(1, n_max + 1):
+            qn *= q
+            total += mpf(sigma3[n]) / n**2 * (1 + 1 / (2 * mp.pi * n * y)) * qn
+        assert abs(qn) * sigma3[n_max] < eps
+        return y**2 + 45 * mpmath.zeta(3) / (mp.pi**3 * y) + 180 / mp.pi**2 * total.real
+
+
+class TestReduction:
+    def test_invariance_at_300_digits(self):
+        ctx = PrecisionContext(digits=300)
+        with ctx.working():
+            for z in (mpc("0.37", "1.21"), mpc("-0.41", "0.12"), mpc("0.5", "0.05")):
+                e = epstein_sl2(z, ctx)
+                assert abs(e - epstein_sl2(z + 1, ctx)) < 10 * ctx.tol * e
+                assert abs(e - epstein_sl2(-1 / z, ctx)) < 10 * ctx.tol * e
+
+    def test_low_corpus_points_against_unreduced_reference(self, corpus):
+        # The corpus points with Im z < 0.25 reduce to Im z >= sqrt(3)/2;
+        # the reference sums the unreduced expansion at dps + 40.
+        ctx = PrecisionContext(digits=300)
+        points = {p for inst in corpus.kronecker for p in inst.points}
+        low = [p for p in points if -4 * p.disc < p.A * p.A]  # y < 1/4
+        assert len(low) == 2
+        for p in low:
+            z = p.to_point(ctx)
+            with ctx.working():
+                got = epstein_sl2(z, ctx)
+                expected = _fourier_reference(z, ctx.dps + 40)
+                assert abs(got - expected) < ctx.eps * expected
 
 
 def test_precision_escalation():

@@ -150,6 +150,20 @@ class TestConstantsCache:
         # Read back bit for bit, whatever the ambient precision.
         assert ConstantsCache(path).get("PI2", 45)._mpf_ == value._mpf_
 
+    def test_negative_value_round_trips(self, tmp_path):
+        path = str(tmp_path / "cache.json")
+        with mpmath.workdps(45):
+            value = -mp.pi / 7
+        ConstantsCache(path).put("L(-4)", 45, mpf(-0.5))
+        cache = ConstantsCache(path)
+        cache.put("L(-3)", 45, value)
+        assert cache.get("L(-4)", 45) == -0.5
+        assert ConstantsCache(path).get("L(-3)", 45)._mpf_ == value._mpf_
+        # A positive value is stored as before: [mantissa, exponent].
+        cache.put("ZETA2", 45, mpf(0.75))
+        with open(path, encoding="utf-8") as fh:
+            assert json.load(fh)["ZETA2@45"] == [3, -2]
+
     def test_corrupt_file_ignored(self, tmp_path):
         path = tmp_path / "cache.json"
         path.write_text("{nope", encoding="utf-8")

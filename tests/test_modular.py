@@ -1,5 +1,6 @@
 """Modular q-series machinery and Legendre-type special functions."""
 
+import math
 from fractions import Fraction
 
 import mpmath
@@ -110,6 +111,38 @@ class TestEisensteinE4:
             lhs = eisenstein_e4(-1 / z, ctx30)
             rhs = z**4 * eisenstein_e4(z, ctx30)
             assert abs(lhs - rhs) < 10 * ctx30.tol
+
+
+def _mpf_qsum(z, ctx, weight):
+    """The mpf q-series loop the fixed-point kernel replaced:
+    sum sigma_3(n) q^n weight(n), cut off 20 digits below the working eps."""
+    q = mpmath.exp(2j * mp.pi * z)
+    n_max = int((ctx.dps + 20) * math.log(10) / (2 * math.pi * float(z.imag))) + 2
+    qn, total = mpc(1), mpc(0)
+    for n in range(1, n_max + 1):
+        qn *= q
+        total += sum(d**3 for d in range(1, n + 1) if n % d == 0) * qn * weight(n)
+    return total
+
+
+class TestFixedPointKernel:
+    POINTS = (mpc("0.21", "0.93"), mpc("-0.4", "0.15"), mpc("0.05", "2.7"))
+
+    def test_e4_against_mpf_loop(self):
+        ctx = PrecisionContext(digits=100)
+        with ctx.working():
+            for z in self.POINTS:
+                expected = 1 + 240 * _mpf_qsum(z, ctx, lambda n: 1)
+                assert abs(eisenstein_e4(z, ctx) - expected) < ctx.tol
+
+    def test_eichler_against_mpf_loop(self):
+        ctx = PrecisionContext(digits=100)
+        with ctx.working():
+            for z in self.POINTS:
+                y = z.imag
+                expected = 240j * _mpf_qsum(
+                    z, ctx, lambda n: y / (2 * mp.pi**2 * n**2) + 1 / (4 * mp.pi**3 * n**3))
+                assert abs(eichler_e4_tilde(z, ctx) - expected) < ctx.tol
 
 
 class TestQSeriesCutoff:

@@ -27,6 +27,35 @@ from updownlab.series import _FAMILY_BY_LEVEL
 from conftest import random_admissible
 
 
+def _exact(x) -> Fraction:
+    """The rational number an mpf stores."""
+    sign, man, exp, _ = x._mpf_
+    return (-1) ** sign * man * Fraction(2) ** exp
+
+
+def _exact_central3_sum(c1, c2, m, k_max):
+    """sum_{k<=k_max} (c1 k - c2) m^k / (k^3 binom(2k,k)^3) in exact
+    Gaussian rationals, (Re num, Im num, den), for mpf/mpc c1, c2, m.
+
+    With every input equal to G / 2^E for a Gaussian integer G, Horner's
+    rule from the last term, y_k = m k^3 / den_k (lin_k / k^3 + y_{k+1}),
+    keeps a Gaussian integer over an integer without reducing fractions.
+    """
+    parts = [(_exact(v.real), _exact(v.imag)) for v in (c1, c2, m)]
+    scale = max(x.denominator for pair in parts for x in pair)  # 2^E
+    (ar, ai), (br, bi), (mr, mi) = (
+        (int(x * scale), int(y * scale)) for x, y in parts)
+    yr, yi, d = 0, 0, 1
+    for k in range(k_max, 0, -1):
+        _, den_k = SeriesFamily.CENTRAL3.ratio(k)
+        lr, li = ar * k - br, ai * k - bi
+        sr = lr * d + yr * scale * k**3
+        si = li * d + yi * scale * k**3
+        yr, yi = mr * sr - mi * si, mr * si + mi * sr
+        d *= scale * scale * den_k
+    return yr, yi, d
+
+
 DENOMINATORS = {
     SeriesFamily.CENTRAL3: lambda k: math.comb(2 * k, k) ** 3,
     SeriesFamily.C2X3K: lambda k: math.comb(2 * k, k) ** 2 * math.comb(3 * k, k),
@@ -114,6 +143,23 @@ class TestEvaluateUpdown:
             got = sigma_gr(z, 4, ctx30)
             assert isinstance(got, mpc)
             assert abs(got - direct) < 10 * ctx30.tol
+
+    def test_complex_m_against_exact_rational_loop(self):
+        # sigma_gr's constants read as the exact rationals they store, summed
+        # in exact Gaussian rationals, so that only the fixed-point loop rounds.
+        ctx = PrecisionContext(digits=60)
+        z = mpc("0.3", "0.6")
+        with ctx.working():
+            c1, c2, m = series_constants_from_cm(z, 4, ctx)
+            got = sigma_gr(z, 4, ctx)
+            ratio = float(abs(m)) / 64
+        assert m.imag != 0
+        # Terms fall below |c1| ratio^k, so K terms reach 10^-(dps+10).
+        k_max = int((ctx.dps + 10) * math.log(10) / -math.log(ratio)) + 20
+        num_r, num_i, den = _exact_central3_sum(c1, c2, m, k_max)
+        with mpmath.workdps(ctx.dps + 20):
+            exact = mpc(mpf(num_r) / den, mpf(num_i) / den)
+            assert abs(got - exact) < ctx.eps * abs(exact)
 
     def test_zero_series(self, ctx30):
         s = UpsideDownSeries(SeriesFamily.CENTRAL3, QuadraticNumber(0),
