@@ -21,7 +21,6 @@ from .lfunctions import (
 )
 from .modular import (
     CMPoint,
-    HalfPlanePoint,
     PoleError,
     alpha_n,
     dedekind_eta,

@@ -107,22 +107,13 @@ def cmd_verify(args) -> int:
         print(f"corpus error: {exc}", file=sys.stderr)
         return EXIT_CORPUS
     cache = ident.ConstantsCache(args.cache) if args.cache else None
-    if args.id is not None:
-        try:
-            corpus.identity(args.id)
-        except KeyError:
-            try:
-                corpus.instance(args.id)
-            except KeyError:
-                print(f"unknown id: {args.id}", file=sys.stderr)
-                return EXIT_USAGE
-        reports = ident.verify_all(ctx, glob.escape(args.id), corpus, cache)
-    else:
-        pattern = args.filter  # None selects everything
-        reports = ident.verify_all(ctx, pattern, corpus, cache)
-        if pattern is not None and not reports:
-            print(f"filter matched nothing: {pattern}", file=sys.stderr)
-            return EXIT_USAGE
+    # An --id is matched literally; no --id and no --filter selects everything.
+    pattern = args.filter if args.id is None else glob.escape(args.id)
+    reports = ident.verify_all(ctx, pattern, corpus, cache)
+    if pattern is not None and not reports:
+        print(f"unknown id: {args.id}" if args.id is not None
+              else f"filter matched nothing: {pattern}", file=sys.stderr)
+        return EXIT_USAGE
     return _emit_reports(reports, args)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from mpmath import mp, mpf
 
 from .numerics import DomainError, PrecisionContext, zeta_int
-from .modular import _as_mpc, _sigma3_qsum
+from .modular import _as_mpc, _qsum, _sigma3_table
 
 
 class LatticeSum(NamedTuple):
@@ -48,13 +48,13 @@ def epstein_sl2(z, ctx: PrecisionContext) -> mpf:
         E(z, 2) = y^2 + 45 zeta(3) / (pi^3 y)
                 + (180/pi^2) Re sum_n sigma_3(n)/n^2 (1 + c/n) q^n,
 
-    c = 1/(2 pi y), q = e^{2 pi i z}, on the shared sigma_3 q-series kernel.
+    c = 1/(2 pi y), q = e^{2 pi i z}, on the shared q-series kernel.
     """
     z = _as_mpc(z)
     with ctx.working():
         z = _reduce_sl2(z, ctx)
         y = z.imag
-        s2, s3 = _sigma3_qsum(z, ctx, (2, 3))
+        s2, s3 = _qsum(z, ctx, _sigma3_table, (2, 3))
         total = (s2 + s3 / (2 * mp.pi * y)).real
         return y**2 + 45 * zeta_int(3, ctx) / (mp.pi**3 * y) + 180 / mp.pi**2 * total
 

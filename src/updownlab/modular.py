@@ -23,23 +23,8 @@ class PoleError(ArithmeticError):
     """Evaluation at a pole of the requested function."""
 
 
-@dataclass(frozen=True)
-class HalfPlanePoint:
-    re: object
-    im: object
-
-    def __post_init__(self) -> None:
-        if not mpf(self.im) > 0:
-            raise DomainError("point must lie in the upper half-plane")
-
-    def to_mpc(self) -> mpc:
-        return mpc(self.re, self.im)
-
-
 def _as_mpc(z) -> mpc:
-    if isinstance(z, HalfPlanePoint):
-        z = z.to_mpc()
-    elif isinstance(z, CMPoint):
+    if isinstance(z, CMPoint):
         raise TypeError("embed the CMPoint with .to_point(ctx) first")
     if not isinstance(z, mpc):
         z = mpc(z)
@@ -119,37 +104,79 @@ class CMPoint:
             )
 
 
-# -- eta, alpha_N, j, E4 ---------------------------------------------------
+# -- the q-series kernel --------------------------------------------------
 
-def _qseries_cutoff(y: mpf, ctx: PrecisionContext, log_margin: float = 10.0) -> int:
-    """Smallest n with |q|^n below the working epsilon (with margin); a
+def _qseries_cutoff(y: mpf, ctx: PrecisionContext) -> int:
+    """Smallest n with |q|^n 20 digits below the working epsilon; a
     DomainError if that exceeds ``ctx.max_terms``."""
-    n_max = int((ctx.dps + log_margin) * math.log(10) / (2 * math.pi * float(y))) + 2
+    n_max = int((ctx.dps + 20) * math.log(10) / (2 * math.pi * float(y))) + 2
     if n_max > ctx.max_terms:
         raise DomainError(f"q-series at Im z = {float(y):.3g} needs {n_max} terms, "
                           f"more than max_terms = {ctx.max_terms}")
     return n_max
 
 
+def _sigma3_table(n_max: int) -> list:
+    sig = [0] * (n_max + 1)
+    for d in range(1, n_max + 1):
+        cube = d * d * d
+        for m in range(d, n_max + 1, d):
+            sig[m] += cube
+    return sig
+
+
+def _pentagonal_table(n_max: int) -> list:
+    """Euler's prod (1 - q^n) = 1 + sum a(n) q^n: a(n) = (-1)^k at the
+    pentagonal numbers n = k(3k -+ 1)/2, 0 elsewhere."""
+    signs = [0] * (n_max + 1)
+    k = 1
+    while k * (3 * k - 1) // 2 <= n_max:
+        for n in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+            if n <= n_max:
+                signs[n] = -1 if k % 2 else 1
+        k += 1
+    return signs
+
+
+def _qsum(z: mpc, ctx: PrecisionContext, table, powers) -> tuple:
+    """(sum_n a(n) q^n / n^j for j in ``powers``), q = e^{2 pi i z}, with the
+    integers a(1..n_max) from ``table(n_max)``, cut off by _qseries_cutoff.
+
+    q^n is carried as a Gaussian pair of Python ints scaled by 2^P, P the
+    bits of the working dps plus 5 bits per bit of the cutoff. q and each
+    product are truncated by under 1 ulp, so q^n is off by under
+    2 / (1 - |q|) <= 2 n_max ulps. Weights |a(n)| / n^j <= 1.21 n^3 (sigma_3,
+    or Euler's signs) summed over n <= n_max keep the total error below
+    n_max^5 ulps. The caller holds ``ctx.working()``.
+    """
+    n_max = _qseries_cutoff(z.imag, ctx)
+    prec = mp.prec + 5 * n_max.bit_length() + 8
+    with mpmath.workprec(prec + 10):
+        qr, qi = to_fixed(mpmath.exp(2j * mp.pi * z), prec)
+    coeffs = table(n_max)
+    qn_r, qn_i = 1 << prec, 0
+    sums = [[0, 0] for _ in powers]
+    for n in range(1, n_max + 1):
+        qn_r, qn_i = (qn_r * qr - qn_i * qi) >> prec, (qn_r * qi + qn_i * qr) >> prec
+        a = coeffs[n]
+        if not a:
+            continue
+        tr, ti = a * qn_r, a * qn_i
+        for j, acc in zip(powers, sums):
+            acc[0] += tr // n**j
+            acc[1] += ti // n**j
+    return tuple(mpc(mpmath.ldexp(sr, -prec), mpmath.ldexp(si, -prec)) for sr, si in sums)
+
+
+# -- eta, alpha_N, j, E4 ---------------------------------------------------
+
 def dedekind_eta(z, ctx: PrecisionContext) -> mpc:
-    """eta(z) by the pentagonal-number expansion of the product."""
+    """eta(z) = e^{pi i z / 12} prod (1 - q^n), the product by Euler's
+    pentagonal-number expansion on the q-series kernel."""
     z = _as_mpc(z)
     with ctx.working():
-        q = mpmath.exp(2j * mp.pi * z)
-        n_max = _qseries_cutoff(z.imag, ctx)
-        total = mpc(1)
-        k = 1
-        while True:
-            g1 = k * (3 * k - 1) // 2
-            if g1 > n_max:
-                break
-            sign = -1 if k % 2 else 1
-            total += sign * q**g1
-            g2 = k * (3 * k + 1) // 2
-            if g2 <= n_max:
-                total += sign * q**g2
-            k += 1
-        return mpmath.exp(1j * mp.pi * z / 12) * total
+        s, = _qsum(z, ctx, _pentagonal_table, (0,))
+        return mpmath.exp(1j * mp.pi * z / 12) * (1 + s)
 
 
 def alpha_n(z, N: int, ctx: PrecisionContext) -> mpc:
@@ -175,47 +202,11 @@ def j_invariant(z, ctx: PrecisionContext) -> mpc:
         return 2**8 * (1 - a + a**2) ** 3 / denom
 
 
-def _sigma3_table(n_max: int) -> list:
-    sig = [0] * (n_max + 1)
-    for d in range(1, n_max + 1):
-        cube = d * d * d
-        for m in range(d, n_max + 1, d):
-            sig[m] += cube
-    return sig
-
-
-def _sigma3_qsum(z: mpc, ctx: PrecisionContext, powers) -> tuple:
-    """(sum_n sigma_3(n) q^n / n^j for j in ``powers``), q = e^{2 pi i z},
-    cut off 20 digits below the working epsilon.
-
-    q^n is carried as a Gaussian pair of Python ints scaled by 2^P, P the
-    bits of the working dps plus 5 bits per bit of the cutoff. q and each
-    product are truncated by under 1 ulp, so q^n is off by under
-    2 / (1 - |q|) <= 2 n_max ulps, and the weights sigma_3(n) / n^j <= 1.21 n^3
-    summed over n <= n_max keep the total error below n_max^5 ulps. The
-    caller holds ``ctx.working()``.
-    """
-    n_max = _qseries_cutoff(z.imag, ctx, log_margin=20.0)
-    prec = mp.prec + 5 * n_max.bit_length() + 8
-    with mpmath.workprec(prec + 10):
-        qr, qi = to_fixed(mpmath.exp(2j * mp.pi * z), prec)
-    sig = _sigma3_table(n_max)
-    qn_r, qn_i = 1 << prec, 0
-    sums = [[0, 0] for _ in powers]
-    for n in range(1, n_max + 1):
-        qn_r, qn_i = (qn_r * qr - qn_i * qi) >> prec, (qn_r * qi + qn_i * qr) >> prec
-        tr, ti = sig[n] * qn_r, sig[n] * qn_i
-        for j, acc in zip(powers, sums):
-            acc[0] += tr // n**j
-            acc[1] += ti // n**j
-    return tuple(mpc(mpmath.ldexp(sr, -prec), mpmath.ldexp(si, -prec)) for sr, si in sums)
-
-
 def eisenstein_e4(z, ctx: PrecisionContext) -> mpc:
     """E4(z) = 1 + 240 sum sigma_3(n) q^n."""
     z = _as_mpc(z)
     with ctx.working():
-        s0, = _sigma3_qsum(z, ctx, (0,))
+        s0, = _qsum(z, ctx, _sigma3_table, (0,))
         return 1 + 240 * s0
 
 
@@ -228,7 +219,7 @@ def eichler_e4_tilde(z, ctx: PrecisionContext) -> mpc:
     """
     z = _as_mpc(z)
     with ctx.working():
-        s2, s3 = _sigma3_qsum(z, ctx, (2, 3))
+        s2, s3 = _qsum(z, ctx, _sigma3_table, (2, 3))
         return 240j * (z.imag / (2 * mp.pi**2) * s2 + s3 / (4 * mp.pi**3))
 
 
@@ -370,13 +361,13 @@ def legendre_ramanujan_r(nu, xi, ctx: PrecisionContext) -> mpc:
     arguments lies on the cut, where ``legendre_p`` returns the limit from
     below. The limit from above is the complex conjugate, so the real part
     is the value on the line and 2 |Im| is the two-sided gap, which must be
-    below 10^-(digits//2). xi = +-1 raises DomainError.
+    below 10^-(digits//2). Only an Im xi at the level of rounding noise
+    (ctx.eps relative) is snapped to the line. xi = +-1 raises DomainError.
     """
     nu = _check_nu(nu)
     with ctx.working():
         xi = mpc(xi)
-        scale = 1 + abs(xi)
-        if abs(xi.imag) > mpf(10) ** (-(ctx.digits // 2)) * scale:
+        if abs(xi.imag) > ctx.eps * (1 + abs(xi)):
             return _r_direct(nu, xi, ctx)
         r = _r_direct(nu, mpc(xi.real), ctx)
         tol = mpf(10) ** (-(ctx.digits // 2)) * (1 + abs(r))

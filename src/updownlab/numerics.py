@@ -1,7 +1,7 @@
 """Arbitrary-precision arithmetic facade and exact quadratic-field numbers.
 
 Everything numeric downstream goes through a PrecisionContext: values are
-computed at ``digits + guard`` decimal places and reported at ``digits``.
+computed at ``digits + GUARD_DIGITS`` decimal places and reported at ``digits``.
 Exact algebraic coefficients live in QuadraticNumber (a + b*sqrt(D) over Q).
 """
 
@@ -26,25 +26,25 @@ class MixedRadicandError(ValueError):
     """Arithmetic between quadratic numbers with different radicands."""
 
 
+GUARD_DIGITS = 15
+
+
 @dataclass(frozen=True)
 class PrecisionContext:
-    """Requested decimal digits plus guard digits carried internally."""
+    """Requested decimal digits plus GUARD_DIGITS carried internally."""
 
     digits: int = 40
-    guard: int = 15
     max_terms: int = 10_000_000
 
     def __post_init__(self) -> None:
         if self.digits < 10:
             raise ValueError(f"digits must be >= 10, got {self.digits}")
-        if self.guard < 10:
-            raise ValueError(f"guard must be >= 10, got {self.guard}")
         if self.max_terms < 1000:
             raise ValueError(f"max_terms must be >= 1000, got {self.max_terms}")
 
     @property
     def dps(self) -> int:
-        return self.digits + self.guard
+        return self.digits + GUARD_DIGITS
 
     def working(self):
         """Context manager setting the working decimal precision."""
@@ -63,7 +63,7 @@ class PrecisionContext:
             return mpf(10) ** (-self.digits)
 
     def bumped(self, extra: int = 10) -> "PrecisionContext":
-        return PrecisionContext(self.digits + extra, self.guard, self.max_terms)
+        return PrecisionContext(self.digits + extra, self.max_terms)
 
 
 def _is_squarefree(n: int) -> bool:

@@ -16,6 +16,7 @@ import mpmath
 from mpmath import libmp, mp, mpc, mpf
 
 from .numerics import (
+    GUARD_DIGITS,
     DomainError,
     PrecisionContext,
     QuadraticNumber,
@@ -91,10 +92,6 @@ class FibLucasSeries:
 _LOOP_GUARD = 10
 
 
-def _widened(ctx: PrecisionContext) -> PrecisionContext:
-    return PrecisionContext(ctx.digits, ctx.guard + _LOOP_GUARD, ctx.max_terms)
-
-
 def _fixed_guard_bits(c1, c2, ratio, budget) -> int:
     """Bits that cover the truncations of the fixed-point loop.
 
@@ -123,7 +120,7 @@ def _sum_linear_series(c1, c2, m, family: SeriesFamily, ctx: PrecisionContext,
     """
     with ctx.working():
         ratio = abs(m) / family.scale
-        if ratio >= 1 - mpf(10) ** (-ctx.guard):
+        if ratio >= 1 - mpf(10) ** (-GUARD_DIGITS):
             raise DomainError(f"series diverges: |m|/{family.scale} = {float(ratio)}")
         budget = ctx.dps * mpmath.ln10 / -mpmath.log(ratio)
         if budget > ctx.max_terms:
@@ -173,7 +170,7 @@ def evaluate_updown(s: UpsideDownSeries, ctx: PrecisionContext,
                 counter.append(0)
             return mpf(0)
         # m carries the loop's guard digits too: its error grows k-fold in term k.
-        wide = _widened(ctx)
+        wide = ctx.bumped(_LOOP_GUARD)
         a, b, m = (embed_quadratic(q, wide) for q in (s.a, s.b, s.m))
         return _sum_linear_series(a, b, m, s.family, ctx, counter).real
 
@@ -209,7 +206,7 @@ def evaluate_fib_series(s: FibLucasSeries, ctx: PrecisionContext,
     """
     # The weights and the roots carry the loop's guard digits, as in
     # evaluate_updown.
-    with _widened(ctx).working():
+    with ctx.bumped(_LOOP_GUARD).working():
         # Weights of F_{8k} and F_{8k-1}, each linear in k.
         f1, f0 = _frac_mpf(s.p + s.r), _frac_mpf(s.q + s.s)
         g1, g0 = _frac_mpf(2 * s.r + s.t), _frac_mpf(2 * s.s + s.u)

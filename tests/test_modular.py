@@ -9,7 +9,6 @@ from mpmath import mp, mpc, mpf
 
 from updownlab import (
     CMPoint,
-    HalfPlanePoint,
     PoleError,
     PrecisionContext,
     alpha_n,
@@ -23,6 +22,7 @@ from updownlab import (
     reflection_residual,
     satisfies_region,
 )
+from updownlab.identities import load_tables
 from updownlab.modular import _r_direct, legendre_p_dt, legendre_p_quadrature
 from updownlab.numerics import DomainError
 
@@ -65,11 +65,6 @@ class TestCMPoint:
         p = CMPoint.from_rational(Fraction(1, 2), Fraction(7, 4))
         assert (p.A, p.B, p.C) == (1, -1, 2)
 
-    def test_halfplane_point(self):
-        assert HalfPlanePoint(0, 1).to_mpc() == mpc(0, 1)
-        with pytest.raises(DomainError):
-            HalfPlanePoint(0, -1)
-
 
 class TestDedekindEta:
     def test_eta_i_closed_form(self, ctx40):
@@ -92,6 +87,23 @@ class TestDedekindEta:
                 lhs = dedekind_eta(-1 / z, ctx30)
                 rhs = mpmath.sqrt(-1j * z) * dedekind_eta(z, ctx30)
                 assert abs(lhs - rhs) < ctx30.tol
+
+    @pytest.mark.parametrize("digits", [100, 300])
+    def test_against_q_pochhammer(self, digits):
+        # eta(z) = e^{pi i z/12} (q; q)_oo, the reference at dps + 40, at every
+        # eta argument of the three tables (z and N z) and two low points.
+        ctx = PrecisionContext(digits=digits)
+        with ctx.working():
+            points = [mpc("0.1", "0.15"), mpc("-0.37", "0.131")]
+            for tab in load_tables():
+                for row in tab["rows"]:
+                    z = row["point"].to_point(ctx)
+                    points += [z, tab["level"] * z]
+        for z in points:
+            got = dedekind_eta(z, ctx)
+            with mpmath.workdps(ctx.dps + 40):
+                ref = mpmath.exp(1j * mp.pi * z / 12) * mpmath.qp(mpmath.exp(2j * mp.pi * z))
+                assert abs(got - ref) < mpf(10) ** -digits * abs(ref)
 
 
 class TestEisensteinE4:
@@ -336,6 +348,22 @@ class TestLegendreRamanujanR:
                 r = legendre_ramanujan_r(nu, x, ctx30)
                 r_neg = legendre_ramanujan_r(nu, -x, ctx30)
                 assert abs(r_neg + r) < ctx30.tol * (1 + abs(r))
+
+    @pytest.mark.parametrize("nu", [Fraction(-1, 4), Fraction(-1, 3),
+                                    Fraction(-1, 2)])
+    def test_near_real_xi_keeps_every_digit(self, nu):
+        # An Im xi far above rounding noise is not snapped to the line: the
+        # value matches the direct evaluation at 140 digits.
+        ctx = PrecisionContext(digits=100)
+        ref_ctx = PrecisionContext(digits=140)
+        for x in ("0.4", "1.8", "-2.5"):
+            for offset in (-51, -60):
+                with ctx.working():
+                    xi = mpc(mpf(x), mpf(10) ** offset)
+                got = legendre_ramanujan_r(nu, xi, ctx)
+                ref = _r_direct(nu, xi, ref_ctx)
+                with ref_ctx.working():
+                    assert abs(got - ref) < mpf(10) ** -110 * abs(ref)
 
     def test_branch_points_rejected(self, ctx30):
         for x in (mpf(1), mpf(-1)):

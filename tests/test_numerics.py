@@ -20,26 +20,26 @@ from updownlab.numerics import DomainError, trigamma
 class TestPrecisionContext:
     def test_defaults(self):
         ctx = PrecisionContext()
-        assert ctx.digits == 40 and ctx.guard == 15 and ctx.dps == 55
+        assert ctx.digits == 40 and ctx.dps == 55
 
     def test_validation(self):
         with pytest.raises(ValueError):
             PrecisionContext(digits=5)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):  # the guard is a constant, not a field
             PrecisionContext(guard=3)
         with pytest.raises(ValueError):
             PrecisionContext(max_terms=10)
 
     def test_eps_and_tol(self):
-        ctx = PrecisionContext(digits=20, guard=10)
+        ctx = PrecisionContext(digits=20)
         with ctx.working():
-            assert ctx.eps == mpf(10) ** -30
+            assert ctx.eps == mpf(10) ** -35
             assert ctx.tol == mpf(10) ** -20
 
     def test_bumped(self):
-        ctx = PrecisionContext(digits=25, guard=12)
+        ctx = PrecisionContext(digits=25, max_terms=5000)
         up = ctx.bumped()
-        assert up.digits == 35 and up.guard == 12
+        assert up.digits == 35 and up.dps == 50 and up.max_terms == 5000
 
     def test_working_scope(self):
         ctx = PrecisionContext(digits=60)
