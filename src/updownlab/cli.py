@@ -36,9 +36,10 @@ EXIT_CORPUS = 3
 
 def format_ap(value, digits: int) -> str:
     """Fixed-notation decimal string with exactly ``digits`` significant
-    figures, round-half-even."""
+    figures, round-half-even. A complex value whose imaginary part is at most
+    10^-digits of its modulus prints as real: those digits are rounding noise."""
     if hasattr(value, "imag"):
-        if value.imag != 0:
+        if abs(value.imag) > abs(value) * mpf(10) ** -digits:
             return (f"{format_ap(value.real, digits)} + "
                     f"{format_ap(value.imag, digits)}*i")
         value = value.real

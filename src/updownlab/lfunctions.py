@@ -5,7 +5,9 @@ a Dirichlet character mod |d| with chi(-1) = sign(d), so L_d(2) =
 sum_{k>=1} chi(k) / k^2 is a finite sum over residue classes:
 
 * d < 0 (odd character): L_d(2) = |d|^-2 sum_{0<a<|d|} chi(a) psi'(a/|d|),
-  with the trigamma psi' from ``numerics``;
+  with the trigamma psi' from ``numerics``, an integer fixed-point kernel
+  whose values carry a few bits more than the working precision; the
+  products chi(a) psi'(a/|d|) are summed exactly and rounded once;
 * d > 1 (even character): pairing a with d - a and using
   psi'(x) + psi'(1-x) = pi^2 / sin^2(pi x) gives the closed sine sum
   L_d(2) = pi^2 / (2 d^2) sum_{0<a<d} chi(a) / sin^2(pi a / d);
@@ -93,18 +95,20 @@ def dirichlet_l2(d, ctx: PrecisionContext) -> mpf:
     with ctx.working():
         if d == 1:
             return zeta_int(2, ctx)
-        total = mpf(0)
         if d > 0:
+            total = mpf(0)
             for a in range(1, q):
                 chi = kronecker_symbol(d, a)
                 if chi:
                     total += chi / mpmath.sinpi(mpf(a) / q) ** 2
             return mpmath.pi**2 * total / (2 * q**2)
+        terms = []
         for a in range(1, q):
             chi = kronecker_symbol(d, a)
             if chi:
-                total += chi * trigamma(Fraction(a, q), ctx)
-        return total / q**2
+                terms.append((trigamma(Fraction(a, q), ctx), chi))
+        # fdot forms each chi * psi'(a/q) exactly and rounds the sum once.
+        return mpmath.fdot(terms) / q**2
 
 
 def dirichlet_l2_direct(d: int, terms: int = 100_000) -> float:

@@ -312,27 +312,34 @@ def _zeta3(ctx: PrecisionContext) -> mpf:
 
 @lru_cache(maxsize=16)
 def _trigamma_plan(dps: int):
-    """(N, (B_2, ..., B_2M)) for trigamma at ``dps`` working digits.
+    """(N, P, (B_2M, ..., B_2)) for trigamma at ``dps`` working digits.
 
-    M comes out near 0.45 * dps, so the search stops at dps.
+    N = floor(0.7 * dps) direct terms; M is the least order whose first
+    dropped Euler-Maclaurin term |B_{2M+2}| / N^(2M+3) is below 10^-(dps+1),
+    found by exact rational comparison (M comes out near 0.45 * dps, so the
+    search stops at dps). The Bernoulli numbers are Python ints scaled by
+    2^P, each floored from ``bernfrac`` (under 1 ulp), highest order first
+    for Horner's rule. P = dps_to_prec(dps) + bit_length(N + M + 4) + 4
+    guard bits: see ``trigamma`` for the count they cover.
     """
     n = int(0.7 * dps)
-    with mpmath.workdps(dps):
-        bound = mpf(10) ** -(dps + 1)
-        coeffs = []
-        for k in range(1, dps + 1):
-            p, q = mpmath.bernfrac(2 * k)
-            b = mpf(p) / q
-            if abs(b) / mpf(n) ** (2 * k + 1) < bound:
-                return n, tuple(coeffs)
-            coeffs.append(b)
+    coeffs = []
+    for k in range(1, dps + 1):
+        p, q = mpmath.bernfrac(2 * k)
+        if abs(p) * 10 ** (dps + 1) < q * n ** (2 * k + 1):
+            prec = libmp.dps_to_prec(dps) + (n + len(coeffs) + 4).bit_length() + 4
+            return n, prec, tuple((b << prec) // c for b, c in reversed(coeffs))
+        coeffs.append((p, q))
     raise RuntimeError(f"no Euler-Maclaurin order reaches 10^-{dps} with N = {n}")
 
 
-def trigamma(x, ctx: PrecisionContext) -> mpf:
-    """psi'(x) = sum_{n>=0} 1/(n+x)^2 for 0 < x <= 1, via Euler-Maclaurin.
+def trigamma(x: RationalLike, ctx: PrecisionContext) -> mpf:
+    """psi'(x) = sum_{n>=0} 1/(n+x)^2 for a rational 0 < x <= 1, via
+    Euler-Maclaurin in integer fixed point.
 
-    The first N terms are summed directly, and the rest is
+    ``x`` is an int or a Fraction (anything else raises TypeError); outside
+    (0, 1] it raises DomainError. With x = a/q, the first N terms are summed
+    directly, and the rest is
     psi'(y) ~ 1/y + 1/(2y^2) + sum_{k=1}^{M} B_{2k} / y^(2k+1) at y = x + N.
     For real y > 0 this series envelops psi'(y): its remainder is at most
     the first dropped term, |B_{2M+2}| / y^(2M+3) <= |B_{2M+2}| / N^(2M+3).
@@ -340,20 +347,33 @@ def trigamma(x, ctx: PrecisionContext) -> mpf:
     N = floor(0.7 * dps), safely above the dps * ln(10) / (2 pi) below which
     no M reaches 10^-dps; M is the least order whose bound is below
     10^-(dps+1). Both grow linearly with ctx.dps (38 and 25 at 55 digits),
-    so a call costs O(dps) operations. The (N, B_2..B_2M) plan is memoized
-    per dps; values are not.
+    so a call costs O(dps) operations. The (N, P, B_2M..B_2) plan is
+    memoized per dps; values are not.
+
+    Every quantity is a Python int scaled by 2^P; there is no mpf arithmetic,
+    only the one exact ldexp at the end. Each direct term is
+    (q^2 << P) // (a + kq)^2. At Y = a + Nq, 1/y = q/Y and w = 1/y^2 = q^2/Y^2
+    are exact rationals, so the tail is (q << P)//Y + (q^2 << P)//(2Y^2)
+    + h q^3 // Y^3 with Horner's h = h q^2 // Y^2 + B_2k. Each floor is off by
+    under 1 ulp: N in the direct sum, three in the tail, and under
+    2 / (1 - w) in h, which the factor w/y < 1 damps. That is under
+    N + 6 <= N + M + 4 ulps of 2^-P, so the plan's guard bits keep the
+    rounding error below 1/16 ulp of the working precision.
     """
-    with ctx.working():
-        xv = mpf(x.numerator) / x.denominator if isinstance(x, Fraction) else mpf(x)
-        if not (0 < xv <= 1):
-            raise DomainError(f"trigamma requires 0 < x <= 1, got {xv}")
-        n, coeffs = _trigamma_plan(ctx.dps)
-        total = mpf(0)
-        for k in range(n):
-            total += 1 / (xv + k) ** 2
-        y = xv + n
-        w = 1 / y**2
-        horner = mpf(0)
-        for b in reversed(coeffs):
-            horner = horner * w + b
-        return total + 1 / y + w / 2 + horner * w / y
+    x = _as_fraction(x)
+    if not 0 < x <= 1:
+        raise DomainError(f"trigamma requires 0 < x <= 1, got {x}")
+    a, q = x.numerator, x.denominator
+    n, prec, coeffs = _trigamma_plan(ctx.dps)
+    qq = q * q
+    qq_fixed = qq << prec
+    total = 0
+    for t in range(a, a + n * q, q):
+        total += qq_fixed // (t * t)
+    y = a + n * q
+    yy = y * y
+    h = 0
+    for b in coeffs:
+        h = h * qq // yy + b
+    total += (q << prec) // y + qq_fixed // (2 * yy) + h * qq * q // (yy * y)
+    return mpmath.ldexp(total, -prec)

@@ -46,6 +46,12 @@ class TestFormatAp:
             assert "*i" in format_ap(mpmath.mpc(1, 2), 5)
             assert format_ap(mpmath.mpc(2, 0), 5) == "2.0000"
 
+    def test_rounding_noise_imaginary_part_prints_real(self):
+        with mpmath.workdps(30):
+            value = mpmath.mpc(-2, mpf(10) ** -26)
+            assert format_ap(value, 20) == format_ap(mpf(-2), 20)
+            assert "*i" in format_ap(value, 27)
+
     def test_negative(self):
         assert format_ap(mpf("-1.5"), 3) == "-1.50"
 
@@ -183,6 +189,16 @@ class TestValueCommands:
                            "--digits", "20", "--json")
         assert code == EXIT_OK
         assert "alpha_2" in json.loads(out)["label"]
+
+    def test_alpha_real_at_cm_point(self, capsys):
+        # alpha_3 is real at this CM point; its computed imaginary part is
+        # rounding noise near 1e-78 and is not printed.
+        code, out, _ = run(capsys, "alpha", "--z", "1/2+1/2*sqrt(7)*i",
+                           "--N", "3", "--digits", "60")
+        assert code == EXIT_OK
+        label, value = out.strip().split(" = ")
+        assert label == "alpha_3(1/2+1/2*sqrt(7)*i)"
+        assert value == "-0.00665525354553807537317293437509377305246264779526802235164410"
 
     def test_constants(self, capsys):
         # A leading "-" needs the --z=... form so argparse keeps the value.

@@ -151,6 +151,17 @@ class TestDirichletL2:
             ) / q**2
             assert abs(dirichlet_l2(d, ctx) - expected) < ctx.tol
 
+    @pytest.mark.parametrize("d", [-7, -8])
+    def test_odd_character_hurwitz_at_1000_digits(self, d):
+        ctx = PrecisionContext(digits=1000)
+        q = abs(d)
+        with ctx.working():
+            expected = sum(
+                kronecker_symbol(d, a) * mpmath.zeta(2, mpf(a) / q)
+                for a in range(1, q)
+            ) / q**2
+            assert abs(dirichlet_l2(d, ctx) - expected) < ctx.tol
+
     def test_more_residues_than_max_terms(self):
         with pytest.raises(DomainError):
             dirichlet_l2(-4003, PrecisionContext(digits=20, max_terms=1000))

@@ -158,16 +158,29 @@ class TestZetaAndTrigamma:
         pytest.param(x, digits, id=f"x{i}" if digits == 40 else f"x{i}-{digits}")
         for digits in (40, 300, 1000)
         for i, x in enumerate([Fraction(1), Fraction(1, 2), Fraction(1, 3),
-                               Fraction(5, 7), Fraction(11, 12)])
+                               Fraction(5, 7), Fraction(11, 12),
+                               Fraction(1, 116), Fraction(115, 116)])
     ])
     def test_trigamma_against_mpmath(self, x, digits):
+        # The kernel's a-priori bound: relative error below 10^-dps. 1/116
+        # and 115/116 are the largest psi' and the longest tail in the corpus.
         ctx = PrecisionContext(digits=digits)
-        with ctx.working():
+        value = trigamma(x, ctx)
+        with mpmath.workdps(ctx.dps + 20):
             expected = mpmath.polygamma(1, mpf(x.numerator) / x.denominator)
-            assert abs(trigamma(x, ctx) - expected) < 10 * ctx.tol
+            assert abs(value - expected) < ctx.eps * expected
 
     def test_trigamma_domain(self, ctx40):
         with pytest.raises(DomainError):
             trigamma(Fraction(3, 2), ctx40)
         with pytest.raises(DomainError):
             trigamma(Fraction(0), ctx40)
+        with pytest.raises(DomainError):
+            trigamma(0, ctx40)
+
+    def test_trigamma_takes_only_exact_rationals(self, ctx40):
+        assert trigamma(1, ctx40) == trigamma(Fraction(1), ctx40)
+        with ctx40.working():
+            for x in (mpf(1) / 2, 0.5):
+                with pytest.raises(TypeError):
+                    trigamma(x, ctx40)
