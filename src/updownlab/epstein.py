@@ -12,7 +12,6 @@ import math
 from typing import NamedTuple
 
 import mpmath
-import numpy as np
 from mpmath import mp, mpf
 
 from .numerics import DomainError, PrecisionContext, zeta_int
@@ -69,30 +68,26 @@ def _lambda_min(x: float, y: float, n_scale: int = 1) -> float:
 
 def epstein_sl2_bruteforce(z, radius: int, ctx: PrecisionContext) -> LatticeSum:
     """Full-lattice oracle: sum y^2/|m z + n|^4 over 0 < max(|m|,|n|) <= radius,
-    divided by 2 zeta(4). Rings are accumulated in ascending order."""
+    divided by 2 zeta(4), in floats. Rings are summed in ascending order, each
+    twice its half m = r, or n = r and |m| < r, as -(m, n) adds the same."""
     if radius < 10:
         raise DomainError(f"radius must be >= 10, got {radius}")
     z = _as_mpc(z)
     with ctx.working():
         x, y = float(z.real), float(z.imag)
         total = 0.0
-        for ring in range(1, radius + 1):
-            mm, nn = _ring_points(ring)
-            total += float(
-                np.sum(y * y / ((mm * x + nn) ** 2 + (mm * y) ** 2) ** 2)
-            )
+        for r in range(1, radius + 1):
+            rx, ry2 = r * x, (r * y) ** 2
+            ring = 0.0
+            for n in range(-r, r + 1):
+                ring += 1.0 / ((rx + n) ** 2 + ry2) ** 2
+            for m in range(1 - r, r):
+                ring += 1.0 / ((m * x + r) ** 2 + (m * y) ** 2) ** 2
+            total += 2.0 * ring
         lam = _lambda_min(x, y)
         tail = 4.0 * y * y / (lam * lam * radius * radius)
         two_zeta4 = 2 * zeta_int(4, ctx)
-        return LatticeSum(mpf(total) / two_zeta4, mpf(tail) / two_zeta4)
-
-
-def _ring_points(r: int):
-    """Integer pairs with max(|m|, |n|) == r, as numpy arrays."""
-    side = np.arange(-r, r + 1)
-    mm = np.concatenate([np.full(2 * r + 1, r), np.full(2 * r + 1, -r), side[1:-1], side[1:-1]])
-    nn = np.concatenate([side, side, np.full(2 * r - 1, r), np.full(2 * r - 1, -r)])
-    return mm.astype(np.float64), nn.astype(np.float64)
+        return LatticeSum(mpf(y * y * total) / two_zeta4, mpf(tail) / two_zeta4)
 
 
 def epstein_gamma0(z, N: int, ctx: PrecisionContext, radius: int = 600) -> LatticeSum:
@@ -107,11 +102,13 @@ def epstein_gamma0(z, N: int, ctx: PrecisionContext, radius: int = 600) -> Latti
         total = 0.0
         for k in range(1, radius + 1):
             c = N * k
-            d = np.arange(-radius, radius + 1)
-            mask = np.gcd(np.full_like(d, c), np.abs(d)) == 1
-            dd = d[mask].astype(np.float64)
-            total += float(np.sum(y * y / ((c * x + dd) ** 2 + (c * y) ** 2) ** 2))
-        value = mpf(y) ** 2 + mpf(total)
+            cx, cy2 = c * x, (c * y) ** 2
+            for d in range(-radius, radius + 1):
+                if math.gcd(c, d) == 1:
+                    u = cx + d
+                    u = u * u + cy2
+                    total += 1.0 / (u * u)
+        value = mpf(y) ** 2 + mpf(y * y * total)
         lam = _lambda_min(x, y, n_scale=N)
         tail = mpf(4.0 * y * y / (lam * lam * radius * radius))
         return LatticeSum(value, tail)

@@ -8,9 +8,9 @@ sum_{k>=1} chi(k) / k^2 is a finite sum over residue classes:
   with the trigamma psi' from ``numerics``, an integer fixed-point kernel
   whose values carry a few bits more than the working precision; the
   products chi(a) psi'(a/|d|) are summed exactly and rounded once;
-* d > 1 (even character): pairing a with d - a and using
-  psi'(x) + psi'(1-x) = pi^2 / sin^2(pi x) gives the closed sine sum
-  L_d(2) = pi^2 / (2 d^2) sum_{0<a<d} chi(a) / sin^2(pi a / d);
+* d > 1 (even character): pairing a with d - a, as chi(d - a) = chi(a) and
+  chi(d/2) = 0, and using psi'(x) + psi'(1-x) = pi^2 / sin^2(pi x) gives
+  L_d(2) = pi^2 / d^2 sum_{0<a<d/2} chi(a) / sin^2(pi a / d);
 * d = 1: zeta(2).
 """
 
@@ -80,10 +80,10 @@ def is_fundamental_discriminant(D: int) -> bool:
 def dirichlet_l2(d, ctx: PrecisionContext) -> mpf:
     """L_d(2) to ctx.digits; d may be a Discriminant or an integer.
 
-    The sum runs over the |d| - 1 residues mod |d|: the closed sine sum for
-    d > 1 and the trigamma sum for d < 0 (see the module docstring). Both rest
-    on chi being periodic mod |d| with chi(-1) = sign(d), which holds for
-    every valid Discriminant. Raises DomainError when |d| > ctx.max_terms.
+    A finite sum over residues a mod |d|: the closed sine sum over a < d/2
+    for d > 1, the trigamma sum for d < 0 (see the module docstring). Both
+    rest on chi being periodic mod |d| with chi(-1) = sign(d), which holds
+    for every valid Discriminant. Raises DomainError if |d| > ctx.max_terms.
     """
     if isinstance(d, Discriminant):
         d = d.d
@@ -97,11 +97,11 @@ def dirichlet_l2(d, ctx: PrecisionContext) -> mpf:
             return zeta_int(2, ctx)
         if d > 0:
             total = mpf(0)
-            for a in range(1, q):
+            for a in range(1, (q + 1) // 2):
                 chi = kronecker_symbol(d, a)
                 if chi:
                     total += chi / mpmath.sinpi(mpf(a) / q) ** 2
-            return mpmath.pi**2 * total / (2 * q**2)
+            return mpmath.pi**2 * total / q**2
         terms = []
         for a in range(1, q):
             chi = kronecker_symbol(d, a)

@@ -1,11 +1,15 @@
 """Command-line interface: exit codes, output formats, and determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import mpmath
 import pytest
 from mpmath import mpf
 
+import updownlab
 from updownlab import (
     CMPoint,
     PrecisionContext,
@@ -300,3 +304,15 @@ class TestArgumentHandling:
         assert cli._default_digits() == 40
         monkeypatch.delenv(cli.ENV_DIGITS)
         assert cli._default_digits() == 40
+
+
+def test_import_loads_no_numpy():
+    # mpmath is the one runtime dependency: importing the package and its
+    # command line, as every command does, must not load numpy.
+    src = os.path.dirname(os.path.dirname(updownlab.__file__))
+    code = "import sys, updownlab, updownlab.cli; print('numpy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert result.stdout.strip() == "False"

@@ -84,6 +84,38 @@ class TestBruteForceOracle:
             epstein_sl2_bruteforce(mpc(0, 1), 5, ctx30)
 
 
+class TestOraclePointSets:
+    # Each oracle against a direct double loop at radius 12. They agree to
+    # rounding, so a dropped or doubled point shows; agreement within the
+    # truncation tail (about 1e-4) cannot see one.
+    RADIUS = 12
+
+    @pytest.mark.parametrize("z", [mpc(0, 1), mpc("0.3", "0.8")])
+    def test_full_lattice_against_square(self, z, ctx30):
+        with ctx30.working():
+            got = epstein_sl2_bruteforce(z, self.RADIUS, ctx30).value
+            x, y = float(z.real), float(z.imag)
+            side = range(-self.RADIUS, self.RADIUS + 1)
+            total = sum(y * y / ((m * x + n) ** 2 + (m * y) ** 2) ** 2
+                        for m in side for n in side if (m, n) != (0, 0))
+            expected = total / float(2 * zeta_int(4, ctx30))
+            assert abs(float(got) - expected) <= 1e-14 * expected
+
+    @pytest.mark.parametrize("level", [2, 3, 4])
+    @pytest.mark.parametrize("z", [mpc(0, 1), mpc("0.3", "0.8")])
+    def test_gamma0_against_coprime_rows(self, z, level, ctx30):
+        with ctx30.working():
+            got = epstein_gamma0(z, level, ctx30, radius=self.RADIUS).value
+            x, y = float(z.real), float(z.imag)
+            expected = y * y
+            for k in range(1, self.RADIUS + 1):
+                c = level * k
+                for d in range(-self.RADIUS, self.RADIUS + 1):
+                    if math.gcd(c, abs(d)) == 1:
+                        expected += y * y / ((c * x + d) ** 2 + (c * y) ** 2) ** 2
+            assert abs(float(got) - expected) <= 1e-14 * expected
+
+
 class TestGamma0:
     def test_identity_coset_dominates_at_large_height(self, ctx30):
         with ctx30.working():

@@ -138,9 +138,10 @@ class TestDirichletL2:
         hi = dirichlet_l2(-7, PrecisionContext(digits=45))
         assert abs(lo - hi) < mpf(10) ** -28
 
-    @pytest.mark.parametrize("d", [-4, -111, 12, 32, 253])
+    @pytest.mark.parametrize("d", [-4, -111, 5, 8, 12, 32, 253])
     def test_hurwitz_at_300_digits(self, d):
-        # Both branches (12 and 32 are not fundamental) against
+        # Both branches (12 and 32 are not fundamental; 5 and 8 are the
+        # smallest odd and even d of the halved sine sum) against
         # |d|^-2 sum_a chi(a) zeta(2, a/|d|).
         ctx = PrecisionContext(digits=300)
         q = abs(d)
