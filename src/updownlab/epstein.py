@@ -9,6 +9,7 @@ coset sums used to check the two-line lattice lemma.
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
 
 import mpmath
@@ -58,12 +59,26 @@ def epstein_sl2(z, ctx: PrecisionContext) -> mpf:
         return y**2 + 45 * zeta_int(3, ctx) / (mp.pi**3 * y) + 180 / mp.pi**2 * total
 
 
-def _lambda_min(x: float, y: float, n_scale: int = 1) -> float:
-    """Smallest eigenvalue of the form |(n_scale c) z + d|^2 in (c, d)."""
-    a = n_scale * n_scale * (x * x + y * y)
-    tr = a + 1.0
-    det = n_scale * n_scale * y * y
-    return (tr - math.sqrt(tr * tr - 4 * det)) / 2
+# |c z + d| must stay below this for |c z + d|^4 to be a finite float.
+_FLOAT_REACH = sys.float_info.max ** 0.25
+
+
+def _float_point(z, n_scale: int, radius: int):
+    """(x, y, lam) of z in floats for a sum over |c| <= n_scale radius,
+    |d| <= radius, with lam the smallest eigenvalue of the form
+    |(n_scale c) z + d|^2 in (c, d). Raises DomainError at heights floats
+    cannot hold: where the largest |c z + d|^4 overflows, or lam rounds to
+    0 (as it does below about Im z = 5e-9 / n_scale on the imaginary axis)
+    and the tail bound would divide by it."""
+    x, y = float(z.real), float(z.imag)
+    n2 = n_scale * n_scale
+    tr = n2 * (x * x + y * y) + 1.0
+    det = n2 * y * y
+    lam = (tr - math.sqrt(tr * tr - 4 * det)) / 2
+    if not (lam > 0 and n_scale * radius * math.hypot(x, y) + radius < _FLOAT_REACH):
+        raise DomainError(f"Im z = {mpmath.nstr(z.imag, 5)} is beyond the range "
+                          "of the float lattice sum")
+    return x, y, lam
 
 
 def epstein_sl2_bruteforce(z, radius: int, ctx: PrecisionContext) -> LatticeSum:
@@ -74,7 +89,7 @@ def epstein_sl2_bruteforce(z, radius: int, ctx: PrecisionContext) -> LatticeSum:
         raise DomainError(f"radius must be >= 10, got {radius}")
     z = _as_mpc(z)
     with ctx.working():
-        x, y = float(z.real), float(z.imag)
+        x, y, lam = _float_point(z, 1, radius)
         total = 0.0
         for r in range(1, radius + 1):
             rx, ry2 = r * x, (r * y) ** 2
@@ -84,7 +99,6 @@ def epstein_sl2_bruteforce(z, radius: int, ctx: PrecisionContext) -> LatticeSum:
             for m in range(1 - r, r):
                 ring += 1.0 / ((m * x + r) ** 2 + (m * y) ** 2) ** 2
             total += 2.0 * ring
-        lam = _lambda_min(x, y)
         tail = 4.0 * y * y / (lam * lam * radius * radius)
         two_zeta4 = 2 * zeta_int(4, ctx)
         return LatticeSum(mpf(y * y * total) / two_zeta4, mpf(tail) / two_zeta4)
@@ -97,7 +111,7 @@ def epstein_gamma0(z, N: int, ctx: PrecisionContext, radius: int = 600) -> Latti
         raise DomainError(f"level must be in {{2, 3, 4}}, got {N}")
     z = _as_mpc(z)
     with ctx.working():
-        x, y = float(z.real), float(z.imag)
+        x, y, lam = _float_point(z, N, radius)
         # The c = 0 cosets reduce to (0, 1) and contribute y^2, added below.
         total = 0.0
         for k in range(1, radius + 1):
@@ -109,6 +123,5 @@ def epstein_gamma0(z, N: int, ctx: PrecisionContext, radius: int = 600) -> Latti
                     u = u * u + cy2
                     total += 1.0 / (u * u)
         value = mpf(y) ** 2 + mpf(y * y * total)
-        lam = _lambda_min(x, y, n_scale=N)
         tail = mpf(4.0 * y * y / (lam * lam * radius * radius))
         return LatticeSum(value, tail)

@@ -17,6 +17,9 @@ from .numerics import DomainError, PrecisionContext, to_fixed
 
 _LEVELS = (2, 3, 4)
 _NU_BY_LEVEL = {2: Fraction(-1, 4), 3: Fraction(-1, 3), 4: Fraction(-1, 2)}
+# N^(6/(N-1)): the scale of the eta quotient in alpha_N, and the numerator
+# of the weighted series' argument m = const_N / (alpha_N (1 - alpha_N)).
+_ALPHA_SCALE = {2: 64, 3: 27, 4: 16}
 
 
 class PoleError(ArithmeticError):
@@ -187,8 +190,7 @@ def alpha_n(z, N: int, ctx: PrecisionContext) -> mpc:
     with ctx.working():
         quotient = dedekind_eta(z, ctx) / dedekind_eta(N * z, ctx)
         exponent = 24 // (N - 1)
-        scale = mpf(N) ** Fraction(6, N - 1)
-        return 1 / (1 + quotient**exponent / scale)
+        return 1 / (1 + quotient**exponent / _ALPHA_SCALE[N])
 
 
 def j_invariant(z, ctx: PrecisionContext) -> mpc:

@@ -217,28 +217,23 @@ class QuadraticNumber:
 
 
 def embed_quadratic(q: QuadraticNumber, ctx: PrecisionContext) -> mpf:
-    """Evaluate a + b*sqrt(D) with the positive square root.
+    """Evaluate a + b*sqrt(D) with the positive square root, to a few ulps.
 
     Values such as (1121 - 338*sqrt(11))^4 have huge exactly-known a and b
-    whose embeddings nearly cancel, so the working precision is raised by the
-    number of digits lost to cancellation before the final rounding.
+    whose embeddings nearly cancel. When a and b have opposite signs, the
+    value is therefore taken as the exact rational norm a^2 - b^2 D over
+    the conjugate a - b*sqrt(D), whose two terms have the same sign, so no
+    digits cancel at any size of a and b.
     """
     with ctx.working():
+        a = mpf(q.a.numerator) / q.a.denominator
         if not q.b:
-            return mpf(q.a.numerator) / q.a.denominator
-
-        def at_current_dps():
-            a = mpf(q.a.numerator) / q.a.denominator
-            b = (mpf(q.b.numerator) / q.b.denominator) * mpmath.sqrt(q.D)
-            return a + b, max(abs(a), abs(b))
-
-        value, scale = at_current_dps()
-        if not value or scale / abs(value) > 10:
-            lost = ctx.dps if not value \
-                else int(mpmath.log10(scale / abs(value))) + 5
-            with mpmath.workdps(ctx.dps + lost):
-                value, _ = at_current_dps()
-        return +value
+            return a
+        b = (mpf(q.b.numerator) / q.b.denominator) * mpmath.sqrt(q.D)
+        if q.a * q.b >= 0:
+            return a + b
+        norm = q.norm()
+        return (mpf(norm.numerator) / norm.denominator) / (a - b)
 
 
 def to_fixed(x, prec: int) -> Tuple[int, int]:
@@ -275,39 +270,16 @@ class QuadExpr:
 # -- special constants -----------------------------------------------------
 
 def zeta_int(n: int, ctx: PrecisionContext) -> mpf:
-    """zeta(2), zeta(3), or zeta(4) to ctx.digits."""
+    """zeta(2), zeta(3), or zeta(4) to ctx.digits, from mpmath's pi and
+    Apery constants."""
     with ctx.working():
         if n == 2:
             return mp.pi**2 / 6
+        if n == 3:
+            return +mp.apery
         if n == 4:
             return mp.pi**4 / 90
-        if n == 3:
-            return _zeta3(ctx)
         raise DomainError(f"zeta_int supports n in {{2, 3, 4}}, got {n}")
-
-
-@lru_cache(maxsize=16)
-def _zeta3(ctx: PrecisionContext) -> mpf:
-    # Central-binomial acceleration: zeta(3) = (5/2) sum (-1)^(k-1) / (k^3 C(2k,k)).
-    # Terms shrink by ~1/4 each, so 2 bits per term. A constant, so it is
-    # memoized per context, as mpmath caches pi.
-    with ctx.working():
-        eps = ctx.eps
-        total = mpf(0)
-        binom = 2  # C(2k, k) at k = 1
-        k = 1
-        sign = 1
-        while True:
-            term = mpf(sign) / (k**3 * binom)
-            total += term
-            if abs(term) < eps / 4:
-                break
-            binom = binom * 2 * (2 * k + 1) // (k + 1)
-            k += 1
-            sign = -sign
-            if k > ctx.max_terms:
-                raise RuntimeError("zeta(3) series exceeded max_terms")
-        return mpf(5) / 2 * total
 
 
 @lru_cache(maxsize=16)

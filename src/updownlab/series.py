@@ -24,6 +24,7 @@ from .numerics import (
     to_fixed,
 )
 from .modular import (
+    _ALPHA_SCALE,
     _NU_BY_LEVEL,
     CMPoint,
     _as_mpc,
@@ -57,7 +58,6 @@ class SeriesFamily(enum.Enum):
 
 
 _FAMILY_BY_LEVEL = {2: SeriesFamily.C2X4K, 3: SeriesFamily.C2X3K, 4: SeriesFamily.CENTRAL3}
-_NUMERATOR_CONST = {2: 64, 3: 27, 4: 16}
 
 
 @dataclass(frozen=True)
@@ -235,10 +235,15 @@ def series_constants_from_cm(z, N: int, ctx: PrecisionContext):
         if abs(prod) < ctx.eps:
             raise DomainError("alpha in {0, 1}: series constants undefined")
         xi = 1 - 2 * alpha
+        # At a real CM value the eta quotient leaves Im xi well above the
+        # rounding noise legendre_ramanujan_r snaps: at table 1's level-4
+        # point 1/2+1/58*sqrt(58)*i (xi = 19602), |Im xi| is 10^2.4 to
+        # 10^3.8 times eps (1 + |xi|) at 30, 100 and 300 digits. This snap
+        # at tol is what sends such branch-line points down the real path.
         if abs(xi.imag) < ctx.tol:
             xi = xi.real
         c2 = legendre_ramanujan_r(_NU_BY_LEVEL[N], xi, ctx)
-        m = _NUMERATOR_CONST[N] / prod
+        m = _ALPHA_SCALE[N] / prod
         if abs(m.imag) < ctx.tol * abs(m):
             m = m.real
         return 2 * xi, c2, m

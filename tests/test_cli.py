@@ -250,6 +250,14 @@ class TestValueCommands:
             if command == "constants" else [payload["value"]]
         assert printed == [format_ap(v, 60) for v in expected]
 
+    @pytest.mark.parametrize("height", ["1" + "0" * 200, "1/1" + "0" * 200],
+                             ids=["1e200", "1e-200"])
+    def test_gamma0_height_beyond_floats(self, capsys, height):
+        code, out, err = run(capsys, "epstein", "--z", f"{height}*i", "--gamma0", "2")
+        assert code == EXIT_USAGE
+        assert err.startswith("error: ")
+        assert out == ""
+
     def test_bad_point_string(self, capsys):
         code, _, err = run(capsys, "epstein", "--z", "not-a-point")
         assert code == EXIT_USAGE

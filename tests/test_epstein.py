@@ -141,6 +141,22 @@ class TestGamma0:
             epstein_gamma0(mpc(0, 1), 1, ctx30)
 
 
+class TestOracleFloatRange:
+    # At 10^200 i the terms |c z + d|^4 overflow a float; at 10^-200 i the
+    # smallest eigenvalue of the form rounds to 0 and the tail bound would
+    # divide by it. Both oracles refuse such points before summing.
+    @pytest.mark.parametrize("height", [200, -200])
+    @pytest.mark.parametrize("oracle", [
+        lambda z, ctx: epstein_gamma0(z, 2, ctx),
+        lambda z, ctx: epstein_sl2_bruteforce(z, 200, ctx),
+    ], ids=["gamma0", "sl2"])
+    def test_height_beyond_floats(self, oracle, height, ctx30):
+        with ctx30.working():
+            z = mpc(0, mpf(10) ** height)
+        with pytest.raises(DomainError):
+            oracle(z, ctx30)
+
+
 class TestFourierExpansion:
     def test_against_cosine_loop_at_300_digits(self):
         # The Fourier expansion written out term by term, with a cosine per

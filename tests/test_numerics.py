@@ -112,12 +112,14 @@ class TestEmbedQuadratic:
             expected = mpf(1) / 3 - mpf(2) / 7 * mpmath.sqrt(13)
             assert abs(embed_quadratic(q, ctx40) - expected) < ctx40.tol
 
-    def test_catastrophic_cancellation(self, ctx40):
-        # (1121 - 338*sqrt(11))^4: the components are ~1e12 but the value is
-        # tiny, so a naive embedding at working precision loses ~19 digits.
-        q = QuadraticNumber(1121, -338, 11) ** 4
+    @pytest.mark.parametrize("k", [4, 12, 22, 40])
+    def test_catastrophic_cancellation(self, k, ctx40):
+        # (1121 - 338*sqrt(11))^k: the components grow like 2242^k while the
+        # value shrinks like 0.019^k, so a + b*sqrt(D) evaluated as written
+        # loses about 5 k digits, more than the working 55 from k = 11 on.
+        q = QuadraticNumber(1121, -338, 11) ** k
         with mpmath.workdps(120):
-            expected = (1121 - 338 * mpmath.sqrt(11)) ** 4
+            expected = (1121 - 338 * mpmath.sqrt(11)) ** k
         got = embed_quadratic(q, ctx40)
         assert abs(got - expected) / abs(expected) < mpf(10) ** -50
 
@@ -143,12 +145,11 @@ class TestZetaAndTrigamma:
         with ctx40.working():
             assert abs(zeta_int(n, ctx40) - mpmath.zeta(n)) < ctx40.tol
 
-    def test_zeta3_memoized_per_context(self):
+    def test_zeta3_at_300_digits(self):
         ctx = PrecisionContext(digits=300)
-        first = zeta_int(3, ctx)
-        assert zeta_int(3, ctx) is first
+        value = zeta_int(3, ctx)
         with mpmath.workdps(ctx.dps + 20):
-            assert abs(first - mpmath.zeta(3)) < ctx.eps
+            assert abs(value - mpmath.zeta(3)) < ctx.eps
 
     def test_zeta_rejects_other_orders(self, ctx40):
         with pytest.raises(DomainError):
