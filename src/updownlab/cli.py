@@ -149,18 +149,14 @@ def cmd_alpha(args) -> int:
 def cmd_constants(args) -> int:
     ctx = _context(args)
     z = CMPoint.from_string(args.z)
-    c1, c2, m = series_constants_from_cm(z, args.N, ctx)
+    texts = {name: format_ap(value, args.digits) for name, value
+             in zip(("c1", "c2", "m"), series_constants_from_cm(z, args.N, ctx))}
     if args.json:
-        print(json.dumps({
-            "z": args.z, "N": args.N, "digits": args.digits,
-            "c1": format_ap(c1, args.digits),
-            "c2": format_ap(c2, args.digits),
-            "m": format_ap(m, args.digits),
-        }, indent=2))
+        print(json.dumps({"z": args.z, "N": args.N, "digits": args.digits, **texts},
+                         indent=2))
     else:
-        print(f"c1 = {format_ap(c1, args.digits)}")
-        print(f"c2 = {format_ap(c2, args.digits)}")
-        print(f"m  = {format_ap(m, args.digits)}")
+        for name, text in texts.items():
+            print(f"{name:<2} = {text}")
     return EXIT_OK
 
 

@@ -65,17 +65,18 @@ _FLOAT_REACH = sys.float_info.max ** 0.25
 
 def _float_point(z, n_scale: int, radius: int):
     """(x, y, lam) of z in floats for a sum over |c| <= n_scale radius,
-    |d| <= radius, with lam the smallest eigenvalue of the form
-    |(n_scale c) z + d|^2 in (c, d). Raises DomainError at heights floats
-    cannot hold: where the largest |c z + d|^4 overflows, or lam rounds to
-    0 (as it does below about Im z = 5e-9 / n_scale on the imaginary axis)
-    and the tail bound would divide by it."""
+    |d| <= radius, with lam = 2 det / (tr + sqrt(tr^2 - 4 det)), free of
+    cancellation, the smallest eigenvalue of the form |(n_scale c) z + d|^2
+    in (c, d). Raises DomainError at heights floats cannot hold: where the
+    largest |c z + d|^4 overflows, or where 1/lam^2, the bound on every
+    term 1/|c z + d|^4 and so on the tail, does (lam <= _FLOAT_REACH^-2)."""
     x, y = float(z.real), float(z.imag)
     n2 = n_scale * n_scale
     tr = n2 * (x * x + y * y) + 1.0
     det = n2 * y * y
-    lam = (tr - math.sqrt(tr * tr - 4 * det)) / 2
-    if not (lam > 0 and n_scale * radius * math.hypot(x, y) + radius < _FLOAT_REACH):
+    lam = 2 * det / (tr + math.sqrt(tr * tr - 4 * det))
+    if not (lam > _FLOAT_REACH**-2
+            and n_scale * radius * math.hypot(x, y) + radius < _FLOAT_REACH):
         raise DomainError(f"Im z = {mpmath.nstr(z.imag, 5)} is beyond the range "
                           "of the float lattice sum")
     return x, y, lam

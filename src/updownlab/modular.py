@@ -9,6 +9,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import mpmath
 from mpmath import mp, mpc, mpf
@@ -119,13 +120,18 @@ def _qseries_cutoff(y: mpf, ctx: PrecisionContext) -> int:
     return n_max
 
 
-def _sigma3_table(n_max: int) -> list:
+def _sigma_table(power: int, n_max: int) -> list:
+    """sigma_power(n) for n <= n_max by a divisor sieve."""
     sig = [0] * (n_max + 1)
     for d in range(1, n_max + 1):
-        cube = d * d * d
+        dp = d**power
         for m in range(d, n_max + 1, d):
-            sig[m] += cube
+            sig[m] += dp
     return sig
+
+
+_sigma1_table = partial(_sigma_table, 1)
+_sigma3_table = partial(_sigma_table, 3)
 
 
 def _pentagonal_table(n_max: int) -> list:
@@ -148,8 +154,8 @@ def _qsum(z: mpc, ctx: PrecisionContext, table, powers) -> tuple:
     q^n is carried as a Gaussian pair of Python ints scaled by 2^P, P the
     bits of the working dps plus 5 bits per bit of the cutoff. q and each
     product are truncated by under 1 ulp, so q^n is off by under
-    2 / (1 - |q|) <= 2 n_max ulps. Weights |a(n)| / n^j <= 1.21 n^3 (sigma_3,
-    or Euler's signs) summed over n <= n_max keep the total error below
+    2 / (1 - |q|) <= 2 n_max ulps. Weights |a(n)| / n^j <= 1.21 n^3 (sigma_1,
+    sigma_3 or Euler's signs) summed over n <= n_max keep the total error below
     n_max^5 ulps. The caller holds ``ctx.working()``.
     """
     n_max = _qseries_cutoff(z.imag, ctx)
@@ -261,12 +267,9 @@ def reflection_residual(z, ctx: PrecisionContext) -> mpf:
 
 # -- Legendre / Legendre-Ramanujan functions -------------------------------
 
-_NU_SET = {Fraction(-1, 4), Fraction(-1, 3), Fraction(-1, 2)}
-
-
 def _check_nu(nu) -> Fraction:
     nu = Fraction(nu)
-    if nu not in _NU_SET:
+    if nu not in _NU_BY_LEVEL.values():
         raise DomainError(f"degree must be -1/4, -1/3, or -1/2, got {nu}")
     return nu
 

@@ -25,15 +25,16 @@ from .numerics import (
 )
 from .modular import (
     _ALPHA_SCALE,
-    _NU_BY_LEVEL,
     CMPoint,
     _as_mpc,
     _frac_mpf,
+    _qsum,
+    _sigma1_table,
     alpha_n,
     eichler_e4_tilde,
-    legendre_ramanujan_r,
     satisfies_region,
 )
+from .modular import legendre_ramanujan_r  # noqa: F401 (perfbench traces R_nu here)
 
 
 class SeriesFamily(enum.Enum):
@@ -224,29 +225,27 @@ def evaluate_fib_series(s: FibLucasSeries, ctx: PrecisionContext,
 
 
 def series_constants_from_cm(z, N: int, ctx: PrecisionContext):
-    """The triple (2[1 - 2 alpha_N(z)], R_nu(1 - 2 alpha_N(z)),
-    const_N / {alpha_N(z)[1 - alpha_N(z)]}) defining the weighted series at z."""
+    """(2 xi, R_nu(xi), const_N / (alpha (1 - alpha))) at z, alpha = alpha_N(z) and
+    xi = 1 - 2 alpha, all on ctx.bumped(_LOOP_GUARD). With y = Im z and E2 = 1 - 24
+    sum sigma_1(n) q^n on _qsum, R_nu has the E2* form of Guillera & Rogers,
+    "Ramanujan series upside-down", and Chan, Chan & Liu, "Domb's numbers and
+    Ramanujan-Sato type series for 1/pi" (2004); legendre_ramanujan_r is the oracle:
+
+        R_nu = (N-1)[1/(pi y) - (E2(z) + N E2(Nz))/6]/(N E2(Nz) - E2(z)) + (N+1)xi/6."""
+    wide = ctx.bumped(_LOOP_GUARD)
     if isinstance(z, CMPoint):
         z = z.to_point(ctx)
     z = _as_mpc(z)
-    with ctx.working():
-        alpha = alpha_n(z, N, ctx)
+    with wide.working():
+        alpha = alpha_n(z, N, wide)
         prod = alpha * (1 - alpha)
         if abs(prod) < ctx.eps:
             raise DomainError("alpha in {0, 1}: series constants undefined")
         xi = 1 - 2 * alpha
-        # At a real CM value the eta quotient leaves Im xi well above the
-        # rounding noise legendre_ramanujan_r snaps: at table 1's level-4
-        # point 1/2+1/58*sqrt(58)*i (xi = 19602), |Im xi| is 10^2.4 to
-        # 10^3.8 times eps (1 + |xi|) at 30, 100 and 300 digits. This snap
-        # at tol is what sends such branch-line points down the real path.
-        if abs(xi.imag) < ctx.tol:
-            xi = xi.real
-        c2 = legendre_ramanujan_r(_NU_BY_LEVEL[N], xi, ctx)
-        m = _ALPHA_SCALE[N] / prod
-        if abs(m.imag) < ctx.tol * abs(m):
-            m = m.real
-        return 2 * xi, c2, m
+        e2, e2n = (1 - 24 * _qsum(w, wide, _sigma1_table, (0,))[0] for w in (z, N * z))
+        c2 = ((N - 1) * (1 / (mp.pi * z.imag) - (e2 + N * e2n) / 6) / (N * e2n - e2)
+              + (N + 1) * xi / 6)
+        return 2 * xi, c2, _ALPHA_SCALE[N] / prod
 
 
 def sigma_gr(z, N: int, ctx: PrecisionContext):

@@ -16,6 +16,7 @@ from updownlab import (
     epstein_sl2_bruteforce,
     zeta_int,
 )
+from updownlab.epstein import _float_point
 from updownlab.numerics import DomainError
 
 from conftest import random_points
@@ -142,10 +143,11 @@ class TestGamma0:
 
 
 class TestOracleFloatRange:
-    # At 10^200 i the terms |c z + d|^4 overflow a float; at 10^-200 i the
-    # smallest eigenvalue of the form rounds to 0 and the tail bound would
-    # divide by it. Both oracles refuse such points before summing.
-    @pytest.mark.parametrize("height", [200, -200])
+    # At 10^200 i the terms |c z + d|^4 overflow a float; at 10^-100 i the
+    # smallest eigenvalue lam of the form is a float, but the bound 1/lam^2
+    # on a term is not, and at 10^-200 i lam rounds to 0. Both oracles
+    # refuse such points before summing.
+    @pytest.mark.parametrize("height", [200, -100, -200])
     @pytest.mark.parametrize("oracle", [
         lambda z, ctx: epstein_gamma0(z, 2, ctx),
         lambda z, ctx: epstein_sl2_bruteforce(z, 200, ctx),
@@ -155,6 +157,13 @@ class TestOracleFloatRange:
             z = mpc(0, mpf(10) ** height)
         with pytest.raises(DomainError):
             oracle(z, ctx30)
+
+    def test_smallest_eigenvalue_without_cancellation(self):
+        # On the imaginary axis the form |2 c z + d|^2 is 4 y^2 c^2 + d^2,
+        # so lam = 4 y^2; (tr - sqrt(tr^2 - 4 det)) / 2 gave 3.5 times that.
+        y = 2e-9
+        _, _, lam = _float_point(mpc(0, y), 2, 600)
+        assert abs(lam / (4 * y * y) - 1) < 1e-12
 
 
 class TestFourierExpansion:

@@ -26,10 +26,13 @@ from updownlab.identities import (
     _point_string,
     constant_value,
     corpus_from_json,
+    load_tables,
 )
 from updownlab import identities
 from updownlab.lfunctions import Discriminant, dirichlet_l2
 from updownlab.modular import CMPoint
+from updownlab.numerics import embed_quadratic
+from updownlab.series import _FAMILY_BY_LEVEL
 
 
 class TestCorpusLoading:
@@ -58,6 +61,30 @@ class TestCorpusLoading:
         again = load_corpus(str(p))
         assert [r.id for r in again.identities] == \
             [r.id for r in corpus.identities]
+
+
+class TestCorpusAgainstTables:
+    # The updown records outside the golden-ratio group are weighted series
+    # at table CM points: m is one row's m cell, and (a, b) is proportional
+    # to (c1, c2) = (2 y c1_cell, y c2_cell), so a c2_cell = 2 b c1_cell.
+    @pytest.mark.parametrize("record_id", [
+        "d-352", "d-928", "d-448", "d-112",
+        "b1", "b2", "b3", "b4", "b5", "b6", "b7", "c1", "c2", "c3",
+    ])
+    def test_record_sits_on_one_table_row(self, corpus, record_id):
+        ctx = PrecisionContext(digits=50)
+        (term,) = corpus.identity(record_id).lhs
+        s = term.series
+        level = {f: n for n, f in _FAMILY_BY_LEVEL.items()}[s.family]
+        close = mpf(10) ** -40
+        with ctx.working():
+            a, b, m = (embed_quadratic(q, ctx) for q in (s.a, s.b, s.m))
+            rows = [row["cells"] for tab in load_tables() if tab["level"] == level
+                    for row in tab["rows"]
+                    if abs(row["cells"]["m"].embed(ctx) - m) < close * abs(m)]
+            assert len(rows) == 1
+            c1, c2 = rows[0]["c1"].embed(ctx), rows[0]["c2"].embed(ctx)
+            assert abs(a * c2 - 2 * b * c1) < close * abs(a * c2)
 
 
 class TestCorpusValidation:

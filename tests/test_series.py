@@ -16,11 +16,15 @@ from updownlab import (
     evaluate_fib_series,
     evaluate_updown,
     fibonacci_lucas,
+    alpha_n,
+    legendre_ramanujan_r,
     satisfies_region,
     series_constants_from_cm,
     sigma_gr,
     sigma_gr_im_rhs,
 )
+from updownlab.identities import load_tables
+from updownlab.modular import _NU_BY_LEVEL
 from updownlab.numerics import DomainError, embed_quadratic
 from updownlab.series import _FAMILY_BY_LEVEL
 
@@ -291,6 +295,31 @@ class TestSeriesConstants:
         hi = series_constants_from_cm(z, 4, PrecisionContext(digits=40))
         for a, b in zip(lo, hi):
             assert abs(a - b) < mpf(10) ** -20
+
+
+class TestConstantsAgainstLegendreOracle:
+    # c2 comes from E2 on the q-series kernel; R_nu through hyp2f1 at
+    # xi = 1 - 2 alpha_N(z) is the independent oracle.
+    CTX = PrecisionContext(digits=100)
+
+    def _check(self, z, level):
+        ctx = self.CTX
+        with ctx.working():
+            _, c2, _ = series_constants_from_cm(z, level, ctx)
+            xi = 1 - 2 * alpha_n(z, level, ctx)
+            expected = legendre_ramanujan_r(_NU_BY_LEVEL[level], xi, ctx)
+            assert abs(c2 - expected) < mpf(10) ** -110 * abs(expected), (z, level)
+
+    @pytest.mark.parametrize("level", [2, 3, 4])
+    def test_random_admissible_points(self, level):
+        for z in random_admissible(3, level, self.CTX, seed=70 + level):
+            self._check(z, level)
+
+    @pytest.mark.parametrize("table", [1, 2, 3])
+    def test_table_rows(self, table):
+        (tab,) = [t for t in load_tables() if t["table"] == table]
+        for row in tab["rows"]:
+            self._check(row["point"].to_point(self.CTX), tab["level"])
 
 
 class TestSigmaGR:
