@@ -39,6 +39,7 @@ from .series import (
     SeriesFamily,
     UpsideDownSeries,
     evaluate_fib_series,
+    evaluate_series_sum,
     evaluate_updown,
     fibonacci_lucas,
     series_constants_from_cm,

@@ -37,12 +37,17 @@ EXIT_CORPUS = 3
 def format_ap(value, digits: int) -> str:
     """Fixed-notation decimal string with exactly ``digits`` significant
     figures, round-half-even. A complex value whose imaginary part is at most
-    10^-digits of its modulus prints as real: those digits are rounding noise."""
+    10^-digits of its modulus prints as real, and one whose real part is
+    that small prints as imaginary: those digits are rounding noise."""
     if hasattr(value, "imag"):
-        if abs(value.imag) > abs(value) * mpf(10) ** -digits:
+        noise = abs(value) * mpf(10) ** -digits
+        if abs(value.imag) <= noise:
+            value = value.real
+        elif abs(value.real) <= noise:
+            return f"{format_ap(value.imag, digits)}*i"
+        else:
             return (f"{format_ap(value.real, digits)} + "
                     f"{format_ap(value.imag, digits)}*i")
-        value = value.real
     if not isinstance(value, mpf):
         # Convert at enough precision; mpf() rounds to the ambient context.
         with mpmath.workdps(digits + 10):

@@ -389,12 +389,16 @@ def satisfies_region(z, N: int, ctx: PrecisionContext) -> bool:
     if N not in _LEVELS:
         raise DomainError(f"level must be in {_LEVELS}, got {N}")
     z = _as_mpc(z)
+    return _in_region(z, N, alpha_n(z, N, ctx), ctx)
+
+
+def _in_region(z: mpc, N: int, alpha, ctx: PrecisionContext) -> bool:
+    """satisfies_region for a caller that already holds alpha = alpha_N(z)."""
     with ctx.working():
         slack = mpf(10) ** (-(ctx.digits // 2))
-        a = alpha_n(z, N, ctx)
-        if abs(4 * a * (1 - a)) < 1 - slack:
+        if abs(4 * alpha * (1 - alpha)) < 1 - slack:
             return False
-        if abs(2 * a - 1) <= slack:
+        if abs(2 * alpha - 1) <= slack:
             return False
         if abs(z.real) > mpf(1) / 2 + slack:
             return False

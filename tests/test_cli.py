@@ -56,6 +56,12 @@ class TestFormatAp:
             assert format_ap(value, 20) == format_ap(mpf(-2), 20)
             assert "*i" in format_ap(value, 27)
 
+    def test_rounding_noise_real_part_prints_imaginary(self):
+        with mpmath.workdps(30):
+            value = mpmath.mpc(mpf(10) ** -26, -2)
+            assert format_ap(value, 20) == format_ap(mpf(-2), 20) + "*i"
+            assert " + " in format_ap(value, 27)
+
     def test_negative(self):
         assert format_ap(mpf("-1.5"), 3) == "-1.50"
 
@@ -211,6 +217,17 @@ class TestValueCommands:
         assert code == EXIT_OK
         payload = json.loads(out)
         assert set(payload) >= {"c1", "c2", "m"}
+
+    def test_constants_drop_a_noise_real_part(self, capsys):
+        # c1 and c2 are purely imaginary here; their computed real parts are
+        # about 10^-46 of the modulus, rounding noise at 30 digits.
+        code, out, _ = run(capsys, "constants", "--z=-1/8+1/8*sqrt(15)*i",
+                           "--N", "4", "--digits", "30")
+        assert code == EXIT_OK
+        assert out.splitlines()[:2] == [
+            "c1 = 1.20385899530023700036856733123*i",
+            "c2 = 0.372508469834851520647594208022*i",
+        ]
 
     def test_epstein_height_beyond_max_terms(self, capsys):
         # Im z = 10^-8 would need about 2 * 10^9 q-series terms; the SL(2, Z)

@@ -23,6 +23,7 @@ from updownlab import (
 )
 from updownlab.identities import (
     KroneckerInstance,
+    UpsideDownSeries,
     _point_string,
     constant_value,
     corpus_from_json,
@@ -32,7 +33,7 @@ from updownlab import identities
 from updownlab.lfunctions import Discriminant, dirichlet_l2
 from updownlab.modular import CMPoint
 from updownlab.numerics import embed_quadratic
-from updownlab.series import _FAMILY_BY_LEVEL
+from updownlab.series import _FAMILY_BY_LEVEL, evaluate_series_sum
 
 
 class TestCorpusLoading:
@@ -249,6 +250,33 @@ class TestVerification:
         r40 = verify_identity("grnew", PrecisionContext(digits=40), corpus)
         floor = mpf(10) ** -45
         assert r40.abs_residual < max(r30.abs_residual * mpf(10) ** -8, floor)
+
+    def test_single_series_terms_used_at_40_digits(self, corpus, ctx40):
+        # Carrying only m^k / denom(k) keeps the stop rule, term for term.
+        expected = {"zeilberger": 31, "grnew": 412, "grold": 16,
+                    "b6": 2518, "c3": 1761}
+        got = {rid: verify_identity(rid, ctx40, corpus).terms_used
+               for rid in expected}
+        assert got == expected
+
+    @pytest.mark.parametrize("record_id", [
+        "flpm-plus", "flpm-minus", "grnew-plus-grold", "grnew-minus-grold"])
+    def test_grouped_lhs_matches_separate_terms(self, corpus, record_id):
+        # One loop per (family, m) sums to the weighted one-term evaluations.
+        ctx = PrecisionContext(digits=300)
+        record = corpus.identity(record_id)
+        grouped_terms, separate_terms = [], []
+        grouped = evaluate_series_sum(
+            ((t.weight, t.series) for t in record.lhs), ctx, grouped_terms)
+        with ctx.working():
+            separate = mpf(0)
+            for t in record.lhs:
+                one = evaluate_series_sum(((QuadraticNumber(1), t.series),), ctx,
+                                          separate_terms)
+                separate += embed_quadratic(t.weight, ctx) * one
+            assert abs(grouped - separate) < 10 * ctx.tol
+        shared = not all(isinstance(t.series, UpsideDownSeries) for t in record.lhs)
+        assert (grouped_terms[0] < sum(separate_terms)) == shared
 
     def test_filter_and_ordering(self, corpus, ctx30):
         reports = verify_all(ctx30, "fib*", corpus)

@@ -23,10 +23,11 @@ from updownlab import (
     sigma_gr,
     sigma_gr_im_rhs,
 )
+from updownlab import modular, series
 from updownlab.identities import load_tables
-from updownlab.modular import _NU_BY_LEVEL
+from updownlab.modular import _NU_BY_LEVEL, CMPoint
 from updownlab.numerics import DomainError, embed_quadratic
-from updownlab.series import _FAMILY_BY_LEVEL
+from updownlab.series import _FAMILY_BY_LEVEL, _fib_halves
 
 from conftest import random_admissible
 
@@ -259,7 +260,13 @@ class TestFibLucasSeries:
             counter = []
             got = evaluate_fib_series(s, ctx, counter)
             assert abs(got - direct) < 10 * ctx.tol
-            assert 0 < counter[0] < k
+        # The count covers both halves, and the phi^8 loop alone stops
+        # before the direct loop does.
+        halves = []
+        for c1, c2, m in _fib_halves(s):
+            evaluate_updown(UpsideDownSeries(SeriesFamily.CENTRAL3, c1, c2, m), ctx, halves)
+        assert counter == [sum(halves)]
+        assert 0 < halves[0] < k
 
 
 class TestSeriesConstants:
@@ -346,6 +353,23 @@ class TestSigmaGR:
                 lhs = sigma_gr(z, level, ctx25).imag
                 rhs = sigma_gr_im_rhs(z, level, ctx25)
                 assert abs(lhs - rhs) < mpf(10) ** -20
+
+    def test_alpha_computed_once(self, monkeypatch):
+        # The region test takes alpha_N(z) from the constants, so one call
+        # of sigma_gr makes one alpha_n call, wherever it is looked up.
+        calls = []
+        original = modular.alpha_n
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(modular, "alpha_n", counted)
+        monkeypatch.setattr(series, "alpha_n", counted)
+        ctx = PrecisionContext(digits=100)
+        z = CMPoint.from_string("-1/8+1/8*sqrt(15)*i").to_point(ctx)
+        sigma_gr(z, 4, ctx)
+        assert len(calls) == 1
 
     def test_rejects_inadmissible_points(self, ctx30):
         with pytest.raises(DomainError):
