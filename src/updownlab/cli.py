@@ -115,7 +115,11 @@ def cmd_verify(args) -> int:
     cache = ident.ConstantsCache(args.cache) if args.cache else None
     # An --id is matched literally; no --id and no --filter selects everything.
     pattern = args.filter if args.id is None else glob.escape(args.id)
-    reports = ident.verify_all(ctx, pattern, corpus, cache)
+    try:
+        reports = ident.verify_all(ctx, pattern, corpus, cache)
+    except OSError as exc:
+        print(f"cache error: {exc}", file=sys.stderr)
+        return EXIT_CORPUS
     if pattern is not None and not reports:
         print(f"unknown id: {args.id}" if args.id is not None
               else f"filter matched nothing: {pattern}", file=sys.stderr)

@@ -69,7 +69,10 @@ def _float_point(z, n_scale: int, radius: int):
     cancellation, the smallest eigenvalue of the form |(n_scale c) z + d|^2
     in (c, d). Raises DomainError at heights floats cannot hold: where the
     largest |c z + d|^4 overflows, or where 1/lam^2, the bound on every
-    term 1/|c z + d|^4 and so on the tail, does (lam <= _FLOAT_REACH^-2)."""
+    term 1/|c z + d|^4 and so on the tail, does (lam <= _FLOAT_REACH^-2),
+    and for radius < 10."""
+    if radius < 10:
+        raise DomainError(f"radius must be >= 10, got {radius}")
     x, y = float(z.real), float(z.imag)
     n2 = n_scale * n_scale
     tr = n2 * (x * x + y * y) + 1.0
@@ -86,8 +89,6 @@ def epstein_sl2_bruteforce(z, radius: int, ctx: PrecisionContext) -> LatticeSum:
     """Full-lattice oracle: sum y^2/|m z + n|^4 over 0 < max(|m|,|n|) <= radius,
     divided by 2 zeta(4), in floats. Rings are summed in ascending order, each
     twice its half m = r, or n = r and |m| < r, as -(m, n) adds the same."""
-    if radius < 10:
-        raise DomainError(f"radius must be >= 10, got {radius}")
     z = _as_mpc(z)
     with ctx.working():
         x, y, lam = _float_point(z, 1, radius)

@@ -8,6 +8,7 @@ series whose linear-in-k constants come from modular invariants at CM points.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
@@ -89,71 +90,73 @@ class FibLucasSeries:
     u: Fraction = Fraction(0)
 
 
-# Extra digits for the fixed-point loop, on top of the bits that
-# _fixed_guard_bits counts for the rounding the loop itself commits.
+# Extra digits for the fixed-point loop, on top of the guard bits that
+# _sum_linear_series counts for the rounding the loop itself commits.
 _LOOP_GUARD = 10
-
-
-def _fixed_guard_bits(c1, c2, ratio, budget) -> int:
-    """Bits that cover the truncations of the fixed-point loop.
-
-    Each step truncates s_k = m^k / (k^3 denom(k)) by under 2 ulps. The
-    error already in s_k is carried on multiplied by at most ``ratio``
-    (k^3 |m| / den_{k+1} <= |m| / scale), so it stays below about
-    4 / (1 - ratio) ulps. Over K = 2 budget + 10 terms, S_3 = sum s_k is then
-    off by under 4 K / (1 - ratio) ulps and S_2 = sum k s_k by under
-    4 K^2 / (1 - ratio), so c1 S_2 - c2 S_3, truncated once more, is off by
-    about 4 K (|c1| K + |c2| + 1) / (1 - ratio) ulps at most.
-    """
-    k = 2 * int(budget) + 10
-    bound = 4 * k * (abs(c1) * k + abs(c2) + 1) / (1 - ratio)
-    return int(bound).bit_length()
 
 
 def _sum_linear_series(c1, c2, m, family: SeriesFamily, ctx: PrecisionContext,
                        counter: list = None):
     """sum_{k>=1} (c1*k - c2) m^k / (k^3 denom(k)) = c1 S_2 - c2 S_3 for
-    mpf/mpc coefficients, where S_j = sum_k m^k / (k^j denom(k)).
+    mpf/mpc coefficients, where S_j = sum_k m^k / (k^j denom(k)), over a term
+    count K fixed before the loop.
 
     The loop carries only u_k = m^k / denom(k), by the family's small-integer
     ratio k^3 / den_k: s_k = u_{k-1} m / den_k is term k without its
-    coefficient, and u_k = k^3 s_k. It adds s_k to S_3 and k s_k to S_2, and
-    applies c1 and c2 once at the end. All of it runs on exact Gaussian pairs
-    of Python ints scaled by 2^P, P the bits of the working dps plus
-    _LOOP_GUARD digits plus _fixed_guard_bits; a real m keeps every imaginary
-    part at 0. The loop stops after the first term k > 4 whose truncated
-    (c1 k - c2) s_k is below the tail threshold; that product is formed only
-    when the bit lengths of c1 k - c2 and s_k do not already put it clearly
-    above. Real c1, c2 and m give an mpf, anything else an mpc. If
-    ``counter`` is given, the number of summed terms is appended to it.
+    coefficient, and u_k = k^3 s_k. It adds s_k to S_3 and k s_k to S_2 and
+    applies c1 and c2 once at the end, all on exact Gaussian pairs of Python
+    ints scaled by 2^P; a real m keeps every imaginary part at 0.
+
+    Tail: |s_{k+1} / s_k| = |m| k^3 / den_{k+1} < r = |m| / scale, as
+    (2k+1)(ak+a-1)(ak+1) > 2 a^2 k^3, so |s_k| <= |s_1| r^(k-1) with
+    |s_1| = |m| / den_1, and the terms after K sum to at most
+    |s_1| r^K (|c1| (K+1) / (1-r)^2 + |c2| / (1-r)). K is the least count
+    that puts this at or below ctx.eps, by fixed-point steps on its logarithm
+    in floats, plus one term for their rounding; K = 1 when the bound is 0.
+
+    Rounding: each step truncates s_k by under 2 ulps, and the error already
+    in s_k is carried on times less than r, so it stays below 4 / (1-r) ulps.
+    S_3 is then off by under 4 K / (1-r) ulps and S_2 by under 4 K^2 / (1-r),
+    so c1 S_2 - c2 S_3, truncated once more, by under
+    4 K (|c1| K + |c2| + 1) / (1-r) ulps. P is the bits of the working dps
+    plus _LOOP_GUARD digits plus the bits of that count.
+
+    Real c1, c2 and m give an mpf, anything else an mpc. If ``counter`` is
+    given, K is appended to it. DomainError if the series diverges or K
+    exceeds ``ctx.max_terms``.
     """
     with ctx.working():
-        ratio = abs(m) / family.scale
-        if ratio >= 1 - mpf(10) ** (-GUARD_DIGITS):
-            raise DomainError(f"series diverges: |m|/{family.scale} = {float(ratio)}")
-        budget = ctx.dps * mpmath.ln10 / -mpmath.log(ratio)
-        if budget > ctx.max_terms:
-            raise DomainError(f"series needs about {int(budget)} terms at {ctx.dps} "
-                              f"digits, more than max_terms = {ctx.max_terms}")
-        # Coefficient growth is linear, denominator decay geometric, so the
-        # tail after a term is below |term| ratio / (1 - ratio). With m = 0
-        # every term after the first is exactly 0, below any threshold.
-        threshold = ctx.eps * (1 - ratio) / ratio if ratio else mpf(1)
-        prec = (libmp.dps_to_prec(ctx.dps + _LOOP_GUARD)
-                + _fixed_guard_bits(c1, c2, ratio, budget))
+        r = abs(m) / family.scale
+        if r >= 1 - mpf(10) ** (-GUARD_DIGITS):
+            raise DomainError(f"series diverges: |m|/{family.scale} = {float(r)}")
+        gap = 1 - r
+    with mpmath.workprec(53):
+        lin, const = abs(c1) / gap**2, abs(c2) / gap
+        big = max(lin, const)
+        K = 1
+        if r and big:
+            # K >= (log(|s_1| (lin (K+1) + const)) - log eps) / -log r, with
+            # |s_1| = r scale / den_1. The right side grows with K, so the
+            # steps rise to its least fixed point and stop there.
+            rate = float(-mpmath.log(r))
+            top = (float(mpmath.log(big * family.scale / family.ratio(1)[1]))
+                   + ctx.dps * math.log(10) - rate)
+            w1, w0 = float(lin / big), float(const / big)
+            last = 0
+            while K != last:
+                step = (top + math.log(w1 * (K + 1) + w0)) / rate
+                last, K = K, max(K, math.ceil(step))
+            K += 1
+        if K > ctx.max_terms:
+            raise DomainError(f"series needs {K} terms at {ctx.dps} digits, "
+                              f"more than max_terms = {ctx.max_terms}")
+        guard = int(4 * K * (abs(c1) * K + abs(c2) + 1) / gap).bit_length()
+    prec = libmp.dps_to_prec(ctx.dps + _LOOP_GUARD) + guard
     (c1r, c1i), (c2r, c2i), (mr, mi) = (to_fixed(v, prec) for v in (c1, c2, m))
-    thr = to_fixed(threshold, prec)[0]
-    thr2 = thr * thr
-    # |lin s| >= |Re lin| |Re s| and |Im lin| |Im s|. Once the bit lengths
-    # of either pair add up to ``clear``, the term is at least
-    # 2^(clear - 2 - P) >= 2 thr + 2 before its truncation, so it cannot
-    # pass the stop test.
-    clear = prec + thr.bit_length() + 3
     c, a = family.c, family.a
     ur, ui = 1 << prec, 0
-    lr, li = -c2r, -c2i
     s2r = s2i = s3r = s3i = 0
-    for k in range(1, ctx.max_terms + 1):
+    for k in range(1, K + 1):
         ak = a * k
         den = c * (2 * k - 1) * (ak - 1) * (ak - a + 1)
         sr = ((ur * mr - ui * mi) >> prec) // den
@@ -162,20 +165,10 @@ def _sum_linear_series(c1, c2, m, family: SeriesFamily, ctx: PrecisionContext,
         s3i += si
         s2r += k * sr
         s2i += k * si
-        lr += c1r
-        li += c1i
-        if (k > 4 and lr.bit_length() + sr.bit_length() < clear
-                and li.bit_length() + si.bit_length() < clear):
-            tr = (lr * sr - li * si) >> prec
-            ti = (lr * si + li * sr) >> prec
-            if abs(tr) < thr and abs(ti) < thr and tr * tr + ti * ti < thr2:
-                break
         cube = k * k * k
         ur, ui = sr * cube, si * cube
-    else:
-        raise RuntimeError("series truncation exceeded max_terms")
     if counter is not None:
-        counter.append(k)
+        counter.append(K)
     total_r = (c1r * s2r - c1i * s2i - c2r * s3r + c2i * s3i) >> prec
     total_i = (c1r * s2i + c1i * s2r - c2r * s3i - c2i * s3r) >> prec
     with ctx.working():

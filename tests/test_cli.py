@@ -154,6 +154,15 @@ class TestVerifyCommand:
         assert code == EXIT_OK
         assert out1 == out2
 
+    def test_unwritable_cache_is_an_io_error(self, capsys, tmp_path):
+        # A cache in a missing directory fails on the first write: exit 3,
+        # not the verification-failed code with a traceback.
+        cache = tmp_path / "missing" / "cache.json"
+        code, out, err = run(capsys, "verify", "--id", "zeilberger",
+                             "--digits", "20", "--cache", str(cache))
+        assert code == EXIT_CORPUS
+        assert "cache error" in err and out == ""
+
 
 class TestValueCommands:
     def test_lvalue_catalan(self, capsys):

@@ -158,6 +158,17 @@ class TestOracleFloatRange:
         with pytest.raises(DomainError):
             oracle(z, ctx30)
 
+    # Both oracles share the radius check: radius 0 divided by zero in the
+    # tail, and a negative radius summed nothing but reported a tail.
+    @pytest.mark.parametrize("radius", [0, -5, 9])
+    @pytest.mark.parametrize("oracle", [
+        lambda z, ctx, radius: epstein_gamma0(z, 2, ctx, radius),
+        lambda z, ctx, radius: epstein_sl2_bruteforce(z, radius, ctx),
+    ], ids=["gamma0", "sl2"])
+    def test_radius_below_ten_rejected(self, oracle, radius, ctx30):
+        with pytest.raises(DomainError, match="radius"):
+            oracle(mpc(0, 1), ctx30, radius)
+
     def test_smallest_eigenvalue_without_cancellation(self):
         # On the imaginary axis the form |2 c z + d|^2 is 4 y^2 c^2 + d^2,
         # so lam = 4 y^2; (tr - sqrt(tr^2 - 4 det)) / 2 gave 3.5 times that.

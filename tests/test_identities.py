@@ -252,9 +252,9 @@ class TestVerification:
         assert r40.abs_residual < max(r30.abs_residual * mpf(10) ** -8, floor)
 
     def test_single_series_terms_used_at_40_digits(self, corpus, ctx40):
-        # Carrying only m^k / denom(k) keeps the stop rule, term for term.
-        expected = {"zeilberger": 31, "grnew": 412, "grold": 16,
-                    "b6": 2518, "c3": 1761}
+        # The a-priori count K of each record's one loop.
+        expected = {"zeilberger": 33, "grnew": 448, "grold": 18,
+                    "b6": 2790, "c3": 1940}
         got = {rid: verify_identity(rid, ctx40, corpus).terms_used
                for rid in expected}
         assert got == expected

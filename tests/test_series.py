@@ -1,6 +1,7 @@
 """Central-binomial series evaluation and the series constants at CM points."""
 
 import math
+import re
 from fractions import Fraction
 
 import mpmath
@@ -180,7 +181,7 @@ class TestEvaluateUpdown:
             evaluate_updown(s, ctx30)
 
     def test_term_budget_over_max_terms_rejected(self):
-        # |m|/64 = 0.9375 needs about 1600 terms at 45 digits.
+        # |m|/64 = 0.9375 needs 1841 terms at 45 digits.
         ctx = PrecisionContext(digits=30, max_terms=1000)
         s = UpsideDownSeries(SeriesFamily.CENTRAL3, QuadraticNumber(1),
                              QuadraticNumber(0), QuadraticNumber(60))
@@ -193,6 +194,97 @@ class TestEvaluateUpdown:
         counter = []
         evaluate_updown(s, ctx30, counter)
         assert len(counter) == 1 and counter[0] > 4
+
+
+class TestTermCount:
+    @staticmethod
+    def _corpus_loops(corpus, ctx, monkeypatch):
+        """{(c1, c2, m, family): (K, value)} over the loops of every corpus
+        left-hand side."""
+        loops = {}
+        original = series._sum_linear_series
+
+        def recording(c1, c2, m, family, ctx, counter=None):
+            count = []
+            value = original(c1, c2, m, family, ctx, count)
+            loops[(c1, c2, m, family)] = (count[0], value)
+            if counter is not None:
+                counter.append(count[0])
+            return value
+
+        monkeypatch.setattr(series, "_sum_linear_series", recording)
+        for record in corpus.identities:
+            series.evaluate_series_sum(((t.weight, t.series) for t in record.lhs), ctx)
+        return loops
+
+    @pytest.mark.parametrize("digits", [40, 300])
+    def test_corpus_tails_below_eps(self, corpus, digits, monkeypatch):
+        # Each loop's value at K is within ctx.eps of the same series summed
+        # to 2K terms at 20 more digits by an mpf recurrence.
+        ctx = PrecisionContext(digits=digits)
+        loops = self._corpus_loops(corpus, ctx, monkeypatch)
+        assert len(loops) >= 20
+        for (c1, c2, m, family), (count, value) in loops.items():
+            with mpmath.workdps(ctx.dps + 20):
+                u, ref = mpf(1), mpf(0)
+                for k in range(1, 2 * count + 1):
+                    cube, den = family.ratio(k)
+                    u = u * m * cube / den
+                    ref += (c1 * k - c2) * u / cube
+                assert abs(value - ref) <= ctx.eps, (family, m, count)
+
+    @pytest.mark.parametrize("digits, r", [
+        (10, "1e-30"), (10, "3e-4"), (10, "0.5"), (10, "0.99"),
+        (300, "1e-30"), (300, "3e-4"), (300, "0.5")])
+    @pytest.mark.parametrize("c1, c2", [(3.5, -2), (0, 1), (4.7e10, 1e3)])
+    def test_count_is_least_within_two(self, digits, r, c1, c2):
+        # K meets the tail bound |s_1| r^K (|c1| (K+1)/(1-r)^2 + |c2|/(1-r))
+        # <= eps, and K - 2 does not unless K sits at its floor 1 + 1: the
+        # steps converge, for tiny r and for r close to 1 alike.
+        ctx = PrecisionContext(digits=digits)
+        family = SeriesFamily.C2X4K
+        counter = []
+        with ctx.working():
+            m = mpf(r) * family.scale
+            series._sum_linear_series(mpf(c1), mpf(c2), m, family, ctx, counter)
+        count, = counter
+        with mpmath.workdps(ctx.dps + 20):
+            ratio = m / family.scale
+            head = m / family.ratio(1)[1]
+
+            def bound(k):
+                return head * ratio**k * (abs(c1) * (k + 1) / (1 - ratio) ** 2
+                                          + abs(c2) / (1 - ratio))
+
+            assert bound(count) <= ctx.eps
+            assert count <= 2 or bound(count - 2) > ctx.eps
+
+    @pytest.mark.parametrize("gap", ["1e-5", "1e-9"])
+    def test_count_converges_near_one(self, gap):
+        # Millions of terms: the count is read from the max_terms error, so
+        # no loop runs. Fixed-point steps from K = 1 converge slowly here.
+        ctx = PrecisionContext(digits=10, max_terms=1000)
+        family = SeriesFamily.CENTRAL3
+        with ctx.working():
+            ratio = 1 - mpf(gap)
+            with pytest.raises(DomainError, match="max_terms") as err:
+                series._sum_linear_series(mpf(1), mpf(1), ratio * family.scale,
+                                          family, ctx)
+        count = int(re.search(r"needs (\d+) terms", str(err.value)).group(1))
+        with mpmath.workdps(ctx.dps + 20):
+            head = ratio * family.scale / family.ratio(1)[1]
+
+            def bound(k):
+                return head * ratio**k * ((k + 1) / (1 - ratio) ** 2 + 1 / (1 - ratio))
+
+            assert bound(count) <= ctx.eps < bound(count - 2)
+
+    def test_zero_m_sums_one_term(self, ctx30):
+        counter = []
+        with ctx30.working():
+            value = series._sum_linear_series(mpf(3), mpf(2), mpf(0),
+                                              SeriesFamily.C2X3K, ctx30, counter)
+        assert value == 0 and counter == [1]
 
 
 class TestFibLucasSeries:
@@ -260,13 +352,11 @@ class TestFibLucasSeries:
             counter = []
             got = evaluate_fib_series(s, ctx, counter)
             assert abs(got - direct) < 10 * ctx.tol
-        # The count covers both halves, and the phi^8 loop alone stops
-        # before the direct loop does.
+        # The count covers both halves.
         halves = []
         for c1, c2, m in _fib_halves(s):
             evaluate_updown(UpsideDownSeries(SeriesFamily.CENTRAL3, c1, c2, m), ctx, halves)
         assert counter == [sum(halves)]
-        assert 0 < halves[0] < k
 
 
 class TestSeriesConstants:
