@@ -3,7 +3,8 @@ reconstruction of the three CM-point tables.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 corpus or
 I/O error. Decimal output carries exactly ``digits`` significant figures,
-rounded half-even, so repeated runs are byte-identical.
+rounded half-even, so repeated runs are byte-identical; ``epstein --gamma0``
+prints fewer when its lattice tail bound certifies fewer.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import decimal
 import glob
 import json
+import math
 import os
 import sys
 
@@ -137,13 +139,18 @@ def cmd_lvalue(args) -> int:
 def cmd_epstein(args) -> int:
     ctx = _context(args)
     z = CMPoint.from_string(args.z)
-    if args.gamma0:
-        value = epstein_gamma0(z.to_point(ctx), args.gamma0, ctx).value
-        label = f"E_gamma0({args.gamma0})({args.z}, 2)"
-    else:
-        value = epstein_sl2(z.to_point(ctx), ctx)
-        label = f"E({args.z}, 2)"
-    _print_value(label, value, args)
+    if not args.gamma0:
+        _print_value(f"E({args.z}, 2)", epstein_sl2(z.to_point(ctx), ctx), args)
+        return EXIT_OK
+    value, tail = epstein_gamma0(z.to_point(ctx), args.gamma0, ctx)
+    label = f"E_gamma0({args.gamma0})({args.z}, 2)"
+    # The float lattice sum is good to its tail bound: print only the
+    # significant digits that bound certifies.
+    digits = min(args.digits, math.floor(math.log10(float(abs(value) / tail))))
+    if digits < 1:
+        raise DomainError(f"{label}: tail bound {mpmath.nstr(tail, 3)} "
+                          "leaves no certified digit")
+    _print_value(label, value, args, digits, tail)
     return EXIT_OK
 
 
@@ -169,13 +176,18 @@ def cmd_constants(args) -> int:
     return EXIT_OK
 
 
-def _print_value(label, value, args) -> None:
-    text = format_ap(value, args.digits)
+def _print_value(label, value, args, digits=None, tail=None) -> None:
+    """One value at ``digits`` significant figures (default --digits), with
+    the tail bound of a truncated sum if one is given."""
+    digits = digits or args.digits
+    out = {"label": label, "digits": digits, "value": format_ap(value, digits)}
+    if tail is not None:
+        out["tail"] = mpmath.nstr(tail, 3)
     if args.json:
-        print(json.dumps({"label": label, "digits": args.digits, "value": text},
-                         indent=2))
+        print(json.dumps(out, indent=2))
     else:
-        print(f"{label} = {text}")
+        note = f" (tail bound {out['tail']})" if tail is not None else ""
+        print(f"{label} = {out['value']}{note}")
 
 
 def cmd_tables(args) -> int:
@@ -204,13 +216,12 @@ def cmd_tables(args) -> int:
 # -- argument parsing ------------------------------------------------------
 
 def _default_digits() -> int:
-    raw = os.environ.get(ENV_DIGITS)
-    if raw is not None:
-        try:
-            return max(10, int(raw))
-        except ValueError:
-            pass
-    return 40
+    """$UPDOWNLAB_DIGITS, or 40 when it is unset; main applies the floor of 10."""
+    raw = os.environ.get(ENV_DIGITS, "40")
+    try:
+        return int(raw)
+    except ValueError:
+        raise DomainError(f"{ENV_DIGITS} must be an integer, got {raw!r}") from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -226,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--digits", type=int, default=_default_digits(),
+        p.add_argument("--digits", type=int, default=None,
                        help="significant digits (default 40, or $%s)" % ENV_DIGITS)
         p.add_argument("--json", action="store_true", help="JSON output")
 
@@ -252,7 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z", required=True, help="CM point, e.g. \"i\" or "
                    "\"1/2+1/7*sqrt(7)*i\"")
     p.add_argument("--gamma0", type=int, choices=(2, 3, 4), default=None,
-                   help="level-N coset sum instead of the full sum")
+                   help="level-N coset sum instead of the full sum, as a "
+                        "float lattice sum printed to the digits its tail "
+                        "bound certifies")
     p.set_defaults(func=cmd_epstein)
 
     p = sub.add_parser("alpha", help="modular invariant alpha_N(z)")
@@ -281,10 +294,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    if getattr(args, "digits", 40) < 10:
-        print("digits must be >= 10", file=sys.stderr)
-        return EXIT_USAGE
     try:
+        # The environment is read only when --digits is not given.
+        if args.digits is None:
+            args.digits = _default_digits()
+        if args.digits < 10:
+            raise DomainError(f"digits must be >= 10, got {args.digits}")
         return args.func(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)

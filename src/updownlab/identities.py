@@ -99,6 +99,8 @@ class KroneckerInstance:
             raise CorpusError(f"instance {self.id!r}: signs must be +-1")
         if self.kind not in ("KRONECKER", "DIRICHLET"):
             raise CorpusError(f"instance {self.id!r}: unknown kind {self.kind!r}")
+        if not self.points:
+            raise CorpusError(f"instance {self.id!r}: no points")
 
 
 @dataclass(frozen=True)
@@ -496,8 +498,6 @@ def verify_kronecker(instance: Union[str, KroneckerInstance],
         else:
             rhs = -twist * d1 * d2 * constant_value("ZETA2", ctx, cache) \
                 * constant_value(f"L({d1 * d2})", ctx, cache) / four_zeta4
-        if not instance.points:
-            rhs = mpf(0)
     return _report(instance.id, ctx, lhs, rhs, len(instance.points), t0)
 
 

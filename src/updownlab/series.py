@@ -17,8 +17,8 @@ import mpmath
 from mpmath import libmp, mp, mpc, mpf
 
 from .numerics import (
-    GUARD_DIGITS,
     DomainError,
+    MixedRadicandError,
     PrecisionContext,
     QuadraticNumber,
     embed_quadratic,
@@ -122,26 +122,31 @@ def _sum_linear_series(c1, c2, m, family: SeriesFamily, ctx: PrecisionContext,
     plus _LOOP_GUARD digits plus the bits of that count.
 
     Real c1, c2 and m give an mpf, anything else an mpc. If ``counter`` is
-    given, K is appended to it. DomainError if the series diverges or K
-    exceeds ``ctx.max_terms``.
+    given, K is appended to it. DomainError if the series diverges, if the
+    plan leaves the float range, or if K exceeds ``ctx.max_terms``.
     """
     with ctx.working():
         r = abs(m) / family.scale
-        if r >= 1 - mpf(10) ** (-GUARD_DIGITS):
+        if r >= 1:
             raise DomainError(f"series diverges: |m|/{family.scale} = {float(r)}")
-        gap = 1 - r
-    with mpmath.workprec(53):
-        lin, const = abs(c1) / gap**2, abs(c2) / gap
-        big = max(lin, const)
+        exact = (r, 1 - r, abs(c1), abs(c2))
+        r, gap, a1, a2 = plan = [float(v) for v in exact]
+        underflow = any(v and not f for f, v in zip(plan, exact))
+        base = libmp.dps_to_prec(ctx.dps + _LOOP_GUARD)
+    lin, const = a1 / gap / gap, a2 / gap
+    big = max(lin, const)
+    try:
+        if underflow or math.isinf(big):
+            raise OverflowError
         K = 1
         if r and big:
             # K >= (log(|s_1| (lin (K+1) + const)) - log eps) / -log r, with
             # |s_1| = r scale / den_1. The right side grows with K, so the
             # steps rise to its least fixed point and stop there.
-            rate = float(-mpmath.log(r))
-            top = (float(mpmath.log(big * family.scale / family.ratio(1)[1]))
+            rate = -math.log(r) if r < 0.5 else -math.log1p(-gap)
+            top = (math.log(big) + math.log(family.scale / family.ratio(1)[1])
                    + ctx.dps * math.log(10) - rate)
-            w1, w0 = float(lin / big), float(const / big)
+            w1, w0 = lin / big, const / big
             last = 0
             while K != last:
                 step = (top + math.log(w1 * (K + 1) + w0)) / rate
@@ -150,8 +155,10 @@ def _sum_linear_series(c1, c2, m, family: SeriesFamily, ctx: PrecisionContext,
         if K > ctx.max_terms:
             raise DomainError(f"series needs {K} terms at {ctx.dps} digits, "
                               f"more than max_terms = {ctx.max_terms}")
-        guard = int(4 * K * (abs(c1) * K + abs(c2) + 1) / gap).bit_length()
-    prec = libmp.dps_to_prec(ctx.dps + _LOOP_GUARD) + guard
+        prec = base + int(4 * K * (a1 * K + a2 + 1) / gap).bit_length()
+    except OverflowError:
+        raise DomainError(f"series plan leaves the float range: "
+                          f"r, 1 - r, |c1|, |c2| = {plan}") from None
     (c1r, c1i), (c2r, c2i), (mr, mi) = (to_fixed(v, prec) for v in (c1, c2, m))
     c, a = family.c, family.a
     ur, ui = 1 << prec, 0
@@ -205,45 +212,45 @@ def evaluate_series_sum(terms, ctx: PrecisionContext, counter: list = None) -> m
 
     An UpsideDownSeries is one part c1 S_2(m) - c2 S_3(m) on its family's
     base sums; a FibLucasSeries is two CENTRAL3 parts, its phi^8 and psi^8
-    halves. The weighted (c1, c2) of all parts that share a family and an
-    exact m are
-    summed in mpf on ctx.bumped(_LOOP_GUARD), and each such group runs one
-    loop; a group whose c1 and c2 are both 0 runs none. If ``counter`` is
-    given, the terms summed over all loops are appended as one number.
+    halves. The weighted (c1, c2) of the parts that share a family and an
+    exact m are summed exactly, in one quadratic field (DomainError if none
+    holds them), and each group with c1 or c2 not 0 runs one loop on c1, c2
+    and m embedded once on ctx.bumped(_LOOP_GUARD). If ``counter`` is given,
+    the terms summed over all loops are appended as one number.
     """
+    groups = {}
+    for weight, s in terms:
+        if isinstance(s, UpsideDownSeries):
+            family, parts = s.family, ((s.a, s.b, s.m),)
+        else:
+            family, parts = SeriesFamily.CENTRAL3, _fib_halves(s)
+        for a, b, m in parts:
+            c1, c2 = groups.get((family, m), (0, 0))
+            try:
+                groups[family, m] = (c1 + weight * a, c2 + weight * b)
+            except MixedRadicandError as exc:
+                raise DomainError(f"series terms with m = {m}: {exc}") from None
     # The coefficients and m carry the loop's guard digits too: the error of
     # m grows k-fold in term k.
     wide = ctx.bumped(_LOOP_GUARD)
-    groups = {}
-    with wide.working():
-        for weight, s in terms:
-            if isinstance(s, UpsideDownSeries):
-                parts = ((s.a, s.b, s.m),)
-                family = s.family
-            else:
-                parts = _fib_halves(s)
-                family = SeriesFamily.CENTRAL3
-            w = embed_quadratic(weight, wide)
-            for a, b, m in parts:
-                acc = groups.setdefault((family, m), [mpf(0), mpf(0)])
-                acc[0] += w * embed_quadratic(a, wide)
-                acc[1] += w * embed_quadratic(b, wide)
-        loops = [(c1, c2, embed_quadratic(m, wide), family)
-                 for (family, m), (c1, c2) in groups.items() if c1 or c2]
     tally = []
     with ctx.working():
         total = mpf(0)
-        for c1, c2, m, family in loops:
-            total += _sum_linear_series(c1, c2, m, family, ctx, tally).real
+        for (family, m), (c1, c2) in groups.items():
+            if c1 or c2:
+                c1, c2, m = (embed_quadratic(v, wide) for v in (c1, c2, m))
+                total += _sum_linear_series(c1, c2, m, family, ctx, tally).real
     if counter is not None:
         counter.append(sum(tally))
     return total
 
 
-def evaluate_updown(s: UpsideDownSeries, ctx: PrecisionContext,
-                    counter: list = None) -> mpf:
-    """Real value of an upside-down series with QuadraticNumber data."""
+def evaluate_updown(s, ctx: PrecisionContext, counter: list = None) -> mpf:
+    """Real value of one UpsideDownSeries or FibLucasSeries (both halves)."""
     return evaluate_series_sum(((QuadraticNumber(1), s),), ctx, counter)
+
+
+evaluate_fib_series = evaluate_updown
 
 
 def fibonacci_lucas(n: int) -> Tuple[int, int]:
@@ -264,14 +271,6 @@ def fibonacci_lucas(n: int) -> Tuple[int, int]:
 
     f, g = fib_pair(n)
     return f, 2 * g - f
-
-
-def evaluate_fib_series(s: FibLucasSeries, ctx: PrecisionContext,
-                        counter: list = None) -> mpf:
-    """Value of a Fibonacci/Lucas series: its phi^8 half (ratio 0.73) plus its
-    psi^8 half (ratio 3e-4), each a CENTRAL3 upside-down sum. The terms of
-    both loops are counted."""
-    return evaluate_series_sum(((QuadraticNumber(1), s),), ctx, counter)
 
 
 def series_constants_from_cm(z, N: int, ctx: PrecisionContext):

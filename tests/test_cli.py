@@ -7,7 +7,7 @@ import sys
 
 import mpmath
 import pytest
-from mpmath import mpf
+from mpmath import mpc, mpf
 
 import updownlab
 from updownlab import (
@@ -15,6 +15,7 @@ from updownlab import (
     PrecisionContext,
     alpha_n,
     cli,
+    epstein_gamma0,
     epstein_sl2,
     identities,
     load_corpus,
@@ -28,6 +29,7 @@ from updownlab.cli import (
     EXIT_VERIFY_FAILED,
     format_ap,
 )
+from updownlab.numerics import DomainError
 
 
 def run(capsys, *argv):
@@ -154,6 +156,30 @@ class TestVerifyCommand:
         assert code == EXIT_OK
         assert out1 == out2
 
+    def test_empty_instance_is_a_corpus_error(self, capsys, tmp_path):
+        path = tmp_path / "empty.json"
+        inst = {"id": "empty", "points": [], "signs": [], "d1": -4, "d2": 1}
+        path.write_text(json.dumps({"kronecker": [inst]}), encoding="utf-8")
+        code, out, err = run(capsys, "verify", "--all", "--corpus", str(path))
+        assert code == EXIT_CORPUS
+        assert "no points" in err and out == ""
+
+    def test_mixed_radicands_under_one_m(self, capsys, tmp_path):
+        # Two series on m = 1 with a in Q(sqrt2) and Q(sqrt3): no one field
+        # holds their sum, which is a usage error naming both radicands.
+        terms = [{"weight": {"a": [1, 1], "b": [0, 1], "D": 1},
+                  "kind": "updown", "family": "CENTRAL3",
+                  "a": {"a": [0, 1], "b": [1, 1], "D": d},
+                  "b": {"a": [0, 1], "b": [0, 1], "D": 1},
+                  "m": {"a": [1, 1], "b": [0, 1], "D": 1}} for d in (2, 3)]
+        rec = {"id": "mixed", "lhs": terms,
+               "rhs": [{"coeff": {"a": [1, 1], "b": [0, 1], "D": 1}, "tag": "PI2"}]}
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps({"identities": [rec]}), encoding="utf-8")
+        code, out, err = run(capsys, "verify", "--all", "--corpus", str(path))
+        assert code == EXIT_USAGE
+        assert "sqrt(2)" in err and "sqrt(3)" in err and out == ""
+
     def test_unwritable_cache_is_an_io_error(self, capsys, tmp_path):
         # A cache in a missing directory fails on the first write: exit 3,
         # not the verification-failed code with a traceback.
@@ -202,6 +228,26 @@ class TestValueCommands:
                            "--digits", "12")
         assert code == EXIT_OK
         assert "E_gamma0(2)" in out
+
+    def test_gamma0_prints_only_certified_digits(self, capsys):
+        # Radius 600 leaves a tail bound of 4.4e-5: four significant digits,
+        # which the sum at radius 2000 (tail 4e-6) must reproduce.
+        code, out, _ = run(capsys, "epstein", "--z", "2*i", "--gamma0", "2",
+                           "--digits", "40", "--json")
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert payload["digits"] == 4 and payload["value"] == "4.058"
+        assert mpf(payload["tail"]) == pytest.approx(4.44e-5, rel=1e-2)
+        ctx = PrecisionContext(digits=20)
+        far = epstein_gamma0(mpc(0, 2), 2, ctx, radius=2000)
+        assert abs(mpf(payload["value"]) - far.value) <= mpf("0.5e-3") + far.tail
+        code, out, _ = run(capsys, "epstein", "--z", "2*i", "--gamma0", "2")
+        assert out == "E_gamma0(2)(2*i, 2) = 4.058 (tail bound 4.44e-5)\n"
+
+    def test_gamma0_without_certified_digit(self, capsys):
+        code, out, err = run(capsys, "epstein", "--z", "1/100*i", "--gamma0", "2")
+        assert code == EXIT_USAGE
+        assert "no certified digit" in err and out == ""
 
     def test_alpha(self, capsys):
         code, out, _ = run(capsys, "alpha", "--z", "i", "--N", "2",
@@ -335,9 +381,26 @@ class TestArgumentHandling:
         monkeypatch.setenv(cli.ENV_DIGITS, "33")
         assert cli._default_digits() == 33
         monkeypatch.setenv(cli.ENV_DIGITS, "junk")
-        assert cli._default_digits() == 40
+        with pytest.raises(DomainError, match=cli.ENV_DIGITS):
+            cli._default_digits()
         monkeypatch.delenv(cli.ENV_DIGITS)
         assert cli._default_digits() == 40
+
+    @pytest.mark.parametrize("raw", ["5", "junk", ""])
+    def test_env_digits_invalid_exits_two(self, capsys, monkeypatch, raw):
+        # An unusable value is an error, as --digits 5 is, not a silent 10 or 40.
+        monkeypatch.setenv(cli.ENV_DIGITS, raw)
+        code, out, err = run(capsys, "lvalue", "--d", "-4")
+        assert code == EXIT_USAGE
+        assert err.startswith("error: ") and out == ""
+
+    def test_env_digits_used_and_overridden(self, capsys, monkeypatch):
+        monkeypatch.setenv(cli.ENV_DIGITS, "15")
+        code, out, _ = run(capsys, "lvalue", "--d", "-4")
+        assert code == EXIT_OK and out == "L_-4(2) = 0.915965594177219\n"
+        monkeypatch.setenv(cli.ENV_DIGITS, "junk")
+        code, out, _ = run(capsys, "lvalue", "--d", "-4", "--digits", "12")
+        assert code == EXIT_OK and out == "L_-4(2) = 0.915965594177\n"
 
 
 def test_import_loads_no_numpy():

@@ -150,6 +150,15 @@ class TestCorpusValidation:
             KroneckerInstance("x", (), (), Fraction(1),
                               Discriminant(-4), Discriminant(1), "OTHER")
 
+    def test_empty_points_rejected(self):
+        # An instance with no points would assert 0 = 0 and always pass.
+        with pytest.raises(CorpusError, match="no points"):
+            KroneckerInstance("empty", (), (), Fraction(1),
+                              Discriminant(-4), Discriminant(1), "KRONECKER")
+        inst = {"id": "empty", "points": [], "signs": [], "d1": -4, "d2": 1}
+        with pytest.raises(CorpusError, match="no points"):
+            corpus_from_json(json.dumps({"kronecker": [inst]}))
+
 
 class TestPointStrings:
     @pytest.mark.parametrize("text", [
@@ -338,10 +347,3 @@ class TestVerification:
         assert len(calls) == len(tags) == len(set(calls))
         assert sorted(reports, key=lambda r: r.id) == \
             sorted(separate, key=lambda r: r.id)
-
-    def test_vacuous_instance_passes(self, ctx30):
-        inst = KroneckerInstance("empty", (), (), Fraction(1),
-                                 Discriminant(-4), Discriminant(1),
-                                 "KRONECKER")
-        report = verify_kronecker(inst, ctx30)
-        assert report.passed and report.lhs_value == 0

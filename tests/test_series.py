@@ -287,6 +287,58 @@ class TestTermCount:
         assert value == 0 and counter == [1]
 
 
+class TestExactGrouping:
+    @pytest.mark.parametrize("record_id", ["flpm-plus", "flpm-minus"])
+    def test_cancelled_half_runs_no_loop(self, corpus, record_id, monkeypatch):
+        # The two Fibonacci/Lucas terms of each record cancel exactly in one
+        # half (psi^8 for flpm-plus, phi^8 for flpm-minus): one loop is left.
+        loops = []
+        original = series._sum_linear_series
+
+        def recording(c1, c2, m, family, ctx, counter=None):
+            loops.append(m)
+            return original(c1, c2, m, family, ctx, counter)
+
+        monkeypatch.setattr(series, "_sum_linear_series", recording)
+        record = corpus.identity(record_id)
+        series.evaluate_series_sum(((t.weight, t.series) for t in record.lhs),
+                                   PrecisionContext(digits=40))
+        assert len(loops) == 1
+
+    def test_mixed_radicands_under_one_m_rejected(self, ctx30):
+        m, zero = QuadraticNumber(1), QuadraticNumber(0)
+        terms = [(QuadraticNumber(1), UpsideDownSeries(
+            SeriesFamily.CENTRAL3, QuadraticNumber(0, 1, d), zero, m)) for d in (2, 3)]
+        with pytest.raises(DomainError, match=r"sqrt\(2\).*sqrt\(3\)"):
+            series.evaluate_series_sum(terms, ctx30)
+
+    def test_distinct_m_may_mix_radicands(self, ctx30):
+        # Only terms that share an m are summed exactly.
+        zero = QuadraticNumber(0)
+        terms = [(QuadraticNumber(1), UpsideDownSeries(
+            SeriesFamily.CENTRAL3, QuadraticNumber(0, 1, d), zero, QuadraticNumber(d)))
+            for d in (2, 3)]
+        got = series.evaluate_series_sum(terms, ctx30)
+        with ctx30.working():
+            expected = sum(evaluate_updown(s, ctx30) for _, s in terms)
+            assert abs(got - expected) < 10 * ctx30.tol
+
+    @pytest.mark.parametrize("c1, m", [("1e400", "1"), ("1e307", "1"), ("1", "1e-400")])
+    def test_magnitudes_beyond_floats_rejected(self, ctx30, c1, m):
+        # |c1| or r beyond the float range, or a guard-bit count that
+        # overflows, is an error, never a short term count.
+        with ctx30.working():
+            with pytest.raises(DomainError, match="float range"):
+                series._sum_linear_series(mpf(c1), mpf(0), mpf(m),
+                                          SeriesFamily.CENTRAL3, ctx30)
+
+    def test_huge_exact_coefficient_rejected(self, ctx30):
+        s = UpsideDownSeries(SeriesFamily.CENTRAL3, QuadraticNumber(10**400),
+                             QuadraticNumber(0), QuadraticNumber(1))
+        with pytest.raises(DomainError, match="float range"):
+            evaluate_updown(s, ctx30)
+
+
 class TestFibLucasSeries:
     def test_exact_binet_termwise(self):
         # F_{8k} and L_{8k} from fast doubling must match exact Binet values
