@@ -23,7 +23,7 @@ from mpmath import mpf
 from .numerics import DomainError, PrecisionContext
 from .lfunctions import dirichlet_l2
 from .epstein import epstein_gamma0, epstein_sl2
-from .modular import CMPoint, alpha_n
+from .modular import _LEVELS, CMPoint, alpha_n
 from .series import series_constants_from_cm
 from . import identities as ident
 from .identities import check_table, load_tables  # noqa: F401 (re-exported)
@@ -140,9 +140,9 @@ def cmd_epstein(args) -> int:
     ctx = _context(args)
     z = CMPoint.from_string(args.z)
     if not args.gamma0:
-        _print_value(f"E({args.z}, 2)", epstein_sl2(z.to_point(ctx), ctx), args)
+        _print_value(f"E({args.z}, 2)", epstein_sl2(z, ctx), args)
         return EXIT_OK
-    value, tail = epstein_gamma0(z.to_point(ctx), args.gamma0, ctx)
+    value, tail = epstein_gamma0(z, args.gamma0, ctx)
     label = f"E_gamma0({args.gamma0})({args.z}, 2)"
     # The float lattice sum is good to its tail bound: print only the
     # significant digits that bound certifies.
@@ -157,7 +157,7 @@ def cmd_epstein(args) -> int:
 def cmd_alpha(args) -> int:
     ctx = _context(args)
     z = CMPoint.from_string(args.z)
-    value = alpha_n(z.to_point(ctx), args.N, ctx)
+    value = alpha_n(z, args.N, ctx)
     _print_value(f"alpha_{args.N}({args.z})", value, args)
     return EXIT_OK
 
@@ -216,7 +216,8 @@ def cmd_tables(args) -> int:
 # -- argument parsing ------------------------------------------------------
 
 def _default_digits() -> int:
-    """$UPDOWNLAB_DIGITS, or 40 when it is unset; main applies the floor of 10."""
+    """$UPDOWNLAB_DIGITS, or 40 when it is unset; PrecisionContext applies
+    the floor of 10."""
     raw = os.environ.get(ENV_DIGITS, "40")
     try:
         return int(raw)
@@ -224,16 +225,12 @@ def _default_digits() -> int:
         raise DomainError(f"{ENV_DIGITS} must be an integer, got {raw!r}") from None
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-
-
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="updownlab",
-                     description="High-precision verification of fast "
-                                 "converging irrational series.")
+    # argparse prints the usage line and "updownlab <command>: error: ..."
+    # to stderr and exits 2, which is EXIT_USAGE.
+    parser = argparse.ArgumentParser(
+        prog="updownlab",
+        description="High-precision verification of fast converging irrational series.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
@@ -262,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--z", required=True, help="CM point, e.g. \"i\" or "
                    "\"1/2+1/7*sqrt(7)*i\"")
-    p.add_argument("--gamma0", type=int, choices=(2, 3, 4), default=None,
+    p.add_argument("--gamma0", type=int, choices=_LEVELS, default=None,
                    help="level-N coset sum instead of the full sum, as a "
                         "float lattice sum printed to the digits its tail "
                         "bound certifies")
@@ -271,13 +268,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("alpha", help="modular invariant alpha_N(z)")
     common(p)
     p.add_argument("--z", required=True)
-    p.add_argument("--N", type=int, choices=(2, 3, 4), required=True)
+    p.add_argument("--N", type=int, choices=_LEVELS, required=True)
     p.set_defaults(func=cmd_alpha)
 
     p = sub.add_parser("constants", help="series constants (c1, c2, m) at z")
     common(p)
     p.add_argument("--z", required=True)
-    p.add_argument("--N", type=int, choices=(2, 3, 4), required=True)
+    p.add_argument("--N", type=int, choices=_LEVELS, required=True)
     p.set_defaults(func=cmd_constants)
 
     p = sub.add_parser("tables", help="reconstruct one of the three tables")
@@ -298,8 +295,6 @@ def main(argv=None) -> int:
         # The environment is read only when --digits is not given.
         if args.digits is None:
             args.digits = _default_digits()
-        if args.digits < 10:
-            raise DomainError(f"digits must be >= 10, got {args.digits}")
         return args.func(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,7 +16,7 @@ import mpmath
 from mpmath import mp, mpf
 
 from .numerics import DomainError, PrecisionContext, zeta_int
-from .modular import _as_mpc, _qsum, _sigma3_table
+from .modular import _as_mpc, _check_level, _qsum, _sigma3_table
 
 
 class LatticeSum(NamedTuple):
@@ -50,7 +50,7 @@ def epstein_sl2(z, ctx: PrecisionContext) -> mpf:
 
     c = 1/(2 pi y), q = e^{2 pi i z}, on the shared q-series kernel.
     """
-    z = _as_mpc(z)
+    z = _as_mpc(z, ctx)
     with ctx.working():
         z = _reduce_sl2(z, ctx)
         y = z.imag
@@ -89,7 +89,7 @@ def epstein_sl2_bruteforce(z, radius: int, ctx: PrecisionContext) -> LatticeSum:
     """Full-lattice oracle: sum y^2/|m z + n|^4 over 0 < max(|m|,|n|) <= radius,
     divided by 2 zeta(4), in floats. Rings are summed in ascending order, each
     twice its half m = r, or n = r and |m| < r, as -(m, n) adds the same."""
-    z = _as_mpc(z)
+    z = _as_mpc(z, ctx)
     with ctx.working():
         x, y, lam = _float_point(z, 1, radius)
         total = 0.0
@@ -109,9 +109,8 @@ def epstein_sl2_bruteforce(z, radius: int, ctx: PrecisionContext) -> LatticeSum:
 def epstein_gamma0(z, N: int, ctx: PrecisionContext, radius: int = 600) -> LatticeSum:
     """Level-N coset sum: y^2 / |c z + d|^4 over coprime (c, d) with N | c,
     taken up to sign. Moderate precision only (used for lemma checks)."""
-    if N not in (2, 3, 4):
-        raise DomainError(f"level must be in {{2, 3, 4}}, got {N}")
-    z = _as_mpc(z)
+    _check_level(N)
+    z = _as_mpc(z, ctx)
     with ctx.working():
         x, y, lam = _float_point(z, N, radius)
         # The c = 0 cosets reduce to (0, 1) and contribute y^2, added below.

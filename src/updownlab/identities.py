@@ -46,18 +46,19 @@ class CorpusError(ValueError):
     """The corpus file violates the documented schema."""
 
 
-_L_TAG_RE = re.compile(r"^L\((-?\d+)\)$")
+_L_TAG_RE = re.compile(r"L\((-?\d+)\)")
 _SIMPLE_TAGS = ("PI2", "ZETA2", "ZETA3")
 
 
-def _check_tag(tag: str) -> str:
+def _check_tag(tag: str) -> Optional[Discriminant]:
+    """The discriminant of an L(d) tag, None for PI2, ZETA2 and ZETA3.
+    CorpusError for any other tag, DomainError for an invalid d."""
     if tag in _SIMPLE_TAGS:
-        return tag
-    m = _L_TAG_RE.match(tag)
+        return None
+    m = _L_TAG_RE.fullmatch(tag) if isinstance(tag, str) else None
     if not m:
         raise CorpusError(f"unknown constant tag {tag!r}")
-    Discriminant(int(m.group(1)))
-    return tag
+    return Discriminant(int(m.group(1)))
 
 
 @dataclass(frozen=True)
@@ -218,18 +219,12 @@ def _record_from_json(obj, index: int) -> IdentityRecord:
     )
     if not lhs:
         raise CorpusError(f"{where}: empty lhs")
-    rhs = []
-    for entry in obj.get("rhs", []):
-        coeff = _quad_from_json(entry.get("coeff"), where)
-        tag = entry.get("tag")
-        if not isinstance(tag, str):
-            raise CorpusError(f"{where}: missing rhs tag")
-        try:
-            _check_tag(tag)
-        except (CorpusError, DomainError) as exc:
-            raise CorpusError(f"{where}: {exc}") from None
-        rhs.append((coeff, tag))
-    return IdentityRecord(obj["id"], obj.get("source", ""), lhs, tuple(rhs))
+    rhs = tuple((_quad_from_json(e.get("coeff"), where), e.get("tag"))
+                for e in obj.get("rhs", []))
+    try:
+        return IdentityRecord(obj["id"], obj.get("source", ""), lhs, rhs)
+    except (CorpusError, DomainError) as exc:
+        raise CorpusError(f"{where}: {exc}") from None
 
 
 def _instance_from_json(obj, index: int) -> KroneckerInstance:
@@ -291,7 +286,7 @@ def serialize_corpus(corpus: Corpus) -> str:
         "kronecker": [
             {
                 "id": k.id,
-                "points": [_point_string(p) for p in k.points],
+                "points": [str(p) for p in k.points],
                 "signs": list(k.signs),
                 "twist": _frac_to_json(k.twist),
                 "d1": k.d1.d,
@@ -302,27 +297,6 @@ def serialize_corpus(corpus: Corpus) -> str:
         ],
     }
     return json.dumps(data, indent=2, sort_keys=False) + "\n"
-
-
-def _point_string(p: CMPoint) -> str:
-    """Render a CM point in the grammar accepted by CMPoint.from_string."""
-    x = Fraction(-p.B, 2 * p.A)
-    y_sq = Fraction(-p.disc, 4 * p.A * p.A)
-    # Split y_sq = r^2 * rad with rad squarefree-ish (largest square factor out).
-    num, den = y_sq.numerator, y_sq.denominator
-    rad = num * den
-    r = Fraction(1, den)
-    f = 2
-    while f * f <= rad:
-        while rad % (f * f) == 0:
-            rad //= f * f
-            r *= f
-        f += 1
-    if x == 0:
-        if rad == 1:
-            return f"{r}*i" if r != 1 else "i"
-        return f"{r}*sqrt({rad})*i"
-    return f"{x}+{r}*sqrt({rad})*i"
 
 
 def _read_data(path: Optional[str], packaged: str) -> str:
@@ -424,7 +398,7 @@ def constant_value(tag: str, ctx: PrecisionContext,
                    cache: Optional[ConstantsCache] = None) -> mpf:
     """Value of a RHS constant tag at the working precision, via the cache
     when possible. Every RHS constant of either record kind comes from here."""
-    _check_tag(tag)
+    d = _check_tag(tag)
     with ctx.working():
         if cache is not None:
             hit = cache.get(tag, ctx.dps)
@@ -437,7 +411,7 @@ def constant_value(tag: str, ctx: PrecisionContext,
         elif tag == "ZETA3":
             value = zeta_int(3, ctx)
         else:
-            value = dirichlet_l2(int(_L_TAG_RE.match(tag).group(1)), ctx)
+            value = dirichlet_l2(d, ctx)
         if cache is not None:
             cache.put(tag, ctx.dps, value)
         return value
@@ -488,16 +462,14 @@ def verify_kronecker(instance: Union[str, KroneckerInstance],
     with ctx.working():
         lhs = mpf(0)
         for point, sign in zip(instance.points, instance.signs):
-            lhs += sign * epstein_sl2(point.to_point(ctx), ctx)
+            lhs += sign * epstein_sl2(point, ctx)
         four_zeta4 = 4 * zeta_int(4, ctx)
         twist = mpf(instance.twist.numerator) / instance.twist.denominator
         d1, d2 = instance.d1.d, instance.d2.d
-        if instance.kind == "KRONECKER":
-            rhs = -twist * d1 * d2 * constant_value(f"L({d1})", ctx, cache) \
-                * constant_value(f"L({d2})", ctx, cache) / four_zeta4
-        else:
-            rhs = -twist * d1 * d2 * constant_value("ZETA2", ctx, cache) \
-                * constant_value(f"L({d1 * d2})", ctx, cache) / four_zeta4
+        first, second = ((f"L({d1})", f"L({d2})") if instance.kind == "KRONECKER"
+                         else ("ZETA2", f"L({d1 * d2})"))
+        rhs = -twist * d1 * d2 * constant_value(first, ctx, cache) \
+            * constant_value(second, ctx, cache) / four_zeta4
     return _report(instance.id, ctx, lhs, rhs, len(instance.points), t0)
 
 

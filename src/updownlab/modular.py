@@ -27,9 +27,15 @@ class PoleError(ArithmeticError):
     """Evaluation at a pole of the requested function."""
 
 
-def _as_mpc(z) -> mpc:
+def _check_level(N: int) -> None:
+    if N not in _LEVELS:
+        raise DomainError(f"level must be in {_LEVELS}, got {N}")
+
+
+def _as_mpc(z, ctx: PrecisionContext) -> mpc:
+    """z as a point of the upper half-plane; a CMPoint is embedded at ``ctx``."""
     if isinstance(z, CMPoint):
-        raise TypeError("embed the CMPoint with .to_point(ctx) first")
+        return z.to_point(ctx)
     if not isinstance(z, mpc):
         z = mpc(z)
     if not z.imag > 0:
@@ -39,10 +45,9 @@ def _as_mpc(z) -> mpc:
 
 # -- CM points -------------------------------------------------------------
 
-_RAT = r"(\d+(?:/\d+)?)"
-_CM_RE = re.compile(
-    rf"^\s*([+-]?)\s*{_RAT}\s*([+-])\s*{_RAT}\s*\*\s*sqrt\(\s*(\d+)\s*\)\s*\*\s*i\s*$"
-)
+_RAT = r"\d+(?:/\d*[1-9]\d*)?"  # no zero denominator
+_CM_RE = re.compile(rf"\s*(?:([+-]?)\s*({_RAT})\s*([+-])\s*)?(?:({_RAT})\s*\*\s*)?"
+                    rf"(?:sqrt\(\s*(\d+)\s*\)\s*\*\s*)?i\s*")
 
 
 @dataclass(frozen=True)
@@ -76,25 +81,17 @@ class CMPoint:
 
     @classmethod
     def from_string(cls, text: str) -> "CMPoint":
-        """Parse "SIGN? RAT (+|-) RAT*sqrt(INT)*i" (also bare "i", "RAT*i",
-        "RAT*sqrt(INT)*i")."""
-        s = text.strip()
-        m = _CM_RE.match(s)
-        if m:
-            sign, re_part, im_sign, im_part, rad = m.groups()
-            x = Fraction(re_part)
-            if sign == "-":
-                x = -x
-            r = Fraction(im_part)
-            if im_sign == "-":
-                raise DomainError(f"imaginary part must be positive in {text!r}")
-            return cls.from_rational(x, r * r * int(rad))
-        m = re.match(rf"^\s*(?:{_RAT}\s*\*\s*)?(?:sqrt\(\s*(\d+)\s*\)\s*\*\s*)?i\s*$", s)
-        if m:
-            r = Fraction(m.group(1)) if m.group(1) else Fraction(1)
-            rad = int(m.group(2)) if m.group(2) else 1
-            return cls.from_rational(Fraction(0), r * r * rad)
-        raise DomainError(f"cannot parse CM point {text!r}")
+        """Parse "[SIGN? RAT (+|-)] [RAT*] [sqrt(INT)*] i", RAT = INT or
+        INT/INT: "i", "3*i", "sqrt(2)*i", "1/2+i", "1/2+1/2*sqrt(7)*i"."""
+        m = _CM_RE.fullmatch(text)
+        if not m:
+            raise DomainError(f"cannot parse CM point {text!r}")
+        sign, re_part, im_sign, im_part, rad = m.groups()
+        if im_sign == "-":
+            raise DomainError(f"imaginary part must be positive in {text!r}")
+        x = Fraction(re_part or 0)
+        r = Fraction(im_part or 1)
+        return cls.from_rational(-x if sign == "-" else x, r * r * int(rad or 1))
 
     @property
     def disc(self) -> int:
@@ -106,6 +103,27 @@ class CMPoint:
                 mpf(-self.B) / (2 * self.A),
                 mpmath.sqrt(mpf(-self.disc)) / (2 * self.A),
             )
+
+    def __str__(self) -> str:
+        """The point in the grammar of ``from_string``, x + r*sqrt(rad)*i with
+        rad squarefree; x = 0 drops the real part, and so does rad = 1 the
+        ``sqrt(1)``, but only then."""
+        x = Fraction(-self.B, 2 * self.A)
+        y_sq = Fraction(-self.disc, 4 * self.A * self.A)
+        # y_sq = r^2 rad: take every square factor out of num * den.
+        num, den = y_sq.numerator, y_sq.denominator
+        rad = num * den
+        r = Fraction(1, den)
+        f = 2
+        while f * f <= rad:
+            while rad % (f * f) == 0:
+                rad //= f * f
+                r *= f
+            f += 1
+        if x == 0 and rad == 1:
+            return "i" if r == 1 else f"{r}*i"
+        im = f"{r}*sqrt({rad})*i"
+        return im if x == 0 else f"{x}+{im}"
 
 
 # -- the q-series kernel --------------------------------------------------
@@ -182,7 +200,7 @@ def _qsum(z: mpc, ctx: PrecisionContext, table, powers) -> tuple:
 def dedekind_eta(z, ctx: PrecisionContext) -> mpc:
     """eta(z) = e^{pi i z / 12} prod (1 - q^n), the product by Euler's
     pentagonal-number expansion on the q-series kernel."""
-    z = _as_mpc(z)
+    z = _as_mpc(z, ctx)
     with ctx.working():
         s, = _qsum(z, ctx, _pentagonal_table, (0,))
         return mpmath.exp(1j * mp.pi * z / 12) * (1 + s)
@@ -190,9 +208,8 @@ def dedekind_eta(z, ctx: PrecisionContext) -> mpc:
 
 def alpha_n(z, N: int, ctx: PrecisionContext) -> mpc:
     """Level-N modular invariant built from the eta quotient eta(z)/eta(Nz)."""
-    if N not in _LEVELS:
-        raise DomainError(f"level must be in {_LEVELS}, got {N}")
-    z = _as_mpc(z)
+    _check_level(N)
+    z = _as_mpc(z, ctx)
     with ctx.working():
         quotient = dedekind_eta(z, ctx) / dedekind_eta(N * z, ctx)
         exponent = 24 // (N - 1)
@@ -201,7 +218,7 @@ def alpha_n(z, N: int, ctx: PrecisionContext) -> mpc:
 
 def j_invariant(z, ctx: PrecisionContext) -> mpc:
     """Klein's j, normalized so j(i) = 1728, via alpha_4(z/2)."""
-    z = _as_mpc(z)
+    z = _as_mpc(z, ctx)
     with ctx.working():
         a = alpha_n(z / 2, 4, ctx)
         denom = a**2 * (1 - a) ** 2
@@ -212,7 +229,7 @@ def j_invariant(z, ctx: PrecisionContext) -> mpc:
 
 def eisenstein_e4(z, ctx: PrecisionContext) -> mpc:
     """E4(z) = 1 + 240 sum sigma_3(n) q^n."""
-    z = _as_mpc(z)
+    z = _as_mpc(z, ctx)
     with ctx.working():
         s0, = _qsum(z, ctx, _sigma3_table, (0,))
         return 1 + 240 * s0
@@ -225,7 +242,7 @@ def eichler_e4_tilde(z, ctx: PrecisionContext) -> mpc:
     int e^{2 pi i n w} (z-w)(zbar-w) dw = -i q^n [2y/(2 pi n)^2 + 2/(2 pi n)^3],
     so the whole integral is 240i sum sigma_3(n) q^n [y/(2 pi^2 n^2) + 1/(4 pi^3 n^3)].
     """
-    z = _as_mpc(z)
+    z = _as_mpc(z, ctx)
     with ctx.working():
         s2, s3 = _qsum(z, ctx, _sigma3_table, (2, 3))
         return 240j * (z.imag / (2 * mp.pi**2) * s2 + s3 / (4 * mp.pi**3))
@@ -234,7 +251,7 @@ def eichler_e4_tilde(z, ctx: PrecisionContext) -> mpc:
 def re_eichler_closed_form(z, ctx: PrecisionContext) -> mpf:
     """Closed form of Re of the Eichler integral when 2 Re z or 2 Re(1/z) is
     an integer (the second case from the reflection functional equation)."""
-    z = _as_mpc(z)
+    z = _as_mpc(z, ctx)
     with ctx.working():
         slack = mpf(10) ** (-(ctx.digits // 2))
         x, y = z.real, z.imag
@@ -253,7 +270,7 @@ def re_eichler_closed_form(z, ctx: PrecisionContext) -> mpf:
 def reflection_residual(z, ctx: PrecisionContext) -> mpf:
     """|LHS - RHS| of the reflection identity relating Re of the Eichler
     integral at z and at -1/z; small residuals certify the q-series path."""
-    z = _as_mpc(z)
+    z = _as_mpc(z, ctx)
     with ctx.working():
         x, y = z.real, z.imag
         r2 = x * x + y * y
@@ -386,9 +403,7 @@ def legendre_ramanujan_r(nu, xi, ctx: PrecisionContext) -> mpc:
 
 def satisfies_region(z, N: int, ctx: PrecisionContext) -> bool:
     """Admissibility constraints for the series lemma, with boundary slack."""
-    if N not in _LEVELS:
-        raise DomainError(f"level must be in {_LEVELS}, got {N}")
-    z = _as_mpc(z)
+    z = _as_mpc(z, ctx)
     return _in_region(z, N, alpha_n(z, N, ctx), ctx)
 
 

@@ -38,9 +38,9 @@ class PrecisionContext:
 
     def __post_init__(self) -> None:
         if self.digits < 10:
-            raise ValueError(f"digits must be >= 10, got {self.digits}")
+            raise DomainError(f"digits must be >= 10, got {self.digits}")
         if self.max_terms < 1000:
-            raise ValueError(f"max_terms must be >= 1000, got {self.max_terms}")
+            raise DomainError(f"max_terms must be >= 1000, got {self.max_terms}")
 
     @property
     def dps(self) -> int:

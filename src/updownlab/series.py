@@ -26,7 +26,6 @@ from .numerics import (
 )
 from .modular import (
     _ALPHA_SCALE,
-    CMPoint,
     _as_mpc,
     _in_region,
     _qsum,
@@ -282,9 +281,7 @@ def series_constants_from_cm(z, N: int, ctx: PrecisionContext):
 
         R_nu = (N-1)[1/(pi y) - (E2(z) + N E2(Nz))/6]/(N E2(Nz) - E2(z)) + (N+1)xi/6."""
     wide = ctx.bumped(_LOOP_GUARD)
-    if isinstance(z, CMPoint):
-        z = z.to_point(ctx)
-    z = _as_mpc(z)
+    z = _as_mpc(z, ctx)
     with wide.working():
         alpha = alpha_n(z, N, wide)
         prod = alpha * (1 - alpha)
@@ -299,7 +296,7 @@ def series_constants_from_cm(z, N: int, ctx: PrecisionContext):
 
 def sigma_gr(z, N: int, ctx: PrecisionContext):
     """Complex value of the weighted series at an admissible CM point."""
-    z = _as_mpc(z)
+    z = _as_mpc(z, ctx)
     c1, c2, m = series_constants_from_cm(z, N, ctx)
     # c1 = 2 xi = 2 (1 - 2 alpha) hands the region test its alpha_N(z).
     with ctx.bumped(_LOOP_GUARD).working():
@@ -313,7 +310,7 @@ def sigma_gr_im_rhs(z, N: int, ctx: PrecisionContext) -> mpf:
     """Closed form for Im of the weighted series: a cubic polynomial in the
     coordinates of z plus a weighted real part of the iterated integral of
     1 - E_4, with the convention sign(0) = 0 in the shifted abscissa."""
-    z = _as_mpc(z)
+    z = _as_mpc(z, ctx)
     if not satisfies_region(z, N, ctx):
         raise DomainError(f"point {z} outside the admissible region for N={N}")
     with ctx.working():

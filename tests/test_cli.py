@@ -377,6 +377,18 @@ class TestArgumentHandling:
         assert code == EXIT_USAGE
         assert "digits" in err
 
+    @pytest.mark.parametrize("argv, option", [
+        (["lvalue", "--d", "-4", "--digits", "abc"], "--digits"),
+        (["tables", "--table", "7"], "--table"),
+    ])
+    def test_parse_error_names_the_argument(self, capsys, argv, option):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE and out == ""
+        lines = err.splitlines()
+        assert lines[0].startswith(f"usage: updownlab {argv[0]} ")
+        assert lines[-1].startswith(f"updownlab {argv[0]}: error: ")
+        assert option in lines[-1]
+
     def test_env_default_digits(self, monkeypatch):
         monkeypatch.setenv(cli.ENV_DIGITS, "33")
         assert cli._default_digits() == 33

@@ -24,7 +24,6 @@ from updownlab import (
 from updownlab.identities import (
     KroneckerInstance,
     UpsideDownSeries,
-    _point_string,
     constant_value,
     corpus_from_json,
     load_tables,
@@ -167,12 +166,12 @@ class TestPointStrings:
     ])
     def test_round_trip(self, text):
         p = CMPoint.from_string(text)
-        assert CMPoint.from_string(_point_string(p)) == p
+        assert CMPoint.from_string(str(p)) == p
 
     def test_corpus_points_round_trip(self, corpus):
         for inst in corpus.kronecker:
             for p in inst.points:
-                assert CMPoint.from_string(_point_string(p)) == p
+                assert CMPoint.from_string(str(p)) == p
 
 
 class TestConstantsCache:
@@ -253,6 +252,22 @@ class TestVerification:
         report = verify_kronecker("e-i", ctx40, corpus)
         assert report.passed
         assert report.abs_residual < mpf(10) ** -35
+
+    def test_dirichlet_pair_with_d2_not_one(self, corpus, ctx40):
+        # No shipped DIRICHLET instance has d2 != 1. Its right-hand side is
+        # -twist d1 d2 zeta(2) L_{d1 d2}(2) / (4 zeta(4)) all the same.
+        base = next(k for k in corpus.kronecker if k.kind == "DIRICHLET")
+        inst = dataclasses.replace(base, id="dirichlet-12", twist=Fraction(3, 2),
+                                   d1=Discriminant(-3), d2=Discriminant(-4))
+        report = verify_kronecker(inst, ctx40)
+        with ctx40.working():
+            expected = (-mpf(3) / 2 * (-3) * (-4) * mpmath.zeta(2)
+                        * dirichlet_l2(12, ctx40) / (4 * mpmath.zeta(4)))
+            assert abs(report.rhs_value - expected) < 10 * ctx40.eps * abs(expected)
+        # The pair is symmetric in d1 and d2: the shipped identity with its
+        # discriminants swapped to d1 = 1 still passes.
+        swapped = dataclasses.replace(base, d1=Discriminant(1), d2=base.d1)
+        assert base.d2.d == 1 and verify_kronecker(swapped, ctx40).passed
 
     def test_residual_scales_with_precision(self, corpus):
         r30 = verify_identity("grnew", PrecisionContext(digits=30), corpus)

@@ -1,10 +1,14 @@
 """Modular q-series machinery and Legendre-type special functions."""
 
+import json
 import math
 from fractions import Fraction
+from importlib import resources
 
 import mpmath
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
 from updownlab import (
@@ -15,18 +19,31 @@ from updownlab import (
     dedekind_eta,
     eichler_e4_tilde,
     eisenstein_e4,
+    epstein_gamma0,
+    epstein_sl2,
     j_invariant,
     legendre_p,
     legendre_ramanujan_r,
     re_eichler_closed_form,
     reflection_residual,
     satisfies_region,
+    series_constants_from_cm,
 )
 from updownlab.identities import load_tables
 from updownlab.modular import _r_direct, legendre_p_dt, legendre_p_quadrature
 from updownlab.numerics import DomainError
 
 from conftest import random_points
+
+
+@st.composite
+def primitive_forms(draw):
+    """A primitive positive-definite form (A, B, C) as a CMPoint."""
+    a = draw(st.integers(1, 40))
+    b = draw(st.integers(-40, 40))
+    c = b * b // (4 * a) + draw(st.integers(1, 40))
+    assume(math.gcd(a, b, c) == 1)
+    return CMPoint(a, b, c)
 
 
 class TestCMPoint:
@@ -36,6 +53,38 @@ class TestCMPoint:
         assert CMPoint.from_string("sqrt(2)*i") == CMPoint(1, 0, 2)
         assert CMPoint.from_string("1/2+1/2*sqrt(7)*i") == CMPoint(1, -1, 2)
         assert CMPoint.from_string("-1/8+1/8*sqrt(15)*i") == CMPoint(4, 1, 1)
+
+    @pytest.mark.parametrize("text, point", [
+        ("1/2+i", CMPoint(4, -4, 5)),
+        ("1/2+3*i", CMPoint(4, -4, 37)),
+        ("-1/2+sqrt(3)*i", CMPoint(4, 4, 13)),
+    ])
+    def test_real_part_with_short_imaginary_part(self, text, point):
+        # A real part may precede any of the imaginary forms "i", "RAT*i"
+        # and "sqrt(INT)*i", not only "RAT*sqrt(INT)*i".
+        assert CMPoint.from_string(text) == point
+
+    @pytest.mark.parametrize("bad", ["1/0*i", "1/2+1/00*i", "-i", "1/2-i"])
+    def test_rejects_zero_denominator_and_sign(self, bad):
+        with pytest.raises(DomainError):
+            CMPoint.from_string(bad)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(primitive_forms())
+    def test_string_round_trip(self, p):
+        assert CMPoint.from_string(str(p)) == p
+
+    def test_shipped_points_print_as_stored(self):
+        # str() is the printer serialize_corpus uses: every point of
+        # corpus.json and tables.json parses back and prints as its text.
+        texts = [text for inst in json.loads(
+            resources.files("updownlab").joinpath("data/corpus.json")
+            .read_text("utf-8"))["kronecker"] for text in inst["points"]]
+        texts += [row["text"] for tab in load_tables() for row in tab["rows"]]
+        for text in texts:
+            p = CMPoint.from_string(text)
+            assert str(p) == text
+            assert CMPoint.from_string(str(p)) == p
 
     def test_disc(self):
         assert CMPoint.from_string("i").disc == -4
@@ -155,6 +204,31 @@ class TestFixedPointKernel:
                 expected = 240j * _mpf_qsum(
                     z, ctx, lambda n: y / (2 * mp.pi**2 * n**2) + 1 / (4 * mp.pi**3 * n**3))
                 assert abs(eichler_e4_tilde(z, ctx) - expected) < ctx.tol
+
+
+class TestPointEmbedding:
+    # Every point-taking function embeds a CMPoint at the caller's ctx, so
+    # it gives the very bits of the same call on p.to_point(ctx).
+    CTX = PrecisionContext(digits=60)
+
+    @pytest.mark.parametrize("fn", [
+        epstein_sl2,
+        lambda z, ctx: epstein_gamma0(z, 4, ctx, radius=30),
+        lambda z, ctx: alpha_n(z, 3, ctx),
+        eichler_e4_tilde,
+        lambda z, ctx: series_constants_from_cm(z, 4, ctx),
+    ], ids=["epstein_sl2", "epstein_gamma0", "alpha_n", "eichler_e4_tilde",
+            "series_constants_from_cm"])
+    @pytest.mark.parametrize("text", ["sqrt(232)*i", "1/2+1/2*sqrt(7)*i",
+                                      "-1/8+1/8*sqrt(15)*i"])
+    def test_cm_point_gives_the_bits_of_to_point(self, fn, text):
+        p = CMPoint.from_string(text)
+        bits = [
+            tuple(getattr(v, "_mpc_", None) or v._mpf_ for v in
+                  (out if isinstance(out, tuple) else (out,)))
+            for out in (fn(p, self.CTX), fn(p.to_point(self.CTX), self.CTX))
+        ]
+        assert bits[0] == bits[1]
 
 
 class TestQSeriesCutoff:
