@@ -32,9 +32,10 @@ def _reduce_sl2(z, ctx: PrecisionContext):
     raises Im z, so Im z ends at least sqrt(3)/2. |z| within 10^-digits of
     1 counts as on the circle, so rounding noise cannot bounce a boundary
     point between z and -1/z. The caller holds ``ctx.working()``."""
+    edge = 1 - ctx.tol
     for _ in range(ctx.max_terms):
         z -= mpmath.nint(z.real)
-        if abs(z) >= 1 - ctx.tol:
+        if abs(z) >= edge:
             return z
         z = -1 / z
     raise DomainError(f"no SL(2, Z) reduction of {z} within max_terms steps")

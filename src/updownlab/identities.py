@@ -314,9 +314,9 @@ def load_corpus(path: Optional[str] = None) -> Corpus:
 
 # -- table reconstruction --------------------------------------------------
 
-def load_tables(path: Optional[str] = None) -> list:
-    """Rows of the three CM-point tables, with exact expected cell values."""
-    data = json.loads(_read_data(path, "data/tables.json"))
+def load_tables() -> list:
+    """Rows of the three packaged CM-point tables, with exact expected cell values."""
+    data = json.loads(_read_data(None, "data/tables.json"))
     tables = []
     for tab in data["tables"]:
         rows = []

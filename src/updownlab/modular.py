@@ -12,9 +12,9 @@ from fractions import Fraction
 from functools import partial
 
 import mpmath
-from mpmath import mp, mpc, mpf
+from mpmath import libmp, mp, mpc, mpf
 
-from .numerics import DomainError, PrecisionContext, to_fixed
+from .numerics import DomainError, PrecisionContext, _square_part, to_fixed
 
 _LEVELS = (2, 3, 4)
 _NU_BY_LEVEL = {2: Fraction(-1, 4), 3: Fraction(-1, 3), 4: Fraction(-1, 2)}
@@ -106,20 +106,11 @@ class CMPoint:
 
     def __str__(self) -> str:
         """The point in the grammar of ``from_string``, x + r*sqrt(rad)*i with
-        rad squarefree; x = 0 drops the real part, and so does rad = 1 the
-        ``sqrt(1)``, but only then."""
+        r sqrt(rad) = sqrt(-disc) / (2A) and rad squarefree for |disc| < 10^12;
+        x = 0 drops the real part, and so does rad = 1 the ``sqrt(1)``, but only then."""
         x = Fraction(-self.B, 2 * self.A)
-        y_sq = Fraction(-self.disc, 4 * self.A * self.A)
-        # y_sq = r^2 rad: take every square factor out of num * den.
-        num, den = y_sq.numerator, y_sq.denominator
-        rad = num * den
-        r = Fraction(1, den)
-        f = 2
-        while f * f <= rad:
-            while rad % (f * f) == 0:
-                rad //= f * f
-                r *= f
-            f += 1
+        s, rad = _square_part(self.disc)
+        r = Fraction(s, 2 * self.A)
         if x == 0 and rad == 1:
             return "i" if r == 1 else f"{r}*i"
         im = f"{r}*sqrt({rad})*i"
@@ -174,10 +165,10 @@ def _qsum(z: mpc, ctx: PrecisionContext, table, powers) -> tuple:
     product are truncated by under 1 ulp, so q^n is off by under
     2 / (1 - |q|) <= 2 n_max ulps. Weights |a(n)| / n^j <= 1.21 n^3 (sigma_1,
     sigma_3 or Euler's signs) summed over n <= n_max keep the total error below
-    n_max^5 ulps. The caller holds ``ctx.working()``.
+    n_max^5 ulps. The result is rounded to ``ctx``'s working precision.
     """
     n_max = _qseries_cutoff(z.imag, ctx)
-    prec = mp.prec + 5 * n_max.bit_length() + 8
+    prec = libmp.dps_to_prec(ctx.dps) + 5 * n_max.bit_length() + 8
     with mpmath.workprec(prec + 10):
         qr, qi = to_fixed(mpmath.exp(2j * mp.pi * z), prec)
     coeffs = table(n_max)
@@ -192,7 +183,8 @@ def _qsum(z: mpc, ctx: PrecisionContext, table, powers) -> tuple:
         for j, acc in zip(powers, sums):
             acc[0] += tr // n**j
             acc[1] += ti // n**j
-    return tuple(mpc(mpmath.ldexp(sr, -prec), mpmath.ldexp(si, -prec)) for sr, si in sums)
+    with ctx.working():
+        return tuple(mpc(*(mpmath.ldexp(v, -prec) for v in acc)) for acc in sums)
 
 
 # -- eta, alpha_N, j, E4 ---------------------------------------------------

@@ -7,6 +7,7 @@ Exact algebraic coefficients live in QuadraticNumber (a + b*sqrt(D) over Q).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -63,23 +64,33 @@ class PrecisionContext:
             return mpf(10) ** (-self.digits)
 
     def bumped(self, extra: int = 10) -> "PrecisionContext":
+        """``extra`` more digits, by default the ten guard digits of the series
+        loop and of its coefficients: the error of m grows k-fold at term k."""
         return PrecisionContext(self.digits + extra, self.max_terms)
 
 
+def _square_part(n: int) -> Tuple[int, int]:
+    """(s, r) with |n| = s^2 r, after at most 10^4 steps. Trial division by
+    f <= 10^4 runs while f^3 is at most the unsplit cofactor. Unless the bound
+    stops it, that cofactor has no prime below f, so it is 1, p, p^2 or p q,
+    and one isqrt test takes out p^2: r is squarefree whenever |n| < 10^12.
+    Above that, r may keep the square of a prime beyond 10^4."""
+    rest, s, r, f = abs(n), 1, 1, 2
+    while f <= 10**4 and f * f * f <= rest:
+        while rest % (f * f) == 0:
+            rest, s = rest // (f * f), s * f
+        if rest % f == 0:
+            rest, r = rest // f, r * f
+        f += 1
+    t = math.isqrt(rest)
+    return (s * t, r) if t * t == rest else (s, r * rest)
+
+
 def _is_squarefree(n: int) -> bool:
-    n = abs(n)
-    if n == 0:
-        return False
-    if n % 4 == 0:
-        return False
-    p = 3
-    while p * p <= n:
-        if n % (p * p) == 0:
-            return False
-        while n % p == 0:
-            n //= p
-        p += 2
-    return True
+    """Whether n is squarefree; DomainError for |n| >= 10^12."""
+    if abs(n) >= 10**12:
+        raise DomainError(f"squarefree test needs |n| < 10^12, got {n}")
+    return _square_part(n)[0] == 1
 
 
 def _as_fraction(x: RationalLike) -> Fraction:

@@ -89,11 +89,6 @@ class FibLucasSeries:
     u: Fraction = Fraction(0)
 
 
-# Extra digits for the fixed-point loop, on top of the guard bits that
-# _sum_linear_series counts for the rounding the loop itself commits.
-_LOOP_GUARD = 10
-
-
 def _sum_linear_series(c1, c2, m, family: SeriesFamily, ctx: PrecisionContext,
                        counter: list = None):
     """sum_{k>=1} (c1*k - c2) m^k / (k^3 denom(k)) = c1 S_2 - c2 S_3 for
@@ -117,8 +112,8 @@ def _sum_linear_series(c1, c2, m, family: SeriesFamily, ctx: PrecisionContext,
     in s_k is carried on times less than r, so it stays below 4 / (1-r) ulps.
     S_3 is then off by under 4 K / (1-r) ulps and S_2 by under 4 K^2 / (1-r),
     so c1 S_2 - c2 S_3, truncated once more, by under
-    4 K (|c1| K + |c2| + 1) / (1-r) ulps. P is the bits of the working dps
-    plus _LOOP_GUARD digits plus the bits of that count.
+    4 K (|c1| K + |c2| + 1) / (1-r) ulps. P is the bits of ctx.bumped().dps
+    plus the bits of that count.
 
     Real c1, c2 and m give an mpf, anything else an mpc. If ``counter`` is
     given, K is appended to it. DomainError if the series diverges, if the
@@ -131,7 +126,7 @@ def _sum_linear_series(c1, c2, m, family: SeriesFamily, ctx: PrecisionContext,
         exact = (r, 1 - r, abs(c1), abs(c2))
         r, gap, a1, a2 = plan = [float(v) for v in exact]
         underflow = any(v and not f for f, v in zip(plan, exact))
-        base = libmp.dps_to_prec(ctx.dps + _LOOP_GUARD)
+        base = libmp.dps_to_prec(ctx.bumped().dps)
     lin, const = a1 / gap / gap, a2 / gap
     big = max(lin, const)
     try:
@@ -214,8 +209,8 @@ def evaluate_series_sum(terms, ctx: PrecisionContext, counter: list = None) -> m
     halves. The weighted (c1, c2) of the parts that share a family and an
     exact m are summed exactly, in one quadratic field (DomainError if none
     holds them), and each group with c1 or c2 not 0 runs one loop on c1, c2
-    and m embedded once on ctx.bumped(_LOOP_GUARD). If ``counter`` is given,
-    the terms summed over all loops are appended as one number.
+    and m embedded once on ctx.bumped(). If ``counter`` is given, the terms
+    summed over all loops are appended as one number.
     """
     groups = {}
     for weight, s in terms:
@@ -229,9 +224,7 @@ def evaluate_series_sum(terms, ctx: PrecisionContext, counter: list = None) -> m
                 groups[family, m] = (c1 + weight * a, c2 + weight * b)
             except MixedRadicandError as exc:
                 raise DomainError(f"series terms with m = {m}: {exc}") from None
-    # The coefficients and m carry the loop's guard digits too: the error of
-    # m grows k-fold in term k.
-    wide = ctx.bumped(_LOOP_GUARD)
+    wide = ctx.bumped()
     tally = []
     with ctx.working():
         total = mpf(0)
@@ -274,13 +267,13 @@ def fibonacci_lucas(n: int) -> Tuple[int, int]:
 
 def series_constants_from_cm(z, N: int, ctx: PrecisionContext):
     """(2 xi, R_nu(xi), const_N / (alpha (1 - alpha))) at z, alpha = alpha_N(z) and
-    xi = 1 - 2 alpha, all on ctx.bumped(_LOOP_GUARD). With y = Im z and E2 = 1 - 24
+    xi = 1 - 2 alpha, all on ctx.bumped(). With y = Im z and E2 = 1 - 24
     sum sigma_1(n) q^n on _qsum, R_nu has the E2* form of Guillera & Rogers,
     "Ramanujan series upside-down", and Chan, Chan & Liu, "Domb's numbers and
     Ramanujan-Sato type series for 1/pi" (2004); legendre_ramanujan_r is the oracle:
 
         R_nu = (N-1)[1/(pi y) - (E2(z) + N E2(Nz))/6]/(N E2(Nz) - E2(z)) + (N+1)xi/6."""
-    wide = ctx.bumped(_LOOP_GUARD)
+    wide = ctx.bumped()
     z = _as_mpc(z, ctx)
     with wide.working():
         alpha = alpha_n(z, N, wide)
@@ -299,7 +292,7 @@ def sigma_gr(z, N: int, ctx: PrecisionContext):
     z = _as_mpc(z, ctx)
     c1, c2, m = series_constants_from_cm(z, N, ctx)
     # c1 = 2 xi = 2 (1 - 2 alpha) hands the region test its alpha_N(z).
-    with ctx.bumped(_LOOP_GUARD).working():
+    with ctx.bumped().working():
         alpha = (2 - c1) / 4
     if not _in_region(z, N, alpha, ctx):
         raise DomainError(f"point {z} outside the admissible region for N={N}")

@@ -1,11 +1,15 @@
 """Shared fixtures: precision contexts, the shipped corpus, and random
 half-plane points drawn from a fixed seed so runs are reproducible."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from mpmath import mpc
 
+import updownlab
 from updownlab import PrecisionContext, load_corpus, satisfies_region
 
 
@@ -22,6 +26,17 @@ def ctx40():
 @pytest.fixture(scope="session")
 def corpus():
     return load_corpus()
+
+
+def run_bounded(*args, seconds=10):
+    """``python *args`` on this package in a child process; the test fails,
+    instead of stalling the suite, if the child runs past ``seconds``."""
+    src = os.path.dirname(os.path.dirname(updownlab.__file__))
+    try:
+        return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=seconds)
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"python {' '.join(args)} ran past {seconds} s")
 
 
 def random_points(n, seed, x_range=(-0.45, 0.45), y_range=(0.7, 1.4)):

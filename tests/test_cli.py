@@ -31,6 +31,8 @@ from updownlab.cli import (
 )
 from updownlab.numerics import DomainError
 
+from conftest import run_bounded
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -163,6 +165,19 @@ class TestVerifyCommand:
         code, out, err = run(capsys, "verify", "--all", "--corpus", str(path))
         assert code == EXIT_CORPUS
         assert "no points" in err and out == ""
+
+    def test_huge_radicand_is_a_corpus_error(self, tmp_path):
+        # A radicand past the squarefree test's 10^12 bound fails the load
+        # (exit 3) within the child's time limit instead of hanging it.
+        data = json.loads(serialize_corpus(load_corpus()))
+        data["identities"][0]["rhs"][0]["coeff"] = {
+            "a": [0, 1], "b": [1, 1], "D": 10**18 + 3}
+        path = tmp_path / "radicand.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        result = run_bounded("-m", "updownlab.cli", "verify", "--all",
+                             "--corpus", str(path))
+        assert result.returncode == EXIT_CORPUS
+        assert "corpus error" in result.stderr and "10^12" in result.stderr
 
     def test_mixed_radicands_under_one_m(self, capsys, tmp_path):
         # Two series on m = 1 with a in Q(sqrt2) and Q(sqrt3): no one field

@@ -30,10 +30,11 @@ from updownlab import (
     series_constants_from_cm,
 )
 from updownlab.identities import load_tables
-from updownlab.modular import _r_direct, legendre_p_dt, legendre_p_quadrature
+from updownlab.modular import (
+    _qsum, _r_direct, _sigma3_table, legendre_p_dt, legendre_p_quadrature)
 from updownlab.numerics import DomainError
 
-from conftest import random_points
+from conftest import random_points, run_bounded
 
 
 @st.composite
@@ -85,6 +86,17 @@ class TestCMPoint:
             p = CMPoint.from_string(text)
             assert str(p) == text
             assert CMPoint.from_string(str(p)) == p
+
+    @pytest.mark.parametrize("text, printed", [
+        ("1/1000000000000000003*i", "1/1000000000000000003*i"),
+        ("sqrt(1000000000000000003)*i", "1*sqrt(1000000000000000003)*i"),
+    ])
+    def test_large_prime_in_disc(self, text, printed):
+        # str() splits disc by at most 10^4 trial divisions, so a prime near
+        # 10^18 in y, squared or not, cannot stall it.
+        code = (f"from updownlab import CMPoint; p = CMPoint.from_string({text!r}); "
+                "print(p, CMPoint.from_string(str(p)) == p)")
+        assert run_bounded("-c", code).stdout == f"{printed} True\n"
 
     def test_disc(self):
         assert CMPoint.from_string("i").disc == -4
@@ -204,6 +216,17 @@ class TestFixedPointKernel:
                 expected = 240j * _mpf_qsum(
                     z, ctx, lambda n: y / (2 * mp.pi**2 * n**2) + 1 / (4 * mp.pi**3 * n**3))
                 assert abs(eichler_e4_tilde(z, ctx) - expected) < ctx.tol
+
+    def test_ambient_precision_is_ignored(self):
+        # _qsum takes its bits from ctx alone: the same sums inside and
+        # outside ctx.working().
+        ctx = PrecisionContext(digits=300)
+        z = self.POINTS[0]
+        with mpmath.workprec(53):
+            outside = _qsum(z, ctx, _sigma3_table, (2, 3))
+        with ctx.working():
+            inside = _qsum(z, ctx, _sigma3_table, (2, 3))
+        assert [v._mpc_ for v in outside] == [v._mpc_ for v in inside]
 
 
 class TestPointEmbedding:

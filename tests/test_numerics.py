@@ -1,9 +1,12 @@
 """Precision plumbing, exact quadratic arithmetic, and base constants."""
 
+import math
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mpf
 
 from updownlab import (
@@ -14,7 +17,9 @@ from updownlab import (
     embed_quadratic,
     zeta_int,
 )
-from updownlab.numerics import DomainError, trigamma
+from updownlab.numerics import DomainError, _is_squarefree, _square_part, trigamma
+
+from conftest import run_bounded
 
 
 class TestPrecisionContext:
@@ -49,6 +54,30 @@ class TestPrecisionContext:
         assert mpmath.mp.dps == before
 
 
+class TestSquarePart:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 10**6 - 1))
+    def test_square_times_squarefree(self, n):
+        s, r = _square_part(n)
+        assert s * s * r == n
+        assert all(r % (f * f) for f in range(2, math.isqrt(r) + 1))
+
+    @pytest.mark.parametrize("n, parts", [
+        (9973**2 * 10007, (9973, 10007)),    # the last prime below 10^4
+        (999983**2 * 7, (999983, 7)),        # p^2 split by the isqrt test
+        (10007 * 10009, (1, 10007 * 10009)),  # p q, both beyond trial division
+        (-4 * 10007**2, (2 * 10007, 1)),
+    ])
+    def test_near_the_trial_bound(self, n, parts):
+        assert _square_part(n) == parts
+
+    def test_squarefree_test_bounded(self):
+        assert not _is_squarefree(10**12 - 1)  # 3^3 7 11 13 37 101 9901
+        assert not _is_squarefree(0)
+        with pytest.raises(DomainError, match="10\\^12"):
+            _is_squarefree(-10**12)
+
+
 class TestQuadraticNumber:
     def test_normalization(self):
         assert QuadraticNumber(3, 0, 7).D == 1
@@ -60,6 +89,14 @@ class TestQuadraticNumber:
             QuadraticNumber(1, 1, 12)
         with pytest.raises(ValueError):
             QuadraticNumber(1, 1, 0)
+
+    def test_large_radicand_rejected_at_once(self):
+        # A prime radicand near 10^18 is past the squarefree test's 10^12
+        # bound: a ValueError within the child's time limit, not a hang.
+        code = ("from updownlab import QuadraticNumber\n"
+                "try:\n    QuadraticNumber(0, 1, 10**18 + 3)\n"
+                "except ValueError as exc:\n    print(type(exc).__name__)")
+        assert run_bounded("-c", code).stdout == "DomainError\n"
 
     def test_field_axioms_exact(self):
         p = QuadraticNumber(Fraction(1, 3), Fraction(-2, 5), 7)
