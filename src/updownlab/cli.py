@@ -62,10 +62,6 @@ def format_ap(value, digits: int) -> str:
     return format(d, "f")
 
 
-def _context(args) -> PrecisionContext:
-    return PrecisionContext(digits=args.digits)
-
-
 def _report_dict(r: ident.VerificationReport, timings: bool) -> dict:
     out = {
         "id": r.id,
@@ -107,8 +103,7 @@ def _emit_reports(reports, args) -> int:
     return EXIT_VERIFY_FAILED if failed else EXIT_OK
 
 
-def cmd_verify(args) -> int:
-    ctx = _context(args)
+def cmd_verify(args, ctx: PrecisionContext) -> int:
     try:
         corpus = ident.load_corpus(args.corpus)
     except (ident.CorpusError, OSError) as exc:
@@ -129,15 +124,13 @@ def cmd_verify(args) -> int:
     return _emit_reports(reports, args)
 
 
-def cmd_lvalue(args) -> int:
-    ctx = _context(args)
+def cmd_lvalue(args, ctx: PrecisionContext) -> int:
     value = dirichlet_l2(args.d, ctx)
     _print_value(f"L_{args.d}(2)", value, args)
     return EXIT_OK
 
 
-def cmd_epstein(args) -> int:
-    ctx = _context(args)
+def cmd_epstein(args, ctx: PrecisionContext) -> int:
     z = CMPoint.from_string(args.z)
     if not args.gamma0:
         _print_value(f"E({args.z}, 2)", epstein_sl2(z, ctx), args)
@@ -154,16 +147,14 @@ def cmd_epstein(args) -> int:
     return EXIT_OK
 
 
-def cmd_alpha(args) -> int:
-    ctx = _context(args)
+def cmd_alpha(args, ctx: PrecisionContext) -> int:
     z = CMPoint.from_string(args.z)
     value = alpha_n(z, args.N, ctx)
     _print_value(f"alpha_{args.N}({args.z})", value, args)
     return EXIT_OK
 
 
-def cmd_constants(args) -> int:
-    ctx = _context(args)
+def cmd_constants(args, ctx: PrecisionContext) -> int:
     z = CMPoint.from_string(args.z)
     texts = {name: format_ap(value, args.digits) for name, value
              in zip(("c1", "c2", "m"), series_constants_from_cm(z, args.N, ctx))}
@@ -190,8 +181,7 @@ def _print_value(label, value, args, digits=None, tail=None) -> None:
         print(f"{label} = {out['value']}{note}")
 
 
-def cmd_tables(args) -> int:
-    ctx = _context(args)
+def cmd_tables(args, ctx: PrecisionContext) -> int:
     tol = mpf(10) ** (-(args.digits - 10))
     results = [(row_text, cell, residual, bool(residual < tol))
                for row_text, cell, residual in check_table(args.table, ctx)]
@@ -295,7 +285,7 @@ def main(argv=None) -> int:
         # The environment is read only when --digits is not given.
         if args.digits is None:
             args.digits = _default_digits()
-        return args.func(args)
+        return args.func(args, PrecisionContext(digits=args.digits))
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

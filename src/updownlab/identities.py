@@ -77,6 +77,8 @@ class IdentityRecord:
     rhs: Tuple[Tuple[QuadraticNumber, str], ...]
 
     def __post_init__(self) -> None:
+        if not self.lhs:
+            raise CorpusError(f"record {self.id!r} has empty lhs")
         if not self.rhs:
             raise CorpusError(f"record {self.id!r} has empty rhs")
         for _, tag in self.rhs:
@@ -144,12 +146,21 @@ def _quad_to_json(q: QuadraticNumber) -> dict:
     }
 
 
+def _int_from_json(v, where: str) -> int:
+    """``v`` if it is a JSON integer; a float, bool or string is never coerced."""
+    if type(v) is not int:
+        raise CorpusError(f"{where}: {v!r} is not an integer")
+    return v
+
+
 def _quad_from_json(obj, where: str) -> QuadraticNumber:
+    if not (isinstance(obj, dict) and {"a", "b", "D"} <= obj.keys()):
+        raise CorpusError(f"{where}: bad quadratic number {obj!r}")
+    a, b = _frac_from_json(obj["a"], where), _frac_from_json(obj["b"], where)
+    D = _int_from_json(obj["D"], where)
     try:
-        a = Fraction(obj["a"][0], obj["a"][1])
-        b = Fraction(obj["b"][0], obj["b"][1])
-        return QuadraticNumber(a, b, int(obj["D"]))
-    except (KeyError, TypeError, IndexError, ValueError, ZeroDivisionError) as exc:
+        return QuadraticNumber(a, b, D)
+    except ValueError as exc:
         raise CorpusError(f"{where}: bad quadratic number {obj!r}: {exc}") from None
 
 
@@ -158,10 +169,9 @@ def _frac_to_json(x: Fraction) -> list:
 
 
 def _frac_from_json(obj, where: str) -> Fraction:
-    try:
-        return Fraction(obj[0], obj[1])
-    except (TypeError, IndexError, ValueError, ZeroDivisionError) as exc:
-        raise CorpusError(f"{where}: bad rational {obj!r}: {exc}") from None
+    if not (isinstance(obj, list) and len(obj) == 2) or obj[1] == 0:
+        raise CorpusError(f"{where}: bad rational {obj!r}")
+    return Fraction(_int_from_json(obj[0], where), _int_from_json(obj[1], where))
 
 
 def _term_to_json(term: SeriesTerm) -> dict:
@@ -209,16 +219,16 @@ def _term_from_json(obj, where: str) -> SeriesTerm:
     return SeriesTerm(weight, series)
 
 
-def _record_from_json(obj, index: int) -> IdentityRecord:
-    where = f"identities[{index}]"
-    if not isinstance(obj.get("id"), str) or not obj["id"]:
+def _with_id(obj, where: str) -> str:
+    """``where`` followed by the record's id; CorpusError if it has none."""
+    if not (isinstance(obj, dict) and isinstance(obj.get("id"), str) and obj["id"]):
         raise CorpusError(f"{where}: missing id")
-    where = f"identities[{index}] ({obj['id']})"
-    lhs = tuple(
-        _term_from_json(t, where) for t in obj.get("lhs", [])
-    )
-    if not lhs:
-        raise CorpusError(f"{where}: empty lhs")
+    return f"{where} ({obj['id']})"
+
+
+def _record_from_json(obj, index: int) -> IdentityRecord:
+    where = _with_id(obj, f"identities[{index}]")
+    lhs = tuple(_term_from_json(t, where) for t in obj.get("lhs", []))
     rhs = tuple((_quad_from_json(e.get("coeff"), where), e.get("tag"))
                 for e in obj.get("rhs", []))
     try:
@@ -228,19 +238,15 @@ def _record_from_json(obj, index: int) -> IdentityRecord:
 
 
 def _instance_from_json(obj, index: int) -> KroneckerInstance:
-    where = f"kronecker[{index}]"
-    if not isinstance(obj.get("id"), str) or not obj["id"]:
-        raise CorpusError(f"{where}: missing id")
-    where = f"kronecker[{index}] ({obj['id']})"
+    where = _with_id(obj, f"kronecker[{index}]")
     try:
         points = tuple(CMPoint.from_string(s) for s in obj.get("points", []))
     except DomainError as exc:
         raise CorpusError(f"{where}: {exc}") from None
-    signs = tuple(obj.get("signs", []))
+    signs = tuple(_int_from_json(s, where) for s in obj.get("signs", []))
     try:
-        d1 = Discriminant(int(obj["d1"]))
-        d2 = Discriminant(int(obj["d2"]))
-    except (KeyError, TypeError, ValueError, DomainError) as exc:
+        d1, d2 = (Discriminant(_int_from_json(obj.get(k), where)) for k in ("d1", "d2"))
+    except DomainError as exc:
         raise CorpusError(f"{where}: bad discriminant: {exc}") from None
     return KroneckerInstance(
         obj["id"], points, signs,
@@ -445,10 +451,9 @@ def verify_identity(record: Union[str, IdentityRecord], ctx: PrecisionContext,
         corpus = corpus if corpus is not None else load_corpus()
         record = corpus.identity(record)
     t0 = time.monotonic()
-    counter = []
-    lhs = evaluate_series_sum(((t.weight, t.series) for t in record.lhs), ctx, counter)
+    lhs, terms = evaluate_series_sum(((t.weight, t.series) for t in record.lhs), ctx)
     rhs = _rhs_value(record.rhs, ctx, cache)
-    return _report(record.id, ctx, lhs, rhs, counter[0], t0)
+    return _report(record.id, ctx, lhs, rhs, terms, t0)
 
 
 def verify_kronecker(instance: Union[str, KroneckerInstance],
@@ -488,14 +493,11 @@ def verify_all(ctx: PrecisionContext, pattern: Optional[str] = None,
         raise ValueError(f"parallelism must be 1, got {parallelism}")
     cache = cache if cache is not None else ConstantsCache()
     corpus = corpus if corpus is not None else load_corpus()
-    work = [("identity", r) for r in corpus.identities]
-    work += [("kronecker", k) for k in corpus.kronecker]
-    if pattern is not None:
-        work = [w for w in work if fnmatch.fnmatchcase(w[1].id, pattern)]
-    work.sort(key=lambda w: w[1].id)
-
+    work = sorted((r for r in corpus.identities + corpus.kronecker
+                   if pattern is None or fnmatch.fnmatchcase(r.id, pattern)),
+                  key=lambda r: r.id)
     return [
-        verify_identity(rec, ctx, corpus, cache) if kind == "identity"
-        else verify_kronecker(rec, ctx, corpus, cache)
-        for kind, rec in work
+        verify_identity(r, ctx, cache=cache) if isinstance(r, IdentityRecord)
+        else verify_kronecker(r, ctx, cache=cache)
+        for r in work
     ]

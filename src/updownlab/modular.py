@@ -121,10 +121,11 @@ class CMPoint:
 
 def _qseries_cutoff(y: mpf, ctx: PrecisionContext) -> int:
     """Smallest n with |q|^n 20 digits below the working epsilon; a
-    DomainError if that exceeds ``ctx.max_terms``."""
-    n_max = int((ctx.dps + 20) * math.log(10) / (2 * math.pi * float(y))) + 2
+    DomainError if that exceeds ``ctx.max_terms``, or if Im z is 0 as a float."""
+    h = 2 * math.pi * float(y)
+    n_max = int((ctx.dps + 20) * math.log(10) / h) + 2 if h > 0 else math.inf
     if n_max > ctx.max_terms:
-        raise DomainError(f"q-series at Im z = {float(y):.3g} needs {n_max} terms, "
+        raise DomainError(f"q-series at Im z = {mpmath.nstr(y, 3)} needs {n_max} terms, "
                           f"more than max_terms = {ctx.max_terms}")
     return n_max
 
@@ -191,11 +192,15 @@ def _qsum(z: mpc, ctx: PrecisionContext, table, powers) -> tuple:
 
 def dedekind_eta(z, ctx: PrecisionContext) -> mpc:
     """eta(z) = e^{pi i z / 12} prod (1 - q^n), the product by Euler's
-    pentagonal-number expansion on the q-series kernel."""
+    pentagonal-number expansion on the q-series kernel. Eta has no zeros on
+    the upper half-plane, so a result of 0 is lost precision: DomainError."""
     z = _as_mpc(z, ctx)
     with ctx.working():
         s, = _qsum(z, ctx, _pentagonal_table, (0,))
-        return mpmath.exp(1j * mp.pi * z / 12) * (1 + s)
+        eta = mpmath.exp(1j * mp.pi * z / 12) * (1 + s)
+    if not eta:
+        raise DomainError(f"eta rounds to 0 at Im z = {mpmath.nstr(z.imag, 3)}")
+    return eta
 
 
 def alpha_n(z, N: int, ctx: PrecisionContext) -> mpc:

@@ -63,10 +63,10 @@ class PrecisionContext:
         with self.working():
             return mpf(10) ** (-self.digits)
 
-    def bumped(self, extra: int = 10) -> "PrecisionContext":
-        """``extra`` more digits, by default the ten guard digits of the series
-        loop and of its coefficients: the error of m grows k-fold at term k."""
-        return PrecisionContext(self.digits + extra, self.max_terms)
+    def bumped(self) -> "PrecisionContext":
+        """Ten more digits, the guard digits of the series loop and of its
+        coefficients: the error of m grows k-fold at term k."""
+        return PrecisionContext(self.digits + 10, self.max_terms)
 
 
 def _square_part(n: int) -> Tuple[int, int]:

@@ -89,11 +89,10 @@ class FibLucasSeries:
     u: Fraction = Fraction(0)
 
 
-def _sum_linear_series(c1, c2, m, family: SeriesFamily, ctx: PrecisionContext,
-                       counter: list = None):
-    """sum_{k>=1} (c1*k - c2) m^k / (k^3 denom(k)) = c1 S_2 - c2 S_3 for
-    mpf/mpc coefficients, where S_j = sum_k m^k / (k^j denom(k)), over a term
-    count K fixed before the loop.
+def _sum_linear_series(c1, c2, m, family: SeriesFamily, ctx: PrecisionContext):
+    """(value, K): sum_{k>=1} (c1*k - c2) m^k / (k^3 denom(k)) = c1 S_2 - c2 S_3
+    for mpf/mpc coefficients, where S_j = sum_k m^k / (k^j denom(k)), over a
+    term count K fixed before the loop.
 
     The loop carries only u_k = m^k / denom(k), by the family's small-integer
     ratio k^3 / den_k: s_k = u_{k-1} m / den_k is term k without its
@@ -115,9 +114,9 @@ def _sum_linear_series(c1, c2, m, family: SeriesFamily, ctx: PrecisionContext,
     4 K (|c1| K + |c2| + 1) / (1-r) ulps. P is the bits of ctx.bumped().dps
     plus the bits of that count.
 
-    Real c1, c2 and m give an mpf, anything else an mpc. If ``counter`` is
-    given, K is appended to it. DomainError if the series diverges, if the
-    plan leaves the float range, or if K exceeds ``ctx.max_terms``.
+    Real c1, c2 and m give an mpf value, anything else an mpc. DomainError if
+    the series diverges, if the plan leaves the float range, or if K exceeds
+    ``ctx.max_terms``.
     """
     with ctx.working():
         r = abs(m) / family.scale
@@ -168,14 +167,12 @@ def _sum_linear_series(c1, c2, m, family: SeriesFamily, ctx: PrecisionContext,
         s2i += k * si
         cube = k * k * k
         ur, ui = sr * cube, si * cube
-    if counter is not None:
-        counter.append(K)
     total_r = (c1r * s2r - c1i * s2i - c2r * s3r + c2i * s3i) >> prec
     total_i = (c1r * s2i + c1i * s2r - c2r * s3i - c2i * s3r) >> prec
     with ctx.working():
         if any(isinstance(v, mpc) for v in (c1, c2, m)):
-            return mpc(mpmath.ldexp(total_r, -prec), mpmath.ldexp(total_i, -prec))
-        return mpmath.ldexp(total_r, -prec)
+            return mpc(mpmath.ldexp(total_r, -prec), mpmath.ldexp(total_i, -prec)), K
+        return mpmath.ldexp(total_r, -prec), K
 
 
 # m = phi^8 and psi^8 for phi, psi = (1 +- sqrt5)/2, with 1/phi and 1/sqrt5.
@@ -200,17 +197,17 @@ def _fib_halves(s: FibLucasSeries):
     return (c1, c2, _PHI8), (c1.conjugate(), c2.conjugate(), _PSI8)
 
 
-def evaluate_series_sum(terms, ctx: PrecisionContext, counter: list = None) -> mpf:
-    """Real value of sum weight * series over (weight, series) pairs, with
-    QuadraticNumber weights and UpsideDownSeries or FibLucasSeries.
+def evaluate_series_sum(terms, ctx: PrecisionContext) -> Tuple[mpf, int]:
+    """(value, terms_used): the real value of sum weight * series over
+    (weight, series) pairs, with QuadraticNumber weights and UpsideDownSeries
+    or FibLucasSeries.
 
     An UpsideDownSeries is one part c1 S_2(m) - c2 S_3(m) on its family's
     base sums; a FibLucasSeries is two CENTRAL3 parts, its phi^8 and psi^8
     halves. The weighted (c1, c2) of the parts that share a family and an
     exact m are summed exactly, in one quadratic field (DomainError if none
     holds them), and each group with c1 or c2 not 0 runs one loop on c1, c2
-    and m embedded once on ctx.bumped(). If ``counter`` is given, the terms
-    summed over all loops are appended as one number.
+    and m embedded once on ctx.bumped(). terms_used sums the loops' counts K.
     """
     groups = {}
     for weight, s in terms:
@@ -225,21 +222,19 @@ def evaluate_series_sum(terms, ctx: PrecisionContext, counter: list = None) -> m
             except MixedRadicandError as exc:
                 raise DomainError(f"series terms with m = {m}: {exc}") from None
     wide = ctx.bumped()
-    tally = []
     with ctx.working():
-        total = mpf(0)
+        total, terms_used = mpf(0), 0
         for (family, m), (c1, c2) in groups.items():
             if c1 or c2:
                 c1, c2, m = (embed_quadratic(v, wide) for v in (c1, c2, m))
-                total += _sum_linear_series(c1, c2, m, family, ctx, tally).real
-    if counter is not None:
-        counter.append(sum(tally))
-    return total
+                value, K = _sum_linear_series(c1, c2, m, family, ctx)
+                total, terms_used = total + value.real, terms_used + K
+    return total, terms_used
 
 
-def evaluate_updown(s, ctx: PrecisionContext, counter: list = None) -> mpf:
+def evaluate_updown(s, ctx: PrecisionContext) -> mpf:
     """Real value of one UpsideDownSeries or FibLucasSeries (both halves)."""
-    return evaluate_series_sum(((QuadraticNumber(1), s),), ctx, counter)
+    return evaluate_series_sum(((QuadraticNumber(1), s),), ctx)[0]
 
 
 evaluate_fib_series = evaluate_updown
@@ -296,7 +291,7 @@ def sigma_gr(z, N: int, ctx: PrecisionContext):
         alpha = (2 - c1) / 4
     if not _in_region(z, N, alpha, ctx):
         raise DomainError(f"point {z} outside the admissible region for N={N}")
-    return _sum_linear_series(c1, c2, m, _FAMILY_BY_LEVEL[N], ctx)
+    return _sum_linear_series(c1, c2, m, _FAMILY_BY_LEVEL[N], ctx)[0]
 
 
 def sigma_gr_im_rhs(z, N: int, ctx: PrecisionContext) -> mpf:

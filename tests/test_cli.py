@@ -179,6 +179,26 @@ class TestVerifyCommand:
         assert result.returncode == EXIT_CORPUS
         assert "corpus error" in result.stderr and "10^12" in result.stderr
 
+    @pytest.mark.parametrize("path, value", [
+        (("kronecker", 0, "d1"), -3.9),
+        (("kronecker", 0, "signs", 0), True),
+        (("identities", 4, "rhs", 0, "coeff", "D"), 5.7),
+        (("identities", 4, "rhs", 0, "coeff", "D"), "5"),
+    ])
+    def test_non_integer_is_a_corpus_error(self, capsys, tmp_path, path, value):
+        # e-i and fib2 with a float, bool or string where an integer goes:
+        # exit 3 before anything is verified, never a verdict on int(value).
+        data = json.loads(serialize_corpus(load_corpus()))
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        corpus = tmp_path / "corpus.json"
+        corpus.write_text(json.dumps(data), encoding="utf-8")
+        code, out, err = run(capsys, "verify", "--all", "--corpus", str(corpus))
+        assert code == EXIT_CORPUS and out == ""
+        assert "corpus error" in err and "is not an integer" in err
+
     def test_mixed_radicands_under_one_m(self, capsys, tmp_path):
         # Two series on m = 1 with a in Q(sqrt2) and Q(sqrt3): no one field
         # holds their sum, which is a usage error naming both radicands.
@@ -344,6 +364,18 @@ class TestValueCommands:
         assert code == EXIT_USAGE
         assert err.startswith("error: ")
         assert out == ""
+
+    @pytest.mark.parametrize("command, height", [
+        ("alpha", "1/1" + "0" * 400), ("alpha", "1/100000"), ("constants", "1/100000")],
+        ids=["alpha-1e-400", "alpha-1e-5", "constants-1e-5"])
+    def test_extreme_height_is_a_usage_error(self, command, height):
+        # At 10^-400 the float height is 0; at 10^-5 eta rounds to 0. Both
+        # are clean errors (exit 2), not a traceback.
+        result = run_bounded("-m", "updownlab.cli", command, "--z", f"{height}*i",
+                             "--N", "2", seconds=30)
+        assert result.returncode == EXIT_USAGE
+        assert result.stderr.startswith("error: ") and "Traceback" not in result.stderr
+        assert result.stdout == ""
 
     def test_bad_point_string(self, capsys):
         code, _, err = run(capsys, "epstein", "--z", "not-a-point")

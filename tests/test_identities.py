@@ -118,6 +118,65 @@ class TestCorpusValidation:
         with pytest.raises(CorpusError, match="empty lhs"):
             corpus_from_json(json.dumps({"identities": [rec]}))
 
+    def test_empty_lhs_rejected_by_the_record(self):
+        with pytest.raises(CorpusError, match="empty lhs"):
+            identities.IdentityRecord("x", "", (), ((QuadraticNumber(1), "PI2"),))
+
+    @pytest.mark.parametrize("section", ["identities", "kronecker"])
+    @pytest.mark.parametrize("record_id", [None, "", 7])
+    def test_missing_id_rejected(self, section, record_id):
+        data = json.loads(serialize_corpus(load_corpus()))
+        data[section][1]["id"] = record_id
+        with pytest.raises(CorpusError, match=rf"^{section}\[1\]: missing id"):
+            corpus_from_json(json.dumps(data))
+
+    @pytest.mark.parametrize("section", ["identities", "kronecker"])
+    def test_record_that_is_not_an_object_rejected(self, section):
+        data = json.loads(serialize_corpus(load_corpus()))
+        data[section][0] = [1, 2]
+        with pytest.raises(CorpusError, match="missing id"):
+            corpus_from_json(json.dumps(data))
+
+    # A JSON number that is not an integer, a bool or a numeric string is
+    # never coerced: int(-3.9) would verify the instance at d1 = -3, and
+    # True would pass as the sign 1.
+    @pytest.mark.parametrize("section, record_id, path, value", [
+        ("kronecker", "e-i", ("d1",), -3.9),
+        ("kronecker", "e-i", ("d2",), True),
+        ("kronecker", "e-i", ("d1",), "-4"),
+        ("kronecker", "e-i", ("signs", 0), True),
+        ("kronecker", "e-i", ("signs", 0), 1.0),
+        ("kronecker", "e-i", ("twist", 0), 2.0),
+        ("identities", "fib2", ("rhs", 0, "coeff", "D"), 5.7),
+        ("identities", "fib2", ("rhs", 0, "coeff", "D"), "5"),
+        ("identities", "fib2", ("rhs", 0, "coeff", "b", 1), 25.0),
+        ("identities", "fib2", ("lhs", 0, "weight", "a", 0), True),
+        ("identities", "fib2", ("lhs", 0, "p", 0), "-105"),
+    ])
+    def test_non_integer_rejected(self, section, record_id, path, value):
+        data = json.loads(serialize_corpus(load_corpus()))
+        node = next(r for r in data[section] if r["id"] == record_id)
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        with pytest.raises(CorpusError, match=rf"\({record_id}\): .* is not an integer"):
+            corpus_from_json(json.dumps(data))
+
+    @pytest.mark.parametrize("value", [[1], [1, 2, 3], [1, 0], [1, 0.0], "1/2", None])
+    def test_bad_rational_rejected(self, value):
+        data = json.loads(serialize_corpus(load_corpus()))
+        data["kronecker"][0]["twist"] = value
+        with pytest.raises(CorpusError, match="bad rational"):
+            corpus_from_json(json.dumps(data))
+
+    @pytest.mark.parametrize("value", [None, [0, 1], {"a": [1, 1], "b": [0, 1]},
+                                       {"a": [1, 1], "b": [1, 1], "D": 4}])
+    def test_bad_quadratic_number_rejected(self, value):
+        data = json.loads(serialize_corpus(load_corpus()))
+        data["identities"][0]["rhs"][0]["coeff"] = value
+        with pytest.raises(CorpusError, match="bad quadratic number"):
+            corpus_from_json(json.dumps(data))
+
     def test_unknown_tag_rejected(self):
         rec = {
             "id": "x", "lhs": [{
@@ -289,18 +348,18 @@ class TestVerification:
         # One loop per (family, m) sums to the weighted one-term evaluations.
         ctx = PrecisionContext(digits=300)
         record = corpus.identity(record_id)
-        grouped_terms, separate_terms = [], []
-        grouped = evaluate_series_sum(
-            ((t.weight, t.series) for t in record.lhs), ctx, grouped_terms)
+        separate_terms = []
+        grouped, grouped_terms = evaluate_series_sum(
+            ((t.weight, t.series) for t in record.lhs), ctx)
         with ctx.working():
             separate = mpf(0)
             for t in record.lhs:
-                one = evaluate_series_sum(((QuadraticNumber(1), t.series),), ctx,
-                                          separate_terms)
+                one, terms = evaluate_series_sum(((QuadraticNumber(1), t.series),), ctx)
+                separate_terms.append(terms)
                 separate += embed_quadratic(t.weight, ctx) * one
             assert abs(grouped - separate) < 10 * ctx.tol
         shared = not all(isinstance(t.series, UpsideDownSeries) for t in record.lhs)
-        assert (grouped_terms[0] < sum(separate_terms)) == shared
+        assert (grouped_terms < sum(separate_terms)) == shared
 
     def test_filter_and_ordering(self, corpus, ctx30):
         reports = verify_all(ctx30, "fib*", corpus)

@@ -264,6 +264,27 @@ class TestQSeriesCutoff:
             with pytest.raises(DomainError, match="max_terms"):
                 fn(z, ctx)
 
+    def test_height_zero_as_float_rejected(self, ctx30):
+        # Im z = 10^-400 is 0.0 as a float: the cutoff is infinite, never a
+        # division by zero.
+        z = mpc(0, mpf("1e-400"))
+        for fn in (eisenstein_e4, eichler_e4_tilde, dedekind_eta):
+            with pytest.raises(DomainError, match="max_terms"):
+                fn(z, ctx30)
+
+
+class TestEtaLostPrecision:
+    @pytest.mark.parametrize("height", ["1e-3", "1e-4"])
+    def test_eta_rounding_to_zero_rejected(self, ctx30, height):
+        # |eta(i y)| is about y^(-1/2) e^(-pi/(12 y)), far below the
+        # fixed-point ulp of the q-series here. Eta has no zeros, so the 0
+        # the sum rounds to is an error, not a value to divide by.
+        z = mpc(0, mpf(height))
+        with pytest.raises(DomainError, match="rounds to 0"):
+            dedekind_eta(z, ctx30)
+        with pytest.raises(DomainError, match="rounds to 0"):
+            alpha_n(z, 2, ctx30)
+
 
 class TestJInvariant:
     def test_special_values(self, ctx30):

@@ -170,9 +170,8 @@ class TestEvaluateUpdown:
     def test_zero_series(self, ctx30):
         s = UpsideDownSeries(SeriesFamily.CENTRAL3, QuadraticNumber(0),
                              QuadraticNumber(0), QuadraticNumber(1))
-        counter = []
-        assert evaluate_updown(s, ctx30, counter) == 0
-        assert counter == [0]
+        assert evaluate_updown(s, ctx30) == 0
+        assert series.evaluate_series_sum(((QuadraticNumber(1), s),), ctx30) == (0, 0)
 
     def test_divergent_rejected(self, ctx30):
         s = UpsideDownSeries(SeriesFamily.CENTRAL3, QuadraticNumber(1),
@@ -191,9 +190,8 @@ class TestEvaluateUpdown:
     def test_term_counter(self, ctx30):
         s = UpsideDownSeries(SeriesFamily.CENTRAL3, QuadraticNumber(1),
                              QuadraticNumber(0), QuadraticNumber(1))
-        counter = []
-        evaluate_updown(s, ctx30, counter)
-        assert len(counter) == 1 and counter[0] > 4
+        _, count = series.evaluate_series_sum(((QuadraticNumber(1), s),), ctx30)
+        assert count > 4
 
 
 class TestTermCount:
@@ -204,13 +202,10 @@ class TestTermCount:
         loops = {}
         original = series._sum_linear_series
 
-        def recording(c1, c2, m, family, ctx, counter=None):
-            count = []
-            value = original(c1, c2, m, family, ctx, count)
-            loops[(c1, c2, m, family)] = (count[0], value)
-            if counter is not None:
-                counter.append(count[0])
-            return value
+        def recording(c1, c2, m, family, ctx):
+            value, count = original(c1, c2, m, family, ctx)
+            loops[(c1, c2, m, family)] = (count, value)
+            return value, count
 
         monkeypatch.setattr(series, "_sum_linear_series", recording)
         for record in corpus.identities:
@@ -243,11 +238,9 @@ class TestTermCount:
         # steps converge, for tiny r and for r close to 1 alike.
         ctx = PrecisionContext(digits=digits)
         family = SeriesFamily.C2X4K
-        counter = []
         with ctx.working():
             m = mpf(r) * family.scale
-            series._sum_linear_series(mpf(c1), mpf(c2), m, family, ctx, counter)
-        count, = counter
+            _, count = series._sum_linear_series(mpf(c1), mpf(c2), m, family, ctx)
         with mpmath.workdps(ctx.dps + 20):
             ratio = m / family.scale
             head = m / family.ratio(1)[1]
@@ -280,11 +273,10 @@ class TestTermCount:
             assert bound(count) <= ctx.eps < bound(count - 2)
 
     def test_zero_m_sums_one_term(self, ctx30):
-        counter = []
         with ctx30.working():
-            value = series._sum_linear_series(mpf(3), mpf(2), mpf(0),
-                                              SeriesFamily.C2X3K, ctx30, counter)
-        assert value == 0 and counter == [1]
+            value, count = series._sum_linear_series(mpf(3), mpf(2), mpf(0),
+                                                     SeriesFamily.C2X3K, ctx30)
+        assert value == 0 and count == 1
 
 
 class TestExactGrouping:
@@ -295,9 +287,9 @@ class TestExactGrouping:
         loops = []
         original = series._sum_linear_series
 
-        def recording(c1, c2, m, family, ctx, counter=None):
+        def recording(c1, c2, m, family, ctx):
             loops.append(m)
-            return original(c1, c2, m, family, ctx, counter)
+            return original(c1, c2, m, family, ctx)
 
         monkeypatch.setattr(series, "_sum_linear_series", recording)
         record = corpus.identity(record_id)
@@ -318,7 +310,7 @@ class TestExactGrouping:
         terms = [(QuadraticNumber(1), UpsideDownSeries(
             SeriesFamily.CENTRAL3, QuadraticNumber(0, 1, d), zero, QuadraticNumber(d)))
             for d in (2, 3)]
-        got = series.evaluate_series_sum(terms, ctx30)
+        got, _ = series.evaluate_series_sum(terms, ctx30)
         with ctx30.working():
             expected = sum(evaluate_updown(s, ctx30) for _, s in terms)
             assert abs(got - expected) < 10 * ctx30.tol
@@ -401,14 +393,13 @@ class TestFibLucasSeries:
                 direct += term
                 if abs(term) < ctx.eps / 10**6:
                     break
-            counter = []
-            got = evaluate_fib_series(s, ctx, counter)
+            got, count = series.evaluate_series_sum(((QuadraticNumber(1), s),), ctx)
             assert abs(got - direct) < 10 * ctx.tol
+            assert evaluate_fib_series(s, ctx) == got
         # The count covers both halves.
-        halves = []
-        for c1, c2, m in _fib_halves(s):
-            evaluate_updown(UpsideDownSeries(SeriesFamily.CENTRAL3, c1, c2, m), ctx, halves)
-        assert counter == [sum(halves)]
+        halves = [series.evaluate_series_sum(((QuadraticNumber(1), UpsideDownSeries(
+            SeriesFamily.CENTRAL3, c1, c2, m)),), ctx)[1] for c1, c2, m in _fib_halves(s)]
+        assert count == sum(halves)
 
 
 class TestSeriesConstants:
