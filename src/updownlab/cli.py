@@ -58,7 +58,13 @@ def format_ap(value, digits: int) -> str:
     with decimal.localcontext() as dctx:
         dctx.prec = digits
         dctx.rounding = decimal.ROUND_HALF_EVEN
-        d = +decimal.Decimal(raw)
+        # A subnormal result would keep fewer than ``digits`` figures.
+        dctx.traps[decimal.Subnormal] = True
+        try:
+            d = +decimal.Decimal(raw)
+        except (decimal.InvalidOperation, decimal.Overflow, decimal.Subnormal):
+            raise DomainError(f"decimal exponent {int(raw.partition('e')[2] or 0)} "
+                              f"is beyond the printable range +-{dctx.Emax}") from None
     return format(d, "f")
 
 
@@ -77,30 +83,25 @@ def _report_dict(r: ident.VerificationReport, timings: bool) -> dict:
     return out
 
 
-def _emit_reports(reports, args) -> int:
-    failed = [r for r in reports if not r.passed]
+def _emit(args, payload: dict, lines) -> None:
+    """``payload`` as indented JSON under --json, else the text ``lines``."""
     if args.json:
-        payload = {
-            "reports": [_report_dict(r, args.timings) for r in reports],
-            "summary": {
-                "total": len(reports),
-                "passed": len(reports) - len(failed),
-                "failed": len(failed),
-                "digits": args.digits,
-            },
-        }
         print(json.dumps(payload, indent=2))
     else:
-        for r in reports:
-            status = "PASS" if r.passed else "FAIL"
-            line = (f"{status} {r.id:<20} residual "
-                    f"{mpmath.nstr(r.abs_residual, 3):>10} terms {r.terms_used}")
-            if args.timings:
-                line += f" ({r.elapsed_ms:.0f} ms)"
-            print(line)
-        print(f"{len(reports) - len(failed)}/{len(reports)} passed "
-              f"at {args.digits} digits")
-    return EXIT_VERIFY_FAILED if failed else EXIT_OK
+        print(*lines, sep="\n")
+
+
+def _emit_reports(reports, args) -> int:
+    passed = sum(r.passed for r in reports)
+    lines = [f"{'PASS' if r.passed else 'FAIL'} {r.id:<20} residual "
+             f"{mpmath.nstr(r.abs_residual, 3):>10} terms {r.terms_used}"
+             + (f" ({r.elapsed_ms:.0f} ms)" if args.timings else "") for r in reports]
+    _emit(args, {
+        "reports": [_report_dict(r, args.timings) for r in reports],
+        "summary": {"total": len(reports), "passed": passed,
+                    "failed": len(reports) - passed, "digits": args.digits},
+    }, lines + [f"{passed}/{len(reports)} passed at {args.digits} digits"])
+    return EXIT_OK if passed == len(reports) else EXIT_VERIFY_FAILED
 
 
 def cmd_verify(args, ctx: PrecisionContext) -> int:
@@ -158,12 +159,8 @@ def cmd_constants(args, ctx: PrecisionContext) -> int:
     z = CMPoint.from_string(args.z)
     texts = {name: format_ap(value, args.digits) for name, value
              in zip(("c1", "c2", "m"), series_constants_from_cm(z, args.N, ctx))}
-    if args.json:
-        print(json.dumps({"z": args.z, "N": args.N, "digits": args.digits, **texts},
-                         indent=2))
-    else:
-        for name, text in texts.items():
-            print(f"{name:<2} = {text}")
+    _emit(args, {"z": args.z, "N": args.N, "digits": args.digits, **texts},
+          [f"{name:<2} = {text}" for name, text in texts.items()])
     return EXIT_OK
 
 
@@ -172,35 +169,25 @@ def _print_value(label, value, args, digits=None, tail=None) -> None:
     the tail bound of a truncated sum if one is given."""
     digits = digits or args.digits
     out = {"label": label, "digits": digits, "value": format_ap(value, digits)}
+    note = ""
     if tail is not None:
         out["tail"] = mpmath.nstr(tail, 3)
-    if args.json:
-        print(json.dumps(out, indent=2))
-    else:
-        note = f" (tail bound {out['tail']})" if tail is not None else ""
-        print(f"{label} = {out['value']}{note}")
+        note = f" (tail bound {out['tail']})"
+    _emit(args, out, [f"{label} = {out['value']}{note}"])
 
 
 def cmd_tables(args, ctx: PrecisionContext) -> int:
     tol = mpf(10) ** (-(args.digits - 10))
-    results = [(row_text, cell, residual, bool(residual < tol))
-               for row_text, cell, residual in check_table(args.table, ctx)]
-    if args.json:
-        print(json.dumps({
-            "table": args.table, "digits": args.digits,
-            "cells": [
-                {"row": r, "cell": c, "residual": mpmath.nstr(res, 3), "pass": ok}
-                for r, c, res, ok in results
-            ],
-            "pass": all(ok for *_, ok in results),
-        }, indent=2))
-    else:
-        for r, c, res, ok in results:
-            print(f"{'PASS' if ok else 'FAIL'} table {args.table} "
-                  f"{r:<24} {c}: residual {mpmath.nstr(res, 3)}")
-        print(f"table {args.table}: "
-              f"{sum(ok for *_, ok in results)}/{len(results)} cells match")
-    return EXIT_OK if all(ok for *_, ok in results) else EXIT_VERIFY_FAILED
+    cells = [{"row": r, "cell": c, "residual": mpmath.nstr(res, 3), "pass": bool(res < tol)}
+             for r, c, res in check_table(args.table, ctx)]
+    passed = sum(cell["pass"] for cell in cells)
+    lines = [f"{'PASS' if cell['pass'] else 'FAIL'} table {args.table} "
+             f"{cell['row']:<24} {cell['cell']}: residual {cell['residual']}"
+             for cell in cells]
+    _emit(args, {"table": args.table, "digits": args.digits, "cells": cells,
+                 "pass": passed == len(cells)},
+          lines + [f"table {args.table}: {passed}/{len(cells)} cells match"])
+    return EXIT_OK if passed == len(cells) else EXIT_VERIFY_FAILED
 
 
 # -- argument parsing ------------------------------------------------------
@@ -223,13 +210,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="High-precision verification of fast converging irrational series.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, func, summary):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--digits", type=int, default=None,
                        help="significant digits (default 40, or $%s)" % ENV_DIGITS)
         p.add_argument("--json", action="store_true", help="JSON output")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("verify", help="verify corpus identities")
-    common(p)
+    p = command("verify", cmd_verify, "verify corpus identities")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--all", action="store_true", help="verify everything")
     group.add_argument("--id", help="verify a single record")
@@ -238,39 +227,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache", default=None, help="constants cache path")
     p.add_argument("--timings", action="store_true",
                    help="include elapsed milliseconds in reports")
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("lvalue", help="Dirichlet L-value L_d(2)")
-    common(p)
+    p = command("lvalue", cmd_lvalue, "Dirichlet L-value L_d(2)")
     p.add_argument("--d", type=int, required=True)
-    p.set_defaults(func=cmd_lvalue)
 
-    p = sub.add_parser("epstein", help="Epstein zeta value at s = 2")
-    common(p)
+    p = command("epstein", cmd_epstein, "Epstein zeta value at s = 2")
     p.add_argument("--z", required=True, help="CM point, e.g. \"i\" or "
                    "\"1/2+1/7*sqrt(7)*i\"")
     p.add_argument("--gamma0", type=int, choices=_LEVELS, default=None,
                    help="level-N coset sum instead of the full sum, as a "
                         "float lattice sum printed to the digits its tail "
                         "bound certifies")
-    p.set_defaults(func=cmd_epstein)
 
-    p = sub.add_parser("alpha", help="modular invariant alpha_N(z)")
-    common(p)
-    p.add_argument("--z", required=True)
-    p.add_argument("--N", type=int, choices=_LEVELS, required=True)
-    p.set_defaults(func=cmd_alpha)
+    for name, func, summary in (("alpha", cmd_alpha, "modular invariant alpha_N(z)"),
+                                ("constants", cmd_constants,
+                                 "series constants (c1, c2, m) at z")):
+        p = command(name, func, summary)
+        p.add_argument("--z", required=True)
+        p.add_argument("--N", type=int, choices=_LEVELS, required=True)
 
-    p = sub.add_parser("constants", help="series constants (c1, c2, m) at z")
-    common(p)
-    p.add_argument("--z", required=True)
-    p.add_argument("--N", type=int, choices=_LEVELS, required=True)
-    p.set_defaults(func=cmd_constants)
-
-    p = sub.add_parser("tables", help="reconstruct one of the three tables")
-    common(p)
+    p = command("tables", cmd_tables, "reconstruct one of the three tables")
     p.add_argument("--table", type=int, choices=(1, 2, 3), required=True)
-    p.set_defaults(func=cmd_tables)
 
     return parser
 

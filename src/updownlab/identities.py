@@ -197,15 +197,27 @@ def _term_to_json(term: SeriesTerm) -> dict:
     return {"weight": _quad_to_json(term.weight), **body}
 
 
+def _list_from_json(obj: dict, key: str, where: str, objects: bool = False) -> list:
+    """``obj[key]``, default [], if it is a JSON list (of objects, if
+    ``objects``); CorpusError otherwise."""
+    v = obj.get(key, [])
+    if not isinstance(v, list):
+        raise CorpusError(f"{where}: {key} must be a list, got {v!r}")
+    for e in v if objects else ():
+        if not isinstance(e, dict):
+            raise CorpusError(f"{where}: {key} entry {e!r} is not an object")
+    return v
+
+
 def _term_from_json(obj, where: str) -> SeriesTerm:
     weight = _quad_from_json(obj.get("weight"), where)
     kind = obj.get("kind")
     if kind == "updown":
-        families = {f.tag: f for f in SeriesFamily}
-        if obj.get("family") not in families:
+        family = next((f for f in SeriesFamily if f.tag == obj.get("family")), None)
+        if family is None:
             raise CorpusError(f"{where}: unknown family {obj.get('family')!r}")
         series = UpsideDownSeries(
-            families[obj["family"]],
+            family,
             _quad_from_json(obj.get("a"), where),
             _quad_from_json(obj.get("b"), where),
             _quad_from_json(obj.get("m"), where),
@@ -228,9 +240,10 @@ def _with_id(obj, where: str) -> str:
 
 def _record_from_json(obj, index: int) -> IdentityRecord:
     where = _with_id(obj, f"identities[{index}]")
-    lhs = tuple(_term_from_json(t, where) for t in obj.get("lhs", []))
+    lhs = tuple(_term_from_json(t, where)
+                for t in _list_from_json(obj, "lhs", where, objects=True))
     rhs = tuple((_quad_from_json(e.get("coeff"), where), e.get("tag"))
-                for e in obj.get("rhs", []))
+                for e in _list_from_json(obj, "rhs", where, objects=True))
     try:
         return IdentityRecord(obj["id"], obj.get("source", ""), lhs, rhs)
     except (CorpusError, DomainError) as exc:
@@ -240,10 +253,10 @@ def _record_from_json(obj, index: int) -> IdentityRecord:
 def _instance_from_json(obj, index: int) -> KroneckerInstance:
     where = _with_id(obj, f"kronecker[{index}]")
     try:
-        points = tuple(CMPoint.from_string(s) for s in obj.get("points", []))
+        points = tuple(CMPoint.from_string(s) for s in _list_from_json(obj, "points", where))
     except DomainError as exc:
         raise CorpusError(f"{where}: {exc}") from None
-    signs = tuple(_int_from_json(s, where) for s in obj.get("signs", []))
+    signs = tuple(_int_from_json(s, where) for s in _list_from_json(obj, "signs", where))
     try:
         d1, d2 = (Discriminant(_int_from_json(obj.get(k), where)) for k in ("d1", "d2"))
     except DomainError as exc:
@@ -262,12 +275,10 @@ def corpus_from_json(text: str) -> Corpus:
         raise CorpusError(f"invalid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise CorpusError("top level must be an object")
-    identities = tuple(
-        _record_from_json(o, i) for i, o in enumerate(data.get("identities", []))
-    )
-    kronecker = tuple(
-        _instance_from_json(o, i) for i, o in enumerate(data.get("kronecker", []))
-    )
+    identities = tuple(_record_from_json(o, i) for i, o
+                       in enumerate(_list_from_json(data, "identities", "corpus")))
+    kronecker = tuple(_instance_from_json(o, i) for i, o
+                      in enumerate(_list_from_json(data, "kronecker", "corpus")))
     ids = [r.id for r in identities] + [k.id for k in kronecker]
     if len(set(ids)) != len(ids):
         dupes = sorted({x for x in ids if ids.count(x) > 1})

@@ -83,7 +83,7 @@ class CMPoint:
     def from_string(cls, text: str) -> "CMPoint":
         """Parse "[SIGN? RAT (+|-)] [RAT*] [sqrt(INT)*] i", RAT = INT or
         INT/INT: "i", "3*i", "sqrt(2)*i", "1/2+i", "1/2+1/2*sqrt(7)*i"."""
-        m = _CM_RE.fullmatch(text)
+        m = _CM_RE.fullmatch(text) if isinstance(text, str) else None
         if not m:
             raise DomainError(f"cannot parse CM point {text!r}")
         sign, re_part, im_sign, im_part, rad = m.groups()
@@ -190,16 +190,30 @@ def _qsum(z: mpc, ctx: PrecisionContext, table, powers) -> tuple:
 
 # -- eta, alpha_N, j, E4 ---------------------------------------------------
 
-def dedekind_eta(z, ctx: PrecisionContext) -> mpc:
-    """eta(z) = e^{pi i z / 12} prod (1 - q^n), the product by Euler's
-    pentagonal-number expansion on the q-series kernel. Eta has no zeros on
-    the upper half-plane, so a result of 0 is lost precision: DomainError."""
-    z = _as_mpc(z, ctx)
+def _eta_product(z, ctx: PrecisionContext) -> tuple:
+    """(z as a point at ``ctx``, prod (1 - q^n) = 1 + s by Euler's
+    pentagonal-number expansion on the q-series kernel)."""
+    w = _as_mpc(z, ctx)
     with ctx.working():
-        s, = _qsum(z, ctx, _pentagonal_table, (0,))
-        eta = mpmath.exp(1j * mp.pi * z / 12) * (1 + s)
+        s, = _qsum(w, ctx, _pentagonal_table, (0,))
+        return w, 1 + s
+
+
+def dedekind_eta(z, ctx: PrecisionContext) -> mpc:
+    """eta(z) = e^{pi i z / 12} prod (1 - q^n). Eta has no zeros on the upper
+    half-plane, so a result of 0 is lost precision: DomainError."""
+    w, prod = _eta_product(z, ctx)
+    # 1 + s is good to an absolute 10^-dps, so at small heights it loses the
+    # -log10 |1 + s| leading digits (under-counted by under one, as
+    # |prod| <= 2^mag): redo it once with those digits added.
+    lost = -mpmath.mag(prod) * math.log10(2)
+    if prod and lost > 1:
+        wide = PrecisionContext(ctx.digits + math.ceil(lost) + 1, ctx.max_terms)
+        w, prod = _eta_product(z, wide)
+    with ctx.working():
+        eta = mpmath.exp(1j * mp.pi * w / 12) * prod
     if not eta:
-        raise DomainError(f"eta rounds to 0 at Im z = {mpmath.nstr(z.imag, 3)}")
+        raise DomainError(f"eta rounds to 0 at Im z = {mpmath.nstr(w.imag, 3)}")
     return eta
 
 
@@ -401,20 +415,22 @@ def legendre_ramanujan_r(nu, xi, ctx: PrecisionContext) -> mpc:
 def satisfies_region(z, N: int, ctx: PrecisionContext) -> bool:
     """Admissibility constraints for the series lemma, with boundary slack."""
     z = _as_mpc(z, ctx)
-    return _in_region(z, N, alpha_n(z, N, ctx), ctx)
-
-
-def _in_region(z: mpc, N: int, alpha, ctx: PrecisionContext) -> bool:
-    """satisfies_region for a caller that already holds alpha = alpha_N(z)."""
     with ctx.working():
-        slack = mpf(10) ** (-(ctx.digits // 2))
-        if abs(4 * alpha * (1 - alpha)) < 1 - slack:
-            return False
-        if abs(2 * alpha - 1) <= slack:
-            return False
-        if abs(z.real) > mpf(1) / 2 + slack:
-            return False
-        r = mpf(1) / N
-        if abs(z + r) < r - slack or abs(z - r) < r - slack:
-            return False
-        return True
+        return _in_region(z, N, 1 - 2 * alpha_n(z, N, ctx), ctx)
+
+
+def _in_region(z: mpc, N: int, xi, ctx: PrecisionContext) -> bool:
+    """satisfies_region for a caller that holds xi = 1 - 2 alpha_N(z), so
+    |1 - xi^2| = |4 alpha (1 - alpha)| and |xi| = |2 alpha - 1|. Call under
+    ``ctx.working()``."""
+    slack = mpf(10) ** (-(ctx.digits // 2))
+    if abs(1 - xi**2) < 1 - slack:
+        return False
+    if abs(xi) <= slack:
+        return False
+    if abs(z.real) > mpf(1) / 2 + slack:
+        return False
+    r = mpf(1) / N
+    if abs(z + r) < r - slack or abs(z - r) < r - slack:
+        return False
+    return True

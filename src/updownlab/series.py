@@ -286,10 +286,9 @@ def sigma_gr(z, N: int, ctx: PrecisionContext):
     """Complex value of the weighted series at an admissible CM point."""
     z = _as_mpc(z, ctx)
     c1, c2, m = series_constants_from_cm(z, N, ctx)
-    # c1 = 2 xi = 2 (1 - 2 alpha) hands the region test its alpha_N(z).
-    with ctx.bumped().working():
-        alpha = (2 - c1) / 4
-    if not _in_region(z, N, alpha, ctx):
+    with ctx.working():
+        admissible = _in_region(z, N, c1 / 2, ctx)
+    if not admissible:
         raise DomainError(f"point {z} outside the admissible region for N={N}")
     return _sum_linear_series(c1, c2, m, _FAMILY_BY_LEVEL[N], ctx)[0]
 

@@ -69,6 +69,14 @@ class TestFormatAp:
     def test_negative(self):
         assert format_ap(mpf("-1.5"), 3) == "-1.50"
 
+    @pytest.mark.parametrize("value, exponent", [
+        ("1e-2000000", "-2000000"), ("1e-1000000", "-1000000"), ("1.5e2000000", "2000000")])
+    def test_exponent_beyond_decimal_range(self, value, exponent):
+        # A subnormal Decimal keeps fewer than ``digits`` figures, so an
+        # exponent past +-999999 is a usage error, not a megabyte of zeros.
+        with pytest.raises(DomainError, match=f"exponent {exponent} is beyond"):
+            format_ap(mpf(value), 5)
+
 
 class TestVerifyCommand:
     def test_single_identity(self, capsys):
@@ -198,6 +206,15 @@ class TestVerifyCommand:
         code, out, err = run(capsys, "verify", "--all", "--corpus", str(corpus))
         assert code == EXIT_CORPUS and out == ""
         assert "corpus error" in err and "is not an integer" in err
+
+    def test_lhs_entry_not_an_object_is_a_corpus_error(self, capsys, tmp_path):
+        data = json.loads(serialize_corpus(load_corpus()))
+        data["identities"][0]["lhs"] = [5]
+        corpus = tmp_path / "corpus.json"
+        corpus.write_text(json.dumps(data), encoding="utf-8")
+        code, out, err = run(capsys, "verify", "--all", "--corpus", str(corpus))
+        assert code == EXIT_CORPUS and out == ""
+        assert err.startswith("corpus error: identities[0] (zeilberger): lhs entry 5")
 
     def test_mixed_radicands_under_one_m(self, capsys, tmp_path):
         # Two series on m = 1 with a in Q(sqrt2) and Q(sqrt3): no one field
@@ -376,6 +393,15 @@ class TestValueCommands:
         assert result.returncode == EXIT_USAGE
         assert result.stderr.startswith("error: ") and "Traceback" not in result.stderr
         assert result.stdout == ""
+
+    def test_value_beyond_decimal_range_is_a_usage_error(self):
+        # alpha_2(10^30 i) is about 64 e^(-2 pi 10^30): its decimal exponent,
+        # about -2.7e30, is past the largest one Decimal parses.
+        result = run_bounded("-m", "updownlab.cli", "alpha", "--z",
+                             "1" + "0" * 30 + "*i", "--N", "2")
+        assert result.returncode == EXIT_USAGE
+        assert result.stderr.startswith("error: decimal exponent -")
+        assert "Traceback" not in result.stderr and result.stdout == ""
 
     def test_bad_point_string(self, capsys):
         code, _, err = run(capsys, "epstein", "--z", "not-a-point")

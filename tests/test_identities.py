@@ -162,6 +162,40 @@ class TestCorpusValidation:
         with pytest.raises(CorpusError, match=rf"\({record_id}\): .* is not an integer"):
             corpus_from_json(json.dumps(data))
 
+    # A list field that is not a list, or an lhs/rhs entry that is not an
+    # object, is a corpus error at its record: "points": "i" would load as
+    # the one point i, and an entry 5 would fail on 5.get().
+    @pytest.mark.parametrize("section, record_id, changes, message", [
+        ("identities", "fib2", {"lhs": [5]}, "lhs entry 5 is not an object"),
+        ("identities", "fib2", {"rhs": [5]}, "rhs entry 5 is not an object"),
+        ("identities", "fib2", {"lhs": {"kind": "fiblucas"}}, "lhs must be a list"),
+        ("identities", "fib2", {"lhs": "fiblucas"}, "lhs must be a list"),
+        ("identities", "fib2", {"rhs": {"tag": "PI2"}}, "rhs must be a list"),
+        ("identities", "fib2", {"rhs": "PI2"}, "rhs must be a list"),
+        ("kronecker", "e-i", {"points": "i", "signs": [1]}, "points must be a list"),
+        ("kronecker", "e-i", {"signs": {"0": 1}}, "signs must be a list"),
+        ("kronecker", "e-i", {"points": [5], "signs": [1]}, "cannot parse CM point 5"),
+    ])
+    def test_malformed_list_rejected(self, section, record_id, changes, message):
+        data = json.loads(serialize_corpus(load_corpus()))
+        next(r for r in data[section] if r["id"] == record_id).update(changes)
+        with pytest.raises(CorpusError, match=rf"\({record_id}\): {message}"):
+            corpus_from_json(json.dumps(data))
+
+    @pytest.mark.parametrize("section", ["identities", "kronecker"])
+    def test_section_that_is_not_a_list_rejected(self, section):
+        data = json.loads(serialize_corpus(load_corpus()))
+        data[section] = {"id": "x"}
+        with pytest.raises(CorpusError, match=rf"^corpus: {section} must be a list"):
+            corpus_from_json(json.dumps(data))
+
+    def test_unhashable_family_rejected(self):
+        data = json.loads(serialize_corpus(load_corpus()))
+        term = next(t for r in data["identities"] for t in r["lhs"] if t["kind"] == "updown")
+        term["family"] = ["CENTRAL3"]
+        with pytest.raises(CorpusError, match=r"unknown family \['CENTRAL3'\]"):
+            corpus_from_json(json.dumps(data))
+
     @pytest.mark.parametrize("value", [[1], [1, 2, 3], [1, 0], [1, 0.0], "1/2", None])
     def test_bad_rational_rejected(self, value):
         data = json.loads(serialize_corpus(load_corpus()))

@@ -285,6 +285,17 @@ class TestEtaLostPrecision:
         with pytest.raises(DomainError, match="rounds to 0"):
             alpha_n(z, 2, ctx30)
 
+    @pytest.mark.parametrize("height", ["0.003", "0.005"])
+    def test_cancelling_product_recomputed(self, ctx30, height):
+        # 1 + s = prod (1 - q^n) is about 1e-37 at 0.003 i and 3e-22 at
+        # 0.005 i, while the q-series is good to an absolute 10^-45: eta
+        # redoes it with the lost digits added and keeps 30 relative digits.
+        ctx120 = PrecisionContext(digits=120)
+        with ctx120.working():
+            z = mpc(0, mpf(height))
+            ref = dedekind_eta(z, ctx120)
+            assert abs(dedekind_eta(z, ctx30) / ref - 1) < mpf(10) ** -30
+
 
 class TestJInvariant:
     def test_special_values(self, ctx30):

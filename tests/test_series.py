@@ -504,6 +504,19 @@ class TestSigmaGR:
         sigma_gr(z, 4, ctx)
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("z, level", [
+        (mpc("0.25", "0.05"), 4), (mpc("-0.25", "0.05"), 4), (mpc("0.8", "1.0"), 2),
+        *((row["point"], tab["level"]) for tab in load_tables() for row in tab["rows"]),
+    ], ids=str)
+    def test_region_rule_on_xi(self, z, level, ctx30):
+        # sigma_gr tests xi = c1 / 2 from its constants and satisfies_region
+        # xi = 1 - 2 alpha_N(z): both reach the one verdict of _in_region.
+        if satisfies_region(z, level, ctx30):
+            assert mpmath.isfinite(sigma_gr(z, level, ctx30))
+        else:
+            with pytest.raises(DomainError, match="outside the admissible region"):
+                sigma_gr(z, level, ctx30)
+
     def test_rejects_inadmissible_points(self, ctx30):
         with pytest.raises(DomainError):
             sigma_gr(mpc("0.25", "0.05"), 4, ctx30)
