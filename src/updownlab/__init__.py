@@ -21,7 +21,6 @@ from .lfunctions import (
 )
 from .modular import (
     CMPoint,
-    PoleError,
     alpha_n,
     dedekind_eta,
     eichler_e4_tilde,

@@ -16,7 +16,7 @@ import mpmath
 from mpmath import mp, mpf
 
 from .numerics import DomainError, PrecisionContext, zeta_int
-from .modular import _as_mpc, _check_level, _qsum, _sigma3_table
+from .modular import _as_mpc, _check_level, _qsum, _reduce_sl2, _sigma3_table
 
 
 class LatticeSum(NamedTuple):
@@ -24,21 +24,6 @@ class LatticeSum(NamedTuple):
 
     value: mpf
     tail: mpf
-
-
-def _reduce_sl2(z, ctx: PrecisionContext):
-    """z moved into the SL(2, Z) fundamental domain |Re z| <= 1/2, |z| >= 1
-    by translations z - nint(Re z) and inversions -1/z. Each inversion
-    raises Im z, so Im z ends at least sqrt(3)/2. |z| within 10^-digits of
-    1 counts as on the circle, so rounding noise cannot bounce a boundary
-    point between z and -1/z. The caller holds ``ctx.working()``."""
-    edge = 1 - ctx.tol
-    for _ in range(ctx.max_terms):
-        z -= mpmath.nint(z.real)
-        if abs(z) >= edge:
-            return z
-        z = -1 / z
-    raise DomainError(f"no SL(2, Z) reduction of {z} within max_terms steps")
 
 
 def epstein_sl2(z, ctx: PrecisionContext) -> mpf:
@@ -53,7 +38,7 @@ def epstein_sl2(z, ctx: PrecisionContext) -> mpf:
     """
     z = _as_mpc(z, ctx)
     with ctx.working():
-        z = _reduce_sl2(z, ctx)
+        z, _, _ = _reduce_sl2(z, ctx)
         y = z.imag
         s2, s3 = _qsum(z, ctx, _sigma3_table, (2, 3))
         total = (s2 + s3 / (2 * mp.pi * y)).real

@@ -23,10 +23,6 @@ _NU_BY_LEVEL = {2: Fraction(-1, 4), 3: Fraction(-1, 3), 4: Fraction(-1, 2)}
 _ALPHA_SCALE = {2: 64, 3: 27, 4: 16}
 
 
-class PoleError(ArithmeticError):
-    """Evaluation at a pole of the requested function."""
-
-
 def _check_level(N: int) -> None:
     if N not in _LEVELS:
         raise DomainError(f"level must be in {_LEVELS}, got {N}")
@@ -188,33 +184,47 @@ def _qsum(z: mpc, ctx: PrecisionContext, table, powers) -> tuple:
         return tuple(mpc(*(mpmath.ldexp(v, -prec) for v in acc)) for acc in sums)
 
 
+# -- SL(2, Z) reduction ---------------------------------------------------
+
+def _reduce_sl2(z: mpc, ctx: PrecisionContext) -> tuple:
+    """(w, shift, inverted): z moved into the SL(2, Z) fundamental domain
+    |Re w| <= 1/2, |w| >= 1 by translations v -> v - nint(Re v), whose
+    integers add up to ``shift``, and inversions v -> -1/v, taken at the
+    points ``inverted`` in order. Each inversion raises Im v, so Im w ends
+    at least sqrt(3)/2. |v| within 10^-digits of 1 counts as on the circle,
+    so rounding noise cannot bounce a boundary point between v and -1/v.
+    The caller holds ``ctx.working()``."""
+    edge = 1 - ctx.tol
+    shift, inverted = 0, []
+    for _ in range(ctx.max_terms):
+        n = mpmath.nint(z.real)
+        z -= n
+        shift += int(n)
+        if abs(z) >= edge:
+            return z, shift, inverted
+        inverted.append(z)
+        z = -1 / z
+    raise DomainError(f"no SL(2, Z) reduction of {z} within max_terms steps")
+
+
 # -- eta, alpha_N, j, E4 ---------------------------------------------------
 
-def _eta_product(z, ctx: PrecisionContext) -> tuple:
-    """(z as a point at ``ctx``, prod (1 - q^n) = 1 + s by Euler's
-    pentagonal-number expansion on the q-series kernel)."""
-    w = _as_mpc(z, ctx)
-    with ctx.working():
-        s, = _qsum(w, ctx, _pentagonal_table, (0,))
-        return w, 1 + s
-
-
 def dedekind_eta(z, ctx: PrecisionContext) -> mpc:
-    """eta(z) = e^{pi i z / 12} prod (1 - q^n). Eta has no zeros on the upper
-    half-plane, so a result of 0 is lost precision: DomainError."""
-    w, prod = _eta_product(z, ctx)
-    # 1 + s is good to an absolute 10^-dps, so at small heights it loses the
-    # -log10 |1 + s| leading digits (under-counted by under one, as
-    # |prod| <= 2^mag): redo it once with those digits added.
-    lost = -mpmath.mag(prod) * math.log10(2)
-    if prod and lost > 1:
-        wide = PrecisionContext(ctx.digits + math.ceil(lost) + 1, ctx.max_terms)
-        w, prod = _eta_product(z, wide)
+    """eta(z) = e^{pi i z / 12} prod (1 - q^n), the product summed once by
+    Euler's pentagonal-number expansion at the reduced point w of z, where
+    |q| < 0.005. eta(v + n) = e^{pi i n / 12} eta(v) and eta(-1/v) =
+    sqrt(-i v) eta(v) = e^{-pi i / 4} sqrt(v) eta(v) (Apostol, Modular
+    Functions and Dirichlet Series, ch. 3) carry it back over k inversions:
+    eta(z) = e^{pi i (w + shift + 3k) / 12} prod (1 - q_w^n) / prod_v sqrt(v),
+    with shift + 3k taken mod 24."""
+    z = _as_mpc(z, ctx)
     with ctx.working():
-        eta = mpmath.exp(1j * mp.pi * w / 12) * prod
-    if not eta:
-        raise DomainError(f"eta rounds to 0 at Im z = {mpmath.nstr(w.imag, 3)}")
-    return eta
+        w, shift, inverted = _reduce_sl2(z, ctx)
+        s, = _qsum(w, ctx, _pentagonal_table, (0,))
+        eta = mpmath.expjpi((w + (shift + 3 * len(inverted)) % 24) / 12) * (1 + s)
+        for v in inverted:
+            eta /= mpmath.sqrt(v)
+        return eta
 
 
 def alpha_n(z, N: int, ctx: PrecisionContext) -> mpc:
@@ -228,14 +238,14 @@ def alpha_n(z, N: int, ctx: PrecisionContext) -> mpc:
 
 
 def j_invariant(z, ctx: PrecisionContext) -> mpc:
-    """Klein's j, normalized so j(i) = 1728, via alpha_4(z/2)."""
+    """Klein's j, normalized so j(i) = 1728, via a = alpha_4(w/2) at the
+    reduced point w of z (j is SL(2, Z) invariant). alpha_4 takes neither
+    0 nor 1 on the upper half-plane, so j has no pole there."""
     z = _as_mpc(z, ctx)
     with ctx.working():
-        a = alpha_n(z / 2, 4, ctx)
-        denom = a**2 * (1 - a) ** 2
-        if abs(denom) < ctx.eps:
-            raise PoleError(f"j-invariant pole: alpha_4(z/2) in {{0, 1}} at z = {z}")
-        return 2**8 * (1 - a + a**2) ** 3 / denom
+        w, _, _ = _reduce_sl2(z, ctx)
+        a = alpha_n(w / 2, 4, ctx)
+        return 2**8 * (1 - a + a**2) ** 3 / (a**2 * (1 - a) ** 2)
 
 
 def eisenstein_e4(z, ctx: PrecisionContext) -> mpc:

@@ -382,16 +382,27 @@ class TestValueCommands:
         assert err.startswith("error: ")
         assert out == ""
 
-    @pytest.mark.parametrize("command, height", [
-        ("alpha", "1/1" + "0" * 400), ("alpha", "1/100000"), ("constants", "1/100000")],
-        ids=["alpha-1e-400", "alpha-1e-5", "constants-1e-5"])
+    @pytest.mark.parametrize("height", ["1/1" + "0" * 400, "1/100000"],
+                             ids=["1e-400", "1e-5"])
+    def test_alpha_at_extreme_height(self, height):
+        # Eta reduces the point first, so even a height whose float is 0
+        # gives alpha_2, which rounds to 1.
+        result = run_bounded("-m", "updownlab.cli", "alpha", "--z", f"{height}*i",
+                             "--N", "2", seconds=30)
+        assert result.returncode == EXIT_OK
+        assert result.stdout.startswith(f"alpha_2({height}*i) = 1.000")
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("command, height", [("constants", "1/100000")],
+                             ids=["constants-1e-5"])
     def test_extreme_height_is_a_usage_error(self, command, height):
-        # At 10^-400 the float height is 0; at 10^-5 eta rounds to 0. Both
-        # are clean errors (exit 2), not a traceback.
+        # alpha_2 at 10^-5 i rounds to 1, where the series constants are
+        # undefined: a clean error (exit 2), not a traceback.
         result = run_bounded("-m", "updownlab.cli", command, "--z", f"{height}*i",
                              "--N", "2", seconds=30)
         assert result.returncode == EXIT_USAGE
-        assert result.stderr.startswith("error: ") and "Traceback" not in result.stderr
+        assert result.stderr.startswith("error: alpha in {0, 1}")
+        assert "Traceback" not in result.stderr
         assert result.stdout == ""
 
     def test_value_beyond_decimal_range_is_a_usage_error(self):

@@ -13,7 +13,6 @@ from mpmath import mp, mpc, mpf
 
 from updownlab import (
     CMPoint,
-    PoleError,
     PrecisionContext,
     alpha_n,
     dedekind_eta,
@@ -260,7 +259,7 @@ class TestQSeriesCutoff:
         # q-series raises before it sums or tabulates anything.
         ctx = PrecisionContext(digits=30, max_terms=1000)
         z = mpc("0.1", "0.001")
-        for fn in (eisenstein_e4, eichler_e4_tilde, dedekind_eta):
+        for fn in (eisenstein_e4, eichler_e4_tilde):
             with pytest.raises(DomainError, match="max_terms"):
                 fn(z, ctx)
 
@@ -268,28 +267,30 @@ class TestQSeriesCutoff:
         # Im z = 10^-400 is 0.0 as a float: the cutoff is infinite, never a
         # division by zero.
         z = mpc(0, mpf("1e-400"))
-        for fn in (eisenstein_e4, eichler_e4_tilde, dedekind_eta):
+        for fn in (eisenstein_e4, eichler_e4_tilde):
             with pytest.raises(DomainError, match="max_terms"):
                 fn(z, ctx30)
 
 
 class TestEtaLostPrecision:
-    @pytest.mark.parametrize("height", ["1e-3", "1e-4"])
-    def test_eta_rounding_to_zero_rejected(self, ctx30, height):
+    @pytest.mark.parametrize("z", [mpc(0, "1e-3"), mpc(0, "3e-4"), mpc("0.3", "2e-3")],
+                             ids=["1e-3", "3e-4", "off-axis"])
+    def test_small_heights_against_q_pochhammer(self, ctx30, z):
         # |eta(i y)| is about y^(-1/2) e^(-pi/(12 y)), far below the
-        # fixed-point ulp of the q-series here. Eta has no zeros, so the 0
-        # the sum rounds to is an error, not a value to divide by.
-        z = mpc(0, mpf(height))
-        with pytest.raises(DomainError, match="rounds to 0"):
-            dedekind_eta(z, ctx30)
-        with pytest.raises(DomainError, match="rounds to 0"):
-            alpha_n(z, 2, ctx30)
+        # fixed-point ulp of a q-series summed at z itself. The reduced point
+        # carries it back to 30 relative digits; the reference is
+        # e^{pi i z/12} (q; q)_oo at 60 digits.
+        got = dedekind_eta(z, ctx30)
+        with mpmath.workdps(60):
+            ref = mpmath.exp(1j * mp.pi * z / 12) * mpmath.qp(mpmath.exp(2j * mp.pi * z))
+            assert abs(got / ref - 1) < mpf(10) ** -30
 
     @pytest.mark.parametrize("height", ["0.003", "0.005"])
     def test_cancelling_product_recomputed(self, ctx30, height):
-        # 1 + s = prod (1 - q^n) is about 1e-37 at 0.003 i and 3e-22 at
-        # 0.005 i, while the q-series is good to an absolute 10^-45: eta
-        # redoes it with the lost digits added and keeps 30 relative digits.
+        # prod (1 - q^n) at z itself is about 1e-37 at 0.003 i and 3e-22 at
+        # 0.005 i, below the absolute 10^-45 of the q-series. Eta sums it at
+        # the reduced point instead, where it is near 1, and keeps 30
+        # relative digits.
         ctx120 = PrecisionContext(digits=120)
         with ctx120.working():
             z = mpc(0, mpf(height))
@@ -312,6 +313,19 @@ class TestJInvariant:
                        - j_invariant(-1 / z, ctx30)) < 10 * ctx30.tol
             assert abs(j_invariant(z, ctx30)
                        - j_invariant(z + 1, ctx30)) < 10 * ctx30.tol
+
+    @pytest.mark.parametrize("height, y", [
+        ("20", 20), ("30", 30), ("300", 300), ("1e-3", 1000)])
+    def test_large_and_small_heights(self, ctx30, height, y):
+        # j(i y) = e^{2 pi y} + 744 + 196884 e^{-2 pi y} + 21493760 e^{-4 pi y}
+        # + O(e^{-6 pi y}) with no pole at any height; j(i/1000) = j(1000 i).
+        with ctx30.working():
+            z = mpc(0, mpf(height))
+        got = j_invariant(z, ctx30)
+        with mpmath.workdps(60):
+            q = mpmath.exp(-2 * mp.pi * y)
+            ref = 1 / q + 744 + 196884 * q + 21493760 * q**2
+            assert abs(got / ref - 1) < mpf(10) ** -30
 
 
 class TestAlphaN:
