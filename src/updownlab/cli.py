@@ -177,8 +177,8 @@ def _print_value(label, value, args, digits=None, tail=None) -> None:
 
 
 def cmd_tables(args, ctx: PrecisionContext) -> int:
-    tol = mpf(10) ** (-(args.digits - 10))
-    cells = [{"row": r, "cell": c, "residual": mpmath.nstr(res, 3), "pass": bool(res < tol)}
+    cells = [{"row": r, "cell": c, "residual": mpmath.nstr(res, 3),
+              "pass": bool(res < ctx.verdict_tol)}
              for r, c, res in check_table(args.table, ctx)]
     passed = sum(cell["pass"] for cell in cells)
     lines = [f"{'PASS' if cell['pass'] else 'FAIL'} table {args.table} "

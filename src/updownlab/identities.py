@@ -15,6 +15,7 @@ import re
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from importlib import resources
 from typing import Optional, Sequence, Tuple, Union
 
@@ -331,8 +332,9 @@ def load_corpus(path: Optional[str] = None) -> Corpus:
 
 # -- table reconstruction --------------------------------------------------
 
-def load_tables() -> list:
-    """Rows of the three packaged CM-point tables, with exact expected cell values."""
+@lru_cache(maxsize=None)
+def load_tables() -> tuple:
+    """Rows of the three packaged CM-point tables, with exact cell values; parsed once."""
     data = json.loads(_read_data(None, "data/tables.json"))
     tables = []
     for tab in data["tables"]:
@@ -346,8 +348,8 @@ def load_tables() -> list:
                 )
             rows.append({"point": CMPoint.from_string(row["point"]),
                          "text": row["point"], "cells": cells})
-        tables.append({"table": tab["table"], "level": tab["level"], "rows": rows})
-    return tables
+        tables.append({"table": tab["table"], "level": tab["level"], "rows": tuple(rows)})
+    return tuple(tables)
 
 
 def check_table(table_no: int, ctx: PrecisionContext):
@@ -447,7 +449,7 @@ def _rhs_value(rhs, ctx: PrecisionContext, cache=None) -> mpf:
 def _report(record_id, ctx, lhs, rhs, terms, t0) -> VerificationReport:
     with ctx.working():
         residual = abs(lhs - rhs)
-        passed = bool(residual < mpf(10) ** (-(ctx.digits - 5)))
+        passed = bool(residual < ctx.verdict_tol)
     return VerificationReport(
         id=record_id, digits=ctx.digits, lhs_value=lhs, rhs_value=rhs,
         abs_residual=residual, passed=passed, terms_used=terms,

@@ -269,20 +269,23 @@ def eichler_e4_tilde(z, ctx: PrecisionContext) -> mpc:
         return 240j * (z.imag / (2 * mp.pi**2) * s2 + s3 / (4 * mp.pi**3))
 
 
+def _reflection_poly(r2, y):
+    """The reflection identity's right side, with r2 = |z|^2, less its factor."""
+    return (r2 + 2 * y * y) / r2**2 + r2 + 2 * y * y - 5
+
+
 def re_eichler_closed_form(z, ctx: PrecisionContext) -> mpf:
     """Closed form of Re of the Eichler integral when 2 Re z or 2 Re(1/z) is
     an integer (the second case from the reflection functional equation)."""
     z = _as_mpc(z, ctx)
     with ctx.working():
-        slack = mpf(10) ** (-(ctx.digits // 2))
         x, y = z.real, z.imag
         two_x = 2 * x
-        if abs(two_x - mpmath.nint(two_x)) < slack:
+        if abs(two_x - mpmath.nint(two_x)) < ctx.slack:
             return mpf(0)
         w = 2 * (1 / z).real
-        if abs(w - mpmath.nint(w)) < slack:
-            r2 = x * x + y * y
-            return -(x / 3) * ((r2 + 2 * y * y) / r2**2 + r2 + 2 * y * y - 5)
+        if abs(w - mpmath.nint(w)) < ctx.slack:
+            return -(x / 3) * _reflection_poly(x * x + y * y, y)
         raise DomainError(
             f"neither 2*Re(z) nor 2*Re(1/z) is an integer at z = {z}"
         )
@@ -299,7 +302,7 @@ def reflection_residual(z, ctx: PrecisionContext) -> mpf:
             r2 / y**2 * eichler_e4_tilde(-1 / z, ctx).real
             - eichler_e4_tilde(z, ctx).real / y**2
         )
-        rhs = x / (3 * y**2) * ((r2 + 2 * y * y) / r2**2 + r2 + 2 * y * y - 5)
+        rhs = x / (3 * y**2) * _reflection_poly(r2, y)
         return abs(lhs - rhs)
 
 
@@ -413,7 +416,7 @@ def legendre_ramanujan_r(nu, xi, ctx: PrecisionContext) -> mpc:
         if abs(xi.imag) > ctx.eps * (1 + abs(xi)):
             return _r_direct(nu, xi, ctx)
         r = _r_direct(nu, mpc(xi.real), ctx)
-        tol = mpf(10) ** (-(ctx.digits // 2)) * (1 + abs(r))
+        tol = ctx.slack * (1 + abs(r))
         if 2 * abs(r.imag) > tol:
             raise ArithmeticError(
                 f"one-sided limits of R_nu disagree at xi = {xi}: "
@@ -433,7 +436,7 @@ def _in_region(z: mpc, N: int, xi, ctx: PrecisionContext) -> bool:
     """satisfies_region for a caller that holds xi = 1 - 2 alpha_N(z), so
     |1 - xi^2| = |4 alpha (1 - alpha)| and |xi| = |2 alpha - 1|. Call under
     ``ctx.working()``."""
-    slack = mpf(10) ** (-(ctx.digits // 2))
+    slack = ctx.slack
     if abs(1 - xi**2) < 1 - slack:
         return False
     if abs(xi) <= slack:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Tuple, Union
 
 import mpmath
@@ -51,17 +51,29 @@ class PrecisionContext:
         """Context manager setting the working decimal precision."""
         return mpmath.workdps(self.dps)
 
-    @property
+    def _ten_to_minus(self, n: int) -> mpf:
+        with self.working():
+            return mpf(10) ** -n
+
+    @cached_property
     def eps(self) -> mpf:
         """Target absolute truncation error at working precision."""
-        with self.working():
-            return mpf(10) ** (-self.dps)
+        return self._ten_to_minus(self.dps)
 
-    @property
+    @cached_property
     def tol(self) -> mpf:
         """10^-digits, the reporting tolerance."""
-        with self.working():
-            return mpf(10) ** (-self.digits)
+        return self._ten_to_minus(self.digits)
+
+    @cached_property
+    def verdict_tol(self) -> mpf:
+        """10^-(digits-5): a record or a table cell passes below it."""
+        return self._ten_to_minus(self.digits - 5)
+
+    @cached_property
+    def slack(self) -> mpf:
+        """10^-(digits//2), the boundary slack of region and branch tests."""
+        return self._ten_to_minus(self.digits // 2)
 
     def bumped(self) -> "PrecisionContext":
         """Ten more digits, the guard digits of the series loop and of its

@@ -446,6 +446,54 @@ class TestTablesCommand:
         assert payload["pass"] is True
         assert len(payload["cells"]) == 9
 
+    def test_floor_digits_can_fail_a_cell(self, capsys, monkeypatch):
+        # A table cell passes below 10^-(digits - 5), as a record does; at
+        # the floor of 10 digits a residual of 10^-3 fails.
+        monkeypatch.setattr(cli, "check_table",
+                            lambda table, ctx: iter([("i", "c1", mpf("1e-3"))]))
+        code, out, _ = run(capsys, "tables", "--table", "1", "--digits", "10")
+        assert code == EXIT_VERIFY_FAILED
+        assert out.startswith("FAIL table 1 ")
+
+    def test_tables_parsed_once(self, monkeypatch):
+        tables = identities.load_tables()
+        assert identities.load_tables() is tables
+        assert isinstance(tables, tuple)
+        assert all(isinstance(tab["rows"], tuple) for tab in tables)
+        calls = []
+        read = identities._read_data
+
+        def counted(*args):
+            calls.append(args)
+            return read(*args)
+
+        monkeypatch.setattr(identities, "_read_data", counted)
+        ctx = PrecisionContext(digits=10)
+        for table in (1, 2, 3):
+            assert list(identities.check_table(table, ctx))
+        assert calls == []
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+
+class TestGoldenOutputs:
+    """Outputs compared byte for byte with tests/golden/<name>, which holds
+    ``python -m updownlab.cli <argv>``. A change that moves a value rewrites
+    the file with that command and names the moved fields."""
+
+    @pytest.mark.parametrize("name, argv", [
+        ("verify_all_40.json", "verify --all --digits 40 --json"),
+        ("verify_all_300.json", "verify --all --digits 300 --json"),
+        *((f"tables_{n}_100.json", f"tables --table {n} --digits 100 --json")
+          for n in (1, 2, 3)),
+    ])
+    def test_matches_golden(self, capsys, name, argv):
+        code, out, err = run(capsys, *argv.split())
+        assert code == EXIT_OK and err == ""
+        with open(os.path.join(GOLDEN, name), encoding="utf-8") as fh:
+            assert out == fh.read()
+
 
 class TestArgumentHandling:
     def test_no_command(self, capsys):

@@ -1,5 +1,6 @@
 """Precision plumbing, exact quadratic arithmetic, and base constants."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -40,6 +41,20 @@ class TestPrecisionContext:
         with ctx.working():
             assert ctx.eps == mpf(10) ** -35
             assert ctx.tol == mpf(10) ** -20
+
+    def test_no_field_beyond_digits_and_max_terms(self):
+        assert [f.name for f in dataclasses.fields(PrecisionContext)] == [
+            "digits", "max_terms"]
+
+    @pytest.mark.parametrize("digits", [10, 21, 300])
+    def test_thresholds_computed_once(self, digits):
+        ctx = PrecisionContext(digits=digits)
+        expected = {"eps": digits + 15, "tol": digits,
+                    "verdict_tol": digits - 5, "slack": digits // 2}
+        for name, n in expected.items():
+            assert getattr(ctx, name) is getattr(ctx, name), name
+            with ctx.working():
+                assert getattr(ctx, name) == mpf(10) ** -n, name
 
     def test_bumped(self):
         ctx = PrecisionContext(digits=25, max_terms=5000)
