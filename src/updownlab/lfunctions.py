@@ -8,10 +8,13 @@ sum_{k>=1} chi(k) / k^2 is a finite sum over residue classes:
   with the trigamma psi' from ``numerics``, an integer fixed-point kernel
   whose values carry a few bits more than the working precision; the
   products chi(a) psi'(a/|d|) are summed exactly and rounded once;
-* d > 1 (even character): pairing a with d - a, as chi(d - a) = chi(a) and
-  chi(d/2) = 0, and using psi'(x) + psi'(1-x) = pi^2 / sin^2(pi x) gives
-  L_d(2) = pi^2 / d^2 sum_{0<a<d/2} chi(a) / sin^2(pi a / d);
-* d = 1: zeta(2).
+* d > 0 (even character): d = d0 f^2 with d0 the fundamental discriminant
+  (1 for square d), and chi_d is chi_{d0} with the primes of f removed. The
+  functional equation with tau(chi) = sqrt(d0) and L(-1, chi) = -B_{2,chi}/2
+  (Washington, Introduction to Cyclotomic Fields, Thm 4.2 and section 4.1)
+  gives L_d(2) = zeta(2) 6 S E / (d0^2 sqrt(d0)) with the exact rationals
+  S = d0 B_{2,chi} = sum_{0<a<d0} chi(a) a^2 (1/6 for d0 = 1) and
+  E = prod_{p | f} (1 - chi_{d0}(p) / p^2).
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ from fractions import Fraction
 import mpmath
 from mpmath import mpf
 
-from .numerics import DomainError, PrecisionContext, trigamma, zeta_int, _is_squarefree
+from .numerics import (DomainError, PrecisionContext, _is_squarefree, _square_part,
+                       trigamma, zeta_int)
 
 
 @dataclass(frozen=True)
@@ -80,10 +84,10 @@ def is_fundamental_discriminant(D: int) -> bool:
 def dirichlet_l2(d, ctx: PrecisionContext) -> mpf:
     """L_d(2) to ctx.digits; d may be a Discriminant or an integer.
 
-    A finite sum over residues a mod |d|: the closed sine sum over a < d/2
-    for d > 1, the trigamma sum for d < 0 (see the module docstring). Both
-    rest on chi being periodic mod |d| with chi(-1) = sign(d), which holds
-    for every valid Discriminant. Raises DomainError if |d| > ctx.max_terms.
+    For d > 0 the closed form of the module docstring, its S summed in exact
+    ints over a < d0/2 paired with d0 - a, so its cost follows d0, not d;
+    d must be below 10^12, where ``_square_part`` finds d0 exactly. For
+    d < 0 the trigamma sum. Raises DomainError if |d| > ctx.max_terms.
     """
     if isinstance(d, Discriminant):
         d = d.d
@@ -93,15 +97,23 @@ def dirichlet_l2(d, ctx: PrecisionContext) -> mpf:
     if q > ctx.max_terms:
         raise DomainError(f"|d| = {q} residues exceed max_terms = {ctx.max_terms}")
     with ctx.working():
-        if d == 1:
-            return zeta_int(2, ctx)
         if d > 0:
-            total = mpf(0)
-            for a in range(1, (q + 1) // 2):
-                chi = kronecker_symbol(d, a)
-                if chi:
-                    total += chi / mpmath.sinpi(mpf(a) / q) ** 2
-            return mpmath.pi**2 * total / q**2
+            if d >= 10**12:
+                raise DomainError(f"even-character L_d(2) needs d < 10^12, got {d}")
+            f, d0 = _square_part(d)
+            if d0 % 4 != 1:
+                f, d0 = f // 2, 4 * d0
+            s = sum(kronecker_symbol(d0, a) * (a * a + (d0 - a) ** 2)
+                    for a in range(1, (d0 + 1) // 2)) if d0 > 1 else Fraction(1, 6)
+            r, p = Fraction(6 * s, d0 * d0), 2
+            while f > 1:  # r *= E over the primes p of f, by trial division
+                p = p if p * p <= f else f
+                if f % p == 0:
+                    r *= 1 - Fraction(kronecker_symbol(d0, p), p * p)
+                    while f % p == 0:
+                        f //= p
+                p += 1
+            return zeta_int(2, ctx) * r.numerator / (r.denominator * mpmath.sqrt(d0))
         terms = []
         for a in range(1, q):
             chi = kronecker_symbol(d, a)

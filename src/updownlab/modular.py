@@ -158,16 +158,18 @@ def _qsum(z: mpc, ctx: PrecisionContext, table, powers) -> tuple:
     integers a(1..n_max) from ``table(n_max)``, cut off by _qseries_cutoff.
 
     q^n is carried as a Gaussian pair of Python ints scaled by 2^P, P the
-    bits of the working dps plus 5 bits per bit of the cutoff. q and each
-    product are truncated by under 1 ulp, so q^n is off by under
-    2 / (1 - |q|) <= 2 n_max ulps. Weights |a(n)| / n^j <= 1.21 n^3 (sigma_1,
+    bits of the working dps plus 5 bits per bit of the cutoff. q = expjpi(2z)
+    at P + 10 bits, whose cospi and sinpi reduce 2 Re z mod 2 exactly, is
+    exactly 1-periodic and exactly real at Re z in {0, +-1/2}. q, good to 1/16
+    ulp, and each product are truncated by under 1 ulp, so q^n is off by under
+    2.07 / (1 - |q|) <= 2 n_max ulps. Weights |a(n)| / n^j <= 1.21 n^3 (sigma_1,
     sigma_3 or Euler's signs) summed over n <= n_max keep the total error below
     n_max^5 ulps. The result is rounded to ``ctx``'s working precision.
     """
     n_max = _qseries_cutoff(z.imag, ctx)
     prec = libmp.dps_to_prec(ctx.dps) + 5 * n_max.bit_length() + 8
     with mpmath.workprec(prec + 10):
-        qr, qi = to_fixed(mpmath.exp(2j * mp.pi * z), prec)
+        qr, qi = to_fixed(mpmath.expjpi(2 * z), prec)
     coeffs = table(n_max)
     qn_r, qn_i = 1 << prec, 0
     sums = [[0, 0] for _ in powers]

@@ -17,6 +17,8 @@ from updownlab import (
 from updownlab.lfunctions import dirichlet_l2_direct
 from updownlab.numerics import DomainError, _is_squarefree
 
+from conftest import run_bounded
+
 
 def _legendre_prime(d, p):
     """Euler-criterion oracle for the symbol at an odd prime."""
@@ -25,6 +27,27 @@ def _legendre_prime(d, p):
 
 
 ODD_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
+
+
+def _sine_sum_l2(d, ctx):
+    """L_d(2) for d > 1 as pi^2 / d^2 sum_{0<a<d/2} chi(a) / sin^2(pi a / d),
+    from psi'(x) + psi'(1 - x) = pi^2 / sin^2(pi x) and chi(d - a) = chi(a):
+    one full-precision sinpi per residue, the oracle of the closed form."""
+    with ctx.working():
+        total = mpf(0)
+        for a in range(1, (d + 1) // 2):
+            chi = kronecker_symbol(d, a)
+            if chi:
+                total += chi / mpmath.sinpi(mpf(a) / d) ** 2
+        return mpmath.pi**2 * total / d**2
+
+
+def _hurwitz_l2(d, ctx):
+    """|d|^-2 sum_{0<a<|d|} chi(a) zeta(2, a/|d|) through mpmath's Hurwitz zeta."""
+    q = abs(d)
+    with ctx.working():
+        chis = ((a, kronecker_symbol(d, a)) for a in range(1, q))
+        return sum(chi * mpmath.zeta(2, mpf(a) / q) for a, chi in chis if chi) / q**2
 
 
 class TestKroneckerSymbol:
@@ -138,30 +161,55 @@ class TestDirichletL2:
         hi = dirichlet_l2(-7, PrecisionContext(digits=45))
         assert abs(lo - hi) < mpf(10) ** -28
 
-    @pytest.mark.parametrize("d", [-4, -111, 5, 8, 12, 32, 253])
+    @pytest.mark.parametrize("d", [-4, -111, 5, 8, 12, 32, 48, 253])
     def test_hurwitz_at_300_digits(self, d):
-        # Both branches (12 and 32 are not fundamental; 5 and 8 are the
-        # smallest odd and even d of the halved sine sum) against
-        # |d|^-2 sum_a chi(a) zeta(2, a/|d|).
+        # Both branches against |d|^-2 sum_a chi(a) zeta(2, a/|d|). 5 and 8
+        # are the smallest odd and even fundamental d > 1, 12 = 4 * 3 is
+        # fundamental too, and 32 = 8 * 2^2 and 48 = 12 * 2^2 are not.
         ctx = PrecisionContext(digits=300)
-        q = abs(d)
         with ctx.working():
-            expected = sum(
-                kronecker_symbol(d, a) * mpmath.zeta(2, mpf(a) / q)
-                for a in range(1, q)
-            ) / q**2
-            assert abs(dirichlet_l2(d, ctx) - expected) < ctx.tol
+            assert abs(dirichlet_l2(d, ctx) - _hurwitz_l2(d, ctx)) < ctx.tol
 
     @pytest.mark.parametrize("d", [-7, -8])
     def test_odd_character_hurwitz_at_1000_digits(self, d):
         ctx = PrecisionContext(digits=1000)
-        q = abs(d)
         with ctx.working():
-            expected = sum(
-                kronecker_symbol(d, a) * mpmath.zeta(2, mpf(a) / q)
-                for a in range(1, q)
-            ) / q**2
-            assert abs(dirichlet_l2(d, ctx) - expected) < ctx.tol
+            assert abs(dirichlet_l2(d, ctx) - _hurwitz_l2(d, ctx)) < ctx.tol
+
+    @pytest.mark.parametrize("d", [5, 12, 32, 48, 253])
+    def test_even_character_hurwitz_at_1000_digits(self, d):
+        # 32 and 48 take the closed form through d0 = 8 and 12 and the Euler
+        # factor at p = 2.
+        ctx = PrecisionContext(digits=1000)
+        with ctx.working():
+            assert abs(dirichlet_l2(d, ctx) - _hurwitz_l2(d, ctx)) < ctx.tol
+
+    @pytest.mark.parametrize("digits", [40, 300])
+    def test_closed_form_against_sine_sum(self, digits):
+        # Every valid 1 < d <= 300: fundamental, d0 f^2 with E != 1 (45 =
+        # 5 * 3^2) and squares, whose d0 is 1 (4, 9, ..., 289).
+        ctx = PrecisionContext(digits=digits)
+        with ctx.working():
+            for d in range(2, 301):
+                if d % 4 in (0, 1):
+                    assert abs(dirichlet_l2(d, ctx) - _sine_sum_l2(d, ctx)) < ctx.tol, d
+
+    def test_cost_follows_the_fundamental_discriminant(self):
+        # d = 5 * 10007^2 has 2.5e8 residues, but d0 = 5 and chi_5(10007)
+        # = -1: L_d(2) = L_5(2) (1 + 10007^-2) within the child's time limit,
+        # where one sinpi per residue would run for hours.
+        code = ("from mpmath import mpf\n"
+                "from updownlab import PrecisionContext, dirichlet_l2\n"
+                "ctx = PrecisionContext(40, max_terms=10**9)\n"
+                "with ctx.working():\n"
+                "    want = dirichlet_l2(5, ctx) * (1 + mpf(10007) ** -2)\n"
+                "    print(abs(dirichlet_l2(5 * 10007**2, ctx) - want) < ctx.eps)")
+        assert run_bounded("-c", code).stdout == "True\n"
+
+    def test_square_part_bound(self):
+        # The closed form needs d0 exactly, which _square_part finds below 10^12.
+        with pytest.raises(DomainError, match="10\\^12"):
+            dirichlet_l2(10**12 + 1, PrecisionContext(digits=20, max_terms=10**13))
 
     def test_more_residues_than_max_terms(self):
         with pytest.raises(DomainError):

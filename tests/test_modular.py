@@ -30,7 +30,8 @@ from updownlab import (
 )
 from updownlab.identities import load_tables
 from updownlab.modular import (
-    _qsum, _r_direct, _sigma3_table, legendre_p_dt, legendre_p_quadrature)
+    _pentagonal_table, _qsum, _r_direct, _sigma1_table, _sigma3_table, legendre_p_dt,
+    legendre_p_quadrature)
 from updownlab.numerics import DomainError
 
 from conftest import random_points, run_bounded
@@ -226,6 +227,27 @@ class TestFixedPointKernel:
         with ctx.working():
             inside = _qsum(z, ctx, _sigma3_table, (2, 3))
         assert [v._mpc_ for v in outside] == [v._mpc_ for v in inside]
+
+    @pytest.mark.parametrize("k", [10, 30, 50])
+    def test_exactly_one_periodic(self, ctx40, k):
+        # expjpi reduces 2 Re z mod 2 exactly, so z + 10^k gives the very
+        # bits of z. The real parts are dyadic, so z + 10^k is exact at the
+        # working precision.
+        with ctx40.working():
+            for x in (0, 0.5, -0.25, 0.375):
+                z = mpc(x, "1.1")
+                shifted = mpc(mpf(10) ** k + x, z.imag)
+                assert eisenstein_e4(shifted, ctx40) == eisenstein_e4(z, ctx40)
+                assert epstein_sl2(shifted, ctx40) == epstein_sl2(z, ctx40)
+
+    @pytest.mark.parametrize("x", ["0.5", "-0.5"])
+    def test_real_q_at_half_integers(self, ctx40, x):
+        # q = -e^{-2 pi y} exactly at Re z = +-1/2, so every sum is real.
+        with ctx40.working():
+            z = mpc(x, "0.9")
+        for table, powers in ((_sigma3_table, (0, 2, 3)), (_sigma1_table, (0,)),
+                              (_pentagonal_table, (0,))):
+            assert all(s.imag == 0 for s in _qsum(z, ctx40, table, powers))
 
 
 class TestPointEmbedding:
