@@ -16,7 +16,7 @@ import mpmath
 from mpmath import mp, mpf
 
 from .numerics import DomainError, PrecisionContext, zeta_int
-from .modular import _as_mpc, _check_level, _qsum, _reduce_sl2, _sigma3_table
+from .modular import _as_mpc, _check_level, _reduced_qsum, _sigma3_table
 
 
 class LatticeSum(NamedTuple):
@@ -38,9 +38,8 @@ def epstein_sl2(z, ctx: PrecisionContext) -> mpf:
     """
     z = _as_mpc(z, ctx)
     with ctx.working():
-        z, _, _ = _reduce_sl2(z, ctx)
+        z, _, _, (s2, s3) = _reduced_qsum(z, ctx, (_sigma3_table, (2, 3)))
         y = z.imag
-        s2, s3 = _qsum(z, ctx, _sigma3_table, (2, 3))
         total = (s2 + s3 / (2 * mp.pi * y)).real
         return y**2 + 45 * zeta_int(3, ctx) / (mp.pi**3 * y) + 180 / mp.pi**2 * total
 

@@ -87,22 +87,26 @@ def dirichlet_l2(d, ctx: PrecisionContext) -> mpf:
     For d > 0 the closed form of the module docstring, its S summed in exact
     ints over a < d0/2 paired with d0 - a, so its cost follows d0, not d;
     d must be below 10^12, where ``_square_part`` finds d0 exactly. For
-    d < 0 the trigamma sum. Raises DomainError if |d| > ctx.max_terms.
+    d < 0 the trigamma sum over the |d| residues. Raises DomainError if the
+    residues a branch sums, d0 or |d|, exceed ctx.max_terms.
     """
     if isinstance(d, Discriminant):
         d = d.d
     else:
         d = Discriminant(d).d
     q = abs(d)
-    if q > ctx.max_terms:
-        raise DomainError(f"|d| = {q} residues exceed max_terms = {ctx.max_terms}")
+    label, residues = "|d|", q
+    if d > 0:
+        if d >= 10**12:
+            raise DomainError(f"even-character L_d(2) needs d < 10^12, got {d}")
+        f, d0 = _square_part(d)
+        if d0 % 4 != 1:
+            f, d0 = f // 2, 4 * d0
+        label, residues = "d0", d0
+    if residues > ctx.max_terms:
+        raise DomainError(f"{label} = {residues} residues exceed max_terms = {ctx.max_terms}")
     with ctx.working():
         if d > 0:
-            if d >= 10**12:
-                raise DomainError(f"even-character L_d(2) needs d < 10^12, got {d}")
-            f, d0 = _square_part(d)
-            if d0 % 4 != 1:
-                f, d0 = f // 2, 4 * d0
             s = sum(kronecker_symbol(d0, a) * (a * a + (d0 - a) ** 2)
                     for a in range(1, (d0 + 1) // 2)) if d0 > 1 else Fraction(1, 6)
             r, p = Fraction(6 * s, d0 * d0), 2

@@ -1,4 +1,4 @@
-"""q-series modular machinery: eta, alpha_N, Klein j, E4, and the weighted
+"""q-series modular machinery: eta, E2*, alpha_N, Klein j, E4, and the weighted
 Eichler integral of 1 - E4, plus Legendre-type special functions and CM-point
 utilities.
 """
@@ -153,9 +153,11 @@ def _pentagonal_table(n_max: int) -> list:
     return signs
 
 
-def _qsum(z: mpc, ctx: PrecisionContext, table, powers) -> tuple:
-    """(sum_n a(n) q^n / n^j for j in ``powers``), q = e^{2 pi i z}, with the
-    integers a(1..n_max) from ``table(n_max)``, cut off by _qseries_cutoff.
+def _qsum(z: mpc, ctx: PrecisionContext, *pairs) -> tuple:
+    """The sums sum_n a(n) q^n / n^j, q = e^{2 pi i z}, for each pair
+    (table, powers) in ``pairs`` and each j in its ``powers``, flattened in
+    that order; the integers a(1..n_max) come from ``table(n_max)``, cut off
+    by _qseries_cutoff. q and every q^n are computed once for all pairs.
 
     q^n is carried as a Gaussian pair of Python ints scaled by 2^P, P the
     bits of the working dps plus 5 bits per bit of the cutoff. q = expjpi(2z)
@@ -164,26 +166,27 @@ def _qsum(z: mpc, ctx: PrecisionContext, table, powers) -> tuple:
     ulp, and each product are truncated by under 1 ulp, so q^n is off by under
     2.07 / (1 - |q|) <= 2 n_max ulps. Weights |a(n)| / n^j <= 1.21 n^3 (sigma_1,
     sigma_3 or Euler's signs) summed over n <= n_max keep the total error below
-    n_max^5 ulps. The result is rounded to ``ctx``'s working precision.
+    n_max^5 ulps. The results are rounded to ``ctx``'s working precision.
     """
     n_max = _qseries_cutoff(z.imag, ctx)
     prec = libmp.dps_to_prec(ctx.dps) + 5 * n_max.bit_length() + 8
     with mpmath.workprec(prec + 10):
         qr, qi = to_fixed(mpmath.expjpi(2 * z), prec)
-    coeffs = table(n_max)
+    parts = [(table(n_max), powers, [[0, 0] for _ in powers]) for table, powers in pairs]
     qn_r, qn_i = 1 << prec, 0
-    sums = [[0, 0] for _ in powers]
     for n in range(1, n_max + 1):
         qn_r, qn_i = (qn_r * qr - qn_i * qi) >> prec, (qn_r * qi + qn_i * qr) >> prec
-        a = coeffs[n]
-        if not a:
-            continue
-        tr, ti = a * qn_r, a * qn_i
-        for j, acc in zip(powers, sums):
-            acc[0] += tr // n**j
-            acc[1] += ti // n**j
+        for coeffs, powers, sums in parts:
+            a = coeffs[n]
+            if not a:
+                continue
+            tr, ti = a * qn_r, a * qn_i
+            for j, acc in zip(powers, sums):
+                acc[0] += tr // n**j
+                acc[1] += ti // n**j
     with ctx.working():
-        return tuple(mpc(*(mpmath.ldexp(v, -prec) for v in acc)) for acc in sums)
+        return tuple(mpc(*(mpmath.ldexp(v, -prec) for v in acc))
+                     for _, _, sums in parts for acc in sums)
 
 
 # -- SL(2, Z) reduction ---------------------------------------------------
@@ -209,24 +212,61 @@ def _reduce_sl2(z: mpc, ctx: PrecisionContext) -> tuple:
     raise DomainError(f"no SL(2, Z) reduction of {z} within max_terms steps")
 
 
-# -- eta, alpha_N, j, E4 ---------------------------------------------------
+# -- eta, E2*, alpha_N, j, E4 ----------------------------------------------
+
+# The (table, powers) pairs of eta's product, prod (1 - q^n) = 1 + sum, and
+# of E2 = 1 - 24 sum sigma_1(n) q^n.
+_ETA_SUM = (_pentagonal_table, (0,))
+_E2_SUM = (_sigma1_table, (0,))
+
+
+def _reduced_qsum(z: mpc, ctx: PrecisionContext, *pairs) -> tuple:
+    """(w, shift, inverted, sums): z reduced by _reduce_sl2, and the sums of
+    ``pairs`` at w from one _qsum pass. The caller holds ``ctx.working()``."""
+    w, shift, inverted = _reduce_sl2(z, ctx)
+    return w, shift, inverted, _qsum(w, ctx, *pairs)
+
+
+def _eta_back(w: mpc, shift: int, inverted: list, s: mpc) -> mpc:
+    """eta(z) from the pentagonal sum s at the reduced point w of z, carried
+    back by eta(v + n) = e^{pi i n / 12} eta(v) and eta(-1/v) = sqrt(-i v)
+    eta(v) = e^{-pi i / 4} sqrt(v) eta(v) (Apostol, Modular Functions and
+    Dirichlet Series, ch. 3) over the k points ``inverted``:
+    eta(z) = e^{pi i (w + shift + 3k) / 12} (1 + s) / prod_v sqrt(v), with
+    shift + 3k taken mod 24. Call under ``ctx.working()``."""
+    eta = mpmath.expjpi((w + (shift + 3 * len(inverted)) % 24) / 12) * (1 + s)
+    for v in inverted:
+        eta /= mpmath.sqrt(v)
+    return eta
+
 
 def dedekind_eta(z, ctx: PrecisionContext) -> mpc:
     """eta(z) = e^{pi i z / 12} prod (1 - q^n), the product summed once by
     Euler's pentagonal-number expansion at the reduced point w of z, where
-    |q| < 0.005. eta(v + n) = e^{pi i n / 12} eta(v) and eta(-1/v) =
-    sqrt(-i v) eta(v) = e^{-pi i / 4} sqrt(v) eta(v) (Apostol, Modular
-    Functions and Dirichlet Series, ch. 3) carry it back over k inversions:
-    eta(z) = e^{pi i (w + shift + 3k) / 12} prod (1 - q_w^n) / prod_v sqrt(v),
-    with shift + 3k taken mod 24."""
+    |q| < 0.005, and carried back to z by _eta_back."""
     z = _as_mpc(z, ctx)
     with ctx.working():
-        w, shift, inverted = _reduce_sl2(z, ctx)
-        s, = _qsum(w, ctx, _pentagonal_table, (0,))
-        eta = mpmath.expjpi((w + (shift + 3 * len(inverted)) % 24) / 12) * (1 + s)
-        for v in inverted:
-            eta /= mpmath.sqrt(v)
-        return eta
+        w, shift, inverted, (s,) = _reduced_qsum(z, ctx, _ETA_SUM)
+        return _eta_back(w, shift, inverted, s)
+
+
+def _eta_e2_star(z: mpc, ctx: PrecisionContext) -> tuple:
+    """(eta(z), E2*(z)) from one reduction and one q-power pass at the
+    reduced point w, with E2*(z) = E2(z) - 3 / (pi Im z). E2* is a weight-2
+    form: E2*(v + 1) = E2*(v) and E2*(-1/v) = v^2 E2*(v), so
+    E2*(z) = E2*(w) / prod_v v^2 over the points ``inverted``. Call under
+    ``ctx.working()``."""
+    w, shift, inverted, (s, t) = _reduced_qsum(z, ctx, _ETA_SUM, _E2_SUM)
+    e2 = 1 - 24 * t - 3 / (mp.pi * w.imag)
+    for v in inverted:
+        e2 /= v * v
+    return _eta_back(w, shift, inverted, s), e2
+
+
+def _alpha_from_eta(eta_z: mpc, eta_nz: mpc, N: int) -> mpc:
+    """alpha_N from eta(z) and eta(Nz): 1 / (1 + (eta(z)/eta(Nz))^(24/(N-1))
+    / N^(6/(N-1))). Call under ``ctx.working()``."""
+    return 1 / (1 + (eta_z / eta_nz) ** (24 // (N - 1)) / _ALPHA_SCALE[N])
 
 
 def alpha_n(z, N: int, ctx: PrecisionContext) -> mpc:
@@ -234,9 +274,7 @@ def alpha_n(z, N: int, ctx: PrecisionContext) -> mpc:
     _check_level(N)
     z = _as_mpc(z, ctx)
     with ctx.working():
-        quotient = dedekind_eta(z, ctx) / dedekind_eta(N * z, ctx)
-        exponent = 24 // (N - 1)
-        return 1 / (1 + quotient**exponent / _ALPHA_SCALE[N])
+        return _alpha_from_eta(dedekind_eta(z, ctx), dedekind_eta(N * z, ctx), N)
 
 
 def j_invariant(z, ctx: PrecisionContext) -> mpc:
@@ -254,7 +292,7 @@ def eisenstein_e4(z, ctx: PrecisionContext) -> mpc:
     """E4(z) = 1 + 240 sum sigma_3(n) q^n."""
     z = _as_mpc(z, ctx)
     with ctx.working():
-        s0, = _qsum(z, ctx, _sigma3_table, (0,))
+        s0, = _qsum(z, ctx, (_sigma3_table, (0,)))
         return 1 + 240 * s0
 
 
@@ -267,7 +305,7 @@ def eichler_e4_tilde(z, ctx: PrecisionContext) -> mpc:
     """
     z = _as_mpc(z, ctx)
     with ctx.working():
-        s2, s3 = _qsum(z, ctx, _sigma3_table, (2, 3))
+        s2, s3 = _qsum(z, ctx, (_sigma3_table, (2, 3)))
         return 240j * (z.imag / (2 * mp.pi**2) * s2 + s3 / (4 * mp.pi**3))
 
 

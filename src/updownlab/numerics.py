@@ -75,10 +75,15 @@ class PrecisionContext:
         """10^-(digits//2), the boundary slack of region and branch tests."""
         return self._ten_to_minus(self.digits // 2)
 
+    @cached_property
+    def _bumped(self) -> "PrecisionContext":
+        return PrecisionContext(self.digits + 10, self.max_terms)
+
     def bumped(self) -> "PrecisionContext":
         """Ten more digits, the guard digits of the series loop and of its
-        coefficients: the error of m grows k-fold at term k."""
-        return PrecisionContext(self.digits + 10, self.max_terms)
+        coefficients: the error of m grows k-fold at term k. One context per
+        instance, so its cached thresholds are computed once."""
+        return self._bumped
 
 
 def _square_part(n: int) -> Tuple[int, int]:

@@ -26,15 +26,15 @@ from .numerics import (
 )
 from .modular import (
     _ALPHA_SCALE,
+    _alpha_from_eta,
     _as_mpc,
+    _check_level,
+    _eta_e2_star,
     _in_region,
-    _qsum,
-    _sigma1_table,
-    alpha_n,
     eichler_e4_tilde,
     satisfies_region,
 )
-from .modular import legendre_ramanujan_r  # noqa: F401 (perfbench traces R_nu here)
+from .modular import alpha_n, legendre_ramanujan_r  # noqa: F401 (perfbench traces them here)
 
 
 class SeriesFamily(enum.Enum):
@@ -262,23 +262,26 @@ def fibonacci_lucas(n: int) -> Tuple[int, int]:
 
 def series_constants_from_cm(z, N: int, ctx: PrecisionContext):
     """(2 xi, R_nu(xi), const_N / (alpha (1 - alpha))) at z, alpha = alpha_N(z) and
-    xi = 1 - 2 alpha, all on ctx.bumped(). With y = Im z and E2 = 1 - 24
-    sum sigma_1(n) q^n on _qsum, R_nu has the E2* form of Guillera & Rogers,
+    xi = 1 - 2 alpha, all on ctx.bumped(). One SL(2, Z) reduction and one
+    q-power pass at each of z and Nz give eta and E2*(v) = E2(v) - 3 / (pi Im v),
+    E2 = 1 - 24 sum sigma_1(n) q^n (modular._eta_e2_star). alpha comes from
+    the eta quotient, and R_nu from the E2* form of Guillera & Rogers,
     "Ramanujan series upside-down", and Chan, Chan & Liu, "Domb's numbers and
-    Ramanujan-Sato type series for 1/pi" (2004); legendre_ramanujan_r is the oracle:
+    Ramanujan-Sato type series for 1/pi" (2004), in which the 1/(pi Im z)
+    terms of E2 cancel; legendre_ramanujan_r is the oracle:
 
-        R_nu = (N-1)[1/(pi y) - (E2(z) + N E2(Nz))/6]/(N E2(Nz) - E2(z)) + (N+1)xi/6."""
+        R_nu = -(N-1)(E2*(z) + N E2*(Nz)) / (6 (N E2*(Nz) - E2*(z))) + (N+1)xi/6."""
+    _check_level(N)
     wide = ctx.bumped()
     z = _as_mpc(z, ctx)
     with wide.working():
-        alpha = alpha_n(z, N, wide)
+        (eta, e2), (eta_n, e2n) = (_eta_e2_star(v, wide) for v in (z, N * z))
+        alpha = _alpha_from_eta(eta, eta_n, N)
         prod = alpha * (1 - alpha)
         if abs(prod) < ctx.eps:
             raise DomainError("alpha in {0, 1}: series constants undefined")
         xi = 1 - 2 * alpha
-        e2, e2n = (1 - 24 * _qsum(w, wide, _sigma1_table, (0,))[0] for w in (z, N * z))
-        c2 = ((N - 1) * (1 / (mp.pi * z.imag) - (e2 + N * e2n) / 6) / (N * e2n - e2)
-              + (N + 1) * xi / 6)
+        c2 = -(N - 1) * (e2 + N * e2n) / (6 * (N * e2n - e2)) + (N + 1) * xi / 6
         return 2 * xi, c2, _ALPHA_SCALE[N] / prod
 
 

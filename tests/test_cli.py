@@ -261,6 +261,12 @@ class TestValueCommands:
         code, _, err = run(capsys, "lvalue", "--d", "-5")
         assert code == EXIT_USAGE
 
+    def test_lvalue_even_character_past_max_terms_residues(self, capsys):
+        # 5 * 10007^2 is above max_terms, but the closed form sums d0 = 5.
+        code, out, err = run(capsys, "lvalue", "--d", "500700245", "--digits", "30")
+        assert code == EXIT_OK and err == ""
+        assert out.startswith("L_500700245(2) = 0.70621141031197841450965491909")
+
     def test_lvalue_more_residues_than_max_terms(self, capsys):
         code, _, err = run(capsys, "lvalue", "--d", "-40000003")
         assert code == EXIT_USAGE

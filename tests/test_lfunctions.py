@@ -196,11 +196,12 @@ class TestDirichletL2:
 
     def test_cost_follows_the_fundamental_discriminant(self):
         # d = 5 * 10007^2 has 2.5e8 residues, but d0 = 5 and chi_5(10007)
-        # = -1: L_d(2) = L_5(2) (1 + 10007^-2) within the child's time limit,
-        # where one sinpi per residue would run for hours.
+        # = -1: L_d(2) = L_5(2) (1 + 10007^-2) at the default max_terms and
+        # within the child's time limit, where one sinpi per residue would
+        # run for hours.
         code = ("from mpmath import mpf\n"
                 "from updownlab import PrecisionContext, dirichlet_l2\n"
-                "ctx = PrecisionContext(40, max_terms=10**9)\n"
+                "ctx = PrecisionContext(40)\n"
                 "with ctx.working():\n"
                 "    want = dirichlet_l2(5, ctx) * (1 + mpf(10007) ** -2)\n"
                 "    print(abs(dirichlet_l2(5 * 10007**2, ctx) - want) < ctx.eps)")
@@ -214,3 +215,11 @@ class TestDirichletL2:
     def test_more_residues_than_max_terms(self):
         with pytest.raises(DomainError):
             dirichlet_l2(-4003, PrecisionContext(digits=20, max_terms=1000))
+
+    def test_even_branch_bounded_by_d0(self):
+        # The closed form sums d0/2 residues: d0 = 4001 is over the bound,
+        # d = 5 * 10007^2 (d0 = 5) is not.
+        ctx = PrecisionContext(digits=20, max_terms=1000)
+        with pytest.raises(DomainError, match="d0 = 4001"):
+            dirichlet_l2(4001, ctx)
+        assert dirichlet_l2(5 * 10007**2, ctx) > 0

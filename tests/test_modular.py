@@ -223,9 +223,9 @@ class TestFixedPointKernel:
         ctx = PrecisionContext(digits=300)
         z = self.POINTS[0]
         with mpmath.workprec(53):
-            outside = _qsum(z, ctx, _sigma3_table, (2, 3))
+            outside = _qsum(z, ctx, (_sigma3_table, (2, 3)))
         with ctx.working():
-            inside = _qsum(z, ctx, _sigma3_table, (2, 3))
+            inside = _qsum(z, ctx, (_sigma3_table, (2, 3)))
         assert [v._mpc_ for v in outside] == [v._mpc_ for v in inside]
 
     @pytest.mark.parametrize("k", [10, 30, 50])
@@ -245,9 +245,19 @@ class TestFixedPointKernel:
         # q = -e^{-2 pi y} exactly at Re z = +-1/2, so every sum is real.
         with ctx40.working():
             z = mpc(x, "0.9")
-        for table, powers in ((_sigma3_table, (0, 2, 3)), (_sigma1_table, (0,)),
-                              (_pentagonal_table, (0,))):
-            assert all(s.imag == 0 for s in _qsum(z, ctx40, table, powers))
+        sums = _qsum(z, ctx40, (_sigma3_table, (0, 2, 3)), (_sigma1_table, (0,)),
+                     (_pentagonal_table, (0,)))
+        assert len(sums) == 5 and all(s.imag == 0 for s in sums)
+
+    @pytest.mark.parametrize("digits", [40, 300])
+    def test_one_pass_gives_the_bits_of_separate_passes(self, digits):
+        # The tables share q and each q^n, and each accumulates on its own.
+        ctx = PrecisionContext(digits=digits)
+        pairs = ((_pentagonal_table, (0,)), (_sigma1_table, (0,)), (_sigma3_table, (2, 3)))
+        for z in self.POINTS:
+            together = _qsum(z, ctx, *pairs)
+            apart = [s for pair in pairs for s in _qsum(z, ctx, pair)]
+            assert [v._mpc_ for v in together] == [v._mpc_ for v in apart]
 
 
 class TestPointEmbedding:

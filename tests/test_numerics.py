@@ -61,6 +61,12 @@ class TestPrecisionContext:
         up = ctx.bumped()
         assert up.digits == 35 and up.dps == 50 and up.max_terms == 5000
 
+    def test_bumped_once_per_instance(self):
+        # One context per instance, so its cached thresholds are built once.
+        ctx = PrecisionContext(digits=25)
+        assert ctx.bumped() is ctx.bumped()
+        assert ctx.bumped().tol is ctx.bumped().tol
+
     def test_working_scope(self):
         ctx = PrecisionContext(digits=60)
         before = mpmath.mp.dps

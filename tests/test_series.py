@@ -26,11 +26,12 @@ from updownlab import (
 )
 from updownlab import modular, series
 from updownlab.identities import load_tables
-from updownlab.modular import _NU_BY_LEVEL, CMPoint
+from updownlab.modular import (_ALPHA_SCALE, _NU_BY_LEVEL, CMPoint, _eta_e2_star, _qsum,
+                               _sigma1_table)
 from updownlab.numerics import DomainError, embed_quadratic
 from updownlab.series import _FAMILY_BY_LEVEL, _fib_halves
 
-from conftest import random_admissible
+from conftest import random_admissible, random_points
 
 
 def _exact(x) -> Fraction:
@@ -437,8 +438,81 @@ class TestSeriesConstants:
             assert abs(a - b) < mpf(10) ** -20
 
 
+def _unreduced_constants(z, N, ctx):
+    """Oracle for series_constants_from_cm: E2 = 1 - 24 sum sigma_1(n) q^n
+    summed at the unreduced points z and Nz, alpha from alpha_n, and
+    R_nu = (N-1)[1/(pi y) - (E2(z) + N E2(Nz))/6]/(N E2(Nz) - E2(z)) + (N+1)xi/6,
+    all on ctx.bumped()."""
+    wide = ctx.bumped()
+    with wide.working():
+        alpha = alpha_n(z, N, wide)
+        xi = 1 - 2 * alpha
+        e2, e2n = (1 - 24 * _qsum(v, wide, (_sigma1_table, (0,)))[0] for v in (z, N * z))
+        c2 = ((N - 1) * (1 / (mp.pi * z.imag) - (e2 + N * e2n) / 6) / (N * e2n - e2)
+              + (N + 1) * xi / 6)
+        return 2 * xi, c2, _ALPHA_SCALE[N] / (alpha * (1 - alpha))
+
+
+class TestE2Star:
+    # E2*(z) = E2(z) - 3/(pi Im z) from one pass at the reduced point.
+    @staticmethod
+    def _e2_star(z, ctx):
+        with ctx.working():
+            return _eta_e2_star(z, ctx)[1]
+
+    @pytest.mark.parametrize("digits", [40, 300])
+    def test_weight_two_law(self, digits):
+        ctx = PrecisionContext(digits=digits)
+        with ctx.working():
+            for z in random_points(3, seed=80) + [mpc("0.41", "0.02"), mpc("-0.3", "0.07")]:
+                e2 = self._e2_star(z, ctx)
+                assert abs(self._e2_star(z + 1, ctx) - e2) < ctx.tol * abs(e2), z
+                rhs = z**2 * e2
+                assert abs(self._e2_star(-1 / z, ctx) - rhs) < ctx.tol * abs(rhs), z
+
+    @pytest.mark.parametrize("digits", [40, 300])
+    def test_against_lambert_series(self, digits):
+        # E2 = 1 - 24 sum n q^n / (1 - q^n), summed in mpf at z itself.
+        ctx = PrecisionContext(digits=digits)
+        for z in random_points(3, seed=81, y_range=(0.3, 1.4)):
+            got = self._e2_star(z, ctx)
+            with mpmath.workdps(ctx.dps + 20):
+                q = mpmath.exp(2j * mp.pi * z)
+                lambert = mpmath.nsum(lambda n: n * q**n / (1 - q**n), [1, mpmath.inf])
+                ref = 1 - 24 * lambert - 3 / (mp.pi * z.imag)
+                assert abs(got - ref) < mpf(10) ** -digits * abs(ref), z
+
+
+class TestConstantsAgainstUnreducedOracle:
+    # Every table row, and two low points whose reduction takes three
+    # inversions: the constants agree with the unreduced-E2 oracle within
+    # 1000 ulps of ctx.bumped(), relative. Measured worst: 100 for c2 at
+    # 1/2+1/58*sqrt(58)*i, level 4, where both lose about 4 of its 10 guard
+    # digits alike, and 3 at the low points.
+    ROWS = [(row["point"], tab["level"]) for tab in load_tables() for row in tab["rows"]]
+    LOW = [(mpc(x, y), level) for x, y in (("0.41", "0.02"), ("-0.38", "0.01"))
+           for level in (2, 3, 4)]
+
+    @pytest.mark.parametrize("digits", [40, 100, 300])
+    def test_rows_and_low_points(self, digits):
+        ctx = PrecisionContext(digits=digits)
+        for point, level in self.ROWS + self.LOW:
+            z = point.to_point(ctx) if isinstance(point, CMPoint) else point
+            got = series_constants_from_cm(z, level, ctx)
+            want = _unreduced_constants(z, level, ctx)
+            with ctx.working():
+                for a, b in zip(got, want):
+                    assert abs(a - b) < 1000 * ctx.bumped().eps * abs(b), (point, level)
+
+    def test_low_points_reduce_with_three_inversions(self):
+        ctx = PrecisionContext(digits=40)
+        with ctx.working():
+            for z, _ in self.LOW:
+                assert len(modular._reduce_sl2(z, ctx)[2]) >= 3, z
+
+
 class TestConstantsAgainstLegendreOracle:
-    # c2 comes from E2 on the q-series kernel; R_nu through hyp2f1 at
+    # c2 comes from E2* on the q-series kernel; R_nu through hyp2f1 at
     # xi = 1 - 2 alpha_N(z) is the independent oracle.
     CTX = PrecisionContext(digits=100)
 
@@ -489,16 +563,17 @@ class TestSigmaGR:
 
     def test_alpha_computed_once(self, monkeypatch):
         # The region test takes alpha_N(z) from the constants, so one call
-        # of sigma_gr makes one alpha_n call, wherever it is looked up.
+        # of sigma_gr computes alpha once: one _alpha_from_eta call, the one
+        # expression alpha_n and the constants share, wherever it is looked up.
         calls = []
-        original = modular.alpha_n
+        original = modular._alpha_from_eta
 
         def counted(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(modular, "alpha_n", counted)
-        monkeypatch.setattr(series, "alpha_n", counted)
+        monkeypatch.setattr(modular, "_alpha_from_eta", counted)
+        monkeypatch.setattr(series, "_alpha_from_eta", counted)
         ctx = PrecisionContext(digits=100)
         z = CMPoint.from_string("-1/8+1/8*sqrt(15)*i").to_point(ctx)
         sigma_gr(z, 4, ctx)
