@@ -32,7 +32,7 @@ from .modular import (
     reflection_residual,
     satisfies_region,
 )
-from .epstein import epstein_gamma0, epstein_sl2, epstein_sl2_bruteforce
+from .epstein import epstein_gamma0, epstein_sl2
 from .series import (
     FibLucasSeries,
     SeriesFamily,

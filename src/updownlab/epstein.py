@@ -1,9 +1,9 @@
 """Real-analytic Epstein/Eisenstein zeta values at s = 2.
 
 The SL(2, Z) value is computed from the exponentially convergent Fourier
-expansion (elementary K_{3/2} Bessel factors); truncated lattice sums over
-rings serve as independent low-precision oracles, including the level-N
-coset sums used to check the two-line lattice lemma.
+expansion (elementary K_{3/2} Bessel factors). One truncated float coset sum
+is the independent low-precision oracle: at level 1 it is the SL(2, Z) sum,
+and at levels 2, 3 and 4 it checks the two-line lattice lemma.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import mpmath
 from mpmath import mp, mpf
 
 from .numerics import DomainError, PrecisionContext, zeta_int
-from .modular import _as_mpc, _check_level, _reduced_qsum, _sigma3_table
+from .modular import _LEVELS, _as_mpc, _reduced_qsum, _sigma3_table
 
 
 class LatticeSum(NamedTuple):
@@ -70,31 +70,13 @@ def _float_point(z, n_scale: int, radius: int):
     return x, y, lam
 
 
-def epstein_sl2_bruteforce(z, radius: int, ctx: PrecisionContext) -> LatticeSum:
-    """Full-lattice oracle: sum y^2/|m z + n|^4 over 0 < max(|m|,|n|) <= radius,
-    divided by 2 zeta(4), in floats. Rings are summed in ascending order, each
-    twice its half m = r, or n = r and |m| < r, as -(m, n) adds the same."""
-    z = _as_mpc(z, ctx)
-    with ctx.working():
-        x, y, lam = _float_point(z, 1, radius)
-        total = 0.0
-        for r in range(1, radius + 1):
-            rx, ry2 = r * x, (r * y) ** 2
-            ring = 0.0
-            for n in range(-r, r + 1):
-                ring += 1.0 / ((rx + n) ** 2 + ry2) ** 2
-            for m in range(1 - r, r):
-                ring += 1.0 / ((m * x + r) ** 2 + (m * y) ** 2) ** 2
-            total += 2.0 * ring
-        tail = 4.0 * y * y / (lam * lam * radius * radius)
-        two_zeta4 = 2 * zeta_int(4, ctx)
-        return LatticeSum(mpf(y * y * total) / two_zeta4, mpf(tail) / two_zeta4)
-
-
 def epstein_gamma0(z, N: int, ctx: PrecisionContext, radius: int = 600) -> LatticeSum:
     """Level-N coset sum: y^2 / |c z + d|^4 over coprime (c, d) with N | c,
-    taken up to sign. Moderate precision only (used for lemma checks)."""
-    _check_level(N)
+    taken up to sign, |c| <= N radius and |d| <= radius, in floats. N = 1
+    is E(z, 2) itself, the oracle of epstein_sl2; N = 2, 3, 4 check the
+    two-line lemma."""
+    if N not in (1, *_LEVELS):
+        raise DomainError(f"level must be in {(1, *_LEVELS)}, got {N}")
     z = _as_mpc(z, ctx)
     with ctx.working():
         x, y, lam = _float_point(z, N, radius)

@@ -25,8 +25,8 @@ from fractions import Fraction
 import mpmath
 from mpmath import mpf
 
-from .numerics import (DomainError, PrecisionContext, _is_squarefree, _square_part,
-                       trigamma, zeta_int)
+from .numerics import (MAX_TERMS, DomainError, PrecisionContext, _is_squarefree,
+                       _square_part, trigamma, zeta_int)
 
 
 @dataclass(frozen=True)
@@ -88,7 +88,7 @@ def dirichlet_l2(d, ctx: PrecisionContext) -> mpf:
     ints over a < d0/2 paired with d0 - a, so its cost follows d0, not d;
     d must be below 10^12, where ``_square_part`` finds d0 exactly. For
     d < 0 the trigamma sum over the |d| residues. Raises DomainError if the
-    residues a branch sums, d0 or |d|, exceed ctx.max_terms.
+    residues a branch sums, d0 or |d|, exceed MAX_TERMS.
     """
     if isinstance(d, Discriminant):
         d = d.d
@@ -103,8 +103,9 @@ def dirichlet_l2(d, ctx: PrecisionContext) -> mpf:
         if d0 % 4 != 1:
             f, d0 = f // 2, 4 * d0
         label, residues = "d0", d0
-    if residues > ctx.max_terms:
-        raise DomainError(f"{label} = {residues} residues exceed max_terms = {ctx.max_terms}")
+    if residues > MAX_TERMS:
+        raise DomainError(f"L_{d}(2) needs {label} = {residues} terms, "
+                          f"more than MAX_TERMS = {MAX_TERMS}")
     with ctx.working():
         if d > 0:
             s = sum(kronecker_symbol(d0, a) * (a * a + (d0 - a) ** 2)
@@ -127,12 +128,12 @@ def dirichlet_l2(d, ctx: PrecisionContext) -> mpf:
         return mpmath.fdot(terms) / q**2
 
 
-def dirichlet_l2_direct(d: int, terms: int = 100_000) -> float:
-    """Truncated direct series sum_{k<=terms} (d/k)/k^2 (float oracle)."""
-    q = abs(d) if d != 1 else 1
+def dirichlet_l2_direct(d: int) -> float:
+    """Truncated direct series sum_{k<=10^5} (d/k)/k^2 (float oracle)."""
+    q = abs(d)
     pattern = [kronecker_symbol(d, r) for r in range(q)]
     total = 0.0
-    for k in range(1, terms + 1):
+    for k in range(1, 100_001):
         chi = pattern[k % q]
         if chi:
             total += chi / (k * k)

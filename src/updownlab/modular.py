@@ -14,7 +14,7 @@ from functools import partial
 import mpmath
 from mpmath import libmp, mp, mpc, mpf
 
-from .numerics import DomainError, PrecisionContext, _square_part, to_fixed
+from .numerics import MAX_TERMS, DomainError, PrecisionContext, _square_part, to_fixed
 
 _LEVELS = (2, 3, 4)
 _NU_BY_LEVEL = {2: Fraction(-1, 4), 3: Fraction(-1, 3), 4: Fraction(-1, 2)}
@@ -117,12 +117,12 @@ class CMPoint:
 
 def _qseries_cutoff(y: mpf, ctx: PrecisionContext) -> int:
     """Smallest n with |q|^n 20 digits below the working epsilon; a
-    DomainError if that exceeds ``ctx.max_terms``, or if Im z is 0 as a float."""
+    DomainError if that exceeds MAX_TERMS, or if Im z is 0 as a float."""
     h = 2 * math.pi * float(y)
     n_max = int((ctx.dps + 20) * math.log(10) / h) + 2 if h > 0 else math.inf
-    if n_max > ctx.max_terms:
+    if n_max > MAX_TERMS:
         raise DomainError(f"q-series at Im z = {mpmath.nstr(y, 3)} needs {n_max} terms, "
-                          f"more than max_terms = {ctx.max_terms}")
+                          f"more than MAX_TERMS = {MAX_TERMS}")
     return n_max
 
 
@@ -201,7 +201,7 @@ def _reduce_sl2(z: mpc, ctx: PrecisionContext) -> tuple:
     The caller holds ``ctx.working()``."""
     edge = 1 - ctx.tol
     shift, inverted = 0, []
-    for _ in range(ctx.max_terms):
+    for _ in range(MAX_TERMS):
         n = mpmath.nint(z.real)
         z -= n
         shift += int(n)
@@ -209,15 +209,17 @@ def _reduce_sl2(z: mpc, ctx: PrecisionContext) -> tuple:
             return z, shift, inverted
         inverted.append(z)
         z = -1 / z
-    raise DomainError(f"no SL(2, Z) reduction of {z} within max_terms steps")
+    raise DomainError(f"SL(2, Z) reduction of {z} needs more than "
+                      f"MAX_TERMS = {MAX_TERMS} steps")
 
 
 # -- eta, E2*, alpha_N, j, E4 ----------------------------------------------
 
-# The (table, powers) pairs of eta's product, prod (1 - q^n) = 1 + sum, and
-# of E2 = 1 - 24 sum sigma_1(n) q^n.
+# The (table, powers) pairs of eta's product, prod (1 - q^n) = 1 + sum, of
+# E2 = 1 - 24 sum sigma_1(n) q^n and of E4 = 1 + 240 sum sigma_3(n) q^n.
 _ETA_SUM = (_pentagonal_table, (0,))
 _E2_SUM = (_sigma1_table, (0,))
+_E4_SUM = (_sigma3_table, (0,))
 
 
 def _reduced_qsum(z: mpc, ctx: PrecisionContext, *pairs) -> tuple:
@@ -278,21 +280,20 @@ def alpha_n(z, N: int, ctx: PrecisionContext) -> mpc:
 
 
 def j_invariant(z, ctx: PrecisionContext) -> mpc:
-    """Klein's j, normalized so j(i) = 1728, via a = alpha_4(w/2) at the
-    reduced point w of z (j is SL(2, Z) invariant). alpha_4 takes neither
-    0 nor 1 on the upper half-plane, so j has no pole there."""
+    """Klein's j = E4^3 / eta^24 (Apostol, ch. 1), so j(i) = 1728, from one
+    q-power pass at the reduced point w of z, as j is SL(2, Z) invariant:
+    eta(w)^24 = q (1 + s)^24. eta has no zero, so j has no pole."""
     z = _as_mpc(z, ctx)
     with ctx.working():
-        w, _, _ = _reduce_sl2(z, ctx)
-        a = alpha_n(w / 2, 4, ctx)
-        return 2**8 * (1 - a + a**2) ** 3 / (a**2 * (1 - a) ** 2)
+        w, _, _, (s, e) = _reduced_qsum(z, ctx, _ETA_SUM, _E4_SUM)
+        return (1 + 240 * e) ** 3 / (mpmath.expjpi(2 * w) * (1 + s) ** 24)
 
 
 def eisenstein_e4(z, ctx: PrecisionContext) -> mpc:
     """E4(z) = 1 + 240 sum sigma_3(n) q^n."""
     z = _as_mpc(z, ctx)
     with ctx.working():
-        s0, = _qsum(z, ctx, (_sigma3_table, (0,)))
+        s0, = _qsum(z, ctx, _E4_SUM)
         return 1 + 240 * s0
 
 

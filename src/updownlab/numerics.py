@@ -28,6 +28,8 @@ class MixedRadicandError(ValueError):
 
 
 GUARD_DIGITS = 15
+# The most terms, residues or steps one loop may take; more raise DomainError.
+MAX_TERMS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -35,13 +37,10 @@ class PrecisionContext:
     """Requested decimal digits plus GUARD_DIGITS carried internally."""
 
     digits: int = 40
-    max_terms: int = 10_000_000
 
     def __post_init__(self) -> None:
         if self.digits < 10:
             raise DomainError(f"digits must be >= 10, got {self.digits}")
-        if self.max_terms < 1000:
-            raise DomainError(f"max_terms must be >= 1000, got {self.max_terms}")
 
     @property
     def dps(self) -> int:
@@ -77,7 +76,7 @@ class PrecisionContext:
 
     @cached_property
     def _bumped(self) -> "PrecisionContext":
-        return PrecisionContext(self.digits + 10, self.max_terms)
+        return PrecisionContext(self.digits + 10)
 
     def bumped(self) -> "PrecisionContext":
         """Ten more digits, the guard digits of the series loop and of its

@@ -17,6 +17,7 @@ import mpmath
 from mpmath import libmp, mp, mpc, mpf
 
 from .numerics import (
+    MAX_TERMS,
     DomainError,
     MixedRadicandError,
     PrecisionContext,
@@ -116,7 +117,7 @@ def _sum_linear_series(c1, c2, m, family: SeriesFamily, ctx: PrecisionContext):
 
     Real c1, c2 and m give an mpf value, anything else an mpc. DomainError if
     the series diverges, if the plan leaves the float range, or if K exceeds
-    ``ctx.max_terms``.
+    MAX_TERMS.
     """
     with ctx.working():
         r = abs(m) / family.scale
@@ -145,9 +146,9 @@ def _sum_linear_series(c1, c2, m, family: SeriesFamily, ctx: PrecisionContext):
                 step = (top + math.log(w1 * (K + 1) + w0)) / rate
                 last, K = K, max(K, math.ceil(step))
             K += 1
-        if K > ctx.max_terms:
+        if K > MAX_TERMS:
             raise DomainError(f"series needs {K} terms at {ctx.dps} digits, "
-                              f"more than max_terms = {ctx.max_terms}")
+                              f"more than MAX_TERMS = {MAX_TERMS}")
         prec = base + int(4 * K * (a1 * K + a2 + 1) / gap).bit_length()
     except OverflowError:
         raise DomainError(f"series plan leaves the float range: "

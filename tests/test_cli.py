@@ -262,7 +262,7 @@ class TestValueCommands:
         assert code == EXIT_USAGE
 
     def test_lvalue_even_character_past_max_terms_residues(self, capsys):
-        # 5 * 10007^2 is above max_terms, but the closed form sums d0 = 5.
+        # 5 * 10007^2 is above MAX_TERMS, but the closed form sums d0 = 5.
         code, out, err = run(capsys, "lvalue", "--d", "500700245", "--digits", "30")
         assert code == EXIT_OK and err == ""
         assert out.startswith("L_500700245(2) = 0.70621141031197841450965491909")
@@ -270,7 +270,7 @@ class TestValueCommands:
     def test_lvalue_more_residues_than_max_terms(self, capsys):
         code, _, err = run(capsys, "lvalue", "--d", "-40000003")
         assert code == EXIT_USAGE
-        assert "max_terms" in err
+        assert "MAX_TERMS" in err
 
     def test_epstein_gaussian_point(self, capsys):
         code, out, _ = run(capsys, "epstein", "--z", "i", "--digits", "25",

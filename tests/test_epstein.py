@@ -13,8 +13,6 @@ from updownlab import (
     dirichlet_l2,
     epstein_gamma0,
     epstein_sl2,
-    epstein_sl2_bruteforce,
-    zeta_int,
 )
 from updownlab.epstein import _float_point
 from updownlab.numerics import DomainError
@@ -64,45 +62,35 @@ class TestModularInvariance:
 
 
 class TestBruteForceOracle:
+    # The level-1 coset sum is E(z, 2) over the full SL(2, Z) orbit.
     def test_agreement_within_tail(self, ctx30):
         with ctx30.working():
             for z in random_points(5, seed=22, y_range=(0.8, 1.5)):
                 exact = epstein_sl2(z, ctx30)
-                approx = epstein_sl2_bruteforce(z, radius=150, ctx=ctx30)
+                approx = epstein_gamma0(z, 1, ctx30, radius=150)
                 assert abs(exact - approx.value) < approx.tail
 
     def test_tail_shrinks_quadratically(self, ctx30):
         with ctx30.working():
             z = mpc(0, 1)
             exact = epstein_sl2(z, ctx30)
-            err_small = abs(exact - epstein_sl2_bruteforce(z, 100, ctx30).value)
-            err_large = abs(exact - epstein_sl2_bruteforce(z, 200, ctx30).value)
+            err_small = abs(exact - epstein_gamma0(z, 1, ctx30, radius=100).value)
+            err_large = abs(exact - epstein_gamma0(z, 1, ctx30, radius=200).value)
             # Doubling the radius should cut the error by about four.
             assert err_large < err_small / 2.5
 
     def test_minimum_radius_enforced(self, ctx30):
         with pytest.raises(DomainError):
-            epstein_sl2_bruteforce(mpc(0, 1), 5, ctx30)
+            epstein_gamma0(mpc(0, 1), 1, ctx30, radius=5)
 
 
 class TestOraclePointSets:
-    # Each oracle against a direct double loop at radius 12. They agree to
+    # The coset sum against a direct double loop at radius 12. They agree to
     # rounding, so a dropped or doubled point shows; agreement within the
     # truncation tail (about 1e-4) cannot see one.
     RADIUS = 12
 
-    @pytest.mark.parametrize("z", [mpc(0, 1), mpc("0.3", "0.8")])
-    def test_full_lattice_against_square(self, z, ctx30):
-        with ctx30.working():
-            got = epstein_sl2_bruteforce(z, self.RADIUS, ctx30).value
-            x, y = float(z.real), float(z.imag)
-            side = range(-self.RADIUS, self.RADIUS + 1)
-            total = sum(y * y / ((m * x + n) ** 2 + (m * y) ** 2) ** 2
-                        for m in side for n in side if (m, n) != (0, 0))
-            expected = total / float(2 * zeta_int(4, ctx30))
-            assert abs(float(got) - expected) <= 1e-14 * expected
-
-    @pytest.mark.parametrize("level", [2, 3, 4])
+    @pytest.mark.parametrize("level", [1, 2, 3, 4])
     @pytest.mark.parametrize("z", [mpc(0, 1), mpc("0.3", "0.8")])
     def test_gamma0_against_coprime_rows(self, z, level, ctx30):
         with ctx30.working():
@@ -138,19 +126,24 @@ class TestGamma0:
                 assert abs(lhs - rhs) < 2 * (lhs_sum.tail + rhs_sum.tail)
 
     def test_invalid_level(self, ctx30):
+        # Level 1 is the SL(2, Z) sum; level 0 has no cosets.
         with pytest.raises(DomainError):
-            epstein_gamma0(mpc(0, 1), 1, ctx30)
+            epstein_gamma0(mpc(0, 1), 0, ctx30)
+
+    def test_level_above_four_rejected(self, ctx30):
+        with pytest.raises(DomainError):
+            epstein_gamma0(mpc(0, 1), 5, ctx30)
 
 
 class TestOracleFloatRange:
     # At 10^200 i the terms |c z + d|^4 overflow a float; at 10^-100 i the
     # smallest eigenvalue lam of the form is a float, but the bound 1/lam^2
-    # on a term is not, and at 10^-200 i lam rounds to 0. Both oracles
-    # refuse such points before summing.
+    # on a term is not, and at 10^-200 i lam rounds to 0. The oracle, at
+    # level 2 and at level 1 (SL(2, Z)), refuses such points before summing.
     @pytest.mark.parametrize("height", [200, -100, -200])
     @pytest.mark.parametrize("oracle", [
         lambda z, ctx: epstein_gamma0(z, 2, ctx),
-        lambda z, ctx: epstein_sl2_bruteforce(z, 200, ctx),
+        lambda z, ctx: epstein_gamma0(z, 1, ctx, radius=200),
     ], ids=["gamma0", "sl2"])
     def test_height_beyond_floats(self, oracle, height, ctx30):
         with ctx30.working():
@@ -158,12 +151,12 @@ class TestOracleFloatRange:
         with pytest.raises(DomainError):
             oracle(z, ctx30)
 
-    # Both oracles share the radius check: radius 0 divided by zero in the
+    # Every level takes the radius check: radius 0 divided by zero in the
     # tail, and a negative radius summed nothing but reported a tail.
     @pytest.mark.parametrize("radius", [0, -5, 9])
     @pytest.mark.parametrize("oracle", [
         lambda z, ctx, radius: epstein_gamma0(z, 2, ctx, radius),
-        lambda z, ctx, radius: epstein_sl2_bruteforce(z, radius, ctx),
+        lambda z, ctx, radius: epstein_gamma0(z, 1, ctx, radius),
     ], ids=["gamma0", "sl2"])
     def test_radius_below_ten_rejected(self, oracle, radius, ctx30):
         with pytest.raises(DomainError, match="radius"):
@@ -201,10 +194,10 @@ class TestFourierExpansion:
             assert abs(epstein_sl2(z, ctx) - expected) < ctx.tol
 
     def test_height_beyond_max_terms_reduced(self):
-        # Im z = 10^-8 would need about 2 * 10^9 q-series terms; reduced to
-        # 10^8 i it needs 2, and E(10^8 i, 2) is y^2 + 45 zeta(3) / (pi^3 y)
-        # up to e^(-2 pi 10^8).
-        ctx = PrecisionContext(digits=30, max_terms=1000)
+        # Im z = 10^-8 would need about 2 * 10^9 q-series terms, more than
+        # MAX_TERMS; reduced to 10^8 i it needs 2, and E(10^8 i, 2) is
+        # y^2 + 45 zeta(3) / (pi^3 y) up to e^(-2 pi 10^8).
+        ctx = PrecisionContext(digits=30)
         with ctx.working():
             y = mpf(10) ** 8
             expected = y**2 + 45 * mpmath.zeta(3) / (mp.pi**3 * y)

@@ -176,13 +176,21 @@ class TestDirichletL2:
         with ctx.working():
             assert abs(dirichlet_l2(d, ctx) - _hurwitz_l2(d, ctx)) < ctx.tol
 
-    @pytest.mark.parametrize("d", [5, 12, 32, 48, 253])
+    @pytest.mark.parametrize("d", [5, 12, 32, 48])
     def test_even_character_hurwitz_at_1000_digits(self, d):
         # 32 and 48 take the closed form through d0 = 8 and 12 and the Euler
         # factor at p = 2.
         ctx = PrecisionContext(digits=1000)
         with ctx.working():
             assert abs(dirichlet_l2(d, ctx) - _hurwitz_l2(d, ctx)) < ctx.tol
+
+    def test_closed_form_against_sine_sum_at_1000_digits(self):
+        # d = 253 = 11 * 23 against the sine sum, 110 sinpi calls where the
+        # Hurwitz check takes 220 Hurwitz zetas; d = 253 is checked against
+        # the Hurwitz zeta at 300 digits.
+        ctx = PrecisionContext(digits=1000)
+        with ctx.working():
+            assert abs(dirichlet_l2(253, ctx) - _sine_sum_l2(253, ctx)) < ctx.tol
 
     @pytest.mark.parametrize("digits", [40, 300])
     def test_closed_form_against_sine_sum(self, digits):
@@ -196,7 +204,7 @@ class TestDirichletL2:
 
     def test_cost_follows_the_fundamental_discriminant(self):
         # d = 5 * 10007^2 has 2.5e8 residues, but d0 = 5 and chi_5(10007)
-        # = -1: L_d(2) = L_5(2) (1 + 10007^-2) at the default max_terms and
+        # = -1: L_d(2) = L_5(2) (1 + 10007^-2) under MAX_TERMS and
         # within the child's time limit, where one sinpi per residue would
         # run for hours.
         code = ("from mpmath import mpf\n"
@@ -210,16 +218,17 @@ class TestDirichletL2:
     def test_square_part_bound(self):
         # The closed form needs d0 exactly, which _square_part finds below 10^12.
         with pytest.raises(DomainError, match="10\\^12"):
-            dirichlet_l2(10**12 + 1, PrecisionContext(digits=20, max_terms=10**13))
+            dirichlet_l2(10**12 + 1, PrecisionContext(digits=20))
 
     def test_more_residues_than_max_terms(self):
-        with pytest.raises(DomainError):
-            dirichlet_l2(-4003, PrecisionContext(digits=20, max_terms=1000))
+        # |d| = 10^7 + 3 residues, over MAX_TERMS, raise before any trigamma.
+        with pytest.raises(DomainError, match="MAX_TERMS"):
+            dirichlet_l2(-10000003, PrecisionContext(digits=20))
 
     def test_even_branch_bounded_by_d0(self):
-        # The closed form sums d0/2 residues: d0 = 4001 is over the bound,
-        # d = 5 * 10007^2 (d0 = 5) is not.
-        ctx = PrecisionContext(digits=20, max_terms=1000)
-        with pytest.raises(DomainError, match="d0 = 4001"):
-            dirichlet_l2(4001, ctx)
+        # The closed form sums d0/2 residues: the fundamental d0 = 10000013
+        # is over MAX_TERMS, d = 5 * 10007^2 (d0 = 5) is not.
+        ctx = PrecisionContext(digits=20)
+        with pytest.raises(DomainError, match="d0 = 10000013"):
+            dirichlet_l2(10000013, ctx)
         assert dirichlet_l2(5 * 10007**2, ctx) > 0

@@ -28,6 +28,7 @@ from updownlab import (
     satisfies_region,
     series_constants_from_cm,
 )
+from updownlab import modular
 from updownlab.identities import load_tables
 from updownlab.modular import (
     _pentagonal_table, _qsum, _r_direct, _sigma1_table, _sigma3_table, legendre_p_dt,
@@ -287,12 +288,13 @@ class TestPointEmbedding:
 
 class TestQSeriesCutoff:
     def test_height_beyond_max_terms_rejected(self):
-        # Im z = 1/1000 needs about 20000 q-series terms at 45 digits; every
-        # q-series raises before it sums or tabulates anything.
-        ctx = PrecisionContext(digits=30, max_terms=1000)
-        z = mpc("0.1", "0.001")
+        # Im z = 10^-8 needs about 2.4e9 q-series terms at 45 digits, more
+        # than MAX_TERMS; every q-series raises before it sums or tabulates
+        # anything.
+        ctx = PrecisionContext(digits=30)
+        z = mpc("0.1", "1e-8")
         for fn in (eisenstein_e4, eichler_e4_tilde):
-            with pytest.raises(DomainError, match="max_terms"):
+            with pytest.raises(DomainError, match="MAX_TERMS"):
                 fn(z, ctx)
 
     def test_height_zero_as_float_rejected(self, ctx30):
@@ -300,7 +302,7 @@ class TestQSeriesCutoff:
         # division by zero.
         z = mpc(0, mpf("1e-400"))
         for fn in (eisenstein_e4, eichler_e4_tilde):
-            with pytest.raises(DomainError, match="max_terms"):
+            with pytest.raises(DomainError, match="MAX_TERMS"):
                 fn(z, ctx30)
 
 
@@ -358,6 +360,21 @@ class TestJInvariant:
             q = mpmath.exp(-2 * mp.pi * y)
             ref = 1 / q + 744 + 196884 * q + 21493760 * q**2
             assert abs(got / ref - 1) < mpf(10) ** -30
+
+
+class TestJSinglePass:
+    def test_one_reduction_and_one_q_pass(self, ctx30, monkeypatch):
+        # j = E4^3 / eta^24 takes both sums from one pass at the reduced
+        # point, here after three inversions.
+        calls = []
+        for name in ("_reduce_sl2", "_qsum"):
+            def counted(*args, _name=name, _fn=getattr(modular, name)):
+                calls.append(_name)
+                return _fn(*args)
+
+            monkeypatch.setattr(modular, name, counted)
+        j_invariant(mpc("-0.38", "0.01"), ctx30)
+        assert sorted(calls) == ["_qsum", "_reduce_sl2"]
 
 
 class TestAlphaN:

@@ -33,8 +33,6 @@ class TestPrecisionContext:
             PrecisionContext(digits=5)
         with pytest.raises(TypeError):  # the guard is a constant, not a field
             PrecisionContext(guard=3)
-        with pytest.raises(ValueError):
-            PrecisionContext(max_terms=10)
 
     def test_eps_and_tol(self):
         ctx = PrecisionContext(digits=20)
@@ -43,8 +41,7 @@ class TestPrecisionContext:
             assert ctx.tol == mpf(10) ** -20
 
     def test_no_field_beyond_digits_and_max_terms(self):
-        assert [f.name for f in dataclasses.fields(PrecisionContext)] == [
-            "digits", "max_terms"]
+        assert [f.name for f in dataclasses.fields(PrecisionContext)] == ["digits"]
 
     @pytest.mark.parametrize("digits", [10, 21, 300])
     def test_thresholds_computed_once(self, digits):
@@ -57,9 +54,8 @@ class TestPrecisionContext:
                 assert getattr(ctx, name) == mpf(10) ** -n, name
 
     def test_bumped(self):
-        ctx = PrecisionContext(digits=25, max_terms=5000)
-        up = ctx.bumped()
-        assert up.digits == 35 and up.dps == 50 and up.max_terms == 5000
+        up = PrecisionContext(digits=25).bumped()
+        assert up.digits == 35 and up.dps == 50
 
     def test_bumped_once_per_instance(self):
         # One context per instance, so its cached thresholds are built once.

@@ -181,11 +181,13 @@ class TestEvaluateUpdown:
             evaluate_updown(s, ctx30)
 
     def test_term_budget_over_max_terms_rejected(self):
-        # |m|/64 = 0.9375 needs 1841 terms at 45 digits.
-        ctx = PrecisionContext(digits=30, max_terms=1000)
+        # |m|/64 = 1 - 10^-6 needs about 1.5e8 terms at 45 digits, more than
+        # MAX_TERMS, and raises before the loop.
+        ctx = PrecisionContext(digits=30)
+        m = QuadraticNumber(64 * (1 - Fraction(1, 10**6)))
         s = UpsideDownSeries(SeriesFamily.CENTRAL3, QuadraticNumber(1),
-                             QuadraticNumber(0), QuadraticNumber(60))
-        with pytest.raises(DomainError, match="max_terms"):
+                             QuadraticNumber(0), m)
+        with pytest.raises(DomainError, match="MAX_TERMS"):
             evaluate_updown(s, ctx)
 
     def test_term_counter(self, ctx30):
@@ -253,15 +255,15 @@ class TestTermCount:
             assert bound(count) <= ctx.eps
             assert count <= 2 or bound(count - 2) > ctx.eps
 
-    @pytest.mark.parametrize("gap", ["1e-5", "1e-9"])
+    @pytest.mark.parametrize("gap", ["1e-6", "1e-9"])
     def test_count_converges_near_one(self, gap):
-        # Millions of terms: the count is read from the max_terms error, so
+        # Over MAX_TERMS terms: the count is read from the budget error, so
         # no loop runs. Fixed-point steps from K = 1 converge slowly here.
-        ctx = PrecisionContext(digits=10, max_terms=1000)
+        ctx = PrecisionContext(digits=10)
         family = SeriesFamily.CENTRAL3
         with ctx.working():
             ratio = 1 - mpf(gap)
-            with pytest.raises(DomainError, match="max_terms") as err:
+            with pytest.raises(DomainError, match="MAX_TERMS") as err:
                 series._sum_linear_series(mpf(1), mpf(1), ratio * family.scale,
                                           family, ctx)
         count = int(re.search(r"needs (\d+) terms", str(err.value)).group(1))
