@@ -16,7 +16,7 @@ import mpmath
 from mpmath import mp, mpf
 
 from .numerics import DomainError, PrecisionContext, zeta_int
-from .modular import _LEVELS, _as_mpc, _reduced_qsum, _sigma3_table
+from .modular import _LEVELS, _as_mpc, _qsum, _reduce_sl2, _sigma3_table
 
 
 class LatticeSum(NamedTuple):
@@ -34,13 +34,16 @@ def epstein_sl2(z, ctx: PrecisionContext) -> mpf:
         E(z, 2) = y^2 + 45 zeta(3) / (pi^3 y)
                 + (180/pi^2) Re sum_n sigma_3(n)/n^2 (1 + c/n) q^n,
 
-    c = 1/(2 pi y), q = e^{2 pi i z}, on the shared q-series kernel.
+    c = 1/(2 pi y), q = e^{2 pi i z}, on the shared q-series kernel. Only
+    the real parts are read, so the kernel sums only those, and the sum in
+    parentheses is taken in mpf: the bits of Re of the complex sum.
     """
     z = _as_mpc(z, ctx)
     with ctx.working():
-        z, _, _, (s2, s3) = _reduced_qsum(z, ctx, (_sigma3_table, (2, 3)))
+        z = _reduce_sl2(z, ctx)[0]
+        s2, s3 = _qsum(z, ctx, (_sigma3_table, (2, 3)), real=True)
         y = z.imag
-        total = (s2 + s3 / (2 * mp.pi * y)).real
+        total = s2 + s3 / (2 * mp.pi * y)
         return y**2 + 45 * zeta_int(3, ctx) / (mp.pi**3 * y) + 180 / mp.pi**2 * total
 
 

@@ -506,8 +506,11 @@ def verify_all(ctx: PrecisionContext, pattern: Optional[str] = None,
         raise ValueError(f"parallelism must be 1, got {parallelism}")
     cache = cache if cache is not None else ConstantsCache()
     corpus = corpus if corpus is not None else load_corpus()
+    # A pattern with none of *?[ names one id: compare, skip fnmatch.
+    glob = pattern is not None and not set(pattern).isdisjoint("*?[")
     work = sorted((r for r in corpus.identities + corpus.kronecker
-                   if pattern is None or fnmatch.fnmatchcase(r.id, pattern)),
+                   if pattern is None or (fnmatch.fnmatchcase(r.id, pattern) if glob
+                                          else r.id == pattern)),
                   key=lambda r: r.id)
     return [
         verify_identity(r, ctx, cache=cache) if isinstance(r, IdentityRecord)

@@ -9,7 +9,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 
 import mpmath
 from mpmath import libmp, mp, mpc, mpf
@@ -126,14 +126,21 @@ def _qseries_cutoff(y: mpf, ctx: PrecisionContext) -> int:
     return n_max
 
 
-def _sigma_table(power: int, n_max: int) -> list:
+@lru_cache(maxsize=128)
+def _sieve(power: int, n_max: int) -> tuple:
     """sigma_power(n) for n <= n_max by a divisor sieve."""
     sig = [0] * (n_max + 1)
     for d in range(1, n_max + 1):
         dp = d**power
         for m in range(d, n_max + 1, d):
             sig[m] += dp
-    return sig
+    return tuple(sig)
+
+
+def _sigma_table(power: int, n_max: int) -> tuple:
+    """_sieve's table, kept for n_max <= 2048 (every reduced point below
+    about 4800 digits) and sieved afresh above, so retention stays bounded."""
+    return _sieve(power, n_max) if n_max <= 2048 else _sieve.__wrapped__(power, n_max)
 
 
 _sigma1_table = partial(_sigma_table, 1)
@@ -153,11 +160,13 @@ def _pentagonal_table(n_max: int) -> list:
     return signs
 
 
-def _qsum(z: mpc, ctx: PrecisionContext, *pairs) -> tuple:
+def _qsum(z: mpc, ctx: PrecisionContext, *pairs, real: bool = False) -> tuple:
     """The sums sum_n a(n) q^n / n^j, q = e^{2 pi i z}, for each pair
     (table, powers) in ``pairs`` and each j in its ``powers``, flattened in
     that order; the integers a(1..n_max) come from ``table(n_max)``, cut off
     by _qseries_cutoff. q and every q^n are computed once for all pairs.
+    ``real`` sums only the real parts and returns them as mpf, the bits of
+    ``.real`` of the complex sums; q^n is still the full Gaussian product.
 
     q^n is carried as a Gaussian pair of Python ints scaled by 2^P, P the
     bits of the working dps plus 5 bits per bit of the cutoff. q = expjpi(2z)
@@ -180,11 +189,14 @@ def _qsum(z: mpc, ctx: PrecisionContext, *pairs) -> tuple:
             a = coeffs[n]
             if not a:
                 continue
-            tr, ti = a * qn_r, a * qn_i
+            tr, ti = a * qn_r, 0 if real else a * qn_i
             for j, acc in zip(powers, sums):
                 acc[0] += tr // n**j
-                acc[1] += ti // n**j
+                if ti:
+                    acc[1] += ti // n**j
     with ctx.working():
+        if real:
+            return tuple(+mpmath.ldexp(acc[0], -prec) for _, _, sums in parts for acc in sums)
         return tuple(mpc(*(mpmath.ldexp(v, -prec) for v in acc))
                      for _, _, sums in parts for acc in sums)
 

@@ -98,8 +98,11 @@ def _sum_linear_series(c1, c2, m, family: SeriesFamily, ctx: PrecisionContext):
     The loop carries only u_k = m^k / denom(k), by the family's small-integer
     ratio k^3 / den_k: s_k = u_{k-1} m / den_k is term k without its
     coefficient, and u_k = k^3 s_k. It adds s_k to S_3 and k s_k to S_2 and
-    applies c1 and c2 once at the end, all on exact Gaussian pairs of Python
-    ints scaled by 2^P; a real m keeps every imaginary part at 0.
+    applies c1 and c2 once at the end, all on Python ints scaled by 2^P:
+    single ints when c1, c2 and m are all mpf, Gaussian pairs otherwise.
+    den_k is divided out as c (2k-1), then (ak-1)(ak-a+1), mostly one CPython
+    digit each, with the bits of one division: floor(floor(x/p)/q) =
+    floor(x/(pq)) for p, q > 0.
 
     Tail: |s_{k+1} / s_k| = |m| k^3 / den_{k+1} < r = |m| / scale, as
     (2k+1)(ak+a-1)(ak+1) > 2 a^2 k^3, so |s_k| <= |s_1| r^(k-1) with
@@ -115,7 +118,8 @@ def _sum_linear_series(c1, c2, m, family: SeriesFamily, ctx: PrecisionContext):
     4 K (|c1| K + |c2| + 1) / (1-r) ulps. P is the bits of ctx.bumped().dps
     plus the bits of that count.
 
-    Real c1, c2 and m give an mpf value, anything else an mpc. DomainError if
+    Real c1, c2 and m give an mpf, the fixed-point sum unrounded, anything
+    else an mpc rounded at ctx's working precision. DomainError if
     the series diverges, if the plan leaves the float range, or if K exceeds
     MAX_TERMS.
     """
@@ -155,13 +159,22 @@ def _sum_linear_series(c1, c2, m, family: SeriesFamily, ctx: PrecisionContext):
                           f"r, 1 - r, |c1|, |c2| = {plan}") from None
     (c1r, c1i), (c2r, c2i), (mr, mi) = (to_fixed(v, prec) for v in (c1, c2, m))
     c, a = family.c, family.a
+    if not any(isinstance(v, mpc) for v in (c1, c2, m)):
+        u, s2, s3 = 1 << prec, 0, 0
+        for k in range(1, K + 1):
+            ak = a * k
+            s = ((u * mr) >> prec) // (c * (2 * k - 1)) // ((ak - 1) * (ak - a + 1))
+            s3 += s
+            s2 += k * s
+            u = s * k * k * k
+        return mpmath.ldexp((c1r * s2 - c2r * s3) >> prec, -prec), K
     ur, ui = 1 << prec, 0
     s2r = s2i = s3r = s3i = 0
     for k in range(1, K + 1):
         ak = a * k
-        den = c * (2 * k - 1) * (ak - 1) * (ak - a + 1)
-        sr = ((ur * mr - ui * mi) >> prec) // den
-        si = ((ur * mi + ui * mr) >> prec) // den
+        p, q = c * (2 * k - 1), (ak - 1) * (ak - a + 1)
+        sr = ((ur * mr - ui * mi) >> prec) // p // q
+        si = ((ur * mi + ui * mr) >> prec) // p // q
         s3r += sr
         s3i += si
         s2r += k * sr
@@ -171,9 +184,7 @@ def _sum_linear_series(c1, c2, m, family: SeriesFamily, ctx: PrecisionContext):
     total_r = (c1r * s2r - c1i * s2i - c2r * s3r + c2i * s3i) >> prec
     total_i = (c1r * s2i + c1i * s2r - c2r * s3i - c2i * s3r) >> prec
     with ctx.working():
-        if any(isinstance(v, mpc) for v in (c1, c2, m)):
-            return mpc(mpmath.ldexp(total_r, -prec), mpmath.ldexp(total_i, -prec)), K
-        return mpmath.ldexp(total_r, -prec), K
+        return mpc(mpmath.ldexp(total_r, -prec), mpmath.ldexp(total_i, -prec)), K
 
 
 # m = phi^8 and psi^8 for phi, psi = (1 +- sqrt5)/2, with 1/phi and 1/sqrt5.

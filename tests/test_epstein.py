@@ -15,7 +15,8 @@ from updownlab import (
     epstein_sl2,
 )
 from updownlab.epstein import _float_point
-from updownlab.numerics import DomainError
+from updownlab.modular import _qsum, _reduce_sl2, _sigma3_table
+from updownlab.numerics import DomainError, zeta_int
 
 from conftest import random_points
 
@@ -255,3 +256,23 @@ def test_precision_escalation():
     lo = epstein_sl2(z, PrecisionContext(digits=30))
     hi = epstein_sl2(z, PrecisionContext(digits=45))
     assert abs(lo - hi) < mpf(10) ** -28
+
+
+class TestRealLane:
+    @pytest.mark.parametrize("digits", [40, 300])
+    def test_bits_of_the_complex_pass(self, corpus, digits):
+        # epstein_sl2 sums only real parts and takes its tail in mpf: the
+        # bits of Re of the complex sums with the tail taken in mpc.
+        ctx = PrecisionContext(digits=digits)
+        points = sorted({p for inst in corpus.kronecker for p in inst.points}, key=str)
+        with ctx.working():
+            zs = [p.to_point(ctx) for p in points]
+            zs += [mpc(x, h) for x in ("-0.41", "0.23") for h in ("0.02", "0.3", "1.7")]
+        for z in zs:
+            with ctx.working():
+                w = _reduce_sl2(z, ctx)[0]
+                s2, s3 = _qsum(w, ctx, (_sigma3_table, (2, 3)))
+                y = w.imag
+                total = (s2 + s3 / (2 * mp.pi * y)).real
+                want = y**2 + 45 * zeta_int(3, ctx) / (mp.pi**3 * y) + 180 / mp.pi**2 * total
+            assert epstein_sl2(z, ctx)._mpf_ == want._mpf_

@@ -400,6 +400,22 @@ class TestVerification:
         assert [r.id for r in reports] == ["fib1", "fib1p", "fib2", "fib2p"]
         assert all(r.passed for r in reports)
 
+    def test_exact_id_skips_fnmatch(self, corpus, ctx30, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("an exact id went through fnmatch")
+
+        monkeypatch.setattr(identities.fnmatch, "fnmatchcase", refuse)
+        assert [r.id for r in verify_all(ctx30, "b6", corpus)] == ["b6"]
+
+    @pytest.mark.parametrize("pattern,ids", [
+        ("b[67]", ["b6", "b7"]),
+        ("k*-minus", ["k1012-minus", "k112-minus", "k192-minus", "k195-minus",
+                      "k340-minus", "k352-minus", "k435-minus", "k448-minus",
+                      "k555-minus", "k928-minus", "k96-minus"]),
+    ])
+    def test_globs_still_match(self, corpus, ctx30, pattern, ids):
+        assert [r.id for r in verify_all(ctx30, pattern, corpus)] == ids
+
     def test_full_corpus_passes_at_100_digits(self, corpus):
         reports = verify_all(PrecisionContext(digits=100), corpus=corpus)
         assert len(reports) == 54

@@ -29,7 +29,7 @@ from updownlab import (
     series_constants_from_cm,
 )
 from updownlab import modular
-from updownlab.identities import load_tables
+from updownlab.identities import load_corpus, load_tables
 from updownlab.modular import (
     _pentagonal_table, _qsum, _r_direct, _sigma1_table, _sigma3_table, legendre_p_dt,
     legendre_p_quadrature)
@@ -259,6 +259,53 @@ class TestFixedPointKernel:
             together = _qsum(z, ctx, *pairs)
             apart = [s for pair in pairs for s in _qsum(z, ctx, pair)]
             assert [v._mpc_ for v in together] == [v._mpc_ for v in apart]
+
+
+_EVERY_TABLE = ((_pentagonal_table, (0,)), (_sigma1_table, (0,)), (_sigma3_table, (0, 2, 3)))
+
+
+def _real_lane_mismatches(ctx, extra=()):
+    """The points, among the distinct reduced corpus points and the points
+    (x, y) in ``extra``, at which _qsum(..., real=True) differs in any bit
+    from .real of the complex pass."""
+    with ctx.working():
+        points = {modular._reduce_sl2(p.to_point(ctx), ctx)[0]
+                  for inst in load_corpus().kronecker for p in inst.points}
+        points |= {mpc(x, y) for x, y in extra}
+    bad = []
+    for z in points:
+        real = _qsum(z, ctx, *_EVERY_TABLE, real=True)
+        full = _qsum(z, ctx, *_EVERY_TABLE)
+        if not all(isinstance(v, mpf) for v in real) \
+                or [v._mpf_ for v in real] != [v.real._mpf_ for v in full]:
+            bad.append(z)
+    return bad
+
+
+class TestRealLane:
+    @pytest.mark.parametrize("digits", [40, 300])
+    def test_bits_of_the_complex_pass(self, digits):
+        # real=True drops only the imaginary sums; q^n is the same product.
+        ctx = PrecisionContext(digits=digits)
+        assert _real_lane_mismatches(ctx, (("0.1", "0.9"), ("-0.41", "0.02"))) == []
+
+
+class TestSigmaTable:
+    def test_reused_table_is_a_fresh_sieve_and_immutable(self):
+        first = _sigma3_table(137)
+        assert _sigma3_table(137) is first
+        assert first == modular._sieve.__wrapped__(3, 137)
+        assert first[12] == 1 + 8 + 27 + 64 + 216 + 1728
+        with pytest.raises(TypeError):
+            first[1] = 0
+
+    def test_long_tables_are_not_kept(self):
+        # Unreduced points can ask for up to MAX_TERMS terms: such tables
+        # are sieved afresh, so the cache holds only short ones.
+        long = _sigma1_table(3000)
+        assert long is not _sigma1_table(3000)
+        assert long == modular._sieve.__wrapped__(1, 3000)
+        assert isinstance(long, tuple)
 
 
 class TestPointEmbedding:

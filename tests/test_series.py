@@ -282,6 +282,31 @@ class TestTermCount:
         assert value == 0 and count == 1
 
 
+class TestRealLoop:
+    @pytest.mark.parametrize("digits", [40, 300])
+    def test_mpf_inputs_give_the_real_bits_of_mpc_inputs(self, corpus, digits):
+        # The phi^8 half of fib1 (CENTRAL3), b6 (C2X3K) and c3 (C2X4K). The
+        # mpf is the fixed-point sum itself, which mpc rounds at ctx's
+        # working precision: rounded there, it has the bits of the real part.
+        ctx = PrecisionContext(digits=digits)
+        wide = ctx.bumped()
+        (c1, c2, m), _ = _fib_halves(corpus.identity("fib1").lhs[0].series)
+        cases = [(c1, c2, m, SeriesFamily.CENTRAL3)]
+        for rid in ("b6", "c3"):
+            s = corpus.identity(rid).lhs[0].series
+            cases.append((s.a, s.b, s.m, s.family))
+        assert [f for *_, f in cases] == list(SeriesFamily)
+        for a, b, m, family in cases:
+            with wide.working():
+                real = [embed_quadratic(v, wide) for v in (a, b, m)]
+                cplx = [mpc(v, 0) for v in real]
+            value, K = series._sum_linear_series(*real, family, ctx)
+            cvalue, cK = series._sum_linear_series(*cplx, family, ctx)
+            assert isinstance(value, mpf) and isinstance(cvalue, mpc)
+            with ctx.working():
+                assert ((+value)._mpf_, K) == (cvalue.real._mpf_, cK)
+
+
 class TestExactGrouping:
     @pytest.mark.parametrize("record_id", ["flpm-plus", "flpm-minus"])
     def test_cancelled_half_runs_no_loop(self, corpus, record_id, monkeypatch):
