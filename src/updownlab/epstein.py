@@ -41,7 +41,7 @@ def epstein_sl2(z, ctx: PrecisionContext) -> mpf:
     z = _as_mpc(z, ctx)
     with ctx.working():
         z = _reduce_sl2(z, ctx)[0]
-        s2, s3 = _qsum(z, ctx, (_sigma3_table, (2, 3)), real=True)
+        s2, s3 = _qsum(z, ctx, _sigma3_table, (2, 3), real=True)
         y = z.imag
         total = s2 + s3 / (2 * mp.pi * y)
         return y**2 + 45 * zeta_int(3, ctx) / (mp.pi**3 * y) + 180 / mp.pi**2 * total

@@ -9,12 +9,13 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import mpmath
 from mpmath import libmp, mp, mpc, mpf
 
-from .numerics import MAX_TERMS, DomainError, PrecisionContext, _square_part, to_fixed
+from .numerics import (GUARD_DIGITS, MAX_TERMS, DomainError, PrecisionContext, _square_part,
+                       to_fixed)
 
 _LEVELS = (2, 3, 4)
 _NU_BY_LEVEL = {2: Fraction(-1, 4), 3: Fraction(-1, 3), 4: Fraction(-1, 2)}
@@ -127,78 +128,73 @@ def _qseries_cutoff(y: mpf, ctx: PrecisionContext) -> int:
 
 
 @lru_cache(maxsize=128)
-def _sieve(power: int, n_max: int) -> tuple:
-    """sigma_power(n) for n <= n_max by a divisor sieve."""
+def _sieve(n_max: int) -> tuple:
+    """sigma_3(n) for n <= n_max by a divisor sieve."""
     sig = [0] * (n_max + 1)
     for d in range(1, n_max + 1):
-        dp = d**power
+        d3 = d**3
         for m in range(d, n_max + 1, d):
-            sig[m] += dp
+            sig[m] += d3
     return tuple(sig)
 
 
-def _sigma_table(power: int, n_max: int) -> tuple:
+def _sigma3_table(n_max: int) -> tuple:
     """_sieve's table, kept for n_max <= 2048 (every reduced point below
     about 4800 digits) and sieved afresh above, so retention stays bounded."""
-    return _sieve(power, n_max) if n_max <= 2048 else _sieve.__wrapped__(power, n_max)
-
-
-_sigma1_table = partial(_sigma_table, 1)
-_sigma3_table = partial(_sigma_table, 3)
+    return _sieve(n_max) if n_max <= 2048 else _sieve.__wrapped__(n_max)
 
 
 def _pentagonal_table(n_max: int) -> list:
-    """Euler's prod (1 - q^n) = 1 + sum a(n) q^n: a(n) = (-1)^k at the
-    pentagonal numbers n = k(3k -+ 1)/2, 0 elsewhere."""
-    signs = [0] * (n_max + 1)
+    """n^2 a(n), Euler's P = prod (1 - q^n) = 1 + sum a(n) q^n, a(n) = (-1)^k at n =
+    k(3k -+ 1)/2: _qsum's powers 2, 1, 0 give P - 1, q dP/dq and q^2 d^2P/dq^2 + q dP/dq."""
+    coeffs = [0] * (n_max + 1)
     k = 1
     while k * (3 * k - 1) // 2 <= n_max:
         for n in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
             if n <= n_max:
-                signs[n] = -1 if k % 2 else 1
+                coeffs[n] = -n * n if k % 2 else n * n
         k += 1
-    return signs
+    return coeffs
 
 
-def _qsum(z: mpc, ctx: PrecisionContext, *pairs, real: bool = False) -> tuple:
-    """The sums sum_n a(n) q^n / n^j, q = e^{2 pi i z}, for each pair
-    (table, powers) in ``pairs`` and each j in its ``powers``, flattened in
-    that order; the integers a(1..n_max) come from ``table(n_max)``, cut off
-    by _qseries_cutoff. q and every q^n are computed once for all pairs.
-    ``real`` sums only the real parts and returns them as mpf, the bits of
-    ``.real`` of the complex sums; q^n is still the full Gaussian product.
+def _qsum(z: mpc, ctx: PrecisionContext, table, powers, real: bool = False) -> tuple:
+    """The sums sum_n a(n) q^n / n^j, q = e^{2 pi i z}, for each j in
+    ``powers``, in that order; the integers a(1..n_max) come from
+    ``table(n_max)``, cut off by _qseries_cutoff. ``real`` sums only the
+    real parts and returns them as mpf, the bits of ``.real`` of the complex
+    sums; q^n is still the full Gaussian product.
 
     q^n is carried as a Gaussian pair of Python ints scaled by 2^P, P the
     bits of the working dps plus 5 bits per bit of the cutoff. q = expjpi(2z)
     at P + 10 bits, whose cospi and sinpi reduce 2 Re z mod 2 exactly, is
     exactly 1-periodic and exactly real at Re z in {0, +-1/2}. q, good to 1/16
     ulp, and each product are truncated by under 1 ulp, so q^n is off by under
-    2.07 / (1 - |q|) <= 2 n_max ulps. Weights |a(n)| / n^j <= 1.21 n^3 (sigma_1,
-    sigma_3 or Euler's signs) summed over n <= n_max keep the total error below
-    n_max^5 ulps. The results are rounded to ``ctx``'s working precision.
+    2.07 / (1 - |q|) <= 2 n_max ulps. Weights |a(n)| / n^j <= 1.21 n^3
+    (sigma_3(n) / n^j, or n^2 / n^j at Euler's signs) summed over n <= n_max
+    keep the total error below n_max^5 ulps. The results are rounded to
+    ``ctx``'s working precision.
     """
     n_max = _qseries_cutoff(z.imag, ctx)
     prec = libmp.dps_to_prec(ctx.dps) + 5 * n_max.bit_length() + 8
     with mpmath.workprec(prec + 10):
         qr, qi = to_fixed(mpmath.expjpi(2 * z), prec)
-    parts = [(table(n_max), powers, [[0, 0] for _ in powers]) for table, powers in pairs]
+    coeffs = table(n_max)
+    sums = [[0, 0] for _ in powers]
     qn_r, qn_i = 1 << prec, 0
     for n in range(1, n_max + 1):
         qn_r, qn_i = (qn_r * qr - qn_i * qi) >> prec, (qn_r * qi + qn_i * qr) >> prec
-        for coeffs, powers, sums in parts:
-            a = coeffs[n]
-            if not a:
-                continue
-            tr, ti = a * qn_r, 0 if real else a * qn_i
-            for j, acc in zip(powers, sums):
-                acc[0] += tr // n**j
-                if ti:
-                    acc[1] += ti // n**j
+        a = coeffs[n]
+        if not a:
+            continue
+        tr, ti = a * qn_r, 0 if real else a * qn_i
+        for j, acc in zip(powers, sums):
+            acc[0] += tr // n**j
+            if ti:
+                acc[1] += ti // n**j
     with ctx.working():
         if real:
-            return tuple(+mpmath.ldexp(acc[0], -prec) for _, _, sums in parts for acc in sums)
-        return tuple(mpc(*(mpmath.ldexp(v, -prec) for v in acc))
-                     for _, _, sums in parts for acc in sums)
+            return tuple(+mpmath.ldexp(acc[0], -prec) for acc in sums)
+        return tuple(mpc(*(mpmath.ldexp(v, -prec) for v in acc)) for acc in sums)
 
 
 # -- SL(2, Z) reduction ---------------------------------------------------
@@ -227,60 +223,56 @@ def _reduce_sl2(z: mpc, ctx: PrecisionContext) -> tuple:
 
 # -- eta, E2*, alpha_N, j, E4 ----------------------------------------------
 
-# The (table, powers) pairs of eta's product, prod (1 - q^n) = 1 + sum, of
-# E2 = 1 - 24 sum sigma_1(n) q^n and of E4 = 1 + 240 sum sigma_3(n) q^n.
-_ETA_SUM = (_pentagonal_table, (0,))
-_E2_SUM = (_sigma1_table, (0,))
-_E4_SUM = (_sigma3_table, (0,))
+def _e4(p: mpc, m1: mpc, m2: mpc) -> mpc:
+    """Ramanujan's E4 = E2^2 - 12 q dE2/dq = E2^2 - 288 (M2 P - M1^2) / P^2
+    from Euler's sums, with E2 = 1 + 24 M1 / P as in _eta_e2_star."""
+    e2 = 1 + 24 * m1 / p
+    return e2 * e2 - 288 * (m2 * p - m1 * m1) / (p * p)
 
 
-def _reduced_qsum(z: mpc, ctx: PrecisionContext, *pairs) -> tuple:
-    """(w, shift, inverted, sums): z reduced by _reduce_sl2, and the sums of
-    ``pairs`` at w from one _qsum pass. The caller holds ``ctx.working()``."""
+def _eta_e2_star(z: mpc, ctx: PrecisionContext) -> tuple:
+    """(eta(z), E2*(z)) from one SL(2, Z) reduction and one pass of Euler's
+    sums s = P - 1 and M1 at the reduced point w, where |q| < 0.005, carried
+    back over the k points ``inverted``. eta by eta(v + n) = e^{pi i n / 12}
+    eta(v) and eta(-1/v) = sqrt(-i v) eta(v) = e^{-pi i / 4} sqrt(v) eta(v)
+    (Apostol, Modular Functions and Dirichlet Series, ch. 3): eta(z) =
+    e^{pi i (w + shift + 3k) / 12} P / prod_v sqrt(v), shift + 3k taken mod
+    24. E2 = 1 + 24 M1 / P, as q d/dq log P = -sum sigma_1(n) q^n (ch. 3),
+    and E2*(z) = E2(z) - 3 / (pi Im z) is a weight-2 form: E2*(v + 1) =
+    E2*(v) and E2*(-1/v) = v^2 E2*(v), so E2*(z) = E2*(w) / prod_v v^2.
+    Call under ``ctx.working()``."""
     w, shift, inverted = _reduce_sl2(z, ctx)
-    return w, shift, inverted, _qsum(w, ctx, *pairs)
-
-
-def _eta_back(w: mpc, shift: int, inverted: list, s: mpc) -> mpc:
-    """eta(z) from the pentagonal sum s at the reduced point w of z, carried
-    back by eta(v + n) = e^{pi i n / 12} eta(v) and eta(-1/v) = sqrt(-i v)
-    eta(v) = e^{-pi i / 4} sqrt(v) eta(v) (Apostol, Modular Functions and
-    Dirichlet Series, ch. 3) over the k points ``inverted``:
-    eta(z) = e^{pi i (w + shift + 3k) / 12} (1 + s) / prod_v sqrt(v), with
-    shift + 3k taken mod 24. Call under ``ctx.working()``."""
+    s, m1 = _qsum(w, ctx, _pentagonal_table, (2, 1))
     eta = mpmath.expjpi((w + (shift + 3 * len(inverted)) % 24) / 12) * (1 + s)
+    e2 = 1 + 24 * m1 / (1 + s) - 3 / (mp.pi * w.imag)
     for v in inverted:
         eta /= mpmath.sqrt(v)
-    return eta
+        e2 /= v * v
+    return eta, e2
 
 
 def dedekind_eta(z, ctx: PrecisionContext) -> mpc:
     """eta(z) = e^{pi i z / 12} prod (1 - q^n), the product summed once by
-    Euler's pentagonal-number expansion at the reduced point w of z, where
-    |q| < 0.005, and carried back to z by _eta_back."""
+    Euler's pentagonal-number expansion at the reduced point (_eta_e2_star)."""
     z = _as_mpc(z, ctx)
     with ctx.working():
-        w, shift, inverted, (s,) = _reduced_qsum(z, ctx, _ETA_SUM)
-        return _eta_back(w, shift, inverted, s)
+        return _eta_e2_star(z, ctx)[0]
 
 
-def _eta_e2_star(z: mpc, ctx: PrecisionContext) -> tuple:
-    """(eta(z), E2*(z)) from one reduction and one q-power pass at the
-    reduced point w, with E2*(z) = E2(z) - 3 / (pi Im z). E2* is a weight-2
-    form: E2*(v + 1) = E2*(v) and E2*(-1/v) = v^2 E2*(v), so
-    E2*(z) = E2*(w) / prod_v v^2 over the points ``inverted``. Call under
-    ``ctx.working()``."""
-    w, shift, inverted, (s, t) = _reduced_qsum(z, ctx, _ETA_SUM, _E2_SUM)
-    e2 = 1 - 24 * t - 3 / (mp.pi * w.imag)
-    for v in inverted:
-        e2 /= v * v
-    return _eta_back(w, shift, inverted, s), e2
+def _uncancelled(total, size, what: str):
+    """``total``, a sum of terms whose moduli add up to ``size``; DomainError
+    where it cancels past the GUARD_DIGITS of the working precision."""
+    if abs(total) > size / 10**GUARD_DIGITS:
+        return total
+    raise DomainError(f"{what} cancels past the {GUARD_DIGITS} guard digits: z is at a pole")
 
 
 def _alpha_from_eta(eta_z: mpc, eta_nz: mpc, N: int) -> mpc:
-    """alpha_N from eta(z) and eta(Nz): 1 / (1 + (eta(z)/eta(Nz))^(24/(N-1))
-    / N^(6/(N-1))). Call under ``ctx.working()``."""
-    return 1 / (1 + (eta_z / eta_nz) ** (24 // (N - 1)) / _ALPHA_SCALE[N])
+    """alpha_N = 1 / (1 + Q/s), Q = (eta(z)/eta(Nz))^(24/(N-1)), s = N^(6/(N-1)),
+    and DomainError at its poles, as at 1/2+1/2*i (N = 2) and 1/2+1/6*sqrt(3)*i
+    (N = 3), elliptic points of Gamma0(N). Call under ``ctx.working()``."""
+    t = (eta_z / eta_nz) ** (24 // (N - 1)) / _ALPHA_SCALE[N]
+    return 1 / _uncancelled(1 + t, 1 + abs(t), f"alpha_{N}'s denominator 1 + Q/s")
 
 
 def alpha_n(z, N: int, ctx: PrecisionContext) -> mpc:
@@ -293,20 +285,24 @@ def alpha_n(z, N: int, ctx: PrecisionContext) -> mpc:
 
 def j_invariant(z, ctx: PrecisionContext) -> mpc:
     """Klein's j = E4^3 / eta^24 (Apostol, ch. 1), so j(i) = 1728, from one
-    q-power pass at the reduced point w of z, as j is SL(2, Z) invariant:
-    eta(w)^24 = q (1 + s)^24. eta has no zero, so j has no pole."""
+    pass of Euler's sums at the reduced point w of z, as j is SL(2, Z)
+    invariant: eta(w)^24 = q P^24. eta has no zero, so j has no pole."""
     z = _as_mpc(z, ctx)
     with ctx.working():
-        w, _, _, (s, e) = _reduced_qsum(z, ctx, _ETA_SUM, _E4_SUM)
-        return (1 + 240 * e) ** 3 / (mpmath.expjpi(2 * w) * (1 + s) ** 24)
+        w = _reduce_sl2(z, ctx)[0]
+        s, m1, m2 = _qsum(w, ctx, _pentagonal_table, (2, 1, 0))
+        p = 1 + s
+        return _e4(p, m1, m2) ** 3 / (mpmath.expjpi(2 * w) * p**24)
 
 
 def eisenstein_e4(z, ctx: PrecisionContext) -> mpc:
-    """E4(z) = 1 + 240 sum sigma_3(n) q^n."""
+    """E4(z) = 1 + 240 sum sigma_3(n) q^n from Euler's sums at the reduced
+    point w, carried back by E4(-1/v) = v^4 E4(v) over the points ``inverted``."""
     z = _as_mpc(z, ctx)
     with ctx.working():
-        s0, = _qsum(z, ctx, _E4_SUM)
-        return 1 + 240 * s0
+        w, _, inverted = _reduce_sl2(z, ctx)
+        s, m1, m2 = _qsum(w, ctx, _pentagonal_table, (2, 1, 0))
+        return _e4(1 + s, m1, m2) / mpmath.fprod(v**4 for v in inverted)
 
 
 def eichler_e4_tilde(z, ctx: PrecisionContext) -> mpc:
@@ -318,7 +314,7 @@ def eichler_e4_tilde(z, ctx: PrecisionContext) -> mpc:
     """
     z = _as_mpc(z, ctx)
     with ctx.working():
-        s2, s3 = _qsum(z, ctx, (_sigma3_table, (2, 3)))
+        s2, s3 = _qsum(z, ctx, _sigma3_table, (2, 3))
         return 240j * (z.imag / (2 * mp.pi**2) * s2 + s3 / (4 * mp.pi**3))
 
 

@@ -32,6 +32,7 @@ from .modular import (
     _check_level,
     _eta_e2_star,
     _in_region,
+    _uncancelled,
     eichler_e4_tilde,
     satisfies_region,
 )
@@ -274,15 +275,16 @@ def fibonacci_lucas(n: int) -> Tuple[int, int]:
 
 def series_constants_from_cm(z, N: int, ctx: PrecisionContext):
     """(2 xi, R_nu(xi), const_N / (alpha (1 - alpha))) at z, alpha = alpha_N(z) and
-    xi = 1 - 2 alpha, all on ctx.bumped(). One SL(2, Z) reduction and one
-    q-power pass at each of z and Nz give eta and E2*(v) = E2(v) - 3 / (pi Im v),
-    E2 = 1 - 24 sum sigma_1(n) q^n (modular._eta_e2_star). alpha comes from
-    the eta quotient, and R_nu from the E2* form of Guillera & Rogers,
-    "Ramanujan series upside-down", and Chan, Chan & Liu, "Domb's numbers and
-    Ramanujan-Sato type series for 1/pi" (2004), in which the 1/(pi Im z)
-    terms of E2 cancel; legendre_ramanujan_r is the oracle:
+    xi = 1 - 2 alpha, all on ctx.bumped(). One SL(2, Z) reduction and one pass of
+    Euler's sums at each of z and Nz give eta and E2*(v) = E2(v) - 3 / (pi Im v)
+    (modular._eta_e2_star). alpha comes from the eta quotient, and R_nu from
+    the E2* form of Guillera & Rogers, "Ramanujan series upside-down", and Chan,
+    Chan & Liu, "Domb's numbers and Ramanujan-Sato type series for 1/pi" (2004),
+    in which the 1/(pi Im z) terms of E2 cancel; legendre_ramanujan_r is the oracle:
 
-        R_nu = -(N-1)(E2*(z) + N E2*(Nz)) / (6 (N E2*(Nz) - E2*(z))) + (N+1)xi/6."""
+        R_nu = -(N-1)(E2*(z) + N E2*(Nz)) / (6 (N E2*(Nz) - E2*(z))) + (N+1)xi/6.
+
+    DomainError where alpha's denominator or this one cancels (modular._uncancelled)."""
     _check_level(N)
     wide = ctx.bumped()
     z = _as_mpc(z, ctx)
@@ -293,7 +295,8 @@ def series_constants_from_cm(z, N: int, ctx: PrecisionContext):
         if abs(prod) < ctx.eps:
             raise DomainError("alpha in {0, 1}: series constants undefined")
         xi = 1 - 2 * alpha
-        c2 = -(N - 1) * (e2 + N * e2n) / (6 * (N * e2n - e2)) + (N + 1) * xi / 6
+        den = _uncancelled(N * e2n - e2, N * abs(e2n) + abs(e2), "N E2*(Nz) - E2*(z)")
+        c2 = -(N - 1) * (e2 + N * e2n) / (6 * den) + (N + 1) * xi / 6
         return 2 * xi, c2, _ALPHA_SCALE[N] / prod
 
 

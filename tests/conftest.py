@@ -39,6 +39,16 @@ def run_bounded(*args, seconds=10):
         pytest.fail(f"python {' '.join(args)} ran past {seconds} s")
 
 
+def sigma1_table(n_max):
+    """sigma_1(n) for n <= n_max by a divisor sieve: the tests' own E2 =
+    1 - 24 sum sigma_1(n) q^n, as the library sums E2 from Euler's product."""
+    sig = [0] * (n_max + 1)
+    for d in range(1, n_max + 1):
+        for m in range(d, n_max + 1, d):
+            sig[m] += d
+    return sig
+
+
 def random_points(n, seed, x_range=(-0.45, 0.45), y_range=(0.7, 1.4)):
     """Deterministic sample of generic upper half-plane points."""
     rng = random.Random(seed)

@@ -411,6 +411,27 @@ class TestValueCommands:
         assert "Traceback" not in result.stderr
         assert result.stdout == ""
 
+    @pytest.mark.parametrize("digits", [10, 20, 30, 40, 60])
+    @pytest.mark.parametrize("command", ["alpha", "constants"])
+    @pytest.mark.parametrize("point, level", [("1/2+1/2*i", 2), ("1/2+1/6*sqrt(3)*i", 3)])
+    def test_elliptic_point_is_a_usage_error(self, capsys, point, level, command, digits):
+        # alpha_2 and alpha_3 have poles at these elliptic points of Gamma0(2)
+        # and Gamma0(3): 1 + Q/s cancels to rounding noise, and at 1/2+1/2*i
+        # N E2*(2z) - E2*(z) is exactly 0. Exit 2, never noise or a traceback.
+        code, out, err = run(capsys, command, "--z", point, "--N", str(level),
+                             "--digits", str(digits))
+        assert code == EXIT_USAGE
+        assert err.startswith("error: ") and "pole" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("command", ["alpha", "constants"])
+    def test_near_pole_is_a_usage_error(self, capsys, command):
+        # alpha_4(1/2+1/100*i) is about -1.03e67, so 1 + Q/s keeps none of its
+        # 45 digits.
+        code, out, err = run(capsys, command, "--z", "1/2+1/100*i", "--N", "4",
+                             "--digits", "30")
+        assert code == EXIT_USAGE and "pole" in err and out == ""
+
     def test_value_beyond_decimal_range_is_a_usage_error(self):
         # alpha_2(10^30 i) is about 64 e^(-2 pi 10^30): its decimal exponent,
         # about -2.7e30, is past the largest one Decimal parses.

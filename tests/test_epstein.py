@@ -271,7 +271,7 @@ class TestRealLane:
         for z in zs:
             with ctx.working():
                 w = _reduce_sl2(z, ctx)[0]
-                s2, s3 = _qsum(w, ctx, (_sigma3_table, (2, 3)))
+                s2, s3 = _qsum(w, ctx, _sigma3_table, (2, 3))
                 y = w.imag
                 total = (s2 + s3 / (2 * mp.pi * y)).real
                 want = y**2 + 45 * zeta_int(3, ctx) / (mp.pi**3 * y) + 180 / mp.pi**2 * total

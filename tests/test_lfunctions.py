@@ -8,12 +8,15 @@ import pytest
 from mpmath import mpf
 
 from updownlab import (
+    CMPoint,
     Discriminant,
     PrecisionContext,
     dirichlet_l2,
+    epstein_sl2,
     is_fundamental_discriminant,
     kronecker_symbol,
 )
+from updownlab.identities import _check_tag, load_corpus
 from updownlab.lfunctions import dirichlet_l2_direct
 from updownlab.numerics import DomainError, _is_squarefree
 
@@ -48,6 +51,45 @@ def _hurwitz_l2(d, ctx):
     with ctx.working():
         chis = ((a, kronecker_symbol(d, a)) for a in range(1, q))
         return sum(chi * mpmath.zeta(2, mpf(a) / q) for a, chi in chis if chi) / q**2
+
+
+def _reduced_forms(d):
+    """The reduced primitive forms (a, b, c) of discriminant d < 0: |b| <= a
+    <= c, with b >= 0 when |b| = a or a = c, so a <= sqrt(|d| / 3)."""
+    forms = []
+    a = 1
+    while 3 * a * a <= -d:
+        for b in range(1 - a, a + 1):
+            c, r = divmod(b * b - d, 4 * a)
+            if not r and c >= a and not (b < 0 and a == c) and math.gcd(a, b, c) == 1:
+                forms.append((a, b, c))
+        a += 1
+    return forms
+
+
+def _form_sum_l2(d, ctx):
+    """L_d(2) for a fundamental d < 0 from its class group, independent of
+    dirichlet_l2's trigamma: sum_Q Z_Q(2) = w zeta(2) L_d(2) over the reduced
+    forms Q, with Z_Q(2) = 8 zeta(4) E(z_Q, 2) / |d|, so L_d(2) =
+    (2/w) 4 zeta(4) sum_Q E(z_Q, 2) / (|d| zeta(2)), 4 zeta(4) / zeta(2) =
+    4 pi^2 / 15 and w = 6, 4 or 2 units."""
+    w = {-3: 6, -4: 4}.get(d, 2)
+    with ctx.working():
+        total = sum(epstein_sl2(CMPoint(*q), ctx) for q in _reduced_forms(d))
+        return 8 * mpmath.pi**2 * total / (15 * w * -d)
+
+
+def _corpus_odd_discriminants():
+    """Every d < 0 whose L_d(2) the corpus reads: RHS tags, lattice-sum
+    factors, and the products d1 d2 of DIRICHLET instances."""
+    corpus = load_corpus()
+    ds = {_check_tag(tag) for rec in corpus.identities for _, tag in rec.rhs}
+    ds = {d.d for d in ds if d is not None}
+    for inst in corpus.kronecker:
+        ds |= {inst.d1.d, inst.d2.d}
+        if inst.kind == "DIRICHLET":
+            ds.add(inst.d1.d * inst.d2.d)
+    return sorted(d for d in ds if d < 0)
 
 
 class TestKroneckerSymbol:
@@ -232,3 +274,24 @@ class TestDirichletL2:
         with pytest.raises(DomainError, match="d0 = 10000013"):
             dirichlet_l2(10000013, ctx)
         assert dirichlet_l2(5 * 10007**2, ctx) > 0
+
+
+class TestClassGroupOracle:
+    # The odd L_d(2) against Kronecker's form sum on epstein_sl2, for every
+    # d < 0 the corpus reads and a few more. Measured worst: 0.55 eps
+    # relative at 40 digits, 0.32 eps at 300.
+    DS = sorted(set(_corpus_odd_discriminants()) | {-20, -84, -232})
+
+    def test_forms_are_the_class_group(self):
+        assert [len(_reduced_forms(d)) for d in (-3, -4, -20, -56, -84, -87, -111, -116)] \
+            == [1, 1, 2, 4, 4, 6, 8, 6]
+        assert _reduced_forms(-84) == [(1, 0, 21), (2, 2, 11), (3, 0, 7), (5, 4, 5)]
+
+    @pytest.mark.parametrize("digits", [40, 300])
+    def test_form_sum_against_trigamma(self, digits):
+        ctx = PrecisionContext(digits=digits)
+        for d in self.DS:
+            want = dirichlet_l2(d, ctx)
+            got = _form_sum_l2(d, ctx)
+            with ctx.working():
+                assert abs(got - want) < 10 * ctx.eps * want, d

@@ -31,11 +31,11 @@ from updownlab import (
 from updownlab import modular
 from updownlab.identities import load_corpus, load_tables
 from updownlab.modular import (
-    _pentagonal_table, _qsum, _r_direct, _sigma1_table, _sigma3_table, legendre_p_dt,
-    legendre_p_quadrature)
+    _eta_e2_star, _pentagonal_table, _qsum, _r_direct, _reduce_sl2, _sigma3_table,
+    legendre_p_dt, legendre_p_quadrature)
 from updownlab.numerics import DomainError
 
-from conftest import random_points, run_bounded
+from conftest import random_points, run_bounded, sigma1_table
 
 
 @st.composite
@@ -186,6 +186,16 @@ class TestEisensteinE4:
             rhs = z**4 * eisenstein_e4(z, ctx30)
             assert abs(lhs - rhs) < 10 * ctx30.tol
 
+    @pytest.mark.parametrize("y", ["1e-8", "1e-400"])
+    def test_small_heights_reduce(self, ctx30, y):
+        # E4(i y) = y^-4 E4(i / y), and q(i / y) is 0 in the kernel's bits:
+        # a height of 1e-8 takes one inversion, not 2.4e9 terms, and 1e-400,
+        # 0.0 as a float, does too.
+        with ctx30.working():
+            y = mpf(y)
+            got = eisenstein_e4(mpc(0, y), ctx30)
+            assert abs(got - y**-4) < ctx30.eps * y**-4
+
 
 def _mpf_qsum(z, ctx, weight):
     """The mpf q-series loop the fixed-point kernel replaced:
@@ -224,9 +234,9 @@ class TestFixedPointKernel:
         ctx = PrecisionContext(digits=300)
         z = self.POINTS[0]
         with mpmath.workprec(53):
-            outside = _qsum(z, ctx, (_sigma3_table, (2, 3)))
+            outside = _qsum(z, ctx, _sigma3_table, (2, 3))
         with ctx.working():
-            inside = _qsum(z, ctx, (_sigma3_table, (2, 3)))
+            inside = _qsum(z, ctx, _sigma3_table, (2, 3))
         assert [v._mpc_ for v in outside] == [v._mpc_ for v in inside]
 
     @pytest.mark.parametrize("k", [10, 30, 50])
@@ -246,39 +256,30 @@ class TestFixedPointKernel:
         # q = -e^{-2 pi y} exactly at Re z = +-1/2, so every sum is real.
         with ctx40.working():
             z = mpc(x, "0.9")
-        sums = _qsum(z, ctx40, (_sigma3_table, (0, 2, 3)), (_sigma1_table, (0,)),
-                     (_pentagonal_table, (0,)))
-        assert len(sums) == 5 and all(s.imag == 0 for s in sums)
-
-    @pytest.mark.parametrize("digits", [40, 300])
-    def test_one_pass_gives_the_bits_of_separate_passes(self, digits):
-        # The tables share q and each q^n, and each accumulates on its own.
-        ctx = PrecisionContext(digits=digits)
-        pairs = ((_pentagonal_table, (0,)), (_sigma1_table, (0,)), (_sigma3_table, (2, 3)))
-        for z in self.POINTS:
-            together = _qsum(z, ctx, *pairs)
-            apart = [s for pair in pairs for s in _qsum(z, ctx, pair)]
-            assert [v._mpc_ for v in together] == [v._mpc_ for v in apart]
+        sums = [s for table, powers in _EVERY_TABLE for s in _qsum(z, ctx40, table, powers)]
+        assert len(sums) == 6 and all(s.imag == 0 for s in sums)
 
 
-_EVERY_TABLE = ((_pentagonal_table, (0,)), (_sigma1_table, (0,)), (_sigma3_table, (0, 2, 3)))
+_EVERY_TABLE = ((_pentagonal_table, (2, 1, 0)), (_sigma3_table, (0, 2, 3)))
 
 
 def _real_lane_mismatches(ctx, extra=()):
     """The points, among the distinct reduced corpus points and the points
     (x, y) in ``extra``, at which _qsum(..., real=True) differs in any bit
-    from .real of the complex pass."""
+    from .real of the complex pass, one pass per table."""
     with ctx.working():
         points = {modular._reduce_sl2(p.to_point(ctx), ctx)[0]
                   for inst in load_corpus().kronecker for p in inst.points}
         points |= {mpc(x, y) for x, y in extra}
     bad = []
     for z in points:
-        real = _qsum(z, ctx, *_EVERY_TABLE, real=True)
-        full = _qsum(z, ctx, *_EVERY_TABLE)
-        if not all(isinstance(v, mpf) for v in real) \
-                or [v._mpf_ for v in real] != [v.real._mpf_ for v in full]:
-            bad.append(z)
+        for table, powers in _EVERY_TABLE:
+            real = _qsum(z, ctx, table, powers, real=True)
+            full = _qsum(z, ctx, table, powers)
+            if not all(isinstance(v, mpf) for v in real) \
+                    or [v._mpf_ for v in real] != [v.real._mpf_ for v in full]:
+                bad.append(z)
+                break
     return bad
 
 
@@ -294,7 +295,7 @@ class TestSigmaTable:
     def test_reused_table_is_a_fresh_sieve_and_immutable(self):
         first = _sigma3_table(137)
         assert _sigma3_table(137) is first
-        assert first == modular._sieve.__wrapped__(3, 137)
+        assert first == modular._sieve.__wrapped__(137)
         assert first[12] == 1 + 8 + 27 + 64 + 216 + 1728
         with pytest.raises(TypeError):
             first[1] = 0
@@ -302,9 +303,9 @@ class TestSigmaTable:
     def test_long_tables_are_not_kept(self):
         # Unreduced points can ask for up to MAX_TERMS terms: such tables
         # are sieved afresh, so the cache holds only short ones.
-        long = _sigma1_table(3000)
-        assert long is not _sigma1_table(3000)
-        assert long == modular._sieve.__wrapped__(1, 3000)
+        long = _sigma3_table(3000)
+        assert long is not _sigma3_table(3000)
+        assert long == modular._sieve.__wrapped__(3000)
         assert isinstance(long, tuple)
 
 
@@ -336,21 +337,17 @@ class TestPointEmbedding:
 class TestQSeriesCutoff:
     def test_height_beyond_max_terms_rejected(self):
         # Im z = 10^-8 needs about 2.4e9 q-series terms at 45 digits, more
-        # than MAX_TERMS; every q-series raises before it sums or tabulates
-        # anything.
+        # than MAX_TERMS; the Eichler integral, the one q-series summed at an
+        # unreduced point, raises before it sums or tabulates anything.
         ctx = PrecisionContext(digits=30)
-        z = mpc("0.1", "1e-8")
-        for fn in (eisenstein_e4, eichler_e4_tilde):
-            with pytest.raises(DomainError, match="MAX_TERMS"):
-                fn(z, ctx)
+        with pytest.raises(DomainError, match="MAX_TERMS"):
+            eichler_e4_tilde(mpc("0.1", "1e-8"), ctx)
 
     def test_height_zero_as_float_rejected(self, ctx30):
         # Im z = 10^-400 is 0.0 as a float: the cutoff is infinite, never a
         # division by zero.
-        z = mpc(0, mpf("1e-400"))
-        for fn in (eisenstein_e4, eichler_e4_tilde):
-            with pytest.raises(DomainError, match="MAX_TERMS"):
-                fn(z, ctx30)
+        with pytest.raises(DomainError, match="MAX_TERMS"):
+            eichler_e4_tilde(mpc(0, mpf("1e-400")), ctx30)
 
 
 class TestEtaLostPrecision:
@@ -422,6 +419,90 @@ class TestJSinglePass:
             monkeypatch.setattr(modular, name, counted)
         j_invariant(mpc("-0.38", "0.01"), ctx30)
         assert sorted(calls) == ["_qsum", "_reduce_sl2"]
+
+
+def _euler_signs(n_max):
+    """Euler's signs a(n) of prod (1 - q^n) = 1 + sum a(n) q^n, the table eta
+    was summed on before _pentagonal_table scaled it by n^2."""
+    signs = [0] * (n_max + 1)
+    k = 1
+    while k * (3 * k - 1) // 2 <= n_max:
+        for n in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+            if n <= n_max:
+                signs[n] = -1 if k % 2 else 1
+        k += 1
+    return signs
+
+
+def _form_points(ctx):
+    """Every eta argument of the three tables (z and N z), and a grid of
+    heights from 0.002 to 30 at Re z in {0, 0.3, 0.5, -0.41}."""
+    with ctx.working():
+        points = [tab["level"] ** k * row["point"].to_point(ctx)
+                  for tab in load_tables() for row in tab["rows"] for k in (0, 1)]
+        return points + [mpc(x, y) for x in ("0", "0.3", "0.5", "-0.41")
+                         for y in ("0.002", "0.01", "0.1", "0.9", "3", "30")]
+
+
+# Gaps allowed between Euler's forms and the sigma oracles, in units
+# u = 2^(1 - prec) of the working precision. Each kernel sum at the reduced
+# point w is within n_max^5 2^-P < u/256 of its value before its final
+# rounding, so within u after it (|sum| < 1). E2 = 1 + 24 M1 / P and
+# 1 - 24 sum sigma_1(n) q^n take 24 times that each, plus a few roundings;
+# E4 = E2^2 - 288 (M2 P - M1^2) / P^2 and 1 + 240 sum sigma_3(n) q^n take 288
+# and 240 times it; j = E4^3 / (q P^24) three times E4's times |E4|^2 <= 4.4,
+# over |q|. The weight-2 and weight-4 laws carry the gap at w back to z
+# divided by prod |v|^2 and prod |v|^4 over the inverted points v.
+_FORM_ULPS = {"E2*": 64, "E4": 1024, "j": 16384}
+
+
+def _sigma_oracle_mismatches(ctx):
+    """(z, form, gap in u) wherever E2* (_eta_e2_star), eisenstein_e4 or
+    j_invariant strays from its sigma oracle at _form_points past
+    _FORM_ULPS: E2 by sigma_1 and E4 by sigma_3, each summed in its own pass
+    at the same reduced point and carried back alike, and j as E4^3 / eta^24
+    with E4 by sigma_3."""
+    bad = []
+    for z in _form_points(ctx):
+        with ctx.working():
+            w, _, inverted = _reduce_sl2(z, ctx)
+            (t,), (e,), (s,) = (_qsum(w, ctx, table, (0,)) for table in
+                                (sigma1_table, _sigma3_table, _euler_signs))
+            e2, e4 = 1 - 24 * t - 3 / (mp.pi * w.imag), 1 + 240 * e
+            j = e4**3 / (mpmath.expjpi(2 * w) * (1 + s) ** 24)
+            scale = mpf(1)
+            for v in inverted:
+                e2, e4, scale = e2 / (v * v), e4 / v**4, scale * abs(v)
+            u = mpmath.ldexp(1, 1 - mp.prec)
+            gaps = {"E2*": abs(_eta_e2_star(z, ctx)[1] - e2) * scale**2,
+                    "E4": abs(eisenstein_e4(z, ctx) - e4) * scale**4,
+                    "j": abs(j_invariant(z, ctx) - j) * mpmath.exp(-2 * mp.pi * w.imag)}
+        bad += [(z, form, gap / u) for form, gap in gaps.items()
+                if not gap < _FORM_ULPS[form] * u]
+    return bad
+
+
+class TestEulerSums:
+    # eta, E2*, E4 and j all come from one pass of Euler's sums at the
+    # reduced point.
+    @pytest.mark.parametrize("digits", [40, 300])
+    def test_eta_has_the_bits_of_the_sign_sum(self, digits):
+        # n^2 a(n) / n^2 is exact, so the scaled table gives eta the bits of
+        # the sum on Euler's signs themselves, carried back as before.
+        ctx = PrecisionContext(digits=digits)
+        for z in _form_points(ctx):
+            with ctx.working():
+                w, shift, inverted = _reduce_sl2(z, ctx)
+                s, = _qsum(w, ctx, _euler_signs, (0,))
+                want = mpmath.expjpi((w + (shift + 3 * len(inverted)) % 24) / 12) * (1 + s)
+                for v in inverted:
+                    want /= mpmath.sqrt(v)
+                assert _eta_e2_star(z, ctx)[0]._mpc_ == want._mpc_, z
+            assert dedekind_eta(z, ctx)._mpc_ == want._mpc_, z
+
+    @pytest.mark.parametrize("digits", [40, 300])
+    def test_forms_against_sigma_oracles(self, digits):
+        assert _sigma_oracle_mismatches(PrecisionContext(digits=digits)) == []
 
 
 class TestAlphaN:

@@ -26,12 +26,11 @@ from updownlab import (
 )
 from updownlab import modular, series
 from updownlab.identities import load_tables
-from updownlab.modular import (_ALPHA_SCALE, _NU_BY_LEVEL, CMPoint, _eta_e2_star, _qsum,
-                               _sigma1_table)
+from updownlab.modular import _ALPHA_SCALE, _NU_BY_LEVEL, CMPoint, _eta_e2_star, _qsum
 from updownlab.numerics import DomainError, embed_quadratic
 from updownlab.series import _FAMILY_BY_LEVEL, _fib_halves
 
-from conftest import random_admissible, random_points
+from conftest import random_admissible, random_points, sigma1_table
 
 
 def _exact(x) -> Fraction:
@@ -474,10 +473,42 @@ def _unreduced_constants(z, N, ctx):
     with wide.working():
         alpha = alpha_n(z, N, wide)
         xi = 1 - 2 * alpha
-        e2, e2n = (1 - 24 * _qsum(v, wide, (_sigma1_table, (0,)))[0] for v in (z, N * z))
+        e2, e2n = (1 - 24 * _qsum(v, wide, sigma1_table, (0,))[0] for v in (z, N * z))
         c2 = ((N - 1) * (1 / (mp.pi * z.imag) - (e2 + N * e2n) / 6) / (N * e2n - e2)
               + (N + 1) * xi / 6)
         return 2 * xi, c2, _ALPHA_SCALE[N] / (alpha * (1 - alpha))
+
+
+class TestPoleRule:
+    # modular._uncancelled raises where alpha's denominator 1 + Q/s or c2's
+    # N E2*(Nz) - E2*(z) cancels past the 15 guard digits.
+    ROWS = [(row["point"], tab["level"]) for tab in load_tables() for row in tab["rows"]]
+
+    @pytest.mark.parametrize("digits", [10, 40, 100])
+    def test_table_rows_stay_far_from_the_rule(self, digits):
+        # Measured smallest ratios: 1.0e-4 for alpha, 3.1e-4 for c2.
+        wide = PrecisionContext(digits=digits).bumped()
+        for point, N in self.ROWS:
+            with wide.working():
+                z = point.to_point(wide)
+                (eta, e2), (eta_n, e2n) = (_eta_e2_star(v, wide) for v in (z, N * z))
+                t = (eta / eta_n) ** (24 // (N - 1)) / _ALPHA_SCALE[N]
+                assert abs(1 + t) > mpf("1e-5") * abs(t), (point, N)
+                den = N * e2n - e2
+                assert abs(den) > mpf("1e-5") * (abs(e2) + N * abs(e2n)), (point, N)
+
+    def test_cancelled_c2_denominator_raises(self, ctx30, monkeypatch):
+        # Both E2* values 0, as at the elliptic point 1/2+1/2*i of Gamma0(2),
+        # at an ordinary point: the c2 rule alone raises.
+        monkeypatch.setattr(series, "_eta_e2_star",
+                            lambda v, ctx: (_eta_e2_star(v, ctx)[0], mpc(0)))
+        with pytest.raises(DomainError, match="N E2"):
+            series_constants_from_cm(mpc("0.1", "1.1"), 2, ctx30)
+
+    @pytest.mark.parametrize("text, N", [("1/2+1/2*i", 2), ("1/2+1/6*sqrt(3)*i", 3)])
+    def test_region_test_at_a_pole_raises(self, ctx30, text, N):
+        with pytest.raises(DomainError, match="pole"):
+            satisfies_region(CMPoint.from_string(text), N, ctx30)
 
 
 class TestE2Star:
