@@ -63,7 +63,11 @@ def format_ap(value, digits: int) -> str:
         try:
             d = +decimal.Decimal(raw)
         except (decimal.InvalidOperation, decimal.Overflow, decimal.Subnormal):
-            raise DomainError(f"decimal exponent {int(raw.partition('e')[2] or 0)} "
+            # An exponent of 10 or more digits is named to 3 significant
+            # figures, so the message stays one short line.
+            exp = int(raw.partition('e')[2] or 0)
+            shown = exp if abs(exp) < 10**9 else mpmath.nstr(mpf(exp), 3)
+            raise DomainError(f"decimal exponent {shown} "
                               f"is beyond the printable range +-{dctx.Emax}") from None
     return format(d, "f")
 

@@ -127,14 +127,3 @@ def dirichlet_l2(d, ctx: PrecisionContext) -> mpf:
         # fdot forms each chi * psi'(a/q) exactly and rounds the sum once.
         return mpmath.fdot(terms) / q**2
 
-
-def dirichlet_l2_direct(d: int) -> float:
-    """Truncated direct series sum_{k<=10^5} (d/k)/k^2 (float oracle)."""
-    q = abs(d)
-    pattern = [kronecker_symbol(d, r) for r in range(q)]
-    total = 0.0
-    for k in range(1, 100_001):
-        chi = pattern[k % q]
-        if chi:
-            total += chi / (k * k)
-    return total

@@ -19,8 +19,8 @@ from .numerics import (GUARD_DIGITS, MAX_TERMS, DomainError, PrecisionContext, _
 
 _LEVELS = (2, 3, 4)
 _NU_BY_LEVEL = {2: Fraction(-1, 4), 3: Fraction(-1, 3), 4: Fraction(-1, 2)}
-# N^(6/(N-1)): the scale of the eta quotient in alpha_N, and the numerator
-# of the weighted series' argument m = const_N / (alpha_N (1 - alpha_N)).
+# s = N^(6/(N-1)): the scale of the eta quotient t = Q/s in _level, and the
+# factor of the weighted series' argument m = s (1 + t)^2 / t.
 _ALPHA_SCALE = {2: 64, 3: 27, 4: 16}
 
 
@@ -267,20 +267,27 @@ def _uncancelled(total, size, what: str):
     raise DomainError(f"{what} cancels past the {GUARD_DIGITS} guard digits: z is at a pole")
 
 
-def _alpha_from_eta(eta_z: mpc, eta_nz: mpc, N: int) -> mpc:
-    """alpha_N = 1 / (1 + Q/s), Q = (eta(z)/eta(Nz))^(24/(N-1)), s = N^(6/(N-1)),
-    and DomainError at its poles, as at 1/2+1/2*i (N = 2) and 1/2+1/6*sqrt(3)*i
-    (N = 3), elliptic points of Gamma0(N). Call under ``ctx.working()``."""
-    t = (eta_z / eta_nz) ** (24 // (N - 1)) / _ALPHA_SCALE[N]
-    return 1 / _uncancelled(1 + t, 1 + abs(t), f"alpha_{N}'s denominator 1 + Q/s")
+def _level(z: mpc, N: int, ctx: PrecisionContext) -> tuple:
+    """(t, E2*(z), E2*(Nz)) from one _eta_e2_star pass at each of z and Nz,
+    t = Q/s, Q = (eta(z)/eta(Nz))^(24/(N-1)), s = N^(6/(N-1)). Every Gamma0(N)
+    quantity is rational in t, with no subtraction but its pole factor 1 + t:
+    alpha_N = 1/(1 + t), 1 - alpha_N = t/(1 + t), xi = 1 - 2/(1 + t). eta has
+    no zero, so t is never 0. DomainError where 1 + t cancels, at alpha_N's
+    poles, as at 1/2+1/2*i (N = 2) and 1/2+1/6*sqrt(3)*i (N = 3), elliptic
+    points of Gamma0(N). Call under ``ctx.working()``."""
+    _check_level(N)
+    (eta, e2), (eta_n, e2n) = (_eta_e2_star(v, ctx) for v in (z, N * z))
+    t = (eta / eta_n) ** (24 // (N - 1)) / _ALPHA_SCALE[N]
+    _uncancelled(1 + t, 1 + abs(t), f"alpha_{N}'s denominator 1 + Q/s")
+    return t, e2, e2n
 
 
 def alpha_n(z, N: int, ctx: PrecisionContext) -> mpc:
-    """Level-N modular invariant built from the eta quotient eta(z)/eta(Nz)."""
-    _check_level(N)
+    """Level-N modular invariant alpha_N = 1/(1 + t) from the eta quotient
+    t = (eta(z)/eta(Nz))^(24/(N-1)) / N^(6/(N-1)) of _level."""
     z = _as_mpc(z, ctx)
     with ctx.working():
-        return _alpha_from_eta(dedekind_eta(z, ctx), dedekind_eta(N * z, ctx), N)
+        return 1 / (1 + _level(z, N, ctx)[0])
 
 
 def j_invariant(z, ctx: PrecisionContext) -> mpc:
@@ -478,7 +485,7 @@ def satisfies_region(z, N: int, ctx: PrecisionContext) -> bool:
     """Admissibility constraints for the series lemma, with boundary slack."""
     z = _as_mpc(z, ctx)
     with ctx.working():
-        return _in_region(z, N, 1 - 2 * alpha_n(z, N, ctx), ctx)
+        return _in_region(z, N, 1 - 2 / (1 + _level(z, N, ctx)[0]), ctx)
 
 
 def _in_region(z: mpc, N: int, xi, ctx: PrecisionContext) -> bool:

@@ -27,11 +27,9 @@ from .numerics import (
 )
 from .modular import (
     _ALPHA_SCALE,
-    _alpha_from_eta,
     _as_mpc,
-    _check_level,
-    _eta_e2_star,
     _in_region,
+    _level,
     _uncancelled,
     eichler_e4_tilde,
     satisfies_region,
@@ -274,30 +272,27 @@ def fibonacci_lucas(n: int) -> Tuple[int, int]:
 
 
 def series_constants_from_cm(z, N: int, ctx: PrecisionContext):
-    """(2 xi, R_nu(xi), const_N / (alpha (1 - alpha))) at z, alpha = alpha_N(z) and
-    xi = 1 - 2 alpha, all on ctx.bumped(). One SL(2, Z) reduction and one pass of
-    Euler's sums at each of z and Nz give eta and E2*(v) = E2(v) - 3 / (pi Im v)
-    (modular._eta_e2_star). alpha comes from the eta quotient, and R_nu from
-    the E2* form of Guillera & Rogers, "Ramanujan series upside-down", and Chan,
-    Chan & Liu, "Domb's numbers and Ramanujan-Sato type series for 1/pi" (2004),
-    in which the 1/(pi Im z) terms of E2 cancel; legendre_ramanujan_r is the oracle:
+    """(2 xi, R_nu(xi), m) at z, all on ctx.bumped(), from one pass of Euler's
+    sums at each of z and Nz (modular._level): the eta quotient t and E2*(v) =
+    E2(v) - 3 / (pi Im v). With alpha = alpha_N(z) = 1/(1 + t), xi = 1 - 2 alpha
+    = 1 - 2/(1 + t) and m = s / (alpha (1 - alpha)) = s (1 + t)^2 / t, so
+    1 - alpha, which cancels near the cusp 0, is never formed. R_nu comes from
+    the E2* form of Guillera & Rogers, "Ramanujan series upside-down", and
+    Chan, Chan & Liu, "Domb's numbers and Ramanujan-Sato type series for 1/pi"
+    (2004), in which the 1/(pi Im z) terms of E2 cancel; legendre_ramanujan_r
+    is the oracle:
 
         R_nu = -(N-1)(E2*(z) + N E2*(Nz)) / (6 (N E2*(Nz) - E2*(z))) + (N+1)xi/6.
 
-    DomainError where alpha's denominator or this one cancels (modular._uncancelled)."""
-    _check_level(N)
+    DomainError where 1 + t or this denominator cancels (modular._uncancelled)."""
     wide = ctx.bumped()
     z = _as_mpc(z, ctx)
     with wide.working():
-        (eta, e2), (eta_n, e2n) = (_eta_e2_star(v, wide) for v in (z, N * z))
-        alpha = _alpha_from_eta(eta, eta_n, N)
-        prod = alpha * (1 - alpha)
-        if abs(prod) < ctx.eps:
-            raise DomainError("alpha in {0, 1}: series constants undefined")
-        xi = 1 - 2 * alpha
+        t, e2, e2n = _level(z, N, wide)
+        xi = 1 - 2 / (1 + t)
         den = _uncancelled(N * e2n - e2, N * abs(e2n) + abs(e2), "N E2*(Nz) - E2*(z)")
         c2 = -(N - 1) * (e2 + N * e2n) / (6 * den) + (N + 1) * xi / 6
-        return 2 * xi, c2, _ALPHA_SCALE[N] / prod
+        return 2 * xi, c2, _ALPHA_SCALE[N] * (1 + t) ** 2 / t
 
 
 def sigma_gr(z, N: int, ctx: PrecisionContext):

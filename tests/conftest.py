@@ -10,7 +10,7 @@ import pytest
 from mpmath import mpc
 
 import updownlab
-from updownlab import PrecisionContext, load_corpus, satisfies_region
+from updownlab import PrecisionContext, kronecker_symbol, load_corpus, satisfies_region
 
 
 @pytest.fixture(scope="session")
@@ -47,6 +47,18 @@ def sigma1_table(n_max):
         for m in range(d, n_max + 1, d):
             sig[m] += d
     return sig
+
+
+def dirichlet_l2_direct(d: int) -> float:
+    """Truncated direct series sum_{k<=10^5} (d/k)/k^2 (float oracle)."""
+    q = abs(d)
+    pattern = [kronecker_symbol(d, r) for r in range(q)]
+    total = 0.0
+    for k in range(1, 100_001):
+        chi = pattern[k % q]
+        if chi:
+            total += chi / (k * k)
+    return total
 
 
 def random_points(n, seed, x_range=(-0.45, 0.45), y_range=(0.7, 1.4)):

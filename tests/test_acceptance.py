@@ -29,9 +29,8 @@ from updownlab import (
 )
 from updownlab.cli import check_table
 from updownlab.numerics import trigamma
-from updownlab.lfunctions import dirichlet_l2_direct
 
-from conftest import random_admissible, random_points
+from conftest import dirichlet_l2_direct, random_admissible, random_points
 
 
 def announce(capsys, number, description, ok):

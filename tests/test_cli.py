@@ -77,6 +77,15 @@ class TestFormatAp:
         with pytest.raises(DomainError, match=f"exponent {exponent} is beyond"):
             format_ap(mpf(value), 5)
 
+    @pytest.mark.parametrize("sign", [1, -1], ids=["2^1e400", "2^-1e400"])
+    def test_huge_exponent_is_named_short(self, sign):
+        # The decimal exponent of 2^(+-10^400) has 400 digits; the message
+        # names it to 3 significant figures.
+        with pytest.raises(DomainError) as info:
+            format_ap(mpmath.ldexp(1, sign * 10**400), 40)
+        assert len(str(info.value)) < 120
+        assert f"exponent {'-' if sign < 0 else ''}3.01e+399 is beyond" in str(info.value)
+
 
 class TestVerifyCommand:
     def test_single_identity(self, capsys):
@@ -399,17 +408,19 @@ class TestValueCommands:
         assert result.stdout.startswith(f"alpha_2({height}*i) = 1.000")
         assert "Traceback" not in result.stderr
 
-    @pytest.mark.parametrize("command, height", [("constants", "1/100000")],
-                             ids=["constants-1e-5"])
-    def test_extreme_height_is_a_usage_error(self, command, height):
-        # alpha_2 at 10^-5 i rounds to 1, where the series constants are
-        # undefined: a clean error (exit 2), not a traceback.
-        result = run_bounded("-m", "updownlab.cli", command, "--z", f"{height}*i",
-                             "--N", "2", seconds=30)
-        assert result.returncode == EXIT_USAGE
-        assert result.stderr.startswith("error: alpha in {0, 1}")
+    @pytest.mark.parametrize("height", ["1/100000"], ids=["1e-5"])
+    def test_constants_at_extreme_height(self, height):
+        # alpha_2 at 10^-5 i rounds to 1, yet the constants, rational in the
+        # eta quotient t, are defined there: m = 64 (1 + t)^2 / t, about
+        # 4.3e136437, prints in full with the digits of a 120-digit run.
+        result = run_bounded("-m", "updownlab.cli", "constants", "--z", f"{height}*i",
+                             "--N", "2", "--digits", "40", seconds=30)
+        assert result.returncode == EXIT_OK
         assert "Traceback" not in result.stderr
-        assert result.stdout == ""
+        want = series_constants_from_cm(CMPoint.from_string(f"{height}*i"), 2,
+                                         PrecisionContext(digits=120))
+        assert result.stdout.splitlines() == [
+            f"{name:<2} = {format_ap(v, 40)}" for name, v in zip(("c1", "c2", "m"), want)]
 
     @pytest.mark.parametrize("digits", [10, 20, 30, 40, 60])
     @pytest.mark.parametrize("command", ["alpha", "constants"])

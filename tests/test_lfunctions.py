@@ -17,10 +17,9 @@ from updownlab import (
     kronecker_symbol,
 )
 from updownlab.identities import _check_tag, load_corpus
-from updownlab.lfunctions import dirichlet_l2_direct
 from updownlab.numerics import DomainError, _is_squarefree
 
-from conftest import run_bounded
+from conftest import dirichlet_l2_direct, run_bounded
 
 
 def _legendre_prime(d, p):

@@ -500,7 +500,7 @@ class TestPoleRule:
     def test_cancelled_c2_denominator_raises(self, ctx30, monkeypatch):
         # Both E2* values 0, as at the elliptic point 1/2+1/2*i of Gamma0(2),
         # at an ordinary point: the c2 rule alone raises.
-        monkeypatch.setattr(series, "_eta_e2_star",
+        monkeypatch.setattr(modular, "_eta_e2_star",
                             lambda v, ctx: (_eta_e2_star(v, ctx)[0], mpc(0)))
         with pytest.raises(DomainError, match="N E2"):
             series_constants_from_cm(mpc("0.1", "1.1"), 2, ctx30)
@@ -594,6 +594,43 @@ class TestConstantsAgainstLegendreOracle:
             self._check(row["point"].to_point(self.CTX), tab["level"])
 
 
+# Points near the cusps 0 (y <= 0.05) and infinity (y >= 5), where alpha_N
+# rounds to 1 or to 0 at low digits.
+CUSP_GRID = [(mpc(x, y), N) for x in ("0", "0.1", "-0.2")
+             for y in ("0.05", "0.03", "0.02", "0.01", "5", "15", "30") for N in (2, 3, 4)]
+
+
+def _cusp_grid_mismatches(ctx, ref):
+    """(z, N, name, relative error or DomainError text) for each CUSP_GRID
+    point where series_constants_from_cm at ``ctx`` refuses, or where c1, c2
+    or m is off by ctx.eps or more, or alpha_n by 10 ctx.tol or more,
+    relative to the values at the higher precision ``ref``."""
+    bad = []
+    for z, N in CUSP_GRID:
+        try:
+            got = (*series_constants_from_cm(z, N, ctx), alpha_n(z, N, ctx))
+        except DomainError as exc:
+            bad.append((z, N, "refused", str(exc)))
+            continue
+        want = (*series_constants_from_cm(z, N, ref), alpha_n(z, N, ref))
+        with ref.working():
+            for name, a, b, bound in zip(("c1", "c2", "m", "alpha"), got, want,
+                                         (ctx.eps, ctx.eps, ctx.eps, 10 * ctx.tol)):
+                err = abs(a - b) / abs(b)
+                if not err < bound:
+                    bad.append((z, N, name, err))
+    return bad
+
+
+class TestConstantsNearCusps:
+    # alpha = 1/(1 + t) and m = s (1 + t)^2 / t from the eta quotient t: no
+    # 1 - alpha is formed, so c1, c2 and m keep the working precision where
+    # alpha rounds to 0 or 1, and none is refused there.
+    def test_grid_at_30_digits_against_120(self):
+        bad = _cusp_grid_mismatches(PrecisionContext(digits=30), PrecisionContext(digits=120))
+        assert bad == []
+
+
 class TestSigmaGR:
     def test_imaginary_part_anchor_one(self, ctx30):
         with ctx30.working():
@@ -621,17 +658,18 @@ class TestSigmaGR:
 
     def test_alpha_computed_once(self, monkeypatch):
         # The region test takes alpha_N(z) from the constants, so one call
-        # of sigma_gr computes alpha once: one _alpha_from_eta call, the one
-        # expression alpha_n and the constants share, wherever it is looked up.
+        # of sigma_gr computes alpha once: one _level call, the one pass
+        # alpha_n, the region test and the constants share, wherever it is
+        # looked up.
         calls = []
-        original = modular._alpha_from_eta
+        original = modular._level
 
         def counted(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(modular, "_alpha_from_eta", counted)
-        monkeypatch.setattr(series, "_alpha_from_eta", counted)
+        monkeypatch.setattr(modular, "_level", counted)
+        monkeypatch.setattr(series, "_level", counted)
         ctx = PrecisionContext(digits=100)
         z = CMPoint.from_string("-1/8+1/8*sqrt(15)*i").to_point(ctx)
         sigma_gr(z, 4, ctx)
