@@ -157,12 +157,10 @@ def _pentagonal_table(n_max: int) -> list:
     return coeffs
 
 
-def _qsum(z: mpc, ctx: PrecisionContext, table, powers, real: bool = False) -> tuple:
+def _qsum(z: mpc, ctx: PrecisionContext, table, powers) -> tuple:
     """The sums sum_n a(n) q^n / n^j, q = e^{2 pi i z}, for each j in
     ``powers``, in that order; the integers a(1..n_max) come from
-    ``table(n_max)``, cut off by _qseries_cutoff. ``real`` sums only the
-    real parts and returns them as mpf, the bits of ``.real`` of the complex
-    sums; q^n is still the full Gaussian product.
+    ``table(n_max)``, cut off by _qseries_cutoff.
 
     q^n is carried as a Gaussian pair of Python ints scaled by 2^P, P the
     bits of the working dps plus 5 bits per bit of the cutoff. q = expjpi(2z)
@@ -186,14 +184,12 @@ def _qsum(z: mpc, ctx: PrecisionContext, table, powers, real: bool = False) -> t
         a = coeffs[n]
         if not a:
             continue
-        tr, ti = a * qn_r, 0 if real else a * qn_i
+        tr, ti = a * qn_r, a * qn_i
         for j, acc in zip(powers, sums):
             acc[0] += tr // n**j
             if ti:
                 acc[1] += ti // n**j
     with ctx.working():
-        if real:
-            return tuple(+mpmath.ldexp(acc[0], -prec) for acc in sums)
         return tuple(mpc(*(mpmath.ldexp(v, -prec) for v in acc)) for acc in sums)
 
 
@@ -205,15 +201,17 @@ def _reduce_sl2(z: mpc, ctx: PrecisionContext) -> tuple:
     integers add up to ``shift``, and inversions v -> -1/v, taken at the
     points ``inverted`` in order. Each inversion raises Im v, so Im w ends
     at least sqrt(3)/2. |v| within 10^-digits of 1 counts as on the circle,
-    so rounding noise cannot bounce a boundary point between v and -1/v.
-    The caller holds ``ctx.working()``."""
-    edge = 1 - ctx.tol
+    so rounding noise cannot bounce a boundary point between v and -1/v;
+    the test is on |v|^2, which takes no square root. The caller holds
+    ``ctx.working()``."""
+    edge = (1 - ctx.tol) ** 2
     shift, inverted = 0, []
     for _ in range(MAX_TERMS):
         n = mpmath.nint(z.real)
         z -= n
         shift += int(n)
-        if abs(z) >= edge:
+        x, y = z.real, z.imag
+        if x * x + y * y >= edge:
             return z, shift, inverted
         inverted.append(z)
         z = -1 / z

@@ -272,11 +272,12 @@ def fibonacci_lucas(n: int) -> Tuple[int, int]:
 
 
 def series_constants_from_cm(z, N: int, ctx: PrecisionContext):
-    """(2 xi, R_nu(xi), m) at z, all on ctx.bumped(), from one pass of Euler's
-    sums at each of z and Nz (modular._level): the eta quotient t and E2*(v) =
-    E2(v) - 3 / (pi Im v). With alpha = alpha_N(z) = 1/(1 + t), xi = 1 - 2 alpha
-    = 1 - 2/(1 + t) and m = s / (alpha (1 - alpha)) = s (1 + t)^2 / t, so
-    1 - alpha, which cancels near the cusp 0, is never formed. R_nu comes from
+    """(2 xi, R_nu(xi), m) at z, all on ctx.bumped(), where a CMPoint is
+    embedded too, from one pass of Euler's sums at each of z and Nz
+    (modular._level): the eta quotient t and E2*(v) = E2(v) - 3 / (pi Im v).
+    With alpha = alpha_N(z) = 1/(1 + t), xi = 1 - 2 alpha = 1 - 2/(1 + t) and
+    m = s / (alpha (1 - alpha)) = s (1 + t)^2 / t, so 1 - alpha, which
+    cancels near the cusp 0, is never formed. R_nu comes from
     the E2* form of Guillera & Rogers, "Ramanujan series upside-down", and
     Chan, Chan & Liu, "Domb's numbers and Ramanujan-Sato type series for 1/pi"
     (2004), in which the 1/(pi Im z) terms of E2 cancel; legendre_ramanujan_r
@@ -286,7 +287,7 @@ def series_constants_from_cm(z, N: int, ctx: PrecisionContext):
 
     DomainError where 1 + t or this denominator cancels (modular._uncancelled)."""
     wide = ctx.bumped()
-    z = _as_mpc(z, ctx)
+    z = _as_mpc(z, wide)
     with wide.working():
         t, e2, e2n = _level(z, N, wide)
         xi = 1 - 2 / (1 + t)

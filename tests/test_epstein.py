@@ -15,8 +15,9 @@ from updownlab import (
     epstein_sl2,
 )
 from updownlab.epstein import _float_point
-from updownlab.modular import _qsum, _reduce_sl2, _sigma3_table
-from updownlab.numerics import DomainError, zeta_int
+from updownlab.identities import load_corpus
+from updownlab.modular import _reduce_sl2
+from updownlab.numerics import DomainError
 
 from conftest import random_points
 
@@ -213,7 +214,7 @@ def _fourier_reference(z, dps):
         x, y = z.real, z.imag
         q = mpmath.exp(2j * mp.pi * z)
         eps = mpf(10) ** (-dps - 5)
-        n_max = int((dps + 20) * math.log(10) / (2 * math.pi * float(y)))
+        n_max = int((dps + 20) * math.log(10) / (2 * math.pi * float(y))) + 2
         sigma3 = [0] * (n_max + 1)
         for d in range(1, n_max + 1):
             for m in range(d, n_max + 1, d):
@@ -258,21 +259,27 @@ def test_precision_escalation():
     assert abs(lo - hi) < mpf(10) ** -28
 
 
-class TestRealLane:
-    @pytest.mark.parametrize("digits", [40, 300])
-    def test_bits_of_the_complex_pass(self, corpus, digits):
-        # epstein_sl2 sums only real parts and takes its tail in mpf: the
-        # bits of Re of the complex sums with the tail taken in mpc.
-        ctx = PrecisionContext(digits=digits)
-        points = sorted({p for inst in corpus.kronecker for p in inst.points}, key=str)
+def _rounding_mismatches(ctx, extra=()):
+    """The points, among the distinct corpus points and the points (x, y) in
+    ``extra``, at which epstein_sl2 differs in any bit from _fourier_reference
+    at its reduced point w, summed at ctx.dps + 60 digits and rounded at ctx."""
+    points = sorted({p for inst in load_corpus().kronecker for p in inst.points}, key=str)
+    with ctx.working():
+        zs = [p.to_point(ctx) for p in points] + [mpc(x, y) for x, y in extra]
+    bad = []
+    for z in zs:
         with ctx.working():
-            zs = [p.to_point(ctx) for p in points]
-            zs += [mpc(x, h) for x in ("-0.41", "0.23") for h in ("0.02", "0.3", "1.7")]
-        for z in zs:
-            with ctx.working():
-                w = _reduce_sl2(z, ctx)[0]
-                s2, s3 = _qsum(w, ctx, _sigma3_table, (2, 3))
-                y = w.imag
-                total = (s2 + s3 / (2 * mp.pi * y)).real
-                want = y**2 + 45 * zeta_int(3, ctx) / (mp.pi**3 * y) + 180 / mp.pi**2 * total
-            assert epstein_sl2(z, ctx)._mpf_ == want._mpf_
+            w = _reduce_sl2(z, ctx)[0]
+            want = +_fourier_reference(w, ctx.dps + 60)
+        if epstein_sl2(z, ctx)._mpf_ != want._mpf_:
+            bad.append(z)
+    return bad
+
+
+class TestCorrectRounding:
+    @pytest.mark.parametrize("digits", [40, 300])
+    def test_correctly_rounded_at_the_reduced_point(self, digits):
+        # One fixed-point pass and one rounding: the bits of E(w, 2) summed
+        # 60 digits wider and rounded once at the working precision.
+        extra = [(x, h) for x in ("-0.41", "0.23") for h in ("0.02", "0.3", "1.7")]
+        assert _rounding_mismatches(PrecisionContext(digits=digits), extra) == []

@@ -29,7 +29,7 @@ from updownlab import (
     series_constants_from_cm,
 )
 from updownlab import modular
-from updownlab.identities import load_corpus, load_tables
+from updownlab.identities import load_tables
 from updownlab.modular import (
     _eta_e2_star, _pentagonal_table, _qsum, _r_direct, _reduce_sl2, _sigma3_table,
     legendre_p_dt, legendre_p_quadrature)
@@ -263,34 +263,6 @@ class TestFixedPointKernel:
 _EVERY_TABLE = ((_pentagonal_table, (2, 1, 0)), (_sigma3_table, (0, 2, 3)))
 
 
-def _real_lane_mismatches(ctx, extra=()):
-    """The points, among the distinct reduced corpus points and the points
-    (x, y) in ``extra``, at which _qsum(..., real=True) differs in any bit
-    from .real of the complex pass, one pass per table."""
-    with ctx.working():
-        points = {modular._reduce_sl2(p.to_point(ctx), ctx)[0]
-                  for inst in load_corpus().kronecker for p in inst.points}
-        points |= {mpc(x, y) for x, y in extra}
-    bad = []
-    for z in points:
-        for table, powers in _EVERY_TABLE:
-            real = _qsum(z, ctx, table, powers, real=True)
-            full = _qsum(z, ctx, table, powers)
-            if not all(isinstance(v, mpf) for v in real) \
-                    or [v._mpf_ for v in real] != [v.real._mpf_ for v in full]:
-                bad.append(z)
-                break
-    return bad
-
-
-class TestRealLane:
-    @pytest.mark.parametrize("digits", [40, 300])
-    def test_bits_of_the_complex_pass(self, digits):
-        # real=True drops only the imaginary sums; q^n is the same product.
-        ctx = PrecisionContext(digits=digits)
-        assert _real_lane_mismatches(ctx, (("0.1", "0.9"), ("-0.41", "0.02"))) == []
-
-
 class TestSigmaTable:
     def test_reused_table_is_a_fresh_sieve_and_immutable(self):
         first = _sigma3_table(137)
@@ -310,26 +282,28 @@ class TestSigmaTable:
 
 
 class TestPointEmbedding:
-    # Every point-taking function embeds a CMPoint at the caller's ctx, so
-    # it gives the very bits of the same call on p.to_point(ctx).
+    # Every point-taking function embeds a CMPoint at the context it computes
+    # on, so it gives the very bits of the same call on p.to_point(ctx), or
+    # on p.to_point(ctx.bumped()) for series_constants_from_cm, which runs on
+    # ctx.bumped().
     CTX = PrecisionContext(digits=60)
 
-    @pytest.mark.parametrize("fn", [
-        epstein_sl2,
-        lambda z, ctx: epstein_gamma0(z, 4, ctx, radius=30),
-        lambda z, ctx: alpha_n(z, 3, ctx),
-        eichler_e4_tilde,
-        lambda z, ctx: series_constants_from_cm(z, 4, ctx),
+    @pytest.mark.parametrize("fn, embed", [
+        (epstein_sl2, CTX),
+        (lambda z, ctx: epstein_gamma0(z, 4, ctx, radius=30), CTX),
+        (lambda z, ctx: alpha_n(z, 3, ctx), CTX),
+        (eichler_e4_tilde, CTX),
+        (lambda z, ctx: series_constants_from_cm(z, 4, ctx), CTX.bumped()),
     ], ids=["epstein_sl2", "epstein_gamma0", "alpha_n", "eichler_e4_tilde",
             "series_constants_from_cm"])
     @pytest.mark.parametrize("text", ["sqrt(232)*i", "1/2+1/2*sqrt(7)*i",
                                       "-1/8+1/8*sqrt(15)*i"])
-    def test_cm_point_gives_the_bits_of_to_point(self, fn, text):
+    def test_cm_point_gives_the_bits_of_to_point(self, fn, embed, text):
         p = CMPoint.from_string(text)
         bits = [
             tuple(getattr(v, "_mpc_", None) or v._mpf_ for v in
                   (out if isinstance(out, tuple) else (out,)))
-            for out in (fn(p, self.CTX), fn(p.to_point(self.CTX), self.CTX))
+            for out in (fn(p, self.CTX), fn(p.to_point(embed), self.CTX))
         ]
         assert bits[0] == bits[1]
 

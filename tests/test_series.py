@@ -562,6 +562,18 @@ class TestConstantsAgainstUnreducedOracle:
                 for a, b in zip(got, want):
                     assert abs(a - b) < 1000 * ctx.bumped().eps * abs(b), (point, level)
 
+    def test_cm_points_embedded_on_the_bumped_context(self):
+        # A CMPoint is embedded at ctx.bumped(), where the passes run, so the
+        # ten extra digits reach c1, c2 and m: within 1e-60 relative of a
+        # 200-digit run at 40 digits (embedded at ctx: up to 1.0e-55).
+        ctx, ref = PrecisionContext(digits=40), PrecisionContext(digits=200)
+        for point, level in self.ROWS:
+            got = series_constants_from_cm(point, level, ctx)
+            want = series_constants_from_cm(point, level, ref)
+            with ref.working():
+                for a, b in zip(got, want):
+                    assert abs(a - b) < mpf(10) ** -60 * abs(b), (point, level)
+
     def test_low_points_reduce_with_three_inversions(self):
         ctx = PrecisionContext(digits=40)
         with ctx.working():
