@@ -89,33 +89,77 @@ class FibLucasSeries:
     u: Fraction = Fraction(0)
 
 
+# Terms per block of the series loop. The rounding count of
+# _sum_linear_series needs g <= den_1 (8, 12 or 24); blocks of 12 and 16
+# terms measured within run-to-run noise of 8 at 300 and 1000 digits.
+_BLOCK = 8
+
+
+def _term_count(r: float, gap: float, a1: float, a2: float,
+                family: SeriesFamily, ctx: PrecisionContext) -> int:
+    """The least K whose tail bound |s_1| r^K (a1 (K+1) / gap^2 + a2 / gap),
+    gap = 1 - r, is at most ctx.eps (see _sum_linear_series), by fixed-point
+    steps on its logarithm in floats, plus one term for their rounding; 1
+    when the bound is 0. OverflowError when the floats cannot hold it."""
+    lin, const = a1 / gap / gap, a2 / gap
+    big = max(lin, const)
+    if math.isinf(big):
+        raise OverflowError
+    K = 1
+    if r and big:
+        # K >= (log(|s_1| (lin (K+1) + const)) - log eps) / -log r, with
+        # |s_1| = r scale / den_1. The right side grows with K, so the
+        # steps rise to its least fixed point and stop there.
+        rate = -math.log(r) if r < 0.5 else -math.log1p(-gap)
+        top = (math.log(big) + math.log(family.scale / family.ratio(1)[1])
+               + ctx.dps * math.log(10) - rate)
+        w1, w0 = lin / big, const / big
+        last = 0
+        while K != last:
+            step = (top + math.log(w1 * (K + 1) + w0)) / rate
+            last, K = K, max(K, math.ceil(step))
+        K += 1
+    return K
+
+
 def _sum_linear_series(c1, c2, m, family: SeriesFamily, ctx: PrecisionContext):
     """(value, K): sum_{k>=1} (c1*k - c2) m^k / (k^3 denom(k)) = c1 S_2 - c2 S_3
     for mpf/mpc coefficients, where S_j = sum_k m^k / (k^j denom(k)), over a
     term count K fixed before the loop.
 
-    The loop carries only u_k = m^k / denom(k), by the family's small-integer
-    ratio k^3 / den_k: s_k = u_{k-1} m / den_k is term k without its
-    coefficient, and u_k = k^3 s_k. It adds s_k to S_3 and k s_k to S_2 and
-    applies c1 and c2 once at the end, all on Python ints scaled by 2^P:
-    single ints when c1, c2 and m are all mpf, Gaussian pairs otherwise.
-    den_k is divided out as c (2k-1), then (ak-1)(ak-a+1), mostly one CPython
-    digit each, with the bits of one division: floor(floor(x/p)/q) =
-    floor(x/(pq)) for p, q > 0.
+    The loop runs on Python ints scaled by 2^P, single ints when c1, c2 and
+    m are all mpf, Gaussian pairs otherwise, in blocks of g = _BLOCK terms.
+    Term k = bg + i of block b (i = 1..g) is s_k = m^k / (k^3 denom(k)), and
+    the block carries t_k = s_k / m^i, which advances by the family's
+    small-integer ratio alone: t_k = t_{k-1} (k-1)^3 / den_k, one product by
+    (k-1)^3 and one floor division by den_k, a few CPython digits each. Lane
+    i adds t_k to its share of S_3 and k t_k to its share of S_2. One
+    full-width product, by m^g, closes the block: it turns the last t into
+    s_{bg+g}, from which the next block starts. The lanes join once at the
+    end, S_j = sum_i lane_j[i] m^i, on m^2 .. m^g taken by repeated
+    products, and c1 and c2 apply once: about K/g + 3g full-width products
+    instead of K.
 
     Tail: |s_{k+1} / s_k| = |m| k^3 / den_{k+1} < r = |m| / scale, as
     (2k+1)(ak+a-1)(ak+1) > 2 a^2 k^3, so |s_k| <= |s_1| r^(k-1) with
     |s_1| = |m| / den_1, and the terms after K sum to at most
-    |s_1| r^K (|c1| (K+1) / (1-r)^2 + |c2| / (1-r)). K is the least count
-    that puts this at or below ctx.eps, by fixed-point steps on its logarithm
-    in floats, plus one term for their rounding; K = 1 when the bound is 0.
+    |s_1| r^K (|c1| (K+1) / (1-r)^2 + |c2| / (1-r)). _term_count finds K.
 
-    Rounding: each step truncates s_k by under 2 ulps, and the error already
-    in s_k is carried on times less than r, so it stays below 4 / (1-r) ulps.
-    S_3 is then off by under 4 K / (1-r) ulps and S_2 by under 4 K^2 / (1-r),
-    so c1 S_2 - c2 S_3, truncated once more, by under
-    4 K (|c1| K + |c2| + 1) / (1-r) ulps. P is the bits of ctx.bumped().dps
-    plus the bits of that count.
+    Rounding, in ulps of 2^-P, each truncation under sqrt 2 in modulus. Let
+    M = 2^(g e) >= max(1, |m|)^g, with e the binary exponent of |m| in the
+    float plan (|m| < 2^e). An error x in t_k is x |m|^i < x M in s_k. Each
+    term's division adds under sqrt2 M to s_k, and the chain carries the
+    error on times less than r, as |m| (k-1)^3 / den_k < r. The rounded m^i
+    are off by at most sqrt2 (1 + |m| + ... + |m|^(i-2)); times |t_k| that
+    is under sqrt2 (g-1) max(1, |m|) / den_1 < sqrt2 M, as g <= den_1 and
+    |t_k| = |s_k| / |m|^i with |s_k| <= |s_1| = |m| / den_1 if |m| >= 1,
+    |t_k| <= 1 / den_1 if |m| < 1. So each product closing a block adds
+    under 2 sqrt2 M, S_3 is off by under sqrt2 M K ((1 + 2/g) / (1-r) + 1)
+    + sqrt2 and S_2 by K times that, and c1 S_2 - c2 S_3, truncated once
+    more, by under 5 M K (|c1| K + |c2| + 1) / (1-r) ulps. P is the bits of
+    ctx.bumped().dps plus the bits of that count: the g max(0, e) guard bits
+    of M, for the |m|^i of the join, and those of 5 K (|c1| K + |c2| + 1) /
+    (1-r).
 
     Real c1, c2 and m give an mpf, the fixed-point sum unrounded, anything
     else an mpc rounded at ctx's working precision. DomainError if
@@ -126,60 +170,69 @@ def _sum_linear_series(c1, c2, m, family: SeriesFamily, ctx: PrecisionContext):
         r = abs(m) / family.scale
         if r >= 1:
             raise DomainError(f"series diverges: |m|/{family.scale} = {float(r)}")
-        exact = (r, 1 - r, abs(c1), abs(c2))
-        r, gap, a1, a2 = plan = [float(v) for v in exact]
+        exact = (r, 1 - r, abs(c1), abs(c2), abs(m))
+        r, gap, a1, a2, am = plan = [float(v) for v in exact]
         underflow = any(v and not f for f, v in zip(plan, exact))
         base = libmp.dps_to_prec(ctx.bumped().dps)
-    lin, const = a1 / gap / gap, a2 / gap
-    big = max(lin, const)
+    g = _BLOCK
     try:
-        if underflow or math.isinf(big):
+        if underflow:
             raise OverflowError
-        K = 1
-        if r and big:
-            # K >= (log(|s_1| (lin (K+1) + const)) - log eps) / -log r, with
-            # |s_1| = r scale / den_1. The right side grows with K, so the
-            # steps rise to its least fixed point and stop there.
-            rate = -math.log(r) if r < 0.5 else -math.log1p(-gap)
-            top = (math.log(big) + math.log(family.scale / family.ratio(1)[1])
-                   + ctx.dps * math.log(10) - rate)
-            w1, w0 = lin / big, const / big
-            last = 0
-            while K != last:
-                step = (top + math.log(w1 * (K + 1) + w0)) / rate
-                last, K = K, max(K, math.ceil(step))
-            K += 1
+        K = _term_count(r, gap, a1, a2, family, ctx)
         if K > MAX_TERMS:
             raise DomainError(f"series needs {K} terms at {ctx.dps} digits, "
                               f"more than MAX_TERMS = {MAX_TERMS}")
-        prec = base + int(4 * K * (a1 * K + a2 + 1) / gap).bit_length()
+        prec = (base + int(5 * K * (a1 * K + a2 + 1) / gap).bit_length()
+                + g * max(0, math.frexp(am)[1]))
     except OverflowError:
         raise DomainError(f"series plan leaves the float range: "
-                          f"r, 1 - r, |c1|, |c2| = {plan}") from None
+                          f"r, 1 - r, |c1|, |c2|, |m| = {plan}") from None
     (c1r, c1i), (c2r, c2i), (mr, mi) = (to_fixed(v, prec) for v in (c1, c2, m))
     c, a = family.c, family.a
     if not any(isinstance(v, mpc) for v in (c1, c2, m)):
-        u, s2, s3 = 1 << prec, 0, 0
-        for k in range(1, K + 1):
-            ak = a * k
-            s = ((u * mr) >> prec) // (c * (2 * k - 1)) // ((ak - 1) * (ak - a + 1))
-            s3 += s
-            s2 += k * s
-            u = s * k * k * k
+        powers = [mr]
+        for _ in range(g - 1):
+            powers.append((powers[-1] * mr) >> prec)
+        lane3, lane2 = [0] * g, [0] * g
+        t, cube = 1 << prec, 1
+        for k0 in range(0, K, g):
+            if k0:
+                t = (t * powers[-1]) >> prec
+            for i, k in enumerate(range(k0 + 1, min(k0 + g, K) + 1)):
+                ak = a * k
+                t = t * cube // (c * (2 * k - 1) * (ak - 1) * (ak - a + 1))
+                lane3[i] += t
+                lane2[i] += k * t
+                cube = k * k * k
+        s3 = sum(x * w for x, w in zip(lane3, powers)) >> prec
+        s2 = sum(x * w for x, w in zip(lane2, powers)) >> prec
         return mpmath.ldexp((c1r * s2 - c2r * s3) >> prec, -prec), K
-    ur, ui = 1 << prec, 0
-    s2r = s2i = s3r = s3i = 0
-    for k in range(1, K + 1):
-        ak = a * k
-        p, q = c * (2 * k - 1), (ak - 1) * (ak - a + 1)
-        sr = ((ur * mr - ui * mi) >> prec) // p // q
-        si = ((ur * mi + ui * mr) >> prec) // p // q
-        s3r += sr
-        s3i += si
-        s2r += k * sr
-        s2i += k * si
-        cube = k * k * k
-        ur, ui = sr * cube, si * cube
+    powers = [(mr, mi)]
+    for _ in range(g - 1):
+        pr, pi = powers[-1]
+        powers.append(((pr * mr - pi * mi) >> prec, (pr * mi + pi * mr) >> prec))
+    wr, wi = powers[-1]
+    l3r, l3i, l2r, l2i = ([0] * g for _ in range(4))
+    tr, ti, cube = 1 << prec, 0, 1
+    for k0 in range(0, K, g):
+        if k0:
+            tr, ti = (tr * wr - ti * wi) >> prec, (tr * wi + ti * wr) >> prec
+        for i, k in enumerate(range(k0 + 1, min(k0 + g, K) + 1)):
+            ak = a * k
+            den = c * (2 * k - 1) * (ak - 1) * (ak - a + 1)
+            tr = tr * cube // den
+            ti = ti * cube // den
+            l3r[i] += tr
+            l3i[i] += ti
+            l2r[i] += k * tr
+            l2i[i] += k * ti
+            cube = k * k * k
+
+    def join(lr, li):
+        return (sum(xr * pr - xi * pi for xr, xi, (pr, pi) in zip(lr, li, powers)) >> prec,
+                sum(xr * pi + xi * pr for xr, xi, (pr, pi) in zip(lr, li, powers)) >> prec)
+
+    (s3r, s3i), (s2r, s2i) = join(l3r, l3i), join(l2r, l2i)
     total_r = (c1r * s2r - c1i * s2i - c2r * s3r + c2i * s3i) >> prec
     total_i = (c1r * s2i + c1i * s2r - c2r * s3i - c2i * s3r) >> prec
     with ctx.working():

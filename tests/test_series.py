@@ -2,11 +2,12 @@
 
 import math
 import re
+import time
 from fractions import Fraction
 
 import mpmath
 import pytest
-from mpmath import mp, mpc, mpf
+from mpmath import libmp, mp, mpc, mpf
 
 from updownlab import (
     PrecisionContext,
@@ -25,9 +26,9 @@ from updownlab import (
     sigma_gr_im_rhs,
 )
 from updownlab import modular, series
-from updownlab.identities import load_tables
+from updownlab.identities import load_corpus, load_tables
 from updownlab.modular import _ALPHA_SCALE, _NU_BY_LEVEL, CMPoint, _eta_e2_star, _qsum
-from updownlab.numerics import DomainError, embed_quadratic
+from updownlab.numerics import MAX_TERMS, DomainError, embed_quadratic, to_fixed
 from updownlab.series import _FAMILY_BY_LEVEL, _fib_halves
 
 from conftest import random_admissible, random_points, sigma1_table
@@ -39,9 +40,9 @@ def _exact(x) -> Fraction:
     return (-1) ** sign * man * Fraction(2) ** exp
 
 
-def _exact_central3_sum(c1, c2, m, k_max):
-    """sum_{k<=k_max} (c1 k - c2) m^k / (k^3 binom(2k,k)^3) in exact
-    Gaussian rationals, (Re num, Im num, den), for mpf/mpc c1, c2, m.
+def _exact_sum(c1, c2, m, family, k_max):
+    """sum_{k<=k_max} (c1 k - c2) m^k / (k^3 denom(k)) in exact Gaussian
+    rationals, (Re num, Im num, den), for mpf/mpc c1, c2, m.
 
     With every input equal to G / 2^E for a Gaussian integer G, Horner's
     rule from the last term, y_k = m k^3 / den_k (lin_k / k^3 + y_{k+1}),
@@ -53,13 +54,116 @@ def _exact_central3_sum(c1, c2, m, k_max):
         (int(x * scale), int(y * scale)) for x, y in parts)
     yr, yi, d = 0, 0, 1
     for k in range(k_max, 0, -1):
-        _, den_k = SeriesFamily.CENTRAL3.ratio(k)
+        cube, den_k = family.ratio(k)
         lr, li = ar * k - br, ai * k - bi
-        sr = lr * d + yr * scale * k**3
-        si = li * d + yi * scale * k**3
+        sr = lr * d + yr * scale * cube
+        si = li * d + yi * scale * cube
         yr, yi = mr * sr - mi * si, mr * si + mi * sr
         d *= scale * scale * den_k
     return yr, yi, d
+
+
+def _plain_linear_series(c1, c2, m, family, ctx):
+    """The series loop with one full-width product, u_{k-1} m, per term, and
+    its own term-count plan: the oracle for the blocked loop's K and bits.
+    Rounding: under 4 K (|c1| K + |c2| + 1) / (1-r) ulps of 2^-P."""
+    with ctx.working():
+        r = abs(m) / family.scale
+        if r >= 1:
+            raise DomainError(f"series diverges: |m|/{family.scale} = {float(r)}")
+        exact = (r, 1 - r, abs(c1), abs(c2))
+        r, gap, a1, a2 = plan = [float(v) for v in exact]
+        underflow = any(v and not f for f, v in zip(plan, exact))
+        base = libmp.dps_to_prec(ctx.bumped().dps)
+    lin, const = a1 / gap / gap, a2 / gap
+    big = max(lin, const)
+    try:
+        if underflow or math.isinf(big):
+            raise OverflowError
+        K = 1
+        if r and big:
+            rate = -math.log(r) if r < 0.5 else -math.log1p(-gap)
+            top = (math.log(big) + math.log(family.scale / family.ratio(1)[1])
+                   + ctx.dps * math.log(10) - rate)
+            w1, w0 = lin / big, const / big
+            last = 0
+            while K != last:
+                step = (top + math.log(w1 * (K + 1) + w0)) / rate
+                last, K = K, max(K, math.ceil(step))
+            K += 1
+        if K > MAX_TERMS:
+            raise DomainError(f"series needs {K} terms at {ctx.dps} digits, "
+                              f"more than MAX_TERMS = {MAX_TERMS}")
+        prec = base + int(4 * K * (a1 * K + a2 + 1) / gap).bit_length()
+    except OverflowError:
+        raise DomainError(f"series plan leaves the float range: "
+                          f"r, 1 - r, |c1|, |c2| = {plan}") from None
+    (c1r, c1i), (c2r, c2i), (mr, mi) = (to_fixed(v, prec) for v in (c1, c2, m))
+    c, a = family.c, family.a
+    if not any(isinstance(v, mpc) for v in (c1, c2, m)):
+        u, s2, s3 = 1 << prec, 0, 0
+        for k in range(1, K + 1):
+            ak = a * k
+            s = ((u * mr) >> prec) // (c * (2 * k - 1)) // ((ak - 1) * (ak - a + 1))
+            s3 += s
+            s2 += k * s
+            u = s * k * k * k
+        return mpmath.ldexp((c1r * s2 - c2r * s3) >> prec, -prec), K
+    ur, ui = 1 << prec, 0
+    s2r = s2i = s3r = s3i = 0
+    for k in range(1, K + 1):
+        ak = a * k
+        p, q = c * (2 * k - 1), (ak - 1) * (ak - a + 1)
+        sr = ((ur * mr - ui * mi) >> prec) // p // q
+        si = ((ur * mi + ui * mr) >> prec) // p // q
+        s3r += sr
+        s3i += si
+        s2r += k * sr
+        s2i += k * si
+        cube = k * k * k
+        ur, ui = sr * cube, si * cube
+    total_r = (c1r * s2r - c1i * s2i - c2r * s3r + c2i * s3i) >> prec
+    total_i = (c1r * s2i + c1i * s2r - c2r * s3i - c2i * s3r) >> prec
+    with ctx.working():
+        return mpc(mpmath.ldexp(total_r, -prec), mpmath.ldexp(total_i, -prec)), K
+
+
+def _corpus_loops(ctx):
+    """The distinct (c1, c2, m, family) of the loops that the corpus
+    left-hand sides run at ctx, one per (family, m) group of each record,
+    found without running any loop."""
+    loops = {}
+    original = series._sum_linear_series
+
+    def recording(c1, c2, m, family, ctx):
+        loops[c1, c2, m, family] = None
+        return mpf(0), 0
+
+    series._sum_linear_series = recording
+    try:
+        for record in load_corpus().identities:
+            series.evaluate_series_sum(((t.weight, t.series) for t in record.lhs), ctx)
+    finally:
+        series._sum_linear_series = original
+    return list(loops)
+
+
+def _plain_loop_mismatches(ctx):
+    """(mismatches, blocked_s, plain_s): the corpus loops whose blocked sum
+    and one-product-per-term sum differ in K or in their bits rounded at
+    ctx, and the CPU seconds each loop took over all of them."""
+    loops = _corpus_loops(ctx)
+    results, seconds = [], []
+    for run in (series._sum_linear_series, _plain_linear_series):
+        start = time.process_time()
+        results.append([run(*loop, ctx) for loop in loops])
+        seconds.append(time.process_time() - start)
+    bad = []
+    with ctx.working():
+        for loop, (value, K), (plain, plain_K) in zip(loops, *results):
+            if K != plain_K or (+value)._mpf_ != (+plain)._mpf_:
+                bad.append((loop[3].tag, mpmath.nstr(loop[2], 8), K, plain_K))
+    return bad, seconds[0], seconds[1]
 
 
 DENOMINATORS = {
@@ -162,7 +266,7 @@ class TestEvaluateUpdown:
         assert m.imag != 0
         # Terms fall below |c1| ratio^k, so K terms reach 10^-(dps+10).
         k_max = int((ctx.dps + 10) * math.log(10) / -math.log(ratio)) + 20
-        num_r, num_i, den = _exact_central3_sum(c1, c2, m, k_max)
+        num_r, num_i, den = _exact_sum(c1, c2, m, SeriesFamily.CENTRAL3, k_max)
         with mpmath.workdps(ctx.dps + 20):
             exact = mpc(mpf(num_r) / den, mpf(num_i) / den)
             assert abs(got - exact) < ctx.eps * abs(exact)
@@ -197,31 +301,15 @@ class TestEvaluateUpdown:
 
 
 class TestTermCount:
-    @staticmethod
-    def _corpus_loops(corpus, ctx, monkeypatch):
-        """{(c1, c2, m, family): (K, value)} over the loops of every corpus
-        left-hand side."""
-        loops = {}
-        original = series._sum_linear_series
-
-        def recording(c1, c2, m, family, ctx):
-            value, count = original(c1, c2, m, family, ctx)
-            loops[(c1, c2, m, family)] = (count, value)
-            return value, count
-
-        monkeypatch.setattr(series, "_sum_linear_series", recording)
-        for record in corpus.identities:
-            series.evaluate_series_sum(((t.weight, t.series) for t in record.lhs), ctx)
-        return loops
-
     @pytest.mark.parametrize("digits", [40, 300])
-    def test_corpus_tails_below_eps(self, corpus, digits, monkeypatch):
+    def test_corpus_tails_below_eps(self, digits):
         # Each loop's value at K is within ctx.eps of the same series summed
         # to 2K terms at 20 more digits by an mpf recurrence.
         ctx = PrecisionContext(digits=digits)
-        loops = self._corpus_loops(corpus, ctx, monkeypatch)
+        loops = _corpus_loops(ctx)
         assert len(loops) >= 20
-        for (c1, c2, m, family), (count, value) in loops.items():
+        for c1, c2, m, family in loops:
+            value, count = series._sum_linear_series(c1, c2, m, family, ctx)
             with mpmath.workdps(ctx.dps + 20):
                 u, ref = mpf(1), mpf(0)
                 for k in range(1, 2 * count + 1):
@@ -304,6 +392,74 @@ class TestRealLoop:
             assert isinstance(value, mpf) and isinstance(cvalue, mpc)
             with ctx.working():
                 assert ((+value)._mpf_, K) == (cvalue.real._mpf_, cK)
+
+
+def _documented_count(c1, c2, m, family, K, ctx):
+    """(P, N) of _sum_linear_series's docstring: the loop's bits and its
+    rounding count, N ulps of 2^-P, for a loop of K terms."""
+    g = series._BLOCK
+    with ctx.working():
+        r = abs(m) / family.scale
+        a1, a2, gap, am = (float(v) for v in (abs(c1), abs(c2), 1 - r, abs(m)))
+    count = 5 * K * (a1 * K + a2 + 1) / gap
+    guard = g * max(0, math.frexp(am)[1])
+    P = libmp.dps_to_prec(ctx.bumped().dps) + int(count).bit_length() + guard
+    return P, Fraction(count) * 2**guard
+
+
+class TestBlocks:
+    G = series._BLOCK
+
+    @staticmethod
+    def _cases(corpus, ctx):
+        """(name, c1, c2, m, family) on ctx.bumped(): m = 0, psi^8 (|m| < 1),
+        b6's and c3's negative m with |m| > 1, and the complex m at
+        0.3 + 0.6i, over every family."""
+        wide = ctx.bumped()
+        _, psi_half = _fib_halves(corpus.identity("fib1").lhs[0].series)
+        cases = []
+        with wide.working():
+            cases.append(("zero", mpf(3), mpf(2), mpf(0), SeriesFamily.C2X3K))
+            cases.append(("psi8", *(embed_quadratic(v, wide) for v in psi_half),
+                          SeriesFamily.CENTRAL3))
+            for rid in ("b6", "c3"):
+                s = corpus.identity(rid).lhs[0].series
+                cases.append((rid, *(embed_quadratic(v, wide) for v in (s.a, s.b, s.m)),
+                              s.family))
+        cases.append(("gaussian", *series_constants_from_cm(mpc("0.3", "0.6"), 4, ctx),
+                      SeriesFamily.CENTRAL3))
+        return cases
+
+    @pytest.mark.parametrize("K", [1, G - 1, G, G + 1, 2 * G + 1])
+    def test_block_edges_within_the_documented_count(self, corpus, K, monkeypatch):
+        # K terms summed exactly in Gaussian rationals from the inputs' own
+        # bits; the loop is within its docstring's N ulps of 2^-P, plus the
+        # rounding at ctx's working precision of a complex result.
+        ctx = PrecisionContext(digits=30)
+        monkeypatch.setattr(series, "_term_count", lambda *args: K)
+        for name, c1, c2, m, family in self._cases(corpus, ctx):
+            P, N = _documented_count(c1, c2, m, family, K, ctx)
+            for v in (c1, c2, m):
+                assert all((_exact(x) * 2**P).denominator == 1 for x in (v.real, v.imag))
+            value, count = series._sum_linear_series(c1, c2, m, family, ctx)
+            assert count == K
+            num_r, num_i, den = _exact_sum(c1, c2, m, family, K)
+            err_r = _exact(value.real) - Fraction(num_r, den)
+            err_i = _exact(value.imag) - Fraction(num_i, den)
+            allowed = N / 2**P
+            if isinstance(value, mpc):
+                wp = libmp.dps_to_prec(ctx.dps)
+                allowed += (abs(_exact(value.real)) + abs(_exact(value.imag))) / 2**wp
+            assert err_r**2 + err_i**2 <= allowed**2, (name, K)
+
+
+class TestBlockedAgainstPlainLoop:
+    @pytest.mark.parametrize("digits", [40, 300, 1000])
+    def test_every_corpus_group(self, digits):
+        # Same K and the same bits once rounded at ctx as the loop that pays
+        # one full-width product per term.
+        bad, _, _ = _plain_loop_mismatches(PrecisionContext(digits=digits))
+        assert not bad
 
 
 class TestExactGrouping:
