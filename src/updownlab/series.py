@@ -11,6 +11,8 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from operator import add, mul
 from typing import Tuple
 
 import mpmath
@@ -94,6 +96,66 @@ class FibLucasSeries:
 # terms measured within run-to-run noise of 8 at 300 and 1000 digits.
 _BLOCK = 8
 
+# The ratio table comes in chunks of _CHUNK_BLOCKS blocks (256 terms), and
+# each family keeps its first _CHUNKS_KEPT chunks (k <= 8192, about 1.1 MB);
+# a longer loop builds the chunks past them afresh.
+_CHUNK_BLOCKS = 32
+_CHUNKS_KEPT = 32
+
+# Plain terms that one CRVZ term costs (the cost rule of
+# _sum_linear_series), and the accuracy in nats that each CRVZ term gains.
+_CRVZ_COST = 6
+_CRVZ_RATE = math.log(3 + math.sqrt(8))
+
+
+@lru_cache(maxsize=3 * _CHUNKS_KEPT)
+def _ratio_chunk(family: SeriesFamily, j: int, blocks: int) -> list:
+    """Chunk j of the family's ratio table, in `blocks` tuples of _BLOCK: the
+    exact pairs ((k-1)^3, den_k) of the terms k = j n + 1 .. (j+1) n,
+    n = blocks _BLOCK, with 0^3 read as 1 (the loop starts from t_0 = 1)."""
+    g, first = _BLOCK, j * blocks * _BLOCK + 1
+    pairs = [((k - 1) ** 3 or 1, family.ratio(k)[1]) for k in range(first, first + blocks * g)]
+    return [tuple(pairs[i:i + g]) for i in range(0, len(pairs), g)]
+
+
+def _ratio_blocks(family: SeriesFamily, K: int):
+    """The pairs of terms 1..K in tuples of _BLOCK, the last one shorter when
+    _BLOCK does not divide K. The first _CHUNKS_KEPT chunks are memoized,
+    those past them built afresh, so the table's memory is bounded whatever
+    K is, and every loop on a family reuses it."""
+    g, blocks = _BLOCK, _CHUNK_BLOCKS
+    n = blocks * g
+    for j in range(-(-K // n)):
+        chunk = (_ratio_chunk if j < _CHUNKS_KEPT else _ratio_chunk.__wrapped__)(family, j, blocks)
+        left = K - j * n
+        if left >= n:
+            yield from chunk
+        else:
+            whole, rest = divmod(left, g)
+            yield from chunk[:whole]
+            if rest:
+                yield chunk[whole][:rest]
+
+
+def _crvz_weights(n: int):
+    """(d, weights) of CRVZ Algorithm 1 on n terms: d = T_n(3), the rational
+    part of (3 + 2 sqrt2)^n, and an iterator over the weights
+    e_{k-1} = |b_k| + ... + |b_n| of the terms k = 1..n, where |b_0| = 1 and
+    |b_{j+1}| = 2 (n+j)(n-j) |b_j| / ((2j+1)(j+1)) divides exactly: the |b_j|
+    are those of the coefficients of T_n(1 - 2x), which sum to T_n(3) = d."""
+    d, y = 1, 0
+    for _ in range(n):
+        d, y = 3 * d + 4 * y, 2 * d + 3 * y
+
+    def weights():
+        e, b = d - 1, 1
+        for j in range(n):
+            yield e
+            b = 2 * b * (n + j) * (n - j) // ((2 * j + 1) * (j + 1))
+            e -= b
+
+    return d, weights()
+
 
 def _term_count(r: float, gap: float, a1: float, a2: float,
                 family: SeriesFamily, ctx: PrecisionContext) -> int:
@@ -122,28 +184,125 @@ def _term_count(r: float, gap: float, a1: float, a2: float,
     return K
 
 
+def _crvz_count(r: float, a1: float, a2: float, family: SeriesFamily,
+                ctx: PrecisionContext) -> int:
+    """The least n whose CRVZ bound 2 |s_1| (a1 + a2) / (3 + sqrt 8)^n,
+    |s_1| = r scale / den_1, is at most ctx.eps (see _sum_linear_series), in
+    floats, plus one term for their rounding. OverflowError when the floats
+    cannot hold it."""
+    head = 2 * r * family.scale / family.ratio(1)[1] * (a1 + a2)
+    if not head:
+        return 1
+    return max(0, math.ceil((math.log(head) + ctx.dps * math.log(10)) / _CRVZ_RATE)) + 1
+
+
+def _is_real(*values) -> bool:
+    """Whether every value is an mpf, not an mpc."""
+    return mpc not in map(type, values)
+
+
+def _plan(c1, c2, m, family: SeriesFamily, ctx: PrecisionContext):
+    """(terms, crvz, P) of _sum_linear_series: the term count, whether the
+    loop sums by CRVZ, and the bits of its fixed point."""
+    with ctx.working():
+        r = abs(m) / family.scale
+        if r >= 1:
+            raise DomainError(f"series diverges: |m|/{family.scale} = {float(r)}")
+        exact = (r, 1 - r, abs(c1), abs(c2), abs(m))
+        r, gap, a1, a2, am = plan = [float(v) for v in exact]
+        underflow = any(v and not f for f, v in zip(plan, exact))
+        base = libmp.dps_to_prec(ctx.bumped().dps)
+    crvz = False
+    try:
+        if underflow:
+            raise OverflowError
+        terms = _term_count(r, gap, a1, a2, family, ctx)
+        if terms > _CRVZ_COST and _is_real(c1, c2, m) and m._mpf_[0]:  # sign bit: m < 0
+            n = _crvz_count(r, a1, a2, family, ctx)
+            crvz = _CRVZ_COST * n < terms
+            terms = n if crvz else terms
+        if terms > MAX_TERMS:
+            raise DomainError(f"series needs {terms} terms at {ctx.dps} digits, "
+                              f"more than MAX_TERMS = {MAX_TERMS}")
+        prec = (base + int(5 * terms * (a1 * terms + a2 + 1) / gap).bit_length()
+                + _BLOCK * max(0, math.frexp(am)[1]))
+    except OverflowError:
+        raise DomainError(f"series plan leaves the float range: "
+                          f"r, 1 - r, |c1|, |c2|, |m| = {plan}") from None
+    return terms, crvz, prec
+
+
 def _sum_linear_series(c1, c2, m, family: SeriesFamily, ctx: PrecisionContext):
     """(value, K): sum_{k>=1} (c1*k - c2) m^k / (k^3 denom(k)) = c1 S_2 - c2 S_3
     for mpf/mpc coefficients, where S_j = sum_k m^k / (k^j denom(k)), over a
-    term count K fixed before the loop.
+    term count K fixed before the loop by _plan: the plain loop's count, or
+    CRVZ's n for an alternating real series where that costs less.
 
     The loop runs on Python ints scaled by 2^P, single ints when c1, c2 and
     m are all mpf, Gaussian pairs otherwise, in blocks of g = _BLOCK terms.
     Term k = bg + i of block b (i = 1..g) is s_k = m^k / (k^3 denom(k)), and
     the block carries t_k = s_k / m^i, which advances by the family's
     small-integer ratio alone: t_k = t_{k-1} (k-1)^3 / den_k, one product by
-    (k-1)^3 and one floor division by den_k, a few CPython digits each. Lane
-    i adds t_k to its share of S_3 and k t_k to its share of S_2. One
-    full-width product, by m^g, closes the block: it turns the last t into
-    s_{bg+g}, from which the next block starts. The lanes join once at the
-    end, S_j = sum_i lane_j[i] m^i, on m^2 .. m^g taken by repeated
-    products, and c1 and c2 apply once: about K/g + 3g full-width products
-    instead of K.
+    (k-1)^3 and one floor division by den_k, both read from the family's
+    table (_ratio_blocks), not rebuilt from k. Lane i adds t_k to its share
+    of S_3, lane3[i]. Its share of S_2, the sum of k t_k = (bg + i) t_k,
+    comes from prefix sums instead of a product k t_k per term: with B
+    blocks and acc[i] the sum of lane3[i] as it stood at the start of each
+    block after the first, sum_b b t_{bg+i} = (B-1) lane3[i] - acc[i], so
+    lane i of S_2 is g ((B-1) lane3[i] - acc[i]) + i lane3[i] =
+    k_i lane3[i] - g acc[i], with k_i = g (B-1) + i, an exact integer
+    identity. One full-width product, by m^g, closes the block: it turns
+    the last t into s_{bg+g}, from which the next block starts. The lanes
+    join once at the end, S_j = sum_i lane_j[i] m^i, on m^2 .. m^g taken by
+    repeated products, and c1 and c2 apply once: about K/g + 3g full-width
+    products instead of K.
 
     Tail: |s_{k+1} / s_k| = |m| k^3 / den_{k+1} < r = |m| / scale, as
     (2k+1)(ak+a-1)(ak+1) > 2 a^2 k^3, so |s_k| <= |s_1| r^(k-1) with
     |s_1| = |m| / den_1, and the terms after K sum to at most
     |s_1| r^K (|c1| (K+1) / (1-r)^2 + |c2| / (1-r)). _term_count finds K.
+
+    CRVZ: Cohen, Rodriguez Villegas & Zagier, "Convergence acceleration of
+    alternating series" (Experimental Math. 9, 2000), Algorithm 1. For real
+    m < 0, with j = k - 1, S_3 = -sum_j (-1)^j a_j and S_2 = -sum_j (-1)^j
+    a'_j, where a_j = |s_{j+1}| and a'_j = (j+1) a_j. On n terms the
+    algorithm takes sum_j (-1)^j a_j to sum_j c_j a_j / d with d = T_n(3)
+    and c_j = (-1)^j e_j, so the lanes add e_{k-1} t_k instead of t_k, with
+    the exact integer weights 0 < e_{k-1} < d of _crvz_weights, and the sum
+    is divided by d once. Its error is at most 2 A / (3 + sqrt 8)^n, where
+    A = sum_j (-1)^j a_j <= a_0, when a_j = int_0^1 x^j dmu(x) for some
+    measure mu >= 0, a Hausdorff moment sequence. Both lanes are:
+    - S_3: binom(2k,k) = 4^k Gamma(k+1/2) / (sqrt(pi) k!), and Gauss's
+      multiplication formula for binom(3k,k) and binom(4k,2k), give
+      1 / (k^3 denom(k)) = C scale^-k prod_i Gamma(k) / Gamma(k+beta_i),
+      C > 0, with beta = {1/2, 1/2, 1/2}, {1/2, 1/3, 2/3} or {1/2, 1/4, 3/4}.
+      Each Gamma(j+1) / Gamma(j+1+beta) = int_0^1 x^j (1-x)^(beta-1) dx /
+      Gamma(beta) is a Beta moment, r^j is the moment of the point mass at r,
+      and a product of moment sequences is one (the image of the product
+      measure under (x, y) -> x y). So a_j is one.
+    - S_2: a'_j = k a_j = C r^k Gamma(k) / Gamma(k+1/2) G(k), k = j + 1,
+      with G(k) = Gamma(k) Gamma(k+1) / (Gamma(k+beta_2) Gamma(k+beta_3))
+      and beta_2 + beta_3 = 1. From psi(x) = int_0^oo (e^-t / t -
+      e^(-xt) / (1 - e^-t)) dt, -(log G)'(k) = int_0^oo e^(-kt)
+      (1 + e^-t - e^(-beta_2 t) - e^(-beta_3 t)) / (1 - e^-t) dt, and the
+      numerator is >= 0 by Karamata's inequality for the convex
+      u -> e^(-ut), as (0, 1) majorizes (beta_2, beta_3). So -(log G)' is
+      completely monotone; G' = G (log G)' and Leibniz's rule make G so too,
+      and by Bernstein's theorem G(k) = int_0^oo e^(-ku) dnu(u), nu >= 0,
+      so G(j+1) is the moment sequence of e^-u dnu(u) carried to x = e^-u.
+      So a'_j is one.
+    Both a_0 and a'_0 are |s_1|, so c1 S_2 - c2 S_3 is off by at most
+    2 |s_1| (|c1| + |c2|) / (3 + sqrt 8)^n, and _crvz_count finds n.
+
+    Cost rule: the loop sums by CRVZ when m < 0 in the real branch and
+    _CRVZ_COST n < K, both counts known before the loop. A CRVZ term pays
+    one more full-width product, e_{k-1} t_k, and one step of the weights:
+    on b6, c3 and b7 it measured 2.8-4.2 plain terms at 40 and 300 digits,
+    5.1-6.3 at 1000 and 6.4-7.6 at 2000 (process time, best of 3-30 runs,
+    one core of a 2-vCPU Xeon), and _CRVZ_COST = 6 sits between. In the
+    corpus K / n is 22-34 for b6 and c3 and at most 2.1 elsewhere (b7), so
+    the rule picks exactly b6 and c3. The count returned is the one summed:
+    n for CRVZ.
 
     Rounding, in ulps of 2^-P, each truncation under sqrt 2 in modulus. Let
     M = 2^(g e) >= max(1, |m|)^g, with e the binary exponent of |m| in the
@@ -156,7 +315,12 @@ def _sum_linear_series(c1, c2, m, family: SeriesFamily, ctx: PrecisionContext):
     |t_k| <= 1 / den_1 if |m| < 1. So each product closing a block adds
     under 2 sqrt2 M, S_3 is off by under sqrt2 M K ((1 + 2/g) / (1-r) + 1)
     + sqrt2 and S_2 by K times that, and c1 S_2 - c2 S_3, truncated once
-    more, by under 5 M K (|c1| K + |c2| + 1) / (1-r) ulps. P is the bits of
+    more, by under 5 M K (|c1| K + |c2| + 1) / (1-r) ulps. Under CRVZ the
+    lanes hold e_{k-1} t_k exactly for the computed t_k, so after the
+    division by d each term's error is the plain one's times
+    e_{k-1} / d < 1, the truncations by 2^P shrink to 1/d ulp, and the
+    division adds one ulp: the same count with K = n holds, since its
+    factor 5 leaves more than one ulp to spare. P is the bits of
     ctx.bumped().dps plus the bits of that count: the g max(0, e) guard bits
     of M, for the |m|^i of the join, and those of 5 K (|c1| K + |c2| + 1) /
     (1-r).
@@ -166,73 +330,61 @@ def _sum_linear_series(c1, c2, m, family: SeriesFamily, ctx: PrecisionContext):
     the series diverges, if the plan leaves the float range, or if K exceeds
     MAX_TERMS.
     """
-    with ctx.working():
-        r = abs(m) / family.scale
-        if r >= 1:
-            raise DomainError(f"series diverges: |m|/{family.scale} = {float(r)}")
-        exact = (r, 1 - r, abs(c1), abs(c2), abs(m))
-        r, gap, a1, a2, am = plan = [float(v) for v in exact]
-        underflow = any(v and not f for f, v in zip(plan, exact))
-        base = libmp.dps_to_prec(ctx.bumped().dps)
+    K, crvz, prec = _plan(c1, c2, m, family, ctx)
     g = _BLOCK
-    try:
-        if underflow:
-            raise OverflowError
-        K = _term_count(r, gap, a1, a2, family, ctx)
-        if K > MAX_TERMS:
-            raise DomainError(f"series needs {K} terms at {ctx.dps} digits, "
-                              f"more than MAX_TERMS = {MAX_TERMS}")
-        prec = (base + int(5 * K * (a1 * K + a2 + 1) / gap).bit_length()
-                + g * max(0, math.frexp(am)[1]))
-    except OverflowError:
-        raise DomainError(f"series plan leaves the float range: "
-                          f"r, 1 - r, |c1|, |c2|, |m| = {plan}") from None
-    (c1r, c1i), (c2r, c2i), (mr, mi) = (to_fixed(v, prec) for v in (c1, c2, m))
-    c, a = family.c, family.a
-    if not any(isinstance(v, mpc) for v in (c1, c2, m)):
+    if _is_real(c1, c2, m):
+        c1r, c2r, mr = (libmp.to_fixed(v._mpf_, prec) for v in (c1, c2, m))
         powers = [mr]
-        for _ in range(g - 1):
+        for _ in range(min(g, K) - 1):
             powers.append((powers[-1] * mr) >> prec)
-        lane3, lane2 = [0] * g, [0] * g
-        t, cube = 1 << prec, 1
-        for k0 in range(0, K, g):
-            if k0:
+        d, weights = _crvz_weights(K) if crvz else (1, None)
+        lane3, acc = [0] * g, [0] * g
+        t = 1 << prec
+        for b, pairs in enumerate(_ratio_blocks(family, K)):
+            if b:
                 t = (t * powers[-1]) >> prec
-            for i, k in enumerate(range(k0 + 1, min(k0 + g, K) + 1)):
-                ak = a * k
-                t = t * cube // (c * (2 * k - 1) * (ak - 1) * (ak - a + 1))
-                lane3[i] += t
-                lane2[i] += k * t
-                cube = k * k * k
-        s3 = sum(x * w for x, w in zip(lane3, powers)) >> prec
-        s2 = sum(x * w for x, w in zip(lane2, powers)) >> prec
-        return mpmath.ldexp((c1r * s2 - c2r * s3) >> prec, -prec), K
+                acc = list(map(add, acc, lane3))
+            if weights is None:
+                for i, (cube, den) in enumerate(pairs):
+                    t = t * cube // den
+                    lane3[i] += t
+            else:
+                for i, ((cube, den), e) in enumerate(zip(pairs, weights)):
+                    t = t * cube // den
+                    lane3[i] += e * t
+        last = range(g * b + 1, g * b + g + 1)  # the k of each lane in the last block
+        u = list(map(mul, lane3, powers))
+        s3 = sum(u) >> prec
+        s2 = (sum(map(mul, last, u)) - g * sum(map(mul, acc, powers))) >> prec
+        return mpmath.ldexp(((c1r * s2 - c2r * s3) >> prec) // d, -prec), K
+    (c1r, c1i), (c2r, c2i), (mr, mi) = (to_fixed(v, prec) for v in (c1, c2, m))
     powers = [(mr, mi)]
     for _ in range(g - 1):
         pr, pi = powers[-1]
         powers.append(((pr * mr - pi * mi) >> prec, (pr * mi + pi * mr) >> prec))
     wr, wi = powers[-1]
-    l3r, l3i, l2r, l2i = ([0] * g for _ in range(4))
-    tr, ti, cube = 1 << prec, 0, 1
-    for k0 in range(0, K, g):
-        if k0:
+    l3r, l3i, accr, acci = ([0] * g for _ in range(4))
+    tr, ti = 1 << prec, 0
+    for b, pairs in enumerate(_ratio_blocks(family, K)):
+        if b:
             tr, ti = (tr * wr - ti * wi) >> prec, (tr * wi + ti * wr) >> prec
-        for i, k in enumerate(range(k0 + 1, min(k0 + g, K) + 1)):
-            ak = a * k
-            den = c * (2 * k - 1) * (ak - 1) * (ak - a + 1)
+            accr, acci = list(map(add, accr, l3r)), list(map(add, acci, l3i))
+        for i, (cube, den) in enumerate(pairs):
             tr = tr * cube // den
             ti = ti * cube // den
             l3r[i] += tr
             l3i[i] += ti
-            l2r[i] += k * tr
-            l2i[i] += k * ti
-            cube = k * k * k
 
     def join(lr, li):
-        return (sum(xr * pr - xi * pi for xr, xi, (pr, pi) in zip(lr, li, powers)) >> prec,
-                sum(xr * pi + xi * pr for xr, xi, (pr, pi) in zip(lr, li, powers)) >> prec)
+        """lane[i] m^i, exact, as the lists of real and of imaginary parts."""
+        return ([xr * pr - xi * pi for xr, xi, (pr, pi) in zip(lr, li, powers)],
+                [xr * pi + xi * pr for xr, xi, (pr, pi) in zip(lr, li, powers)])
 
-    (s3r, s3i), (s2r, s2i) = join(l3r, l3i), join(l2r, l2i)
+    last = range(g * b + 1, g * b + g + 1)
+    (ur, ui), (ar, ai) = join(l3r, l3i), join(accr, acci)
+    s3r, s3i = sum(ur) >> prec, sum(ui) >> prec
+    s2r = (sum(map(mul, last, ur)) - g * sum(ar)) >> prec
+    s2i = (sum(map(mul, last, ui)) - g * sum(ai)) >> prec
     total_r = (c1r * s2r - c1i * s2i - c2r * s3r + c2i * s3i) >> prec
     total_i = (c1r * s2i + c1i * s2r - c2r * s3i - c2i * s3r) >> prec
     with ctx.working():
@@ -271,7 +423,9 @@ def evaluate_series_sum(terms, ctx: PrecisionContext) -> Tuple[mpf, int]:
     halves. The weighted (c1, c2) of the parts that share a family and an
     exact m are summed exactly, in one quadratic field (DomainError if none
     holds them), and each group with c1 or c2 not 0 runs one loop on c1, c2
-    and m embedded once on ctx.bumped(). terms_used sums the loops' counts K.
+    and m embedded once on ctx.bumped(). terms_used sums the terms that the
+    loops summed: K for the plain loop, n for one summed by CRVZ (see
+    _sum_linear_series).
     """
     groups = {}
     for weight, s in terms:

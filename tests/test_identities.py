@@ -369,9 +369,10 @@ class TestVerification:
         assert r40.abs_residual < max(r30.abs_residual * mpf(10) ** -8, floor)
 
     def test_single_series_terms_used_at_40_digits(self, corpus, ctx40):
-        # The a-priori count K of each record's one loop.
+        # The a-priori count of each record's one loop: K, or CRVZ's n for
+        # b6 and c3.
         expected = {"zeilberger": 33, "grnew": 448, "grold": 18,
-                    "b6": 2790, "c3": 1940}
+                    "b6": 82, "c3": 82}
         got = {rid: verify_identity(rid, ctx40, corpus).terms_used
                for rid in expected}
         assert got == expected

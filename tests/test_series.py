@@ -40,9 +40,10 @@ def _exact(x) -> Fraction:
     return (-1) ** sign * man * Fraction(2) ** exp
 
 
-def _exact_sum(c1, c2, m, family, k_max):
-    """sum_{k<=k_max} (c1 k - c2) m^k / (k^3 denom(k)) in exact Gaussian
-    rationals, (Re num, Im num, den), for mpf/mpc c1, c2, m.
+def _exact_sum(c1, c2, m, family, k_max, weights=None):
+    """sum_{k<=k_max} w_k (c1 k - c2) m^k / (k^3 denom(k)) in exact Gaussian
+    rationals, (Re num, Im num, den), for mpf/mpc c1, c2, m, with the
+    integer weights w_k = weights[k-1], or 1.
 
     With every input equal to G / 2^E for a Gaussian integer G, Horner's
     rule from the last term, y_k = m k^3 / den_k (lin_k / k^3 + y_{k+1}),
@@ -55,7 +56,8 @@ def _exact_sum(c1, c2, m, family, k_max):
     yr, yi, d = 0, 0, 1
     for k in range(k_max, 0, -1):
         cube, den_k = family.ratio(k)
-        lr, li = ar * k - br, ai * k - bi
+        w = weights[k - 1] if weights else 1
+        lr, li = (ar * k - br) * w, (ai * k - bi) * w
         sr = lr * d + yr * scale * cube
         si = li * d + yi * scale * cube
         yr, yi = mr * sr - mi * si, mr * si + mi * sr
@@ -128,42 +130,87 @@ def _plain_linear_series(c1, c2, m, family, ctx):
         return mpc(mpmath.ldexp(total_r, -prec), mpmath.ldexp(total_i, -prec)), K
 
 
-def _corpus_loops(ctx):
-    """The distinct (c1, c2, m, family) of the loops that the corpus
-    left-hand sides run at ctx, one per (family, m) group of each record,
-    found without running any loop."""
-    loops = {}
+def _record_loops(ctx):
+    """{record id: [(c1, c2, m, family), ...]}: the loops that each corpus
+    left-hand side runs at ctx, one per (family, m) group, found without
+    running any loop."""
+    loops, found = {}, []
     original = series._sum_linear_series
 
     def recording(c1, c2, m, family, ctx):
-        loops[c1, c2, m, family] = None
+        found.append((c1, c2, m, family))
         return mpf(0), 0
 
     series._sum_linear_series = recording
     try:
         for record in load_corpus().identities:
             series.evaluate_series_sum(((t.weight, t.series) for t in record.lhs), ctx)
+            loops[record.id] = found[:]
+            found.clear()
     finally:
         series._sum_linear_series = original
-    return list(loops)
+    return loops
 
 
-def _plain_loop_mismatches(ctx):
-    """(mismatches, blocked_s, plain_s): the corpus loops whose blocked sum
-    and one-product-per-term sum differ in K or in their bits rounded at
-    ctx, and the CPU seconds each loop took over all of them."""
-    loops = _corpus_loops(ctx)
+def _corpus_loops(ctx):
+    """The distinct (c1, c2, m, family) of _record_loops."""
+    return list(dict.fromkeys(loop for loops in _record_loops(ctx).values() for loop in loops))
+
+
+def _timed(runs, loops, ctx):
+    """([(value, count) per loop] per run, [CPU seconds per run])."""
     results, seconds = [], []
-    for run in (series._sum_linear_series, _plain_linear_series):
+    for run in runs:
         start = time.process_time()
         results.append([run(*loop, ctx) for loop in loops])
         seconds.append(time.process_time() - start)
+    return results, seconds
+
+
+def _plain_loop_mismatches(ctx):
+    """(mismatches, blocked_s, plain_s): the corpus loops that the plain
+    loop sums (not CRVZ) whose blocked sum and one-product-per-term sum
+    differ in K or in their bits rounded at ctx, and the CPU seconds each
+    loop took over all of them."""
+    loops = [loop for loop in _corpus_loops(ctx) if not series._plan(*loop, ctx)[1]]
+    results, seconds = _timed((series._sum_linear_series, _plain_linear_series), loops, ctx)
     bad = []
     with ctx.working():
         for loop, (value, K), (plain, plain_K) in zip(loops, *results):
             if K != plain_K or (+value)._mpf_ != (+plain)._mpf_:
                 bad.append((loop[3].tag, mpmath.nstr(loop[2], 8), K, plain_K))
     return bad, seconds[0], seconds[1]
+
+
+def _crvz_against_plain(ctx):
+    """(rows, crvz_s, plain_s): (record id, n, K, |CRVZ - plain| / ctx.eps)
+    for each corpus loop summed by CRVZ in n terms, against the loop with
+    one product per term and its K, and the CPU seconds each took over all
+    of them."""
+    labelled = [(rid, loop) for rid, loops in _record_loops(ctx).items()
+                for loop in loops if series._plan(*loop, ctx)[1]]
+    loops = [loop for _, loop in labelled]
+    results, seconds = _timed((series._sum_linear_series, _plain_linear_series), loops, ctx)
+    with ctx.working():
+        rows = [(rid, n, K, abs(value - plain) / ctx.eps)
+                for (rid, _), (value, n), (plain, K) in zip(labelled, *results)]
+    return rows, seconds[0], seconds[1]
+
+
+def _algorithm_1(n):
+    """(d, [w_1 .. w_n]): CRVZ Algorithm 1 in exact rationals, with
+    sum_{k>=1} s_k ~ sum_k w_k s_k / d for s_1 < 0 and alternating signs:
+    w_k = (-1)^(k-1) c_{k-1}, d = T_n(3) from T_{j+1} = 6 T_j - T_{j-1}."""
+    d, last = 1, 3  # T_0 and T_-1 = T_1 at 3
+    for _ in range(n):
+        d, last = 6 * d - last, d
+    b, c, weights = Fraction(-1), Fraction(-d), []
+    for k in range(n):
+        c = b - c
+        weights.append((-1) ** k * c)
+        b = (k + n) * (k - n) * b / (Fraction(2 * k + 1, 2) * (k + 1))
+    assert all(w.denominator == 1 for w in weights)
+    return d, [int(w) for w in weights]
 
 
 DENOMINATORS = {
@@ -302,17 +349,22 @@ class TestEvaluateUpdown:
 
 class TestTermCount:
     @pytest.mark.parametrize("digits", [40, 300])
-    def test_corpus_tails_below_eps(self, digits):
-        # Each loop's value at K is within ctx.eps of the same series summed
-        # to 2K terms at 20 more digits by an mpf recurrence.
+    def test_corpus_tails_below_eps(self, digits, monkeypatch):
+        # Each loop's value is within ctx.eps of the same series summed to
+        # twice the plain loop's K at 20 more digits by an mpf recurrence:
+        # the tail bound, and CRVZ's bound where it sums in n < K terms.
         ctx = PrecisionContext(digits=digits)
         loops = _corpus_loops(ctx)
         assert len(loops) >= 20
         for c1, c2, m, family in loops:
             value, count = series._sum_linear_series(c1, c2, m, family, ctx)
+            with monkeypatch.context() as plain:
+                plain.setattr(series, "_CRVZ_COST", math.inf)
+                K = series._plan(c1, c2, m, family, ctx)[0]
+            assert count <= K
             with mpmath.workdps(ctx.dps + 20):
                 u, ref = mpf(1), mpf(0)
-                for k in range(1, 2 * count + 1):
+                for k in range(1, 2 * K + 1):
                     cube, den = family.ratio(k)
                     u = u * m * cube / den
                     ref += (c1 * k - c2) * u / cube
@@ -371,10 +423,12 @@ class TestTermCount:
 
 class TestRealLoop:
     @pytest.mark.parametrize("digits", [40, 300])
-    def test_mpf_inputs_give_the_real_bits_of_mpc_inputs(self, corpus, digits):
-        # The phi^8 half of fib1 (CENTRAL3), b6 (C2X3K) and c3 (C2X4K). The
-        # mpf is the fixed-point sum itself, which mpc rounds at ctx's
-        # working precision: rounded there, it has the bits of the real part.
+    def test_mpf_inputs_give_the_real_bits_of_mpc_inputs(self, corpus, digits, monkeypatch):
+        # The phi^8 half of fib1 (CENTRAL3), b6 (C2X3K) and c3 (C2X4K), on
+        # the plain loop: mpc inputs never take CRVZ. The mpf is the
+        # fixed-point sum itself, which mpc rounds at ctx's working
+        # precision: rounded there, it has the bits of the real part.
+        monkeypatch.setattr(series, "_CRVZ_COST", math.inf)
         ctx = PrecisionContext(digits=digits)
         wide = ctx.bumped()
         (c1, c2, m), _ = _fib_halves(corpus.identity("fib1").lhs[0].series)
@@ -409,6 +463,7 @@ def _documented_count(c1, c2, m, family, K, ctx):
 
 class TestBlocks:
     G = series._BLOCK
+    CHUNK = series._CHUNK_BLOCKS * series._BLOCK  # terms per chunk of the table
 
     @staticmethod
     def _cases(corpus, ctx):
@@ -430,14 +485,17 @@ class TestBlocks:
                       SeriesFamily.CENTRAL3))
         return cases
 
-    @pytest.mark.parametrize("K", [1, G - 1, G, G + 1, 2 * G + 1])
+    @pytest.mark.parametrize("K", [1, G - 1, G, G + 1, 2 * G + 1, CHUNK, CHUNK + 1])
     def test_block_edges_within_the_documented_count(self, corpus, K, monkeypatch):
         # K terms summed exactly in Gaussian rationals from the inputs' own
         # bits; the loop is within its docstring's N ulps of 2^-P, plus the
-        # rounding at ctx's working precision of a complex result.
+        # rounding at ctx's working precision of a complex result. K runs
+        # over the edges of blocks and of the ratio table's first chunk, all
+        # below CRVZ's cost at 30 digits, so b6 and c3 stay on the plain loop.
         ctx = PrecisionContext(digits=30)
         monkeypatch.setattr(series, "_term_count", lambda *args: K)
         for name, c1, c2, m, family in self._cases(corpus, ctx):
+            assert series._plan(c1, c2, m, family, ctx)[:2] == (K, False)
             P, N = _documented_count(c1, c2, m, family, K, ctx)
             for v in (c1, c2, m):
                 assert all((_exact(x) * 2**P).denominator == 1 for x in (v.real, v.imag))
@@ -452,14 +510,87 @@ class TestBlocks:
                 allowed += (abs(_exact(value.real)) + abs(_exact(value.imag))) / 2**wp
             assert err_r**2 + err_i**2 <= allowed**2, (name, K)
 
+    def test_loop_past_the_kept_chunks(self, corpus, monkeypatch):
+        # Chunks of one block: the phi^8 loop at 40 digits runs past the
+        # _CHUNKS_KEPT chunks that the memo keeps, and the memo holds those
+        # and no more. The bits are those of the loop with the default
+        # chunks, and rounded at ctx those of the one-product loop.
+        ctx = PrecisionContext(digits=40)
+        wide = ctx.bumped()
+        phi_half, _ = _fib_halves(corpus.identity("fib1").lhs[0].series)
+        with wide.working():
+            loop = (*(embed_quadratic(v, wide) for v in phi_half), SeriesFamily.CENTRAL3)
+        default, default_K = series._sum_linear_series(*loop, ctx)
+        monkeypatch.setattr(series, "_CHUNK_BLOCKS", 1)
+        series._ratio_chunk.cache_clear()
+        try:
+            value, K = series._sum_linear_series(*loop, ctx)
+            kept = series._ratio_chunk.cache_info().currsize
+        finally:
+            series._ratio_chunk.cache_clear()
+        assert K > series._CHUNKS_KEPT * self.G
+        assert kept == series._CHUNKS_KEPT
+        assert (value._mpf_, K) == (default._mpf_, default_K)
+        plain, plain_K = _plain_linear_series(*loop, ctx)
+        with ctx.working():
+            assert ((+value)._mpf_, K) == ((+plain)._mpf_, plain_K)
+
 
 class TestBlockedAgainstPlainLoop:
     @pytest.mark.parametrize("digits", [40, 300, 1000])
     def test_every_corpus_group(self, digits):
         # Same K and the same bits once rounded at ctx as the loop that pays
-        # one full-width product per term.
+        # one full-width product per term, on every loop the plain loop sums.
         bad, _, _ = _plain_loop_mismatches(PrecisionContext(digits=digits))
         assert not bad
+
+
+class TestCRVZ:
+    G = series._BLOCK
+
+    @pytest.mark.parametrize("digits", [40, 300, 1000])
+    def test_b6_and_c3_within_one_eps_of_the_plain_loop(self, digits):
+        rows, _, _ = _crvz_against_plain(PrecisionContext(digits=digits))
+        assert [rid for rid, *_ in rows] == ["b6", "c3"]
+        for rid, n, K, gap in rows:
+            assert n < K and gap <= 1, (rid, n, K, gap)
+
+    @pytest.mark.parametrize("digits", [40, 300, 1000, 2000])
+    def test_rule_picks_exactly_b6_and_c3(self, digits):
+        # b7 (m/scale = -0.42) stays on the plain loop: K / n = 2.1 there.
+        ctx = PrecisionContext(digits=digits)
+        picked = {rid for rid, loops in _record_loops(ctx).items()
+                  for loop in loops if series._plan(*loop, ctx)[1]}
+        assert picked == {"b6", "c3"}
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 40])
+    def test_weights_are_algorithm_1s(self, n):
+        d, weights = series._crvz_weights(n)
+        assert (d, list(weights)) == _algorithm_1(n)
+
+    @pytest.mark.parametrize("n", [1, G - 1, G, G + 1, 2 * G + 1])
+    def test_block_edges_within_the_documented_count(self, corpus, n, monkeypatch):
+        # n terms weighted by Algorithm 1 and summed exactly from the inputs'
+        # own bits: the loop is within the docstring's count for K = n. b6
+        # and c3 have |m| > 1; m = -1/2 has |m| < 1.
+        ctx = PrecisionContext(digits=30)
+        wide = ctx.bumped()
+        monkeypatch.setattr(series, "_crvz_count", lambda *args: n)
+        monkeypatch.setattr(series, "_term_count", lambda *args: MAX_TERMS)
+        with wide.working():
+            cases = [("half", mpf(5), mpf(-3), mpf(-0.5), SeriesFamily.C2X4K)]
+            for rid in ("b6", "c3"):
+                s = corpus.identity(rid).lhs[0].series
+                cases.append((rid, *(embed_quadratic(v, wide) for v in (s.a, s.b, s.m)),
+                              s.family))
+        d, weights = _algorithm_1(n)
+        for name, c1, c2, m, family in cases:
+            assert series._plan(c1, c2, m, family, ctx)[:2] == (n, True)
+            P, N = _documented_count(c1, c2, m, family, n, ctx)
+            value, count = series._sum_linear_series(c1, c2, m, family, ctx)
+            assert isinstance(value, mpf) and count == n
+            num, _, den = _exact_sum(c1, c2, m, family, n, weights)
+            assert abs(_exact(value) - Fraction(num, den * d)) <= N / 2**P, (name, n)
 
 
 class TestExactGrouping:
