@@ -17,7 +17,7 @@ import mpmath
 from mpmath import libmp, mp, mpf
 
 from .numerics import DomainError, PrecisionContext, to_fixed, zeta_int
-from .modular import _LEVELS, _as_mpc, _qseries_cutoff, _reduce_sl2, _sigma3_table
+from .modular import _LEVELS, _as_mpc, _qsum_fixed, _reduce_sl2, _sigma3_table
 
 
 class LatticeSum(NamedTuple):
@@ -45,39 +45,19 @@ def epstein_sl2(z, ctx: PrecisionContext) -> mpf:
 
         E(w, 2) = y^2 + 45 zeta(3) / (pi^3 y) + (180/pi^2) (S_2 + S_3 / (2 pi y)),
 
-    S_j = sum_n sigma_3(n) Re(q^n) / n^j, y = Im w, q = e^{2 pi i w}, cut off
-    by _qseries_cutoff. One pass on Python ints scaled by 2^P, P the bits of
-    the working dps plus 5 bits per bit of the cutoff n_max plus 24. q =
-    expjpi(2w) at P + 10 bits is exactly 1-periodic and exactly real at
-    Re w in {0, +-1/2}. c_n = Re q^n follows c_{n+1} = T c_n - N c_{n-1}, with
-    (T, N) = (q, 0) for real q and (2 Re q, |q|^2) otherwise, each product
-    truncated. An error made at step k reaches step k + m multiplied by at
-    most (m + 1) |q|^m, which sums to 1/(1 - |q|)^2 < 1.01, so every c_n is
-    off by under 4 ulps of 2^-P. With weights sigma_3(n) / n^j <= 1.21 n, one
-    floor per term, and the plan's constants and the finish off by under 1
-    ulp each, the sum is off by under 100 n_max^2 ulps of 2^-P, which is
-    under 2^-23 of an ulp of the result (E >= 3/4, n_max >= 2); the terms
-    past n_max add under 10^-10 of one. The sum is rounded once, at ctx's
-    working precision, so E is within 1/2 + 2^-22 ulps of E(w, 2): the
-    correctly rounded value at the reduced point w unless E(w, 2) lies
-    within 2^-22 ulps of a rounding boundary.
+    S_j = sum_n sigma_3(n) Re(q^n) / n^j, y = Im w, q = e^{2 pi i w}: the
+    real lane of modular._qsum_fixed at 24 guard bits, off by under
+    8.1 (0.61 n_max (n_max + 1)) + n_max < 12 n_max^2 ulps of 2^-P. In the
+    same fixed point, with y exact, the plan's constants and each product or
+    quotient within 1 ulp, 180/pi^2 < 18.3 and 1/(2 pi y) < 0.19, the finish
+    is off by under 300 n_max^2 ulps: with the terms past n_max, under 2^-22
+    ulps of E >= 3/4 (n_max >= 2). Rounded once, E is within 1/2 + 2^-22 ulps
+    of E(w, 2): correctly rounded unless E(w, 2) lies within 2^-22 ulps of a
+    rounding boundary.
     """
-    z = _as_mpc(z, ctx)
     with ctx.working():
-        w = _reduce_sl2(z, ctx)[0]
-    n_max = _qseries_cutoff(w.imag, ctx)
-    prec = libmp.dps_to_prec(ctx.dps) + 5 * n_max.bit_length() + 24
-    with mpmath.workprec(prec + 10):
-        qr, qi = to_fixed(mpmath.expjpi(2 * w), prec)
-    t, nq = (2 * qr, (qr * qr + qi * qi) >> prec) if qi else (qr, 0)
-    sigma3 = _sigma3_table(n_max)
-    s2 = s3 = 0
-    prev, c = 1 << prec, qr
-    for n in range(1, n_max + 1):
-        u = sigma3[n] * c // (n * n)
-        s2 += u
-        s3 += u // n
-        prev, c = c, (t * c - nq * prev) >> prec
+        w = _reduce_sl2(_as_mpc(z, ctx), ctx)[0]
+    prec, (s2, s3), _ = _qsum_fixed(w, ctx, _sigma3_table, (2, 3), 24, imag=False)
     y = to_fixed(w.imag, prec)[0]  # exact: Im w > 1/2 has under P bits past the point
     zeta3, scale, inv_2pi = _sl2_plan(prec)
     total = (y * y >> prec) + (zeta3 << prec) // y + (scale * (s2 + s3 * inv_2pi // y) >> prec)

@@ -353,21 +353,18 @@ def load_tables() -> tuple:
 
 
 def check_table(table_no: int, ctx: PrecisionContext):
-    """Recompute every cell of one table; yields (row_text, cell, residual)."""
+    """Recompute every cell of one table; yields (row_text, cell, residual).
+    Points are embedded at ctx.bumped(), where the constants are computed."""
     for tab in load_tables():
         if tab["table"] != table_no:
             continue
         level = tab["level"]
         for row in tab["rows"]:
-            z = row["point"].to_point(ctx)
+            z = row["point"].to_point(ctx.bumped())
             with ctx.working():
                 c1, c2, m = series_constants_from_cm(z, level, ctx)
-                y = z.imag
-                computed = {"c1": c1 / 2 / y, "c2": c2 / y, "m": m}
-                for name in ("c1", "c2", "m"):
-                    expected = row["cells"][name].embed(ctx)
-                    residual = abs(computed[name] - expected)
-                    yield row["text"], name, residual
+                for name, value in zip(("c1", "c2", "m"), (c1 / 2 / z.imag, c2 / z.imag, m)):
+                    yield row["text"], name, abs(value - row["cells"][name].embed(ctx))
         return
     raise DomainError(f"no table {table_no}")
 

@@ -10,6 +10,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import floordiv
 
 import mpmath
 from mpmath import libmp, mp, mpc, mpf
@@ -146,51 +147,66 @@ def _sigma3_table(n_max: int) -> tuple:
 
 def _pentagonal_table(n_max: int) -> list:
     """n^2 a(n), Euler's P = prod (1 - q^n) = 1 + sum a(n) q^n, a(n) = (-1)^k at n =
-    k(3k -+ 1)/2: _qsum's powers 2, 1, 0 give P - 1, q dP/dq and q^2 d^2P/dq^2 + q dP/dq."""
+    k(3k -+ 1)/2: _qsum's powers 0, 1, 2 give q^2 d^2P/dq^2 + q dP/dq, q dP/dq and P - 1."""
     coeffs = [0] * (n_max + 1)
-    k = 1
-    while k * (3 * k - 1) // 2 <= n_max:
+    for k in range(1, math.isqrt(n_max) + 2):  # every k with k(3k - 1)/2 <= n_max
         for n in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
             if n <= n_max:
                 coeffs[n] = -n * n if k % 2 else n * n
-        k += 1
     return coeffs
 
 
-def _qsum(z: mpc, ctx: PrecisionContext, table, powers) -> tuple:
-    """The sums sum_n a(n) q^n / n^j, q = e^{2 pi i z}, for each j in
-    ``powers``, in that order; the integers a(1..n_max) come from
-    ``table(n_max)``, cut off by _qseries_cutoff.
-
-    q^n is carried as a Gaussian pair of Python ints scaled by 2^P, P the
-    bits of the working dps plus 5 bits per bit of the cutoff. q = expjpi(2z)
-    at P + 10 bits, whose cospi and sinpi reduce 2 Re z mod 2 exactly, is
-    exactly 1-periodic and exactly real at Re z in {0, +-1/2}. q, good to 1/16
-    ulp, and each product are truncated by under 1 ulp, so q^n is off by under
-    2.07 / (1 - |q|) <= 2 n_max ulps. Weights |a(n)| / n^j <= 1.21 n^3
-    (sigma_3(n) / n^j, or n^2 / n^j at Euler's signs) summed over n <= n_max
-    keep the total error below n_max^5 ulps. The results are rounded to
-    ``ctx``'s working precision.
+def _qsum_fixed(z: mpc, ctx: PrecisionContext, table, powers, guard=8, imag=True) -> tuple:
+    """(P, re, im): Re and Im of sum_n a(n) q^n / n^j, q = e^{2 pi i z}, for
+    each j in ``powers`` (ascending), as unrounded Python ints scaled by 2^P,
+    P the bits of the working dps + 5 bits per bit of n_max + ``guard``;
+    a(1..n_max) from ``table(n_max)``, cut off by _qseries_cutoff. The
+    package's one loop over powers of q. q = expjpi(2z) at P + 10 bits
+    (cospi and sinpi reduce 2 Re z mod 2 exactly) is exactly 1-periodic and
+    exactly real at Re z in {0, +-1/2}. Lanes Re q^n and Im q^n follow
+    x_{n+1} = T x_n - N x_{n-1} from (1, Re q) and (0, Im q), (T, N) =
+    (2 Re q, |q|^2), or (q, 0) for real q; the Im lane is skipped, and reads
+    0, for real q or ``imag`` false. Terms a(n) x_n are floored by n^j, then
+    by n per unit step, as floor(floor(u / n^i) / n) = floor(u / n^(i+1)).
+    Error, in ulps 2^-P: q, good to 1/16 ulp, is truncated, so T errs by
+    under 2.2 and N by under 1 + 3.1 |q|, and each truncated step (|x_n| <= 1)
+    by under 8. Step k's error reaches step k + m times
+    (q^(m+1) - conj(q)^(m+1)) / (q - conj(q)), of modulus <= (m + 1) |q|^m,
+    which sums to A = 1/(1 - |q|)^2: each lane value errs by under 8 A, and
+    each sum, with one floor per term, by under 8 A W + n_max,
+    W = sum |a(n)| / n^j. With L the bits of n_max >= 2 that is under
+    2^(5L), 2^-guard of an ulp of 1 at the working precision, in both
+    callers' cases: at a reduced point, A < 1.01 (|q| < 0.0044) and
+    W < 0.31 2^(4L) for |a(n)| / n^j <= 1.21 n^3 (sigma_3(n) < zeta(3) n^3,
+    or n^2 at Euler's signs); at any point, such as the Eichler integral's
+    unreduced ones, W < 0.61 2^(2L) for |a(n)| / n^j <= 1.21 n (sigma_3,
+    j >= 2), and 1/(1 - |q|) < 1 + 1/(2 pi Im z) < 1 + n_max/100 < 2^L/1.9,
+    as n_max > 103/(2 pi Im z).
     """
     n_max = _qseries_cutoff(z.imag, ctx)
-    prec = libmp.dps_to_prec(ctx.dps) + 5 * n_max.bit_length() + 8
+    prec = libmp.dps_to_prec(ctx.dps) + 5 * n_max.bit_length() + guard
     with mpmath.workprec(prec + 10):
         qr, qi = to_fixed(mpmath.expjpi(2 * z), prec)
-    coeffs = table(n_max)
-    sums = [[0, 0] for _ in powers]
-    qn_r, qn_i = 1 << prec, 0
-    for n in range(1, n_max + 1):
-        qn_r, qn_i = (qn_r * qr - qn_i * qi) >> prec, (qn_r * qi + qn_i * qr) >> prec
-        a = coeffs[n]
-        if not a:
-            continue
-        tr, ti = a * qn_r, a * qn_i
-        for j, acc in zip(powers, sums):
-            acc[0] += tr // n**j
-            if ti:
-                acc[1] += ti // n**j
+    t, nq = (2 * qr, (qr * qr + qi * qi) >> prec) if qi else (qr, 0)
+    coeffs, ns = table(n_max), range(1, n_max + 1)
+    re, im = [], []
+    for sums, prev, x in ((re, 1 << prec, qr), (im, 0, qi))[:1 + bool(qi and imag)]:
+        j, terms = powers[0], []
+        for n in ns:
+            terms.append(coeffs[n] * x // n**j)
+            prev, x = x, (t * x - nq * prev) >> prec
+        for p in powers:
+            while j < p:
+                terms, j = list(map(floordiv, terms, ns)), j + 1
+            sums.append(sum(terms))
+    return prec, re, im or [0] * len(powers)
+
+
+def _qsum(z: mpc, ctx: PrecisionContext, table, powers) -> tuple:
+    """_qsum_fixed's sums as mpc, each rounded once at ``ctx``'s working dps."""
+    prec, re, im = _qsum_fixed(z, ctx, table, powers)
     with ctx.working():
-        return tuple(mpc(*(mpmath.ldexp(v, -prec) for v in acc)) for acc in sums)
+        return tuple(mpc(mpmath.ldexp(a, -prec), mpmath.ldexp(b, -prec)) for a, b in zip(re, im))
 
 
 # -- SL(2, Z) reduction ---------------------------------------------------
@@ -221,11 +237,14 @@ def _reduce_sl2(z: mpc, ctx: PrecisionContext) -> tuple:
 
 # -- eta, E2*, alpha_N, j, E4 ----------------------------------------------
 
-def _e4(p: mpc, m1: mpc, m2: mpc) -> mpc:
-    """Ramanujan's E4 = E2^2 - 12 q dE2/dq = E2^2 - 288 (M2 P - M1^2) / P^2
-    from Euler's sums, with E2 = 1 + 24 M1 / P as in _eta_e2_star."""
+def _e4(w: mpc, ctx: PrecisionContext) -> tuple:
+    """(P, E4) at w from one pass of Euler's sums: Ramanujan's E4 = E2^2 -
+    12 q dE2/dq = E2^2 - 288 (M2 P - M1^2) / P^2, E2 = 1 + 24 M1 / P as in
+    _eta_e2_star. Call under ``ctx.working()``."""
+    m2, m1, s = _qsum(w, ctx, _pentagonal_table, (0, 1, 2))
+    p = 1 + s
     e2 = 1 + 24 * m1 / p
-    return e2 * e2 - 288 * (m2 * p - m1 * m1) / (p * p)
+    return p, e2 * e2 - 288 * (m2 * p - m1 * m1) / (p * p)
 
 
 def _eta_e2_star(z: mpc, ctx: PrecisionContext) -> tuple:
@@ -240,7 +259,7 @@ def _eta_e2_star(z: mpc, ctx: PrecisionContext) -> tuple:
     E2*(v) and E2*(-1/v) = v^2 E2*(v), so E2*(z) = E2*(w) / prod_v v^2.
     Call under ``ctx.working()``."""
     w, shift, inverted = _reduce_sl2(z, ctx)
-    s, m1 = _qsum(w, ctx, _pentagonal_table, (2, 1))
+    m1, s = _qsum(w, ctx, _pentagonal_table, (1, 2))
     eta = mpmath.expjpi((w + (shift + 3 * len(inverted)) % 24) / 12) * (1 + s)
     e2 = 1 + 24 * m1 / (1 + s) - 3 / (mp.pi * w.imag)
     for v in inverted:
@@ -295,9 +314,8 @@ def j_invariant(z, ctx: PrecisionContext) -> mpc:
     z = _as_mpc(z, ctx)
     with ctx.working():
         w = _reduce_sl2(z, ctx)[0]
-        s, m1, m2 = _qsum(w, ctx, _pentagonal_table, (2, 1, 0))
-        p = 1 + s
-        return _e4(p, m1, m2) ** 3 / (mpmath.expjpi(2 * w) * p**24)
+        p, e4 = _e4(w, ctx)
+        return e4**3 / (mpmath.expjpi(2 * w) * p**24)
 
 
 def eisenstein_e4(z, ctx: PrecisionContext) -> mpc:
@@ -306,8 +324,7 @@ def eisenstein_e4(z, ctx: PrecisionContext) -> mpc:
     z = _as_mpc(z, ctx)
     with ctx.working():
         w, _, inverted = _reduce_sl2(z, ctx)
-        s, m1, m2 = _qsum(w, ctx, _pentagonal_table, (2, 1, 0))
-        return _e4(1 + s, m1, m2) / mpmath.fprod(v**4 for v in inverted)
+        return _e4(w, ctx)[1] / mpmath.fprod(v**4 for v in inverted)
 
 
 def eichler_e4_tilde(z, ctx: PrecisionContext) -> mpc:
@@ -315,7 +332,11 @@ def eichler_e4_tilde(z, ctx: PrecisionContext) -> mpc:
 
     Along the vertical ray each q-series mode integrates in closed form:
     int e^{2 pi i n w} (z-w)(zbar-w) dw = -i q^n [2y/(2 pi n)^2 + 2/(2 pi n)^3],
-    so the whole integral is 240i sum sigma_3(n) q^n [y/(2 pi^2 n^2) + 1/(4 pi^3 n^3)].
+    so the whole integral is 240i (y S_2 / (2 pi^2) + S_3 / (4 pi^3)),
+    S_j = sum sigma_3(n) q^n / n^j by _qsum at z itself, reduced or not:
+    within 2^-8 u before one rounding (u = 2^-b, b working bits), and
+    |S_j| <= 1.21 |q| / (1 - |q|)^(4-j). With the roundings after, the result is
+    within u (8 M + y/20 + 1/100), M = 240 (y |S_2|/(2 pi^2) + |S_3|/(4 pi^3)).
     """
     z = _as_mpc(z, ctx)
     with ctx.working():

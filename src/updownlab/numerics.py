@@ -297,8 +297,8 @@ class QuadExpr:
 # -- special constants -----------------------------------------------------
 
 def zeta_int(n: int, ctx: PrecisionContext) -> mpf:
-    """zeta(2), zeta(3), or zeta(4) to ctx.digits, from mpmath's pi and
-    Apery constants."""
+    """zeta(2), zeta(3), or zeta(4) at ctx's working precision (ctx.dps
+    digits), from mpmath's pi and Apery constants."""
     with ctx.working():
         if n == 2:
             return mp.pi**2 / 6

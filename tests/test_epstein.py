@@ -14,9 +14,10 @@ from updownlab import (
     epstein_gamma0,
     epstein_sl2,
 )
+from updownlab import epstein
 from updownlab.epstein import _float_point
 from updownlab.identities import load_corpus
-from updownlab.modular import _reduce_sl2
+from updownlab.modular import _qsum_fixed, _reduce_sl2
 from updownlab.numerics import DomainError
 
 from conftest import random_points
@@ -283,3 +284,35 @@ class TestCorrectRounding:
         # 60 digits wider and rounded once at the working precision.
         extra = [(x, h) for x in ("-0.41", "0.23") for h in ("0.02", "0.3", "1.7")]
         assert _rounding_mismatches(PrecisionContext(digits=digits), extra) == []
+
+
+def _lane_mismatches(ctx):
+    """(bad, n): the reduced points w, among the n distinct reduced corpus
+    points, at which the real-lane sums epstein_sl2 reads from _qsum_fixed
+    differ in P or in any bit from the Re parts of the two-lane sums at the
+    same w and guard bits."""
+    calls = []
+
+    def recorded(*args, **kwargs):
+        calls.append((args, kwargs))
+        return _qsum_fixed(*args, **kwargs)
+
+    with ctx.working():
+        points = {_reduce_sl2(p.to_point(ctx), ctx)[0]
+                  for inst in load_corpus().kronecker for p in inst.points}
+    epstein._qsum_fixed = recorded
+    try:
+        for w in points:
+            epstein_sl2(w, ctx)
+    finally:
+        epstein._qsum_fixed = _qsum_fixed
+    bad = [args[0] for args, kwargs in calls
+           if kwargs != {"imag": False} or _qsum_fixed(*args, **kwargs)[:2] != _qsum_fixed(*args)[:2]]
+    return bad, len(points)
+
+
+class TestRealLane:
+    @pytest.mark.parametrize("digits", [40, 300])
+    def test_bits_of_the_two_lane_pass(self, digits):
+        # Skipping the Im lane leaves the Re lane's bits as they are.
+        assert _lane_mismatches(PrecisionContext(digits=digits)) == ([], 52)
