@@ -245,8 +245,11 @@ def _record_from_json(obj, index: int) -> IdentityRecord:
                 for t in _list_from_json(obj, "lhs", where, objects=True))
     rhs = tuple((_quad_from_json(e.get("coeff"), where), e.get("tag"))
                 for e in _list_from_json(obj, "rhs", where, objects=True))
+    source = obj.get("source", "")
+    if not isinstance(source, str):
+        raise CorpusError(f"{where}: source must be a string, got {source!r}")
     try:
-        return IdentityRecord(obj["id"], obj.get("source", ""), lhs, rhs)
+        return IdentityRecord(obj["id"], source, lhs, rhs)
     except (CorpusError, DomainError) as exc:
         raise CorpusError(f"{where}: {exc}") from None
 

@@ -9,14 +9,13 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from operator import floordiv
 
 import mpmath
 from mpmath import libmp, mp, mpc, mpf
 
 from .numerics import (GUARD_DIGITS, MAX_TERMS, DomainError, PrecisionContext, _square_part,
-                       to_fixed)
+                       kept_table, to_fixed)
 
 _LEVELS = (2, 3, 4)
 _NU_BY_LEVEL = {2: Fraction(-1, 4), 3: Fraction(-1, 3), 4: Fraction(-1, 2)}
@@ -128,8 +127,7 @@ def _qseries_cutoff(y: mpf, ctx: PrecisionContext) -> int:
     return n_max
 
 
-@lru_cache(maxsize=128)
-def _sieve(n_max: int) -> tuple:
+def _sigma3_table(n_max: int) -> tuple:
     """sigma_3(n) for n <= n_max by a divisor sieve."""
     sig = [0] * (n_max + 1)
     for d in range(1, n_max + 1):
@@ -139,13 +137,7 @@ def _sieve(n_max: int) -> tuple:
     return tuple(sig)
 
 
-def _sigma3_table(n_max: int) -> tuple:
-    """_sieve's table, kept for n_max <= 2048 (every reduced point below
-    about 4800 digits) and sieved afresh above, so retention stays bounded."""
-    return _sieve(n_max) if n_max <= 2048 else _sieve.__wrapped__(n_max)
-
-
-def _pentagonal_table(n_max: int) -> list:
+def _pentagonal_table(n_max: int) -> tuple:
     """n^2 a(n), Euler's P = prod (1 - q^n) = 1 + sum a(n) q^n, a(n) = (-1)^k at n =
     k(3k -+ 1)/2: _qsum's powers 0, 1, 2 give q^2 d^2P/dq^2 + q dP/dq, q dP/dq and P - 1."""
     coeffs = [0] * (n_max + 1)
@@ -153,15 +145,15 @@ def _pentagonal_table(n_max: int) -> list:
         for n in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
             if n <= n_max:
                 coeffs[n] = -n * n if k % 2 else n * n
-    return coeffs
+    return tuple(coeffs)
 
 
-def _qsum_fixed(z: mpc, ctx: PrecisionContext, table, powers, guard=8, imag=True) -> tuple:
+def _qsum_fixed(z: mpc, ctx: PrecisionContext, build, powers, guard=8, imag=True) -> tuple:
     """(P, re, im): Re and Im of sum_n a(n) q^n / n^j, q = e^{2 pi i z}, for
     each j in ``powers`` (ascending), as unrounded Python ints scaled by 2^P,
     P the bits of the working dps + 5 bits per bit of n_max + ``guard``;
-    a(1..n_max) from ``table(n_max)``, cut off by _qseries_cutoff. The
-    package's one loop over powers of q. q = expjpi(2z) at P + 10 bits
+    a(1..n_max) from kept_table(build, n_max), cut off by _qseries_cutoff.
+    The package's one loop over powers of q. q = expjpi(2z) at P + 10 bits
     (cospi and sinpi reduce 2 Re z mod 2 exactly) is exactly 1-periodic and
     exactly real at Re z in {0, +-1/2}. Lanes Re q^n and Im q^n follow
     x_{n+1} = T x_n - N x_{n-1} from (1, Re q) and (0, Im q), (T, N) =
@@ -188,7 +180,7 @@ def _qsum_fixed(z: mpc, ctx: PrecisionContext, table, powers, guard=8, imag=True
     with mpmath.workprec(prec + 10):
         qr, qi = to_fixed(mpmath.expjpi(2 * z), prec)
     t, nq = (2 * qr, (qr * qr + qi * qi) >> prec) if qi else (qr, 0)
-    coeffs, ns = table(n_max), range(1, n_max + 1)
+    coeffs, ns = kept_table(build, n_max), range(1, n_max + 1)
     re, im = [], []
     for sums, prev, x in ((re, 1 << prec, qr), (im, 0, qi))[:1 + bool(qi and imag)]:
         j, terms = powers[0], []
@@ -202,9 +194,9 @@ def _qsum_fixed(z: mpc, ctx: PrecisionContext, table, powers, guard=8, imag=True
     return prec, re, im or [0] * len(powers)
 
 
-def _qsum(z: mpc, ctx: PrecisionContext, table, powers) -> tuple:
+def _qsum(z: mpc, ctx: PrecisionContext, build, powers) -> tuple:
     """_qsum_fixed's sums as mpc, each rounded once at ``ctx``'s working dps."""
-    prec, re, im = _qsum_fixed(z, ctx, table, powers)
+    prec, re, im = _qsum_fixed(z, ctx, build, powers)
     with ctx.working():
         return tuple(mpc(mpmath.ldexp(a, -prec), mpmath.ldexp(b, -prec)) for a, b in zip(re, im))
 

@@ -30,6 +30,25 @@ class MixedRadicandError(ValueError):
 GUARD_DIGITS = 15
 # The most terms, residues or steps one loop may take; more raise DomainError.
 MAX_TERMS = 10_000_000
+# The most coefficients (n, or terms k) that a kept coefficient table covers.
+KEPT_TERMS = 2**15
+_kept = {}
+
+
+def kept_table(build, n: int):
+    """A table that covers index n, from build(size), which returns an immutable
+    table of the coefficients up to n = size (or terms up to k = size). One table
+    per builder is kept and shared, and rebuilt at twice its size, or at n if that
+    is more, up to KEPT_TERMS; past KEPT_TERMS a caller gets a table of its own."""
+    size, table = _kept.get(build, (0, None))
+    if n <= size:
+        return table
+    if n > KEPT_TERMS:
+        return build(n)
+    size = min(max(n, 2 * size), KEPT_TERMS)
+    table = build(size)
+    _kept[build] = size, table
+    return table
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from operator import add, mul
 from typing import Tuple
 
@@ -25,6 +24,7 @@ from .numerics import (
     PrecisionContext,
     QuadraticNumber,
     embed_quadratic,
+    kept_table,
     to_fixed,
 )
 from .modular import (
@@ -59,6 +59,13 @@ class SeriesFamily(enum.Enum):
         with denom(0) = 1."""
         a = self.a
         return k**3, self.c * (2 * k - 1) * (a * k - 1) * (a * k - a + 1)
+
+    def ratio_table(self, size: int) -> tuple:
+        """The exact pairs ((k-1)^3, den_k) of the terms k = 1..size, with
+        0^3 read as 1 (the series loop starts from t_0 = 1), in tuples of
+        _BLOCK, the last one filled up to a whole block."""
+        return tuple(tuple(((k - 1) ** 3 or 1, self.ratio(k)[1]) for k in range(b, b + _BLOCK))
+                     for b in range(1, size + 1, _BLOCK))
 
 
 _FAMILY_BY_LEVEL = {2: SeriesFamily.C2X4K, 3: SeriesFamily.C2X3K, 4: SeriesFamily.CENTRAL3}
@@ -96,45 +103,21 @@ class FibLucasSeries:
 # terms measured within run-to-run noise of 8 at 300 and 1000 digits.
 _BLOCK = 8
 
-# The ratio table comes in chunks of _CHUNK_BLOCKS blocks (256 terms), and
-# each family keeps its first _CHUNKS_KEPT chunks (k <= 8192, about 1.1 MB);
-# a longer loop builds the chunks past them afresh.
-_CHUNK_BLOCKS = 32
-_CHUNKS_KEPT = 32
-
 # Plain terms that one CRVZ term costs (the cost rule of
 # _sum_linear_series), and the accuracy in nats that each CRVZ term gains.
 _CRVZ_COST = 6
 _CRVZ_RATE = math.log(3 + math.sqrt(8))
 
 
-@lru_cache(maxsize=3 * _CHUNKS_KEPT)
-def _ratio_chunk(family: SeriesFamily, j: int, blocks: int) -> list:
-    """Chunk j of the family's ratio table, in `blocks` tuples of _BLOCK: the
-    exact pairs ((k-1)^3, den_k) of the terms k = j n + 1 .. (j+1) n,
-    n = blocks _BLOCK, with 0^3 read as 1 (the loop starts from t_0 = 1)."""
-    g, first = _BLOCK, j * blocks * _BLOCK + 1
-    pairs = [((k - 1) ** 3 or 1, family.ratio(k)[1]) for k in range(first, first + blocks * g)]
-    return [tuple(pairs[i:i + g]) for i in range(0, len(pairs), g)]
-
-
 def _ratio_blocks(family: SeriesFamily, K: int):
     """The pairs of terms 1..K in tuples of _BLOCK, the last one shorter when
-    _BLOCK does not divide K. The first _CHUNKS_KEPT chunks are memoized,
-    those past them built afresh, so the table's memory is bounded whatever
-    K is, and every loop on a family reuses it."""
-    g, blocks = _BLOCK, _CHUNK_BLOCKS
-    n = blocks * g
-    for j in range(-(-K // n)):
-        chunk = (_ratio_chunk if j < _CHUNKS_KEPT else _ratio_chunk.__wrapped__)(family, j, blocks)
-        left = K - j * n
-        if left >= n:
-            yield from chunk
-        else:
-            whole, rest = divmod(left, g)
-            yield from chunk[:whole]
-            if rest:
-                yield chunk[whole][:rest]
+    _BLOCK does not divide K, read from the family's kept ratio table
+    (numerics.kept_table), which every loop on the family shares."""
+    table = kept_table(family.ratio_table, K)
+    whole, rest = divmod(K, _BLOCK)
+    yield from table[:whole]
+    if rest:
+        yield table[whole][:rest]
 
 
 def _crvz_weights(n: int):

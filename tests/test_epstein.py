@@ -2,6 +2,7 @@
 and the two-line coset-sum lemma."""
 
 import math
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -17,8 +18,8 @@ from updownlab import (
 from updownlab import epstein
 from updownlab.epstein import _float_point
 from updownlab.identities import load_corpus
-from updownlab.modular import _qsum_fixed, _reduce_sl2
-from updownlab.numerics import DomainError
+from updownlab.modular import _qsum_fixed, _reduce_sl2, _sigma3_table
+from updownlab.numerics import DomainError, to_fixed
 
 from conftest import random_points
 
@@ -316,3 +317,43 @@ class TestRealLane:
     def test_bits_of_the_two_lane_pass(self, digits):
         # Skipping the Im lane leaves the Re lane's bits as they are.
         assert _lane_mismatches(PrecisionContext(digits=digits)) == ([], 52)
+
+
+def _fixed_sl2(w, ctx):
+    """(total, P): epstein_sl2's E(w, 2) at the reduced point w before its
+    one rounding, total / 2^P, from the same kernel call and finish."""
+    prec, (s2, s3), _ = _qsum_fixed(w, ctx, _sigma3_table, (2, 3), 24, imag=False)
+    y = to_fixed(w.imag, prec)[0]
+    zeta3, scale, inv_2pi = epstein._sl2_plan(prec)
+    total = (y * y >> prec) + (zeta3 << prec) // y + (scale * (s2 + s3 * inv_2pi // y) >> prec)
+    return total, prec
+
+
+def _guard_gaps(ctx):
+    """(gaps, n): at each of the n distinct reduced corpus points w, the gap
+    between the unrounded fixed-point E(w, 2) at ctx and the same finish at
+    ctx.digits + 40 with the same w, in ulps of E at ctx's working precision.
+    Each ctx value, rounded once, must be epstein_sl2's."""
+    wide = PrecisionContext(ctx.digits + 40)
+    wp = mpmath.libmp.dps_to_prec(ctx.dps)
+    with ctx.working():
+        points = {_reduce_sl2(p.to_point(ctx), ctx)[0]
+                  for inst in load_corpus().kronecker for p in inst.points}
+    gaps = []
+    for w in points:
+        total, prec = _fixed_sl2(w, ctx)
+        with ctx.working():
+            assert (+mpmath.ldexp(total, -prec))._mpf_ == epstein_sl2(w, ctx)._mpf_
+        wide_total, wide_prec = _fixed_sl2(w, wide)
+        gap = abs(Fraction(total, 2**prec) - Fraction(wide_total, 2**wide_prec))
+        gaps.append(gap * 2 ** (wp - (total.bit_length() - prec)))
+    return gaps, len(points)
+
+
+class TestGuardBits:
+    @pytest.mark.parametrize("digits", [40, 300])
+    def test_unrounded_sum_within_its_bound(self, digits):
+        # The 24 guard bits keep the unrounded E(w, 2) within 2^-22 ulps of
+        # the same sum 40 digits wider, as the correct rounding needs.
+        gaps, n = _guard_gaps(PrecisionContext(digits=digits))
+        assert n == 52 and max(gaps) <= Fraction(1, 2**22)

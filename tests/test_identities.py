@@ -193,6 +193,21 @@ class TestCorpusValidation:
         with pytest.raises(CorpusError, match=rf"\({record_id}\): {message}"):
             corpus_from_json(json.dumps(data))
 
+    # source is a free-form string: any other JSON value would make the
+    # frozen record unhashable, or print as something it is not.
+    @pytest.mark.parametrize("value", [{"x": [1, 2]}, None, 5])
+    def test_source_that_is_not_a_string_rejected(self, value):
+        data = json.loads(serialize_corpus(load_corpus()))
+        next(r for r in data["identities"] if r["id"] == "fib2")["source"] = value
+        with pytest.raises(CorpusError, match=r"\(fib2\): source must be a string"):
+            corpus_from_json(json.dumps(data))
+
+    def test_missing_source_reads_as_empty(self):
+        data = json.loads(serialize_corpus(load_corpus()))
+        del next(r for r in data["identities"] if r["id"] == "fib2")["source"]
+        record = corpus_from_json(json.dumps(data)).identity("fib2")
+        assert record.source == "" and hash(record) == hash(record)
+
     @pytest.mark.parametrize("section", ["identities", "kronecker"])
     def test_section_that_is_not_a_list_rejected(self, section):
         data = json.loads(serialize_corpus(load_corpus()))

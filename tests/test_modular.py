@@ -28,12 +28,12 @@ from updownlab import (
     satisfies_region,
     series_constants_from_cm,
 )
-from updownlab import modular
+from updownlab import modular, numerics
 from updownlab.identities import load_tables
 from updownlab.modular import (
     _eta_e2_star, _pentagonal_table, _qsum, _r_direct, _reduce_sl2, _sigma3_table,
     legendre_p_dt, legendre_p_quadrature)
-from updownlab.numerics import DomainError
+from updownlab.numerics import KEPT_TERMS, DomainError, kept_table
 
 from conftest import random_points, run_bounded, sigma1_table
 
@@ -264,21 +264,45 @@ _EVERY_TABLE = ((_pentagonal_table, (0, 1, 2)), (_sigma3_table, (0, 2, 3)))
 
 
 class TestSigmaTable:
-    def test_reused_table_is_a_fresh_sieve_and_immutable(self):
-        first = _sigma3_table(137)
-        assert _sigma3_table(137) is first
-        assert first == modular._sieve.__wrapped__(137)
+    def test_reused_table_is_a_fresh_sieve_and_immutable(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_kept", {})
+        first = kept_table(_sigma3_table, 137)
+        assert kept_table(_sigma3_table, 137) is first
+        assert kept_table(_sigma3_table, 100) is first
+        assert first == _sigma3_table(137)
         assert first[12] == 1 + 8 + 27 + 64 + 216 + 1728
         with pytest.raises(TypeError):
             first[1] = 0
 
-    def test_long_tables_are_not_kept(self):
-        # Unreduced points can ask for up to MAX_TERMS terms: such tables
-        # are sieved afresh, so the cache holds only short ones.
-        long = _sigma3_table(3000)
-        assert long is not _sigma3_table(3000)
-        assert long == modular._sieve.__wrapped__(3000)
+    def test_long_tables_are_not_kept(self, monkeypatch):
+        # Unreduced points can ask for up to MAX_TERMS terms: past
+        # KEPT_TERMS each caller sieves a table of its own, and the kept
+        # table stays as it was.
+        monkeypatch.setattr(numerics, "_kept", {})
+        kept = kept_table(_sigma3_table, 3000)
+        long = kept_table(_sigma3_table, KEPT_TERMS + 1)
+        assert long is not kept_table(_sigma3_table, KEPT_TERMS + 1)
+        assert long == _sigma3_table(KEPT_TERMS + 1)
         assert isinstance(long, tuple)
+        assert kept_table(_sigma3_table, 3000) is kept
+
+    def test_second_eichler_call_builds_no_table(self, ctx30, monkeypatch):
+        # n_max = 23822 at 0.123 + 0.001i and 30 digits, inside KEPT_TERMS:
+        # the first call sieves sigma_3 once and the second reads it back.
+        built = []
+
+        def counted(n):
+            built.append(n)
+            return _sigma3_table(n)
+
+        monkeypatch.setattr(numerics, "_kept", {})
+        monkeypatch.setattr(modular, "_sigma3_table", counted)
+        with ctx30.working():
+            z = mpc("0.123", "0.001")
+        first = eichler_e4_tilde(z, ctx30)
+        assert built == [23822]
+        assert eichler_e4_tilde(z, ctx30) == first
+        assert built == [23822]
 
 
 class TestPointEmbedding:
@@ -498,6 +522,29 @@ class TestAlphaN:
             alpha_n(mpc(0, -1), 2, ctx30)
 
 
+def _eichler_error_ratios(heights, lo, hi):
+    """(z, err / model) at z = x + h i, x in {0, 0.123, 0.3, 0.5} and h in
+    ``heights``: err = |eichler_e4_tilde at lo - at hi| and model its
+    docstring's absolute error u (8 M + y/20 + 1/100), with u an ulp of 1 at
+    lo's working precision and M bounded through |S_j| <= 1.21 |q| /
+    (1 - |q|)^(4-j)."""
+    u = mpmath.ldexp(1, -mpmath.libmp.dps_to_prec(lo.dps))
+    ratios = []
+    for x in ("0", "0.123", "0.3", "0.5"):
+        for height in heights:
+            with lo.working():
+                z = mpc(x, height)
+            got = eichler_e4_tilde(z, lo)
+            want = eichler_e4_tilde(z, hi)
+            with hi.working():
+                y = z.imag
+                q = mpmath.exp(-2 * mp.pi * y)
+                m = 240 * mpf("1.21") * q * (y / (2 * mp.pi**2 * (1 - q) ** 2)
+                                             + 1 / (4 * mp.pi**3 * (1 - q)))
+                ratios.append((z, abs(got - want) / (u * (8 * m + y / 20 + mpf(1) / 100))))
+    return ratios
+
+
 class TestEichlerIntegral:
     def test_anchor_fifteen_over_sixteen(self, ctx30):
         with ctx30.working():
@@ -531,20 +578,9 @@ class TestEichlerIntegral:
     def test_unreduced_points_within_the_error_model(self):
         # The q-series at z itself, where the recurrence amplifies an error
         # most: 1/(1 - |q|)^2 is about 25000 at Im z = 0.001.
-        lo, hi = PrecisionContext(digits=30), PrecisionContext(digits=90)
-        u = mpmath.ldexp(1, -mpmath.libmp.dps_to_prec(lo.dps))
-        for x in ("0", "0.123", "0.3", "0.5"):
-            for height in ("0.1", "0.03", "0.01", "0.003", "0.001"):
-                with lo.working():
-                    z = mpc(x, height)
-                got = eichler_e4_tilde(z, lo)
-                want = eichler_e4_tilde(z, hi)
-                with hi.working():
-                    y = z.imag
-                    q = mpmath.exp(-2 * mp.pi * y)
-                    m = 240 * mpf("1.21") * q * (y / (2 * mp.pi**2 * (1 - q) ** 2)
-                                                 + 1 / (4 * mp.pi**3 * (1 - q)))
-                    assert abs(got - want) < u * (8 * m + y / 20 + mpf(1) / 100), z
+        heights = ("0.1", "0.03", "0.01", "0.003", "0.001")
+        for z, ratio in _eichler_error_ratios(heights, PrecisionContext(30), PrecisionContext(90)):
+            assert ratio < 1, z
 
     def test_reflection_residual_random(self, ctx40):
         for z in random_points(10, seed=17):

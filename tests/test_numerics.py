@@ -18,7 +18,9 @@ from updownlab import (
     embed_quadratic,
     zeta_int,
 )
-from updownlab.numerics import DomainError, _is_squarefree, _square_part, trigamma
+from updownlab import numerics
+from updownlab.numerics import (KEPT_TERMS, DomainError, _is_squarefree, _square_part,
+                                kept_table, trigamma)
 
 from conftest import run_bounded
 
@@ -69,6 +71,44 @@ class TestPrecisionContext:
         with ctx.working():
             assert mpmath.mp.dps == 75
         assert mpmath.mp.dps == before
+
+
+class TestKeptTable:
+    @pytest.fixture
+    def build(self, monkeypatch):
+        """A builder of the table 0..size that records each size it builds,
+        on an empty set of kept tables."""
+        monkeypatch.setattr(numerics, "_kept", {})
+
+        def build(size):
+            build.sizes.append(size)
+            return tuple(range(size + 1))
+
+        build.sizes = []
+        return build
+
+    def test_reused_until_passed_then_doubled(self, build):
+        first = kept_table(build, 100)
+        assert kept_table(build, 100) is first and kept_table(build, 7) is first
+        assert build.sizes == [100]
+        assert kept_table(build, 101) == tuple(range(201))
+        assert kept_table(build, 1000) == tuple(range(1001))
+        assert build.sizes == [100, 200, 1000]
+
+    def test_growth_stops_at_the_bound(self, build):
+        kept_table(build, KEPT_TERMS - 1)
+        top = kept_table(build, KEPT_TERMS)
+        assert kept_table(build, KEPT_TERMS) is top
+        assert build.sizes == [KEPT_TERMS - 1, KEPT_TERMS]
+
+    def test_past_the_bound_a_table_of_its_own(self, build):
+        kept = kept_table(build, 50)
+        long = kept_table(build, KEPT_TERMS + 1)
+        assert long == tuple(range(KEPT_TERMS + 2))
+        assert kept_table(build, KEPT_TERMS + 1) is not long
+        assert kept_table(build, 50) is kept
+        assert build.sizes == [50, KEPT_TERMS + 1, KEPT_TERMS + 1]
+        assert numerics._kept == {build: (50, kept)}
 
 
 class TestSquarePart:

@@ -25,10 +25,10 @@ from updownlab import (
     sigma_gr,
     sigma_gr_im_rhs,
 )
-from updownlab import modular, series
+from updownlab import eichler_e4_tilde, modular, numerics, series
 from updownlab.identities import load_corpus, load_tables
 from updownlab.modular import _ALPHA_SCALE, _NU_BY_LEVEL, CMPoint, _eta_e2_star, _qsum
-from updownlab.numerics import MAX_TERMS, DomainError, embed_quadratic, to_fixed
+from updownlab.numerics import KEPT_TERMS, MAX_TERMS, DomainError, embed_quadratic, to_fixed
 from updownlab.series import _FAMILY_BY_LEVEL, _fib_halves
 
 from conftest import random_admissible, random_points, sigma1_table
@@ -463,7 +463,6 @@ def _documented_count(c1, c2, m, family, K, ctx):
 
 class TestBlocks:
     G = series._BLOCK
-    CHUNK = series._CHUNK_BLOCKS * series._BLOCK  # terms per chunk of the table
 
     @staticmethod
     def _cases(corpus, ctx):
@@ -485,13 +484,13 @@ class TestBlocks:
                       SeriesFamily.CENTRAL3))
         return cases
 
-    @pytest.mark.parametrize("K", [1, G - 1, G, G + 1, 2 * G + 1, CHUNK, CHUNK + 1])
+    @pytest.mark.parametrize("K", [1, G - 1, G, G + 1, 2 * G + 1, 32 * G, 32 * G + 1])
     def test_block_edges_within_the_documented_count(self, corpus, K, monkeypatch):
         # K terms summed exactly in Gaussian rationals from the inputs' own
         # bits; the loop is within its docstring's N ulps of 2^-P, plus the
         # rounding at ctx's working precision of a complex result. K runs
-        # over the edges of blocks and of the ratio table's first chunk, all
-        # below CRVZ's cost at 30 digits, so b6 and c3 stay on the plain loop.
+        # over the edges of blocks, all below CRVZ's cost at 30 digits, so
+        # b6 and c3 stay on the plain loop.
         ctx = PrecisionContext(digits=30)
         monkeypatch.setattr(series, "_term_count", lambda *args: K)
         for name, c1, c2, m, family in self._cases(corpus, ctx):
@@ -510,30 +509,48 @@ class TestBlocks:
                 allowed += (abs(_exact(value.real)) + abs(_exact(value.imag))) / 2**wp
             assert err_r**2 + err_i**2 <= allowed**2, (name, K)
 
-    def test_loop_past_the_kept_chunks(self, corpus, monkeypatch):
-        # Chunks of one block: the phi^8 loop at 40 digits runs past the
-        # _CHUNKS_KEPT chunks that the memo keeps, and the memo holds those
-        # and no more. The bits are those of the loop with the default
-        # chunks, and rounded at ctx those of the one-product loop.
+    def test_loop_past_the_kept_table(self, corpus, monkeypatch):
+        # A bound of one block: the phi^8 loop at 40 digits runs past it on a
+        # ratio table of its own, which is not kept. The bits are those of
+        # the loop with the bound raised, and rounded at ctx those of the
+        # one-product loop.
         ctx = PrecisionContext(digits=40)
         wide = ctx.bumped()
         phi_half, _ = _fib_halves(corpus.identity("fib1").lhs[0].series)
         with wide.working():
             loop = (*(embed_quadratic(v, wide) for v in phi_half), SeriesFamily.CENTRAL3)
         default, default_K = series._sum_linear_series(*loop, ctx)
-        monkeypatch.setattr(series, "_CHUNK_BLOCKS", 1)
-        series._ratio_chunk.cache_clear()
-        try:
-            value, K = series._sum_linear_series(*loop, ctx)
-            kept = series._ratio_chunk.cache_info().currsize
-        finally:
-            series._ratio_chunk.cache_clear()
-        assert K > series._CHUNKS_KEPT * self.G
-        assert kept == series._CHUNKS_KEPT
+        monkeypatch.setattr(numerics, "_kept", {})
+        monkeypatch.setattr(numerics, "KEPT_TERMS", self.G)
+        value, K = series._sum_linear_series(*loop, ctx)
+        assert K > self.G
+        assert numerics._kept == {}
         assert (value._mpf_, K) == (default._mpf_, default_K)
         plain, plain_K = _plain_linear_series(*loop, ctx)
         with ctx.working():
             assert ((+value)._mpf_, K) == ((+plain)._mpf_, plain_K)
+
+    def test_kernel_and_loop_past_the_bound_keep_no_more(self, corpus, monkeypatch):
+        # The Eichler integral at 0.123 + 0.0005i (n_max = 47645) and a loop
+        # of KEPT_TERMS + 3 terms run past the bound, each after a call that
+        # keeps a table: no kept table then covers more than KEPT_TERMS
+        # coefficients, n for sigma_3 and terms k for a family's ratios.
+        ctx = PrecisionContext(digits=30)
+        case = self._cases(corpus, ctx)[1][1:]  # psi^8, CENTRAL3
+        monkeypatch.setattr(numerics, "_kept", {})
+        for height in ("0.001", "0.0005"):
+            with ctx.working():
+                z = mpc("0.123", height)
+            eichler_e4_tilde(z, ctx)
+        assert modular._qseries_cutoff(z.imag, ctx) > KEPT_TERMS
+        for K in (100, KEPT_TERMS + 3):
+            monkeypatch.setattr(series, "_term_count", lambda *args, K=K: K)
+            assert series._sum_linear_series(*case, ctx)[1] == K
+        family = SeriesFamily.CENTRAL3
+        assert set(numerics._kept) == {modular._sigma3_table, family.ratio_table}
+        assert all(size <= KEPT_TERMS for size, _ in numerics._kept.values())
+        assert len(numerics._kept[modular._sigma3_table][1]) - 1 <= KEPT_TERMS
+        assert len(numerics._kept[family.ratio_table][1]) * self.G <= KEPT_TERMS
 
 
 class TestBlockedAgainstPlainLoop:
