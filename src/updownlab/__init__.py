@@ -31,6 +31,7 @@ from .modular import (
     re_eichler_closed_form,
     reflection_residual,
     satisfies_region,
+    series_constants_from_cm,
 )
 from .epstein import epstein_gamma0, epstein_sl2
 from .series import (
@@ -41,7 +42,6 @@ from .series import (
     evaluate_series_sum,
     evaluate_updown,
     fibonacci_lucas,
-    series_constants_from_cm,
     sigma_gr,
     sigma_gr_im_rhs,
 )

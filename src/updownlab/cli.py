@@ -23,8 +23,7 @@ from mpmath import mpf
 from .numerics import DomainError, PrecisionContext
 from .lfunctions import dirichlet_l2
 from .epstein import epstein_gamma0, epstein_sl2
-from .modular import _LEVELS, CMPoint, alpha_n
-from .series import series_constants_from_cm
+from .modular import _LEVELS, CMPoint, alpha_n, series_constants_from_cm
 from . import identities as ident
 from .identities import check_table, load_tables  # noqa: F401 (re-exported)
 

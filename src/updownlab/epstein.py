@@ -46,7 +46,7 @@ def epstein_sl2(z, ctx: PrecisionContext) -> mpf:
         E(w, 2) = y^2 + 45 zeta(3) / (pi^3 y) + (180/pi^2) (S_2 + S_3 / (2 pi y)),
 
     S_j = sum_n sigma_3(n) Re(q^n) / n^j, y = Im w, q = e^{2 pi i w}: the
-    real lane of modular._qsum_fixed at 24 guard bits, off by under
+    real lane of modular._qsum_fixed at its 24 guard bits, off by under
     8.1 (0.61 n_max (n_max + 1)) + n_max < 12 n_max^2 ulps of 2^-P. In the
     same fixed point, with y exact, the plan's constants and each product or
     quotient within 1 ulp, 180/pi^2 < 18.3 and 1/(2 pi y) < 0.19, the finish
@@ -57,7 +57,7 @@ def epstein_sl2(z, ctx: PrecisionContext) -> mpf:
     """
     with ctx.working():
         w = _reduce_sl2(_as_mpc(z, ctx), ctx)[0]
-    prec, (s2, s3), _ = _qsum_fixed(w, ctx, _sigma3_table, (2, 3), 24, imag=False)
+    prec, (s2, s3), _ = _qsum_fixed(w, ctx, _sigma3_table, (2, 3), imag=False)
     y = to_fixed(w.imag, prec)[0]  # exact: Im w > 1/2 has under P bits past the point
     zeta3, scale, inv_2pi = _sl2_plan(prec)
     total = (y * y >> prec) + (zeta3 << prec) // y + (scale * (s2 + s3 * inv_2pi // y) >> prec)

@@ -31,14 +31,8 @@ from .numerics import (
 )
 from .lfunctions import Discriminant, dirichlet_l2
 from .epstein import epstein_sl2
-from .modular import CMPoint
-from .series import (
-    FibLucasSeries,
-    SeriesFamily,
-    UpsideDownSeries,
-    evaluate_series_sum,
-    series_constants_from_cm,
-)
+from .modular import CMPoint, series_constants_from_cm
+from .series import FibLucasSeries, SeriesFamily, UpsideDownSeries, evaluate_series_sum
 # perfbench traces the series layer at these two names.
 from .series import evaluate_fib_series, evaluate_updown  # noqa: F401
 

@@ -148,10 +148,15 @@ def _pentagonal_table(n_max: int) -> tuple:
     return tuple(coeffs)
 
 
-def _qsum_fixed(z: mpc, ctx: PrecisionContext, build, powers, guard=8, imag=True) -> tuple:
+# The kernel's bits past its error bound: E(z, 2) rounds its fixed-point
+# finish once, and needs it within 2^-22 ulps to be correctly rounded.
+_GUARD_BITS = 24
+
+
+def _qsum_fixed(z: mpc, ctx: PrecisionContext, build, powers, imag=True) -> tuple:
     """(P, re, im): Re and Im of sum_n a(n) q^n / n^j, q = e^{2 pi i z}, for
     each j in ``powers`` (ascending), as unrounded Python ints scaled by 2^P,
-    P the bits of the working dps + 5 bits per bit of n_max + ``guard``;
+    P the bits of the working dps + 5 bits per bit of n_max + _GUARD_BITS;
     a(1..n_max) from kept_table(build, n_max), cut off by _qseries_cutoff.
     The package's one loop over powers of q. q = expjpi(2z) at P + 10 bits
     (cospi and sinpi reduce 2 Re z mod 2 exactly) is exactly 1-periodic and
@@ -167,7 +172,7 @@ def _qsum_fixed(z: mpc, ctx: PrecisionContext, build, powers, guard=8, imag=True
     which sums to A = 1/(1 - |q|)^2: each lane value errs by under 8 A, and
     each sum, with one floor per term, by under 8 A W + n_max,
     W = sum |a(n)| / n^j. With L the bits of n_max >= 2 that is under
-    2^(5L), 2^-guard of an ulp of 1 at the working precision, in both
+    2^(5L), 2^-24 of an ulp of 1 at the working precision, in both
     callers' cases: at a reduced point, A < 1.01 (|q| < 0.0044) and
     W < 0.31 2^(4L) for |a(n)| / n^j <= 1.21 n^3 (sigma_3(n) < zeta(3) n^3,
     or n^2 at Euler's signs); at any point, such as the Eichler integral's
@@ -176,7 +181,7 @@ def _qsum_fixed(z: mpc, ctx: PrecisionContext, build, powers, guard=8, imag=True
     as n_max > 103/(2 pi Im z).
     """
     n_max = _qseries_cutoff(z.imag, ctx)
-    prec = libmp.dps_to_prec(ctx.dps) + 5 * n_max.bit_length() + guard
+    prec = libmp.dps_to_prec(ctx.dps) + 5 * n_max.bit_length() + _GUARD_BITS
     with mpmath.workprec(prec + 10):
         qr, qi = to_fixed(mpmath.expjpi(2 * z), prec)
     t, nq = (2 * qr, (qr * qr + qi * qi) >> prec) if qi else (qr, 0)
@@ -299,6 +304,31 @@ def alpha_n(z, N: int, ctx: PrecisionContext) -> mpc:
         return 1 / (1 + _level(z, N, ctx)[0])
 
 
+def series_constants_from_cm(z, N: int, ctx: PrecisionContext):
+    """(2 xi, R_nu(xi), m) at z, all on ctx.bumped(), where a CMPoint is
+    embedded too, from one pass of Euler's sums at each of z and Nz
+    (_level): the eta quotient t and E2*(v) = E2(v) - 3 / (pi Im v).
+    With alpha = alpha_N(z) = 1/(1 + t), xi = 1 - 2 alpha = 1 - 2/(1 + t) and
+    m = s / (alpha (1 - alpha)) = s (1 + t)^2 / t, so 1 - alpha, which
+    cancels near the cusp 0, is never formed. R_nu comes from
+    the E2* form of Guillera & Rogers, "Ramanujan series upside-down", and
+    Chan, Chan & Liu, "Domb's numbers and Ramanujan-Sato type series for 1/pi"
+    (2004), in which the 1/(pi Im z) terms of E2 cancel; legendre_ramanujan_r
+    is the oracle:
+
+        R_nu = -(N-1)(E2*(z) + N E2*(Nz)) / (6 (N E2*(Nz) - E2*(z))) + (N+1)xi/6.
+
+    DomainError where 1 + t or this denominator cancels (_uncancelled)."""
+    wide = ctx.bumped()
+    z = _as_mpc(z, wide)
+    with wide.working():
+        t, e2, e2n = _level(z, N, wide)
+        xi = 1 - 2 / (1 + t)
+        den = _uncancelled(N * e2n - e2, N * abs(e2n) + abs(e2), "N E2*(Nz) - E2*(z)")
+        c2 = -(N - 1) * (e2 + N * e2n) / (6 * den) + (N + 1) * xi / 6
+        return 2 * xi, c2, _ALPHA_SCALE[N] * (1 + t) ** 2 / t
+
+
 def j_invariant(z, ctx: PrecisionContext) -> mpc:
     """Klein's j = E4^3 / eta^24 (Apostol, ch. 1), so j(i) = 1728, from one
     pass of Euler's sums at the reduced point w of z, as j is SL(2, Z)
@@ -326,7 +356,7 @@ def eichler_e4_tilde(z, ctx: PrecisionContext) -> mpc:
     int e^{2 pi i n w} (z-w)(zbar-w) dw = -i q^n [2y/(2 pi n)^2 + 2/(2 pi n)^3],
     so the whole integral is 240i (y S_2 / (2 pi^2) + S_3 / (4 pi^3)),
     S_j = sum sigma_3(n) q^n / n^j by _qsum at z itself, reduced or not:
-    within 2^-8 u before one rounding (u = 2^-b, b working bits), and
+    within 2^-24 u before one rounding (u = 2^-b, b working bits), and
     |S_j| <= 1.21 |q| / (1 - |q|)^(4-j). With the roundings after, the result is
     within u (8 M + y/20 + 1/100), M = 240 (y |S_2|/(2 pi^2) + |S_3|/(4 pi^3)).
     """

@@ -28,13 +28,11 @@ from .numerics import (
     to_fixed,
 )
 from .modular import (
-    _ALPHA_SCALE,
     _as_mpc,
     _in_region,
-    _level,
-    _uncancelled,
     eichler_e4_tilde,
     satisfies_region,
+    series_constants_from_cm,
 )
 from .modular import alpha_n, legendre_ramanujan_r  # noqa: F401 (perfbench traces them here)
 
@@ -459,31 +457,6 @@ def fibonacci_lucas(n: int) -> Tuple[int, int]:
 
     f, g = fib_pair(n)
     return f, 2 * g - f
-
-
-def series_constants_from_cm(z, N: int, ctx: PrecisionContext):
-    """(2 xi, R_nu(xi), m) at z, all on ctx.bumped(), where a CMPoint is
-    embedded too, from one pass of Euler's sums at each of z and Nz
-    (modular._level): the eta quotient t and E2*(v) = E2(v) - 3 / (pi Im v).
-    With alpha = alpha_N(z) = 1/(1 + t), xi = 1 - 2 alpha = 1 - 2/(1 + t) and
-    m = s / (alpha (1 - alpha)) = s (1 + t)^2 / t, so 1 - alpha, which
-    cancels near the cusp 0, is never formed. R_nu comes from
-    the E2* form of Guillera & Rogers, "Ramanujan series upside-down", and
-    Chan, Chan & Liu, "Domb's numbers and Ramanujan-Sato type series for 1/pi"
-    (2004), in which the 1/(pi Im z) terms of E2 cancel; legendre_ramanujan_r
-    is the oracle:
-
-        R_nu = -(N-1)(E2*(z) + N E2*(Nz)) / (6 (N E2*(Nz) - E2*(z))) + (N+1)xi/6.
-
-    DomainError where 1 + t or this denominator cancels (modular._uncancelled)."""
-    wide = ctx.bumped()
-    z = _as_mpc(z, wide)
-    with wide.working():
-        t, e2, e2n = _level(z, N, wide)
-        xi = 1 - 2 / (1 + t)
-        den = _uncancelled(N * e2n - e2, N * abs(e2n) + abs(e2), "N E2*(Nz) - E2*(z)")
-        c2 = -(N - 1) * (e2 + N * e2n) / (6 * den) + (N + 1) * xi / 6
-        return 2 * xi, c2, _ALPHA_SCALE[N] * (1 + t) ** 2 / t
 
 
 def sigma_gr(z, N: int, ctx: PrecisionContext):

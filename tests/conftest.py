@@ -79,7 +79,8 @@ def random_admissible(n, level, ctx, seed, max_ratio=None, tries=3000):
     ``max_ratio`` additionally bounds |m|/scale so the series converge fast
     enough for tests.
     """
-    from updownlab.series import _FAMILY_BY_LEVEL, series_constants_from_cm
+    from updownlab.modular import series_constants_from_cm
+    from updownlab.series import _FAMILY_BY_LEVEL
 
     rng = random.Random(seed)
     lo, hi = _ADMISSIBLE_Y[level]

@@ -17,8 +17,8 @@ from updownlab import (
 )
 from updownlab import epstein
 from updownlab.epstein import _float_point
-from updownlab.identities import load_corpus
-from updownlab.modular import _qsum_fixed, _reduce_sl2, _sigma3_table
+from updownlab.identities import load_corpus, load_tables
+from updownlab.modular import _pentagonal_table, _qsum_fixed, _reduce_sl2, _sigma3_table
 from updownlab.numerics import DomainError, to_fixed
 
 from conftest import random_points
@@ -322,7 +322,7 @@ class TestRealLane:
 def _fixed_sl2(w, ctx):
     """(total, P): epstein_sl2's E(w, 2) at the reduced point w before its
     one rounding, total / 2^P, from the same kernel call and finish."""
-    prec, (s2, s3), _ = _qsum_fixed(w, ctx, _sigma3_table, (2, 3), 24, imag=False)
+    prec, (s2, s3), _ = _qsum_fixed(w, ctx, _sigma3_table, (2, 3), imag=False)
     y = to_fixed(w.imag, prec)[0]
     zeta3, scale, inv_2pi = epstein._sl2_plan(prec)
     total = (y * y >> prec) + (zeta3 << prec) // y + (scale * (s2 + s3 * inv_2pi // y) >> prec)
@@ -350,6 +350,27 @@ def _guard_gaps(ctx):
     return gaps, len(points)
 
 
+def _qsum_guard_gaps(ctx):
+    """(gaps, n): at each of the n distinct reduced eta arguments w of the
+    table rows (z and Nz at each row), the largest gap, over both lanes and
+    the powers 0, 1, 2, between _qsum_fixed's unrounded sums on Euler's table
+    at ctx and the same sums at ctx.digits + 40 with the same w, in ulps of 1
+    at ctx's working precision, the unit of the kernel's error bound."""
+    wide = PrecisionContext(ctx.digits + 40)
+    wp = mpmath.libmp.dps_to_prec(ctx.dps)
+    with ctx.working():
+        rows = [(tab["level"], row["point"].to_point(ctx))
+                for tab in load_tables() for row in tab["rows"]]
+        points = {_reduce_sl2(v, ctx)[0] for N, z in rows for v in (z, N * z)}
+    gaps = []
+    for w in points:
+        prec, re, im = _qsum_fixed(w, ctx, _pentagonal_table, (0, 1, 2))
+        wide_prec, wide_re, wide_im = _qsum_fixed(w, wide, _pentagonal_table, (0, 1, 2))
+        gaps.append(max(abs(Fraction(a, 2**prec) - Fraction(b, 2**wide_prec))
+                        for a, b in zip(re + im, wide_re + wide_im)) * 2**wp)
+    return gaps, len(points)
+
+
 class TestGuardBits:
     @pytest.mark.parametrize("digits", [40, 300])
     def test_unrounded_sum_within_its_bound(self, digits):
@@ -357,3 +378,10 @@ class TestGuardBits:
         # the same sum 40 digits wider, as the correct rounding needs.
         gaps, n = _guard_gaps(PrecisionContext(digits=digits))
         assert n == 52 and max(gaps) <= Fraction(1, 2**22)
+
+    @pytest.mark.parametrize("digits", [40, 300])
+    def test_euler_sums_within_their_bound(self, digits):
+        # The same guard bits hold the two-lane sums that eta and E2* read
+        # within 2^-22 ulps of 1 before _qsum rounds them.
+        gaps, n = _qsum_guard_gaps(PrecisionContext(digits=digits))
+        assert n == 28 and max(gaps) <= Fraction(1, 2**22)

@@ -360,6 +360,20 @@ class TestConstantsCache:
         assert stored._mpf_ == v._mpf_
 
 
+def _separate_run_mismatches(ctx):
+    """(bad, n): the ids, among the n records and instances of the shipped
+    corpus, whose report from verify_all(ctx, id) differs from its entry in
+    verify_all(ctx) in any bit of lhs_value, rhs_value or abs_residual, or in
+    terms_used."""
+    def bits(report):
+        return (report.lhs_value._mpf_, report.rhs_value._mpf_,
+                report.abs_residual._mpf_, report.terms_used)
+
+    full = verify_all(ctx)
+    bad = [r.id for r in full if [bits(s) for s in verify_all(ctx, r.id)] != [bits(r)]]
+    return bad, len(full)
+
+
 class TestVerification:
     def test_identity_passes(self, corpus, ctx40):
         report = verify_identity("zeilberger", ctx40, corpus)
@@ -471,6 +485,11 @@ class TestVerification:
         assert len(plain) == len(corpus.identities) + len(corpus.kronecker)
         assert untimed(ConstantsCache(path)) == plain  # cold
         assert untimed(ConstantsCache(path)) == plain  # warm
+
+    @pytest.mark.parametrize("digits", [40, 300])
+    def test_record_alone_gives_the_bits_of_the_full_run(self, digits):
+        # A record's bits depend on the record alone, not on which others run.
+        assert _separate_run_mismatches(PrecisionContext(digits=digits)) == ([], 54)
 
     def test_each_l_value_computed_once_per_run(self, corpus, monkeypatch):
         # Without a cache, verify_all still computes every L(d) tag once,

@@ -947,6 +947,28 @@ class TestConstantsNearCusps:
         assert bad == []
 
 
+class TestConvergenceAgainstRegion:
+    # m = s (1 + t)^2 / t and 1 - xi^2 = 4 t / (1 + t)^2, so with scale = 4 s
+    # the ratio r = |m| / scale is 1 / |1 - xi^2|: _plan's divergence test
+    # r >= 1 is _in_region's first condition, |1 - xi^2| <= 1.
+    @pytest.mark.parametrize("N", [2, 3, 4])
+    def test_family_scale_is_four_alpha_scales(self, N):
+        assert _FAMILY_BY_LEVEL[N].scale == 4 * _ALPHA_SCALE[N]
+
+    @pytest.mark.parametrize("digits", [40, 300])
+    def test_ratio_is_the_reciprocal_of_the_region_modulus(self, digits):
+        ctx, n = PrecisionContext(digits=digits), 0
+        for tab in load_tables():
+            N = tab["level"]
+            for row in tab["rows"]:
+                c1, _, m = series_constants_from_cm(row["point"], N, ctx)
+                with ctx.working():
+                    r = abs(m) / _FAMILY_BY_LEVEL[N].scale
+                    assert abs(r * abs(1 - (c1 / 2) ** 2) - 1) < 4 * ctx.eps
+                n += 1
+        assert n == 14
+
+
 class TestSigmaGR:
     def test_imaginary_part_anchor_one(self, ctx30):
         with ctx30.working():
@@ -975,8 +997,8 @@ class TestSigmaGR:
     def test_alpha_computed_once(self, monkeypatch):
         # The region test takes alpha_N(z) from the constants, so one call
         # of sigma_gr computes alpha once: one _level call, the one pass
-        # alpha_n, the region test and the constants share, wherever it is
-        # looked up.
+        # alpha_n, the region test and the constants share. Only modular
+        # reads _level.
         calls = []
         original = modular._level
 
@@ -985,7 +1007,6 @@ class TestSigmaGR:
             return original(*args)
 
         monkeypatch.setattr(modular, "_level", counted)
-        monkeypatch.setattr(series, "_level", counted)
         ctx = PrecisionContext(digits=100)
         z = CMPoint.from_string("-1/8+1/8*sqrt(15)*i").to_point(ctx)
         sigma_gr(z, 4, ctx)
