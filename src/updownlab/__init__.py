@@ -26,7 +26,6 @@ from .modular import (
     eichler_e4_tilde,
     eisenstein_e4,
     j_invariant,
-    legendre_p,
     legendre_ramanujan_r,
     re_eichler_closed_form,
     reflection_residual,
@@ -38,15 +37,12 @@ from .series import (
     FibLucasSeries,
     SeriesFamily,
     UpsideDownSeries,
-    evaluate_fib_series,
     evaluate_series_sum,
     evaluate_updown,
-    fibonacci_lucas,
     sigma_gr,
     sigma_gr_im_rhs,
 )
 from .identities import (
-    ConstantsCache,
     Corpus,
     CorpusError,
     IdentityRecord,

@@ -1,10 +1,11 @@
 """Command-line front end: verification runs, single-value queries, and
 reconstruction of the three CM-point tables.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 corpus or
-I/O error. Decimal output carries exactly ``digits`` significant figures,
-rounded half-even, so repeated runs are byte-identical; ``epstein --gamma0``
-prints fewer when its lattice tail bound certifies fewer.
+Exit codes: 0 success, 1 verification failure, 2 usage error (an unknown
+option prints the top-level usage line), 3 corpus error. Decimal output
+carries exactly ``digits`` significant figures, rounded half-even, so
+repeated runs are byte-identical; ``epstein --gamma0`` prints fewer when its
+lattice tail bound certifies fewer.
 """
 
 from __future__ import annotations
@@ -113,14 +114,9 @@ def cmd_verify(args, ctx: PrecisionContext) -> int:
     except (ident.CorpusError, OSError) as exc:
         print(f"corpus error: {exc}", file=sys.stderr)
         return EXIT_CORPUS
-    cache = ident.ConstantsCache(args.cache) if args.cache else None
     # An --id is matched literally; no --id and no --filter selects everything.
     pattern = args.filter if args.id is None else glob.escape(args.id)
-    try:
-        reports = ident.verify_all(ctx, pattern, corpus, cache)
-    except OSError as exc:
-        print(f"cache error: {exc}", file=sys.stderr)
-        return EXIT_CORPUS
+    reports = ident.verify_all(ctx, pattern, corpus)
     if pattern is not None and not reports:
         print(f"unknown id: {args.id}" if args.id is not None
               else f"filter matched nothing: {pattern}", file=sys.stderr)
@@ -227,7 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--id", help="verify a single record")
     group.add_argument("--filter", help="glob over record ids")
     p.add_argument("--corpus", default=None, help="corpus JSON path")
-    p.add_argument("--cache", default=None, help="constants cache path")
     p.add_argument("--timings", action="store_true",
                    help="include elapsed milliseconds in reports")
 

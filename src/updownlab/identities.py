@@ -374,7 +374,9 @@ class ConstantsCache:
     Each value is kept as its signed ``(man, exp)`` pair, so a warm cache returns
     the very bits a cold run computed. An entry of any other shape, such as a
     decimal string written by an older version, counts as a miss and is
-    overwritten by the next ``put``.
+    overwritten by the next ``put``. It has two users: ``verify_all``'s
+    in-memory memo, which lasts one run, and, with a ``path``, the JSON file
+    of perfbench's ``corpus-40-cached`` workload. The CLI reads no file.
     """
 
     def __init__(self, path: Optional[str] = None):
@@ -492,9 +494,9 @@ def verify_all(ctx: PrecisionContext, pattern: Optional[str] = None,
     """Verify every matching record and instance, in ascending id order.
 
     Records run one after another in this process: mpmath's working
-    precision is process-global, so ``parallelism`` must be 1. Without a
-    ``cache``, an in-memory one lasts for this call, so each RHS constant
-    is computed once per run.
+    precision is process-global, so ``parallelism`` must be 1. Each RHS
+    constant is computed once per run, in memory. ``cache`` has one user:
+    perfbench's ``corpus-40-cached`` workload passes a file-backed one.
     """
     if parallelism != 1:
         raise ValueError(f"parallelism must be 1, got {parallelism}")

@@ -425,8 +425,7 @@ def legendre_p(nu, t, ctx: PrecisionContext) -> mpc:
     """P_nu(1 - 2t) = 2F1(-nu, nu + 1; 1; t) for t != 1.
 
     Every t takes the same path, ``mpmath.hyp2f1``, which sums the power
-    series near 0 and continues it analytically elsewhere;
-    ``legendre_p_quadrature`` is the independent check. On the cut
+    series near 0 and continues it analytically elsewhere. On the cut
     (1, oo) the value is the limit from below, Im t -> 0-.
     """
     nu = _check_nu(nu)
@@ -448,30 +447,6 @@ def legendre_p_dt(nu, t, ctx: PrecisionContext) -> mpc:
         t = _off_branch_point(t)
         nv = _frac_mpf(nu)
         return -nv * (nv + 1) * mpmath.hyp2f1(1 - nv, nv + 2, 2, t)
-
-
-def legendre_p_quadrature(nu, t, ctx: PrecisionContext) -> mpc:
-    """Independent oracle: direct quadrature of the defining integral
-    -sin(nu pi)/pi int_0^1 [X(1-tX)/(1-X)]^nu dX/(1-X).
-
-    On the cut (1, oo) the base is negative for X > 1/t, and its principal
-    power is the limit from Im t -> 0-, the same side as legendre_p.
-    """
-    nu = _check_nu(nu)
-    with ctx.working():
-        t = _off_branch_point(t)
-        nv = _frac_mpf(nu)
-
-        def integrand(X):
-            return (X * (1 - t * X) / (1 - X)) ** nv / (1 - X)
-
-        points = [mpf(0), mpf(1)]
-        if abs(t) > 1:
-            x0 = (1 / t).real
-            if 0 < x0 < 1:
-                points = [mpf(0), x0, mpf(1)]
-        val = mpmath.quad(integrand, points)
-        return -mpmath.sinpi(nv) / mp.pi * val
 
 
 def _r_direct(nu: Fraction, xi: mpc, ctx: PrecisionContext) -> mpc:

@@ -439,26 +439,6 @@ def evaluate_updown(s, ctx: PrecisionContext) -> mpf:
 evaluate_fib_series = evaluate_updown
 
 
-def fibonacci_lucas(n: int) -> Tuple[int, int]:
-    """(F_n, L_n) by fast doubling; exact integers."""
-    if n < 0:
-        raise DomainError(f"index must be >= 0, got {n}")
-
-    def fib_pair(k: int):
-        # Returns (F_k, F_{k+1}).
-        if k == 0:
-            return 0, 1
-        f, g = fib_pair(k >> 1)
-        c = f * (2 * g - f)
-        d = f * f + g * g
-        if k & 1:
-            return d, c + d
-        return c, d
-
-    f, g = fib_pair(n)
-    return f, 2 * g - f
-
-
 def sigma_gr(z, N: int, ctx: PrecisionContext):
     """Complex value of the weighted series at an admissible CM point."""
     z = _as_mpc(z, ctx)

@@ -158,23 +158,6 @@ class TestVerifyCommand:
         assert "PASS zeil[1]" in out
         assert "1/1 passed" in out
 
-    def test_cache_reused_across_runs(self, capsys, tmp_path):
-        cache = tmp_path / "cache.json"
-        argv = ("verify", "--id", "zeilberger", "--digits", "25",
-                "--cache", str(cache))
-        code, _, _ = run(capsys, *argv)  # cold run populates the cache
-        assert code == EXIT_OK and cache.exists()
-        stored = json.loads(cache.read_text(encoding="utf-8"))
-        # Keys carry the working precision: 25 digits + 15 guard digits.
-        assert any(key.endswith("@40") for key in stored)
-        # Two warm runs read identical cached constants, so their output
-        # must be byte-identical.
-        code, out1, _ = run(capsys, *argv)
-        assert code == EXIT_OK
-        code, out2, _ = run(capsys, *argv)
-        assert code == EXIT_OK
-        assert out1 == out2
-
     def test_empty_instance_is_a_corpus_error(self, capsys, tmp_path):
         path = tmp_path / "empty.json"
         inst = {"id": "empty", "points": [], "signs": [], "d1": -4, "d2": 1}
@@ -240,15 +223,6 @@ class TestVerifyCommand:
         code, out, err = run(capsys, "verify", "--all", "--corpus", str(path))
         assert code == EXIT_USAGE
         assert "sqrt(2)" in err and "sqrt(3)" in err and out == ""
-
-    def test_unwritable_cache_is_an_io_error(self, capsys, tmp_path):
-        # A cache in a missing directory fails on the first write: exit 3,
-        # not the verification-failed code with a traceback.
-        cache = tmp_path / "missing" / "cache.json"
-        code, out, err = run(capsys, "verify", "--id", "zeilberger",
-                             "--digits", "20", "--cache", str(cache))
-        assert code == EXIT_CORPUS
-        assert "cache error" in err and out == ""
 
 
 class TestValueCommands:
@@ -558,6 +532,15 @@ class TestArgumentHandling:
         assert lines[0].startswith(f"usage: updownlab {argv[0]} ")
         assert lines[-1].startswith(f"updownlab {argv[0]}: error: ")
         assert option in lines[-1]
+
+    def test_cache_option_is_gone(self, capsys, tmp_path):
+        # No option reads constants from a file: --cache is an unknown
+        # argument, which argparse reports from the top-level parser.
+        cache = tmp_path / "c.json"
+        code, out, err = run(capsys, "verify", "--all", "--cache", str(cache))
+        assert code == EXIT_USAGE and out == ""
+        assert "unrecognized arguments: --cache" in err.splitlines()[-1]
+        assert not cache.exists()
 
     def test_env_default_digits(self, monkeypatch):
         monkeypatch.setenv(cli.ENV_DIGITS, "33")

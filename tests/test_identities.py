@@ -11,7 +11,6 @@ import pytest
 from mpmath import mp, mpf
 
 from updownlab import (
-    ConstantsCache,
     CorpusError,
     PrecisionContext,
     QuadraticNumber,
@@ -22,6 +21,7 @@ from updownlab import (
     verify_kronecker,
 )
 from updownlab.identities import (
+    ConstantsCache,
     KroneckerInstance,
     UpsideDownSeries,
     check_table,

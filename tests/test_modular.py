@@ -21,7 +21,6 @@ from updownlab import (
     epstein_gamma0,
     epstein_sl2,
     j_invariant,
-    legendre_p,
     legendre_ramanujan_r,
     re_eichler_closed_form,
     reflection_residual,
@@ -32,10 +31,11 @@ from updownlab import modular, numerics
 from updownlab.identities import load_tables
 from updownlab.modular import (
     _eta_e2_star, _pentagonal_table, _qsum, _r_direct, _reduce_sl2, _sigma3_table,
-    legendre_p_dt, legendre_p_quadrature)
+    legendre_p, legendre_p_dt)
 from updownlab.numerics import KEPT_TERMS, DomainError, kept_table
 
 from conftest import random_points, run_bounded, sigma1_table
+from oracles import legendre_p_quadrature
 
 
 @st.composite

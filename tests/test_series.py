@@ -15,9 +15,7 @@ from updownlab import (
     SeriesFamily,
     UpsideDownSeries,
     FibLucasSeries,
-    evaluate_fib_series,
     evaluate_updown,
-    fibonacci_lucas,
     alpha_n,
     legendre_ramanujan_r,
     satisfies_region,
@@ -29,9 +27,10 @@ from updownlab import eichler_e4_tilde, modular, numerics, series
 from updownlab.identities import load_corpus, load_tables
 from updownlab.modular import _ALPHA_SCALE, _NU_BY_LEVEL, CMPoint, _eta_e2_star, _qsum
 from updownlab.numerics import KEPT_TERMS, MAX_TERMS, DomainError, embed_quadratic, to_fixed
-from updownlab.series import _FAMILY_BY_LEVEL, _fib_halves
+from updownlab.series import _FAMILY_BY_LEVEL, _fib_halves, evaluate_fib_series
 
 from conftest import random_admissible, random_points, sigma1_table
+from oracles import fibonacci_lucas
 
 
 def _exact(x) -> Fraction:
