@@ -17,7 +17,7 @@ import mpmath
 from mpmath import libmp, mp, mpf
 
 from .numerics import DomainError, PrecisionContext, to_fixed, zeta_int
-from .modular import _LEVELS, _as_mpc, _qsum_fixed, _reduce_sl2, _sigma3_table
+from .modular import _LEVELS, CMPoint, _as_mpc, _qsum_fixed, _reduce_sl2, _sigma3_table
 
 
 class LatticeSum(NamedTuple):
@@ -47,18 +47,31 @@ def epstein_sl2(z, ctx: PrecisionContext) -> mpf:
 
     S_j = sum_n sigma_3(n) Re(q^n) / n^j, y = Im w, q = e^{2 pi i w}: the
     real lane of modular._qsum_fixed at its 24 guard bits, off by under
-    8.1 (0.61 n_max (n_max + 1)) + n_max < 12 n_max^2 ulps of 2^-P. In the
-    same fixed point, with y exact, the plan's constants and each product or
+    8.1 (0.61 n_max (n_max + 1)) + n_max < 12 n_max^2 ulps of 2^-P. A CMPoint
+    is reduced exactly, as an integer form (CMPoint.reduced); the kernel
+    embeds the reduced point once, at P + 10 bits, for q, and y =
+    floor(2^P sqrt|D| / (2A)), within 1 ulp, comes from the same form in
+    integers. An mpc is reduced at the working precision (_reduce_sl2), and
+    y = Im w is exact in P bits. In the same fixed point, with the plan's constants and each product or
     quotient within 1 ulp, 180/pi^2 < 18.3 and 1/(2 pi y) < 0.19, the finish
-    is off by under 300 n_max^2 ulps: with the terms past n_max, under 2^-22
-    ulps of E >= 3/4 (n_max >= 2). Rounded once, E is within 1/2 + 2^-22 ulps
-    of E(w, 2): correctly rounded unless E(w, 2) lies within 2^-22 ulps of a
-    rounding boundary.
+    is off by under 300 n_max^2 ulps, and by under 2y + 3 ulps more where y
+    is within 1 ulp (a CMPoint): with the terms past n_max, under 2^-22 ulps
+    of E >= max(3/4, y^2) (n_max >= 2). Rounded once, E is within
+    1/2 + 2^-22 ulps of E(w, 2): correctly rounded unless E(w, 2) lies within
+    2^-22 ulps of a rounding boundary. At a CMPoint, w is the exact reduced
+    point, so that holds at the exact CM point; at an mpc, the reduction's
+    own rounding, about one ulp of z per step, is not in the count.
     """
-    with ctx.working():
-        w = _reduce_sl2(_as_mpc(z, ctx), ctx)[0]
+    if isinstance(z, CMPoint):
+        w = z.reduced()
+    else:
+        with ctx.working():
+            w = _reduce_sl2(_as_mpc(z, ctx), ctx)[0]
     prec, (s2, s3), _ = _qsum_fixed(w, ctx, _sigma3_table, (2, 3), imag=False)
-    y = to_fixed(w.imag, prec)[0]  # exact: Im w > 1/2 has under P bits past the point
+    if isinstance(w, CMPoint):
+        y = math.isqrt(-w.disc << 2 * prec) // (2 * w.A)  # Im of w.embed(P): floor(2^P Im w)
+    else:
+        y = to_fixed(w.imag, prec)[0]  # exact: Im w > 1/2 has under P bits past the point
     zeta3, scale, inv_2pi = _sl2_plan(prec)
     total = (y * y >> prec) + (zeta3 << prec) // y + (scale * (s2 + s3 * inv_2pi // y) >> prec)
     with ctx.working():

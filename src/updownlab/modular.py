@@ -101,6 +101,32 @@ class CMPoint:
                 mpmath.sqrt(mpf(-self.disc)) / (2 * self.A),
             )
 
+    def embed(self, bits: int) -> mpc:
+        """The point in fixed point, each part truncated toward -oo to ``bits``
+        bits past the binary point, from integers alone: Re = floor(-B 2^bits
+        / (2A)) 2^-bits and Im = isqrt(|D| 4^bits) // (2A) 2^-bits, exact as
+        mpf at any height, within 2^-bits of the exact point."""
+        re = (-self.B << bits) // (2 * self.A)
+        im = math.isqrt(-self.disc << 2 * bits) // (2 * self.A)
+        return mp.make_mpc((libmp.from_man_exp(re, -bits), libmp.from_man_exp(im, -bits)))
+
+    def reduced(self) -> "CMPoint":
+        """The reduced form of the class of (A, B, C) under SL(2, Z), by Gauss
+        reduction in integers (Cox, Primes of the Form x^2 + ny^2, section 2):
+        |B| <= A <= C, and B >= 0 when |B| = A or A = C. Its root is the
+        point's image in the fundamental domain |Re w| <= 1/2, |w| >= 1, and
+        two points of the upper half-plane lie on one SL(2, Z) orbit exactly
+        when their reduced forms are equal. The translation w -> w + k takes
+        (A, B, C) to (A, B - 2Ak, A k^2 - B k + C), the inversion w -> -1/w
+        to (C, -B, A); each inversion lowers A, so the loop ends."""
+        a, b, c, d = self.A, self.B, self.C, self.disc
+        while True:
+            b -= 2 * a * ((b + a - 1) // (2 * a))  # into (-a, a]
+            c = (b * b - d) // (4 * a)
+            if a <= c:
+                return CMPoint(a, -b if a == c and b < 0 else b, c)
+            a, b, c = c, -b, a
+
     def __str__(self) -> str:
         """The point in the grammar of ``from_string``, x + r*sqrt(rad)*i with
         r sqrt(rad) = sqrt(-disc) / (2A) and rad squarefree for |disc| < 10^12;
@@ -153,17 +179,21 @@ def _pentagonal_table(n_max: int) -> tuple:
 _GUARD_BITS = 24
 
 
-def _qsum_fixed(z: mpc, ctx: PrecisionContext, build, powers, imag=True) -> tuple:
+def _qsum_fixed(z, ctx: PrecisionContext, build, powers, imag=True) -> tuple:
     """(P, re, im): Re and Im of sum_n a(n) q^n / n^j, q = e^{2 pi i z}, for
     each j in ``powers`` (ascending), as unrounded Python ints scaled by 2^P,
     P the bits of the working dps + 5 bits per bit of n_max + _GUARD_BITS;
     a(1..n_max) from kept_table(build, n_max), cut off by _qseries_cutoff.
-    The package's one loop over powers of q. q = expjpi(2z) at P + 10 bits
-    (cospi and sinpi reduce 2 Re z mod 2 exactly) is exactly 1-periodic and
-    exactly real at Re z in {0, +-1/2}. Lanes Re q^n and Im q^n follow
-    x_{n+1} = T x_n - N x_{n-1} from (1, Re q) and (0, Im q), (T, N) =
-    (2 Re q, |q|^2), or (q, 0) for real q; the Im lane is skipped, and reads
-    0, for real q or ``imag`` false. Terms a(n) x_n are floored by n^j, then
+    The package's one loop over powers of q. z is an mpc, or a CMPoint,
+    whose Im the cutoff reads from its embedding at 53 bits (an mpf, so a
+    height past the floats reads inf, not an OverflowError) and which is
+    embedded once more, at P + 10 bits, for q (CMPoint.embed). q = expjpi(2z)
+    at P + 10 bits (cospi and sinpi reduce 2 Re z mod 2 exactly) is exactly
+    1-periodic and exactly real at Re z in {0, +-1/2}. At a CMPoint with
+    Im z >= 1/2, the embedding's 2^-(P+10) moves q by under 2^-10 ulp. Lanes Re q^n and Im q^n
+    follow x_{n+1} = T x_n - N x_{n-1} from (1, Re q) and (0, Im q), (T, N)
+    = (2 Re q, |q|^2), or (q, 0) for real q; the Im lane is skipped, and
+    reads 0, for real q or ``imag`` false. Terms a(n) x_n are floored by n^j, then
     by n per unit step, as floor(floor(u / n^i) / n) = floor(u / n^(i+1)).
     Error, in ulps 2^-P: q, good to 1/16 ulp, is truncated, so T errs by
     under 2.2 and N by under 1 + 3.1 |q|, and each truncated step (|x_n| <= 1)
@@ -180,10 +210,11 @@ def _qsum_fixed(z: mpc, ctx: PrecisionContext, build, powers, imag=True) -> tupl
     j >= 2), and 1/(1 - |q|) < 1 + 1/(2 pi Im z) < 1 + n_max/100 < 2^L/1.9,
     as n_max > 103/(2 pi Im z).
     """
-    n_max = _qseries_cutoff(z.imag, ctx)
+    cm = isinstance(z, CMPoint)
+    n_max = _qseries_cutoff(z.embed(53).imag if cm else z.imag, ctx)
     prec = libmp.dps_to_prec(ctx.dps) + 5 * n_max.bit_length() + _GUARD_BITS
     with mpmath.workprec(prec + 10):
-        qr, qi = to_fixed(mpmath.expjpi(2 * z), prec)
+        qr, qi = to_fixed(mpmath.expjpi(2 * (z.embed(prec + 10) if cm else z)), prec)
     t, nq = (2 * qr, (qr * qr + qi * qi) >> prec) if qi else (qr, 0)
     coeffs, ns = kept_table(build, n_max), range(1, n_max + 1)
     re, im = [], []

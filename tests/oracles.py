@@ -1,6 +1,7 @@
 """Reference implementations that only the tests use: each computes a
 library value by an independent route, so a test can compare the two."""
 
+import math
 from typing import Tuple
 
 import mpmath
@@ -32,6 +33,28 @@ def legendre_p_quadrature(nu, t, ctx: PrecisionContext) -> mpc:
                 points = [mpf(0), x0, mpf(1)]
         val = mpmath.quad(integrand, points)
         return -mpmath.sinpi(nv) / mp.pi * val
+
+
+def epstein_fourier_reference(z, dps: int) -> mpf:
+    """Oracle for ``epstein.epstein_sl2``: E(z, 2) from the Fourier expansion
+    at z itself, unreduced, summed term by term in mpf at ``dps`` digits with
+    mpmath's zeta(3) and sigma_3 by a sieve of its own."""
+    with mpmath.workdps(dps):
+        x, y = z.real, z.imag
+        q = mpmath.exp(2j * mp.pi * z)
+        eps = mpf(10) ** (-dps - 5)
+        n_max = int((dps + 20) * math.log(10) / (2 * math.pi * float(y))) + 2
+        sigma3 = [0] * (n_max + 1)
+        for d in range(1, n_max + 1):
+            for m in range(d, n_max + 1, d):
+                sigma3[m] += d**3
+        total = mpc(0)
+        qn = mpc(1)
+        for n in range(1, n_max + 1):
+            qn *= q
+            total += mpf(sigma3[n]) / n**2 * (1 + 1 / (2 * mp.pi * n * y)) * qn
+        assert abs(qn) * sigma3[n_max] < eps
+        return y**2 + 45 * mpmath.zeta(3) / (mp.pi**3 * y) + 180 / mp.pi**2 * total.real
 
 
 def fibonacci_lucas(n: int) -> Tuple[int, int]:

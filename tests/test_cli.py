@@ -336,6 +336,20 @@ class TestValueCommands:
             expected = epstein_sl2(mpmath.mpc(0, 10**8), ctx)
         assert payload["value"] == format_ap(expected, ctx.digits)
 
+    @pytest.mark.parametrize("point, digits, exponent", [
+        ("1/1" + "0" * 400 + "*i", ["--digits", "30"], 800),
+        ("1" + "0" * 30 + "*i", [], 60),
+    ], ids=["1e-400", "1e30"])
+    def test_epstein_cm_point_at_extreme_height(self, capsys, monkeypatch, point, digits,
+                                                exponent):
+        # 10^-400 i is the form (10^800, 0, 1), which reduces to (1, 0, 10^800)
+        # at 10^400 i, a height no float holds; E(i y, 2) = y^2 + 45 zeta(3) /
+        # (pi^3 y) up to e^(-2 pi y) prints as y^2 at both heights.
+        monkeypatch.delenv(cli.ENV_DIGITS, raising=False)
+        code, out, err = run(capsys, "epstein", "--z", point, *digits)
+        assert code == EXIT_OK and err == ""
+        assert out == f"E({point}, 2) = 1{'0' * exponent}\n"
+
     @pytest.mark.parametrize("command, point, level", [
         ("epstein", "sqrt(232)*i", None),
         ("alpha", "1/2+1/2*sqrt(7)*i", 3),

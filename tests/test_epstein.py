@@ -22,6 +22,7 @@ from updownlab.modular import _pentagonal_table, _qsum_fixed, _reduce_sl2, _sigm
 from updownlab.numerics import DomainError, to_fixed
 
 from conftest import random_points
+from oracles import epstein_fourier_reference
 
 
 class TestClosedForms:
@@ -209,27 +210,6 @@ class TestFourierExpansion:
             assert abs(got - expected) < ctx.tol * expected
 
 
-def _fourier_reference(z, dps):
-    """E(z, 2) from the Fourier expansion at z itself, unreduced, summed
-    term by term in mpf at ``dps`` digits with mpmath's zeta(3)."""
-    with mpmath.workdps(dps):
-        x, y = z.real, z.imag
-        q = mpmath.exp(2j * mp.pi * z)
-        eps = mpf(10) ** (-dps - 5)
-        n_max = int((dps + 20) * math.log(10) / (2 * math.pi * float(y))) + 2
-        sigma3 = [0] * (n_max + 1)
-        for d in range(1, n_max + 1):
-            for m in range(d, n_max + 1, d):
-                sigma3[m] += d**3
-        total = mpc(0)
-        qn = mpc(1)
-        for n in range(1, n_max + 1):
-            qn *= q
-            total += mpf(sigma3[n]) / n**2 * (1 + 1 / (2 * mp.pi * n * y)) * qn
-        assert abs(qn) * sigma3[n_max] < eps
-        return y**2 + 45 * mpmath.zeta(3) / (mp.pi**3 * y) + 180 / mp.pi**2 * total.real
-
-
 class TestReduction:
     def test_invariance_at_300_digits(self):
         ctx = PrecisionContext(digits=300)
@@ -250,7 +230,7 @@ class TestReduction:
             z = p.to_point(ctx)
             with ctx.working():
                 got = epstein_sl2(z, ctx)
-                expected = _fourier_reference(z, ctx.dps + 40)
+                expected = epstein_fourier_reference(z, ctx.dps + 40)
                 assert abs(got - expected) < ctx.eps * expected
 
 
@@ -263,7 +243,7 @@ def test_precision_escalation():
 
 def _rounding_mismatches(ctx, extra=()):
     """The points, among the distinct corpus points and the points (x, y) in
-    ``extra``, at which epstein_sl2 differs in any bit from _fourier_reference
+    ``extra``, at which epstein_sl2 differs in any bit from epstein_fourier_reference
     at its reduced point w, summed at ctx.dps + 60 digits and rounded at ctx."""
     points = sorted({p for inst in load_corpus().kronecker for p in inst.points}, key=str)
     with ctx.working():
@@ -272,7 +252,7 @@ def _rounding_mismatches(ctx, extra=()):
     for z in zs:
         with ctx.working():
             w = _reduce_sl2(z, ctx)[0]
-            want = +_fourier_reference(w, ctx.dps + 60)
+            want = +epstein_fourier_reference(w, ctx.dps + 60)
         if epstein_sl2(z, ctx)._mpf_ != want._mpf_:
             bad.append(z)
     return bad
@@ -285,6 +265,32 @@ class TestCorrectRounding:
         # 60 digits wider and rounded once at the working precision.
         extra = [(x, h) for x in ("-0.41", "0.23") for h in ("0.02", "0.3", "1.7")]
         assert _rounding_mismatches(PrecisionContext(digits=digits), extra) == []
+
+
+def _cm_rounding_mismatches(ctx):
+    """(bad, n): the points, among the n distinct corpus CMPoints p, at which
+    epstein_sl2(p) differs in any bit from the oracle at the exact reduced
+    point p.reduced(), embedded and summed 60 digits wider and rounded once
+    at ctx."""
+    points = sorted({p for inst in load_corpus().kronecker for p in inst.points}, key=str)
+    wide = PrecisionContext(ctx.digits + 60)
+    bad = []
+    for p in points:
+        want = epstein_fourier_reference(p.reduced().to_point(wide), wide.dps)
+        with ctx.working():
+            want = +want
+        if epstein_sl2(p, ctx)._mpf_ != want._mpf_:
+            bad.append(str(p))
+    return bad, len(points)
+
+
+class TestCorrectRoundingAtCMPoints:
+    @pytest.mark.parametrize("digits", [40, 300])
+    def test_correctly_rounded_at_the_exact_point(self, digits):
+        # A CMPoint is reduced as an integer form and its reduced point
+        # embedded once at the kernel's precision: no rounding of z comes
+        # before the one of E, so E is correctly rounded at the exact point.
+        assert _cm_rounding_mismatches(PrecisionContext(digits=digits)) == ([], 52)
 
 
 def _lane_mismatches(ctx):

@@ -277,14 +277,23 @@ class TestDirichletL2:
 
 class TestClassGroupOracle:
     # The odd L_d(2) against Kronecker's form sum on epstein_sl2, for every
-    # d < 0 the corpus reads and a few more. Measured worst: 0.55 eps
-    # relative at 40 digits, 0.32 eps at 300.
+    # d < 0 the corpus reads and a few more. Measured worst: 0.37 eps
+    # relative at 40 digits, 0.29 eps at 300.
     DS = sorted(set(_corpus_odd_discriminants()) | {-20, -84, -232})
 
     def test_forms_are_the_class_group(self):
         assert [len(_reduced_forms(d)) for d in (-3, -4, -20, -56, -84, -87, -111, -116)] \
             == [1, 1, 2, 4, 4, 6, 8, 6]
         assert _reduced_forms(-84) == [(1, 0, 21), (2, 2, 11), (3, 0, 7), (5, 4, 5)]
+
+    def test_kronecker_instances_are_full_class_groups(self, corpus):
+        # Each lattice-sum instance takes one point of each class of its
+        # discriminant D: its points reduce, as integer forms, to exactly
+        # the reduced forms of D, none twice (_reduced_forms lists each once).
+        for inst in corpus.kronecker:
+            (d,) = {p.disc for p in inst.points}
+            forms = sorted((r.A, r.B, r.C) for r in (p.reduced() for p in inst.points))
+            assert forms == _reduced_forms(d), inst.id
 
     @pytest.mark.parametrize("digits", [40, 300])
     def test_form_sum_against_trigamma(self, digits):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 from fractions import Fraction
 from importlib import resources
 
@@ -35,7 +36,7 @@ from updownlab.modular import (
 from updownlab.numerics import KEPT_TERMS, DomainError, kept_table
 
 from conftest import random_points, run_bounded, sigma1_table
-from oracles import legendre_p_quadrature
+from oracles import epstein_fourier_reference, legendre_p_quadrature
 
 
 @st.composite
@@ -126,6 +127,82 @@ class TestCMPoint:
     def test_from_rational_reduces(self):
         p = CMPoint.from_rational(Fraction(1, 2), Fraction(7, 4))
         assert (p.A, p.B, p.C) == (1, -1, 2)
+
+
+def _is_reduced(p):
+    """The rule of CMPoint.reduced: |B| <= A <= C, and B >= 0 when |B| = A or A = C."""
+    return abs(p.B) <= p.A <= p.C and (p.B >= 0 or abs(p.B) < p.A < p.C)
+
+
+def _moved(p, gamma):
+    """The form whose root is g(z) = (a z + b) / (c z + d), z the root of p:
+    p(d w - b, a - c w) = 0, which SL(2, Z) keeps positive definite and primitive."""
+    a, b, c, d = gamma
+    A, B, C = p.A, p.B, p.C
+    return CMPoint(A * d * d - B * c * d + C * c * c,
+                   -2 * A * b * d + B * (a * d + b * c) - 2 * C * a * c,
+                   A * b * b - B * a * b + C * a * a)
+
+
+def _random_sl2(rng):
+    """(a, b, c, d): a product of three matrices (0, 1; -1, k) of SL(2, Z),
+    |k| <= 4, each the inversion w -> -1/w after the translation w -> w - k."""
+    m = (1, 0, 0, 1)
+    for _ in range(3):
+        a, b, c, d = m
+        k = rng.randint(-4, 4)
+        m = (-b, a + k * b, -d, c + k * d)
+    return m
+
+
+class TestGaussReduction:
+    # D = -4 and D = -3 (the corners i and rho), A = C, |B| = A, a point
+    # below the fundamental domain and one far above it.
+    FORMS = [CMPoint(1, 0, 1), CMPoint(1, 1, 1), CMPoint(1, -1, 1), CMPoint(2, 1, 2),
+             CMPoint(3, -2, 3), CMPoint(2, 2, 3), CMPoint(2, -2, 3), CMPoint(4, 1, 1),
+             CMPoint(29, 40, 14), CMPoint(1, 0, 58), CMPoint(8, 4, 15)]
+    CTX = PrecisionContext(digits=40)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(primitive_forms())
+    def test_reduced_primitive_same_discriminant(self, p):
+        r = p.reduced()
+        assert _is_reduced(r) and math.gcd(r.A, r.B, r.C) == 1 and r.disc == p.disc
+        assert r.reduced() == r
+
+    @pytest.mark.parametrize("p", FORMS, ids=str)
+    def test_orbit_gives_one_form_and_one_value(self, p):
+        # E is SL(2, Z) invariant, and so, bit for bit, is epstein_sl2 on a
+        # CMPoint: every point of the orbit reduces to one integer form.
+        rng = random.Random(str(p))
+        r, e = p.reduced(), epstein_sl2(p, self.CTX)
+        assert _is_reduced(r) and r.disc == p.disc
+        for _ in range(8):
+            q = _moved(p, _random_sl2(rng))
+            assert q.reduced() == r
+            assert epstein_sl2(q, self.CTX)._mpf_ == e._mpf_
+
+    @pytest.mark.parametrize("p", FORMS, ids=str)
+    def test_reduced_point_is_the_reduction_of_the_embedded_point(self, p):
+        # _reduce_sl2 in mpc lands on the same point, or at |Re w| = 1/2 or
+        # |w| = 1 on the edge the domain identifies with it (w -+ 1, -1/w).
+        rng, ctx = random.Random(str(p)), self.CTX
+        with ctx.working():
+            r, tol = p.reduced().to_point(ctx), mpf(10) ** -(ctx.dps - 5)
+            for q in [p] + [_moved(p, _random_sl2(rng)) for _ in range(8)]:
+                w = _reduce_sl2(q.to_point(ctx), ctx)[0]
+                assert min(abs(r - v) for v in (w, w - 1, w + 1, -1 / w)) < tol
+
+    def test_embed_truncates_to_fixed_point(self):
+        # Each part of embed(bits) is the exact point truncated toward -oo to
+        # bits past the binary point, at heights floats cannot hold too.
+        for p in self.FORMS + [CMPoint(10**800, 0, 1).reduced(), CMPoint(1, 0, 10**60)]:
+            for bits in (53, 200, 3333):
+                z = p.embed(bits)
+                with mpmath.workprec(bits + abs(p.disc).bit_length() + 64):
+                    exact = p.to_point(PrecisionContext(mpmath.mp.dps))
+                    for got, want in ((z.real, exact.real), (z.imag, exact.imag)):
+                        assert mpmath.ldexp(got, bits) == mpmath.floor(mpmath.ldexp(want, bits))
 
 
 class TestDedekindEta:
@@ -306,22 +383,20 @@ class TestSigmaTable:
 
 
 class TestPointEmbedding:
-    # Every point-taking function embeds a CMPoint at the context it computes
-    # on, so it gives the very bits of the same call on p.to_point(ctx), or
-    # on p.to_point(ctx.bumped()) for series_constants_from_cm, which runs on
-    # ctx.bumped().
+    # Every point-taking function but epstein_sl2 embeds a CMPoint at the
+    # context it computes on, so it gives the very bits of the same call on
+    # p.to_point(ctx), or on p.to_point(ctx.bumped()) for
+    # series_constants_from_cm, which runs on ctx.bumped().
     CTX = PrecisionContext(digits=60)
+    TEXTS = ["sqrt(232)*i", "1/2+1/2*sqrt(7)*i", "-1/8+1/8*sqrt(15)*i"]
 
     @pytest.mark.parametrize("fn, embed", [
-        (epstein_sl2, CTX),
         (lambda z, ctx: epstein_gamma0(z, 4, ctx, radius=30), CTX),
         (lambda z, ctx: alpha_n(z, 3, ctx), CTX),
         (eichler_e4_tilde, CTX),
         (lambda z, ctx: series_constants_from_cm(z, 4, ctx), CTX.bumped()),
-    ], ids=["epstein_sl2", "epstein_gamma0", "alpha_n", "eichler_e4_tilde",
-            "series_constants_from_cm"])
-    @pytest.mark.parametrize("text", ["sqrt(232)*i", "1/2+1/2*sqrt(7)*i",
-                                      "-1/8+1/8*sqrt(15)*i"])
+    ], ids=["epstein_gamma0", "alpha_n", "eichler_e4_tilde", "series_constants_from_cm"])
+    @pytest.mark.parametrize("text", TEXTS)
     def test_cm_point_gives_the_bits_of_to_point(self, fn, embed, text):
         p = CMPoint.from_string(text)
         bits = [
@@ -330,6 +405,17 @@ class TestPointEmbedding:
             for out in (fn(p, self.CTX), fn(p.to_point(embed), self.CTX))
         ]
         assert bits[0] == bits[1]
+
+    @pytest.mark.parametrize("text", TEXTS)
+    def test_cm_point_gives_the_correctly_rounded_epstein_sl2(self, text):
+        # epstein_sl2 reduces a CMPoint as an integer form and embeds the
+        # reduced point itself, so it gives E at the exact point rounded once,
+        # not the bits of the call on p.to_point(ctx), which round z first.
+        p = CMPoint.from_string(text)
+        wide = PrecisionContext(self.CTX.digits + 60)
+        want = epstein_fourier_reference(p.reduced().to_point(wide), wide.dps)
+        with self.CTX.working():
+            assert epstein_sl2(p, self.CTX)._mpf_ == (+want)._mpf_
 
 
 class TestQSeriesCutoff:
