@@ -4,8 +4,7 @@ reconstruction of the three CM-point tables.
 Exit codes: 0 success, 1 verification failure, 2 usage error (an unknown
 option prints the top-level usage line), 3 corpus error. Decimal output
 carries exactly ``digits`` significant figures, rounded half-even, so
-repeated runs are byte-identical; ``epstein --gamma0`` prints fewer when its
-lattice tail bound certifies fewer.
+repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ import argparse
 import decimal
 import glob
 import json
-import math
 import os
 import sys
 
@@ -125,33 +123,18 @@ def cmd_verify(args, ctx: PrecisionContext) -> int:
 
 
 def cmd_lvalue(args, ctx: PrecisionContext) -> int:
-    value = dirichlet_l2(args.d, ctx)
-    _print_value(f"L_{args.d}(2)", value, args)
-    return EXIT_OK
+    return _print_value(f"L_{args.d}(2)", dirichlet_l2(args.d, ctx), args)
 
 
 def cmd_epstein(args, ctx: PrecisionContext) -> int:
-    z = CMPoint.from_string(args.z)
-    if not args.gamma0:
-        _print_value(f"E({args.z}, 2)", epstein_sl2(z, ctx), args)
-        return EXIT_OK
-    value, tail = epstein_gamma0(z, args.gamma0, ctx)
-    label = f"E_gamma0({args.gamma0})({args.z}, 2)"
-    # The float lattice sum is good to its tail bound: print only the
-    # significant digits that bound certifies.
-    digits = min(args.digits, math.floor(math.log10(float(abs(value) / tail))))
-    if digits < 1:
-        raise DomainError(f"{label}: tail bound {mpmath.nstr(tail, 3)} "
-                          "leaves no certified digit")
-    _print_value(label, value, args, digits, tail)
-    return EXIT_OK
+    z, N = CMPoint.from_string(args.z), args.gamma0
+    label = f"E_gamma0({N})({args.z}, 2)" if N else f"E({args.z}, 2)"
+    return _print_value(label, epstein_gamma0(z, N, ctx) if N else epstein_sl2(z, ctx), args)
 
 
 def cmd_alpha(args, ctx: PrecisionContext) -> int:
-    z = CMPoint.from_string(args.z)
-    value = alpha_n(z, args.N, ctx)
-    _print_value(f"alpha_{args.N}({args.z})", value, args)
-    return EXIT_OK
+    value = alpha_n(CMPoint.from_string(args.z), args.N, ctx)
+    return _print_value(f"alpha_{args.N}({args.z})", value, args)
 
 
 def cmd_constants(args, ctx: PrecisionContext) -> int:
@@ -163,16 +146,11 @@ def cmd_constants(args, ctx: PrecisionContext) -> int:
     return EXIT_OK
 
 
-def _print_value(label, value, args, digits=None, tail=None) -> None:
-    """One value at ``digits`` significant figures (default --digits), with
-    the tail bound of a truncated sum if one is given."""
-    digits = digits or args.digits
-    out = {"label": label, "digits": digits, "value": format_ap(value, digits)}
-    note = ""
-    if tail is not None:
-        out["tail"] = mpmath.nstr(tail, 3)
-        note = f" (tail bound {out['tail']})"
-    _emit(args, out, [f"{label} = {out['value']}{note}"])
+def _print_value(label, value, args) -> int:
+    """One value at --digits significant figures; EXIT_OK."""
+    out = {"label": label, "digits": args.digits, "value": format_ap(value, args.digits)}
+    _emit(args, out, [f"{label} = {out['value']}"])
+    return EXIT_OK
 
 
 def cmd_tables(args, ctx: PrecisionContext) -> int:
@@ -233,9 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z", required=True, help="CM point, e.g. \"i\" or "
                    "\"1/2+1/7*sqrt(7)*i\"")
     p.add_argument("--gamma0", type=int, choices=_LEVELS, default=None,
-                   help="level-N coset sum instead of the full sum, as a "
-                        "float lattice sum printed to the digits its tail "
-                        "bound certifies")
+                   help="level-N coset sum instead of the full sum, from "
+                        "its closed form in E(z, 2)")
 
     for name, func, summary in (("alpha", cmd_alpha, "modular invariant alpha_N(z)"),
                                 ("constants", cmd_constants,

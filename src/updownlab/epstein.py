@@ -1,30 +1,20 @@
 """Real-analytic Epstein/Eisenstein zeta values at s = 2.
 
 The SL(2, Z) value is computed from the exponentially convergent Fourier
-expansion (elementary K_{3/2} Bessel factors). One truncated float coset sum
-is the independent low-precision oracle: at level 1 it is the SL(2, Z) sum,
-and at levels 2, 3 and 4 it checks the two-line lattice lemma.
+expansion (elementary K_{3/2} Bessel factors); the Gamma0(N) coset sums are
+closed forms in it.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from functools import lru_cache
-from typing import NamedTuple
 
 import mpmath
 from mpmath import libmp, mp, mpf
 
 from .numerics import DomainError, PrecisionContext, to_fixed, zeta_int
-from .modular import _LEVELS, CMPoint, _as_mpc, _qsum_fixed, _reduce_sl2, _sigma3_table
-
-
-class LatticeSum(NamedTuple):
-    """Truncated lattice sum together with a certified tail bound."""
-
-    value: mpf
-    tail: mpf
+from .modular import CMPoint, _as_mpc, _check_level, _qsum_fixed, _reduce_sl2, _sigma3_table
 
 
 @lru_cache(maxsize=16)
@@ -78,52 +68,39 @@ def epstein_sl2(z, ctx: PrecisionContext) -> mpf:
         return +mpmath.ldexp(total, -prec)
 
 
-# |c z + d| must stay below this for |c z + d|^4 to be a finite float.
-_FLOAT_REACH = sys.float_info.max ** 0.25
+# G_N = sum a E(m z, 2) / den over (m, a) in pairs: N -> (pairs, den).
+_SPLITS = {2: (((2, 4), (1, -1)), 15), 3: (((3, 9), (1, -1)), 80), 4: (((4, 4), (2, -1)), 60)}
+MAX_EXTRA_DIGITS = 2000  # the most digits of cancellation epstein_gamma0 pays for
 
 
-def _float_point(z, n_scale: int, radius: int):
-    """(x, y, lam) of z in floats for a sum over |c| <= n_scale radius,
-    |d| <= radius, with lam = 2 det / (tr + sqrt(tr^2 - 4 det)), free of
-    cancellation, the smallest eigenvalue of the form |(n_scale c) z + d|^2
-    in (c, d). Raises DomainError at heights floats cannot hold: where the
-    largest |c z + d|^4 overflows, or where 1/lam^2, the bound on every
-    term 1/|c z + d|^4 and so on the tail, does (lam <= _FLOAT_REACH^-2),
-    and for radius < 10."""
-    if radius < 10:
-        raise DomainError(f"radius must be >= 10, got {radius}")
-    x, y = float(z.real), float(z.imag)
-    n2 = n_scale * n_scale
-    tr = n2 * (x * x + y * y) + 1.0
-    det = n2 * y * y
-    lam = 2 * det / (tr + math.sqrt(tr * tr - 4 * det))
-    if not (lam > _FLOAT_REACH**-2
-            and n_scale * radius * math.hypot(x, y) + radius < _FLOAT_REACH):
-        raise DomainError(f"Im z = {mpmath.nstr(z.imag, 5)} is beyond the range "
-                          "of the float lattice sum")
-    return x, y, lam
-
-
-def epstein_gamma0(z, N: int, ctx: PrecisionContext, radius: int = 600) -> LatticeSum:
-    """Level-N coset sum: y^2 / |c z + d|^4 over coprime (c, d) with N | c,
-    taken up to sign, |c| <= N radius and |d| <= radius, in floats. N = 1
-    is E(z, 2) itself, the oracle of epstein_sl2; N = 2, 3, 4 check the
-    two-line lemma."""
-    if N not in (1, *_LEVELS):
-        raise DomainError(f"level must be in {(1, *_LEVELS)}, got {N}")
-    z = _as_mpc(z, ctx)
+def epstein_gamma0(z, N: int, ctx: PrecisionContext) -> mpf:
+    """G_N(z) = sum y^2 / |c z + d|^4 over coprime (c, d), N | c, up to sign:
+    the Eisenstein series of Gamma0(N), N in _LEVELS, at the cusp oo. Split by
+    gcd (Diamond & Shurman, section 4.2), G_p = (p^2 E(pz, 2) - E(z, 2)) /
+    (p^4 - 1) for p = 2, 3 and G_4(z) = G_2(2z) / 4 = (4 E(4z, 2) - E(2z, 2)) / 60,
+    E by epstein_sl2 at m z (exact for a CMPoint: CMPoint.scaled). The terms
+    cancel near the cusps, by at most log10 sum |a| 4 h_m^2 / (den y^2) digits,
+    h_m = max(m y, 1/(m y)): G_N >= y^2 (the identity coset), and E(v, 2) =
+    E(w, 2) < 4 Im(w)^2 <= 4 h^2 at the reduced point w of v, as Im w = Im v /
+    |c v + d|^2 <= max(Im v, 1/Im v) and, for Im w >= sqrt(3)/2, |q| < 0.00434
+    and S_j <= zeta(3) |q| / (1 - |q|)^2 < 0.00526, E / Im(w)^2 < 1 + 1.745 /
+    0.6495 + 18.24 (1.184) 0.00526 / 0.75 < 3.84. The E values are summed that
+    many digits past ctx.dps, plus guard digits, and rounded once at ctx: at a
+    CMPoint correctly, unless within ~10^-14 ulps of a boundary. A point that
+    needs over MAX_EXTRA_DIGITS = 2000 raises DomainError before any E is summed."""
+    _check_level(N)
+    pairs, den = _SPLITS[N]
+    cm = isinstance(z, CMPoint)
+    z = z if cm else _as_mpc(z, ctx)
+    with mpmath.workprec(53):
+        y = mpmath.sqrt(-z.disc) / (2 * z.A) if cm else +z.imag
+        size = sum(abs(a) * 4 * max(m * y, 1 / (m * y)) ** 2 for m, a in pairs)
+        extra = max(0, int(mpmath.ceil(mpmath.log10(size / (den * y * y)))))
+    if extra > MAX_EXTRA_DIGITS:
+        raise DomainError(f"G_{N} at Im z = {mpmath.nstr(y, 3)} may cancel {extra} digits, "
+                          f"past MAX_EXTRA_DIGITS = {MAX_EXTRA_DIGITS}")
+    wide = PrecisionContext(ctx.dps + extra)
+    with wide.working():
+        total = sum(a * epstein_sl2(z.scaled(m) if cm else m * z, wide) for m, a in pairs)
     with ctx.working():
-        x, y, lam = _float_point(z, N, radius)
-        # The c = 0 cosets reduce to (0, 1) and contribute y^2, added below.
-        total = 0.0
-        for k in range(1, radius + 1):
-            c = N * k
-            cx, cy2 = c * x, (c * y) ** 2
-            for d in range(-radius, radius + 1):
-                if math.gcd(c, d) == 1:
-                    u = cx + d
-                    u = u * u + cy2
-                    total += 1.0 / (u * u)
-        value = mpf(y) ** 2 + mpf(y * y * total)
-        tail = mpf(4.0 * y * y / (lam * lam * radius * radius))
-        return LatticeSum(value, tail)
+        return total / den

@@ -127,6 +127,12 @@ class CMPoint:
                 return CMPoint(a, -b if a == c and b < 0 else b, c)
             a, b, c = c, -b, a
 
+    def scaled(self, N: int) -> "CMPoint":
+        """N z: the root of (A, N B, N^2 C) made primitive."""
+        a, b, c = self.A, N * self.B, N * N * self.C
+        g = math.gcd(a, b, c)
+        return CMPoint(a // g, b // g, c // g)
+
     def __str__(self) -> str:
         """The point in the grammar of ``from_string``, x + r*sqrt(rad)*i with
         r sqrt(rad) = sqrt(-disc) / (2A) and rad squarefree for |disc| < 10^12;

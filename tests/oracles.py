@@ -2,12 +2,13 @@
 library value by an independent route, so a test can compare the two."""
 
 import math
-from typing import Tuple
+import sys
+from typing import NamedTuple, Tuple
 
 import mpmath
 from mpmath import mp, mpc, mpf
 
-from updownlab.modular import _check_nu, _frac_mpf, _off_branch_point
+from updownlab.modular import _LEVELS, _as_mpc, _check_nu, _frac_mpf, _off_branch_point
 from updownlab.numerics import DomainError, PrecisionContext
 
 
@@ -55,6 +56,65 @@ def epstein_fourier_reference(z, dps: int) -> mpf:
             total += mpf(sigma3[n]) / n**2 * (1 + 1 / (2 * mp.pi * n * y)) * qn
         assert abs(qn) * sigma3[n_max] < eps
         return y**2 + 45 * mpmath.zeta(3) / (mp.pi**3 * y) + 180 / mp.pi**2 * total.real
+
+
+class LatticeSum(NamedTuple):
+    """Truncated lattice sum together with a certified tail bound."""
+
+    value: mpf
+    tail: mpf
+
+
+# |c z + d| must stay below this for |c z + d|^4 to be a finite float.
+_FLOAT_REACH = sys.float_info.max ** 0.25
+
+
+def _float_point(z, n_scale: int, radius: int):
+    """(x, y, lam) of z in floats for a sum over |c| <= n_scale radius,
+    |d| <= radius, with lam = 2 det / (tr + sqrt(tr^2 - 4 det)), free of
+    cancellation, the smallest eigenvalue of the form |(n_scale c) z + d|^2
+    in (c, d). Raises DomainError at heights floats cannot hold: where the
+    largest |c z + d|^4 overflows, or where 1/lam^2, the bound on every
+    term 1/|c z + d|^4 and so on the tail, does (lam <= _FLOAT_REACH^-2),
+    and for radius < 10."""
+    if radius < 10:
+        raise DomainError(f"radius must be >= 10, got {radius}")
+    x, y = float(z.real), float(z.imag)
+    n2 = n_scale * n_scale
+    tr = n2 * (x * x + y * y) + 1.0
+    det = n2 * y * y
+    lam = 2 * det / (tr + math.sqrt(tr * tr - 4 * det))
+    if not (lam > _FLOAT_REACH**-2
+            and n_scale * radius * math.hypot(x, y) + radius < _FLOAT_REACH):
+        raise DomainError(f"Im z = {mpmath.nstr(z.imag, 5)} is beyond the range "
+                          "of the float lattice sum")
+    return x, y, lam
+
+
+def gamma0_lattice_sum(z, N: int, ctx: PrecisionContext, radius: int = 600) -> LatticeSum:
+    """Oracle for ``epstein.epstein_gamma0`` and, at N = 1, ``epstein_sl2``:
+    the level-N coset sum y^2 / |c z + d|^4 over coprime (c, d) with N | c,
+    taken up to sign, |c| <= N radius and |d| <= radius, in floats. N = 1
+    is E(z, 2) itself; at N = 2, 3, 4 it checks the closed form and the
+    two-line lemma, which the closed form satisfies identically."""
+    if N not in (1, *_LEVELS):
+        raise DomainError(f"level must be in {(1, *_LEVELS)}, got {N}")
+    z = _as_mpc(z, ctx)
+    with ctx.working():
+        x, y, lam = _float_point(z, N, radius)
+        # The c = 0 cosets reduce to (0, 1) and contribute y^2, added below.
+        total = 0.0
+        for k in range(1, radius + 1):
+            c = N * k
+            cx, cy2 = c * x, (c * y) ** 2
+            for d in range(-radius, radius + 1):
+                if math.gcd(c, d) == 1:
+                    u = cx + d
+                    u = u * u + cy2
+                    total += 1.0 / (u * u)
+        value = mpf(y) ** 2 + mpf(y * y * total)
+        tail = mpf(4.0 * y * y / (lam * lam * radius * radius))
+        return LatticeSum(value, tail)
 
 
 def fibonacci_lucas(n: int) -> Tuple[int, int]:

@@ -15,7 +15,6 @@ from updownlab import (
     PrecisionContext,
     alpha_n,
     cli,
-    epstein_gamma0,
     epstein_sl2,
     identities,
     load_corpus,
@@ -32,6 +31,7 @@ from updownlab.cli import (
 from updownlab.numerics import DomainError
 
 from conftest import run_bounded
+from oracles import gamma0_lattice_sum
 
 
 def run(capsys, *argv):
@@ -271,24 +271,28 @@ class TestValueCommands:
         assert "E_gamma0(2)" in out
 
     def test_gamma0_prints_only_certified_digits(self, capsys):
-        # Radius 600 leaves a tail bound of 4.4e-5: four significant digits,
-        # which the sum at radius 2000 (tail 4e-6) must reproduce.
+        # The closed form is good to every one of the --digits digits: the
+        # whole payload, with no tail bound, and the value within the float
+        # lattice sum's tail bound (4.4e-5 at radius 600).
+        value = "4.058147691914991513491884198371428796255"
         code, out, _ = run(capsys, "epstein", "--z", "2*i", "--gamma0", "2",
                            "--digits", "40", "--json")
         assert code == EXIT_OK
-        payload = json.loads(out)
-        assert payload["digits"] == 4 and payload["value"] == "4.058"
-        assert mpf(payload["tail"]) == pytest.approx(4.44e-5, rel=1e-2)
-        ctx = PrecisionContext(digits=20)
-        far = epstein_gamma0(mpc(0, 2), 2, ctx, radius=2000)
-        assert abs(mpf(payload["value"]) - far.value) <= mpf("0.5e-3") + far.tail
+        assert json.loads(out) == {"label": "E_gamma0(2)(2*i, 2)", "digits": 40, "value": value}
+        far = gamma0_lattice_sum(mpc(0, 2), 2, PrecisionContext(digits=20))
+        assert abs(mpf(value) - far.value) < far.tail
         code, out, _ = run(capsys, "epstein", "--z", "2*i", "--gamma0", "2")
-        assert out == "E_gamma0(2)(2*i, 2) = 4.058 (tail bound 4.44e-5)\n"
+        assert out == f"E_gamma0(2)(2*i, 2) = {value}\n"
 
-    def test_gamma0_without_certified_digit(self, capsys):
-        code, out, err = run(capsys, "epstein", "--z", "1/100*i", "--gamma0", "2")
-        assert code == EXIT_USAGE
-        assert "no certified digit" in err and out == ""
+    def test_gamma0_near_the_cusp_prints_every_digit(self, capsys):
+        # About 6 digits cancel at 1/100*i; the E values carry them, so the
+        # 40 digits printed are the 60-digit run's, rounded.
+        code, out, err = run(capsys, "epstein", "--z", "1/100*i", "--gamma0", "2", "--json")
+        assert code == EXIT_OK and err == ""
+        code, wide, _ = run(capsys, "epstein", "--z", "1/100*i", "--gamma0", "2",
+                            "--digits", "60", "--json")
+        with mpmath.workdps(80):
+            assert json.loads(out)["value"] == format_ap(mpf(json.loads(wide)["value"]), 40)
 
     def test_alpha(self, capsys):
         code, out, _ = run(capsys, "alpha", "--z", "i", "--N", "2",
@@ -380,10 +384,22 @@ class TestValueCommands:
     @pytest.mark.parametrize("height", ["1" + "0" * 200, "1/1" + "0" * 200],
                              ids=["1e200", "1e-200"])
     def test_gamma0_height_beyond_floats(self, capsys, height):
+        # Both print, as floats could not: at 10^200 i, G_2 = y^2 + 45 zeta(3)
+        # / (15 pi^3 y) rounds to 10^400; at 10^-200 i about 800 digits cancel,
+        # within MAX_EXTRA_DIGITS, and G_2 = 21 zeta(3) 10^-200 / pi^3 up to
+        # e^(-10^200 pi / 2).
         code, out, err = run(capsys, "epstein", "--z", f"{height}*i", "--gamma0", "2")
-        assert code == EXIT_USAGE
-        assert err.startswith("error: ")
-        assert out == ""
+        assert code == EXIT_OK and err == ""
+        with mpmath.workdps(60):
+            want = ("1" + "0" * 400 if height.startswith("1" + "0") else
+                    format_ap(21 * mpmath.zeta(3) * mpf(10) ** -200 / mpmath.pi**3, 40))
+        assert out == f"E_gamma0(2)({height}*i, 2) = {want}\n"
+
+    def test_gamma0_past_the_budget(self, capsys):
+        # 10^-600 i would cancel about 2400 digits.
+        code, out, err = run(capsys, "epstein", "--z", "1/1" + "0" * 600 + "*i", "--gamma0", "2")
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: ") and "MAX_EXTRA_DIGITS" in err
 
     @pytest.mark.parametrize("height", ["1/1" + "0" * 400, "1/100000"],
                              ids=["1e-400", "1e-5"])

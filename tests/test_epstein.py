@@ -1,5 +1,5 @@
 """Epstein zeta values: Fourier expansion vs lattice oracles, closed forms,
-and the two-line coset-sum lemma."""
+the Gamma0(N) coset sums, and the two-line coset-sum lemma."""
 
 import math
 from fractions import Fraction
@@ -16,13 +16,13 @@ from updownlab import (
     epstein_sl2,
 )
 from updownlab import epstein
-from updownlab.epstein import _float_point
+from updownlab.epstein import MAX_EXTRA_DIGITS
 from updownlab.identities import load_corpus, load_tables
 from updownlab.modular import _pentagonal_table, _qsum_fixed, _reduce_sl2, _sigma3_table
 from updownlab.numerics import DomainError, to_fixed
 
-from conftest import random_points
-from oracles import epstein_fourier_reference
+from conftest import random_admissible, random_points
+from oracles import _float_point, epstein_fourier_reference, gamma0_lattice_sum
 
 
 class TestClosedForms:
@@ -72,21 +72,21 @@ class TestBruteForceOracle:
         with ctx30.working():
             for z in random_points(5, seed=22, y_range=(0.8, 1.5)):
                 exact = epstein_sl2(z, ctx30)
-                approx = epstein_gamma0(z, 1, ctx30, radius=150)
+                approx = gamma0_lattice_sum(z, 1, ctx30, radius=150)
                 assert abs(exact - approx.value) < approx.tail
 
     def test_tail_shrinks_quadratically(self, ctx30):
         with ctx30.working():
             z = mpc(0, 1)
             exact = epstein_sl2(z, ctx30)
-            err_small = abs(exact - epstein_gamma0(z, 1, ctx30, radius=100).value)
-            err_large = abs(exact - epstein_gamma0(z, 1, ctx30, radius=200).value)
+            err_small = abs(exact - gamma0_lattice_sum(z, 1, ctx30, radius=100).value)
+            err_large = abs(exact - gamma0_lattice_sum(z, 1, ctx30, radius=200).value)
             # Doubling the radius should cut the error by about four.
             assert err_large < err_small / 2.5
 
     def test_minimum_radius_enforced(self, ctx30):
         with pytest.raises(DomainError):
-            epstein_gamma0(mpc(0, 1), 1, ctx30, radius=5)
+            gamma0_lattice_sum(mpc(0, 1), 1, ctx30, radius=5)
 
 
 class TestOraclePointSets:
@@ -99,7 +99,7 @@ class TestOraclePointSets:
     @pytest.mark.parametrize("z", [mpc(0, 1), mpc("0.3", "0.8")])
     def test_gamma0_against_coprime_rows(self, z, level, ctx30):
         with ctx30.working():
-            got = epstein_gamma0(z, level, ctx30, radius=self.RADIUS).value
+            got = gamma0_lattice_sum(z, level, ctx30, radius=self.RADIUS).value
             x, y = float(z.real), float(z.imag)
             expected = y * y
             for k in range(1, self.RADIUS + 1):
@@ -112,32 +112,89 @@ class TestOraclePointSets:
 
 class TestGamma0:
     def test_identity_coset_dominates_at_large_height(self, ctx30):
+        # The non-identity cosets contribute O(1/y) in total: at y = 200,
+        # (4 E(2z) - E(z)) / 15 - y^2 = 45 zeta(3) / (15 pi^3 y) up to
+        # e^(-2 pi y), from the constant terms of E.
         with ctx30.working():
             z = mpc("0.1", 200)
-            got = epstein_gamma0(z, 2, ctx30, radius=100)
-            # The non-identity cosets contribute O(1/y) in total.
-            assert abs(got.value - z.imag**2) < mpf(1) / 100
+            got = epstein_gamma0(z, 2, ctx30)
+            rest = 45 * mpmath.zeta(3) / (15 * mp.pi**3 * z.imag)
+            assert abs(got - z.imag**2 - rest) < ctx30.tol * got
 
     @pytest.mark.parametrize("level", [2, 3, 4])
     def test_two_line_lemma(self, level, ctx30):
         # E_N(-1/(Nz)) - E_N(z) = [E(z) - E(Nz)] / (N^2 - 1).
         with ctx30.working():
             for z in random_points(2, seed=30 + level, y_range=(0.6, 1.0)):
-                lhs_sum = epstein_gamma0(-1 / (level * z), level, ctx30)
-                rhs_sum = epstein_gamma0(z, level, ctx30)
+                lhs_sum = gamma0_lattice_sum(-1 / (level * z), level, ctx30)
+                rhs_sum = gamma0_lattice_sum(z, level, ctx30)
                 lhs = lhs_sum.value - rhs_sum.value
                 rhs = (epstein_sl2(z, ctx30)
                        - epstein_sl2(level * z, ctx30)) / (level**2 - 1)
                 assert abs(lhs - rhs) < 2 * (lhs_sum.tail + rhs_sum.tail)
 
     def test_invalid_level(self, ctx30):
-        # Level 1 is the SL(2, Z) sum; level 0 has no cosets.
-        with pytest.raises(DomainError):
-            epstein_gamma0(mpc(0, 1), 0, ctx30)
+        # Level 1 is epstein_sl2's sum; level 0 has no cosets.
+        for level in (0, 1):
+            with pytest.raises(DomainError, match="level"):
+                epstein_gamma0(mpc(0, 1), level, ctx30)
 
     def test_level_above_four_rejected(self, ctx30):
         with pytest.raises(DomainError):
             epstein_gamma0(mpc(0, 1), 5, ctx30)
+
+
+# G_N(i eps) = 45 zeta(3) eps c_N / pi^3 up to e^(-pi / (N eps)): each
+# E(i m eps, 2) = E(i / (m eps), 2) is 1 / (m eps)^2 + 45 zeta(3) m eps / pi^3
+# up to e^(-2 pi / (m eps)), the 1 / eps^2 terms cancel in the closed form,
+# and the rest leaves c_N = (4*2 - 1)/15, (9*3 - 1)/80 and (4*4 - 2)/60.
+CUSP_CONSTANTS = {2: Fraction(7, 15), 3: Fraction(26, 80), 4: Fraction(7, 30)}
+
+
+class TestGamma0ClosedForm:
+    POINTS = ([row["point"] for tab in load_tables() for row in tab["rows"]]
+              + [CMPoint.from_string("1/100*i")])
+
+    @pytest.mark.parametrize("level", [2, 3, 4])
+    def test_100_digits_against_160(self, level):
+        # The E values carry the cancellation bound's extra digits, so the
+        # value holds to 10^-100 and past it, to the guard digits' 10^-115,
+        # at 1/100*i too, where about 6 digits cancel.
+        lo, hi = PrecisionContext(digits=100), PrecisionContext(digits=160)
+        assert len(self.POINTS) == 15
+        for p in self.POINTS:
+            got, want = epstein_gamma0(p, level, lo), epstein_gamma0(p, level, hi)
+            with hi.working():
+                assert abs(got - want) < lo.eps * want
+
+    @pytest.mark.parametrize("level", [2, 3, 4])
+    def test_against_the_float_oracle(self, level):
+        # The acceptance suite's admissible points, as complex numbers.
+        ctx = PrecisionContext(digits=15)
+        with ctx.working():
+            for z in random_admissible(10, level, ctx, seed=720 + level):
+                want = gamma0_lattice_sum(z, level, ctx, radius=200)
+                assert abs(epstein_gamma0(z, level, ctx) - want.value) < want.tail
+
+    @pytest.mark.parametrize("level", [2, 3, 4])
+    def test_cusp_value(self, level, ctx30):
+        # About 1600 digits cancel at 10^-400 i.
+        got = epstein_gamma0(CMPoint.from_string("1/1" + "0" * 400 + "*i"), level, ctx30)
+        c = CUSP_CONSTANTS[level]
+        with ctx30.working():
+            want = 45 * mpmath.zeta(3) * mpf(10) ** -400 * c.numerator / (c.denominator * mp.pi**3)
+            assert abs(got - want) < ctx30.tol * want
+
+    def test_past_the_budget_raises_before_summing(self, ctx30, monkeypatch):
+        # 10^-600 i would cancel about 2400 digits, past MAX_EXTRA_DIGITS.
+        def summed(*args):
+            raise AssertionError("epstein_sl2 called past the budget")
+
+        monkeypatch.setattr(epstein, "epstein_sl2", summed)
+        assert MAX_EXTRA_DIGITS < 2400
+        for z in (CMPoint.from_string("1/1" + "0" * 600 + "*i"), mpc(0, mpf("1e-600"))):
+            with pytest.raises(DomainError, match="MAX_EXTRA_DIGITS"):
+                epstein_gamma0(z, 2, ctx30)
 
 
 class TestOracleFloatRange:
@@ -147,8 +204,8 @@ class TestOracleFloatRange:
     # level 2 and at level 1 (SL(2, Z)), refuses such points before summing.
     @pytest.mark.parametrize("height", [200, -100, -200])
     @pytest.mark.parametrize("oracle", [
-        lambda z, ctx: epstein_gamma0(z, 2, ctx),
-        lambda z, ctx: epstein_gamma0(z, 1, ctx, radius=200),
+        lambda z, ctx: gamma0_lattice_sum(z, 2, ctx),
+        lambda z, ctx: gamma0_lattice_sum(z, 1, ctx, radius=200),
     ], ids=["gamma0", "sl2"])
     def test_height_beyond_floats(self, oracle, height, ctx30):
         with ctx30.working():
@@ -160,8 +217,8 @@ class TestOracleFloatRange:
     # tail, and a negative radius summed nothing but reported a tail.
     @pytest.mark.parametrize("radius", [0, -5, 9])
     @pytest.mark.parametrize("oracle", [
-        lambda z, ctx, radius: epstein_gamma0(z, 2, ctx, radius),
-        lambda z, ctx, radius: epstein_gamma0(z, 1, ctx, radius),
+        lambda z, ctx, radius: gamma0_lattice_sum(z, 2, ctx, radius),
+        lambda z, ctx, radius: gamma0_lattice_sum(z, 1, ctx, radius),
     ], ids=["gamma0", "sl2"])
     def test_radius_below_ten_rejected(self, oracle, radius, ctx30):
         with pytest.raises(DomainError, match="radius"):

@@ -193,6 +193,17 @@ class TestGaussReduction:
                 w = _reduce_sl2(q.to_point(ctx), ctx)[0]
                 assert min(abs(r - v) for v in (w, w - 1, w + 1, -1 / w)) < tol
 
+    @pytest.mark.parametrize("N", [2, 3, 4])
+    @pytest.mark.parametrize("p", FORMS, ids=str)
+    def test_scaled_is_n_times_the_point(self, p, N):
+        # N z is the root of (A, N B, N^2 C), made primitive by its gcd g:
+        # g = 2, 4 and 8 for (4, 1, 1) and (8, 4, 15) at N = 2, 4.
+        q, g = p.scaled(N), math.gcd(p.A, N * p.B, N * N * p.C)
+        assert math.gcd(q.A, q.B, q.C) == 1 and q.disc * g * g == N * N * p.disc
+        for bits in (53, 200):
+            with mpmath.workprec(bits + 64):
+                assert abs(q.embed(bits) - N * p.embed(bits)) < 2 * (N + 1) * mpmath.ldexp(1, -bits)
+
     def test_embed_truncates_to_fixed_point(self):
         # Each part of embed(bits) is the exact point truncated toward -oo to
         # bits past the binary point, at heights floats cannot hold too.
@@ -383,19 +394,18 @@ class TestSigmaTable:
 
 
 class TestPointEmbedding:
-    # Every point-taking function but epstein_sl2 embeds a CMPoint at the
-    # context it computes on, so it gives the very bits of the same call on
-    # p.to_point(ctx), or on p.to_point(ctx.bumped()) for
+    # Every point-taking function but epstein_sl2 and epstein_gamma0 embeds a
+    # CMPoint at the context it computes on, so it gives the very bits of the
+    # same call on p.to_point(ctx), or on p.to_point(ctx.bumped()) for
     # series_constants_from_cm, which runs on ctx.bumped().
     CTX = PrecisionContext(digits=60)
     TEXTS = ["sqrt(232)*i", "1/2+1/2*sqrt(7)*i", "-1/8+1/8*sqrt(15)*i"]
 
     @pytest.mark.parametrize("fn, embed", [
-        (lambda z, ctx: epstein_gamma0(z, 4, ctx, radius=30), CTX),
         (lambda z, ctx: alpha_n(z, 3, ctx), CTX),
         (eichler_e4_tilde, CTX),
         (lambda z, ctx: series_constants_from_cm(z, 4, ctx), CTX.bumped()),
-    ], ids=["epstein_gamma0", "alpha_n", "eichler_e4_tilde", "series_constants_from_cm"])
+    ], ids=["alpha_n", "eichler_e4_tilde", "series_constants_from_cm"])
     @pytest.mark.parametrize("text", TEXTS)
     def test_cm_point_gives_the_bits_of_to_point(self, fn, embed, text):
         p = CMPoint.from_string(text)
@@ -416,6 +426,22 @@ class TestPointEmbedding:
         want = epstein_fourier_reference(p.reduced().to_point(wide), wide.dps)
         with self.CTX.working():
             assert epstein_sl2(p, self.CTX)._mpf_ == (+want)._mpf_
+
+    @pytest.mark.parametrize("level", [2, 3, 4])
+    @pytest.mark.parametrize("text", TEXTS)
+    def test_gamma0_from_exact_epstein_sl2(self, text, level):
+        # epstein_gamma0 scales a CMPoint exactly, so it gives the closed form
+        # of E at the exact points m z, each the oracle at the exact reduced
+        # point 60 digits wider, rounded once: the same bits.
+        p = CMPoint.from_string(text)
+        wide = PrecisionContext(self.CTX.digits + 60)
+        e = {m: epstein_fourier_reference(p.scaled(m).reduced().to_point(wide), wide.dps)
+             for m in (1, 2, 3, 4)}
+        with wide.working():
+            want = {2: (4 * e[2] - e[1]) / 15, 3: (9 * e[3] - e[1]) / 80,
+                    4: (4 * e[4] - e[2]) / 60}[level]
+        with self.CTX.working():
+            assert epstein_gamma0(p, level, self.CTX)._mpf_ == (+want)._mpf_
 
 
 class TestQSeriesCutoff:
