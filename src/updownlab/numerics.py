@@ -328,23 +328,45 @@ def zeta_int(n: int, ctx: PrecisionContext) -> mpf:
         raise DomainError(f"zeta_int supports n in {{2, 3, 4}}, got {n}")
 
 
+def _tangent_numbers(m: int) -> list:
+    """[T_1, ..., T_m], tan x = sum_k T_k x^(2k-1) / (2k-1)!, in exact ints by
+    Algorithm TangentNumbers of Brent & Harvey, "Fast computation of Bernoulli,
+    Tangent and Secant numbers" (2013): O(m^2) products with small ints."""
+    t = [0, 1] + [0] * (m - 1)
+    for k in range(2, m + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, m + 1):
+        for j in range(k, m + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return t[1:]
+
+
 @lru_cache(maxsize=16)
 def _trigamma_plan(dps: int):
     """(N, P, (B_2M, ..., B_2)) for trigamma at ``dps`` working digits.
 
     N = floor(0.7 * dps) direct terms; M is the least order whose first
     dropped Euler-Maclaurin term |B_{2M+2}| / N^(2M+3) is below 10^-(dps+1),
-    found by exact rational comparison (M comes out near 0.45 * dps, so the
-    search stops at dps). The Bernoulli numbers are Python ints scaled by
-    2^P, each floored from ``bernfrac`` (under 1 ulp), highest order first
-    for Horner's rule. P = dps_to_prec(dps) + bit_length(N + M + 4) + 4
-    guard bits: see ``trigamma`` for the count they cover.
+    found by exact rational comparison of B_2k = (-1)^(k-1) 2k T_k /
+    (4^k (4^k - 1)) from the tangent numbers T_k. The table of T_k stops two
+    orders past the least k at which the float lower bound
+    2 (2k)! / ((2 pi)^(2k) N^(2k+1)) of the term (|B_2k| = 2 (2k)! zeta(2k)
+    / (2 pi)^(2k), zeta(2k) < 1.65) drops below 10^-(dps+1). The exact test
+    stops at that k or the next, since there each order divides the term by
+    more than 14. The Bernoulli numbers are Python ints scaled by 2^P, each
+    floored from its fraction (under 1 ulp), highest order first for
+    Horner's rule. P = dps_to_prec(dps) + bit_length(N + M + 4) + 4 guard
+    bits: see ``trigamma`` for the count they cover.
     """
     n = int(0.7 * dps)
-    coeffs = []
-    for k in range(1, dps + 1):
-        p, q = mpmath.bernfrac(2 * k)
-        if abs(p) * 10 ** (dps + 1) < q * n ** (2 * k + 1):
+    log_bound = -(dps + 1) * math.log(10)
+    size = 2 + next((k for k in range(1, dps + 1)
+                     if math.log(2) + math.lgamma(2 * k + 1) - 2 * k * math.log(2 * math.pi)
+                     - (2 * k + 1) * math.log(n) < log_bound), dps)
+    ten, coeffs = 10 ** (dps + 1), []
+    for k, t in enumerate(_tangent_numbers(size), 1):
+        p, q = (-1) ** (k - 1) * 2 * k * t, 4**k * (4**k - 1)
+        if abs(p) * ten < q * n ** (2 * k + 1):
             prec = libmp.dps_to_prec(dps) + (n + len(coeffs) + 4).bit_length() + 4
             return n, prec, tuple((b << prec) // c for b, c in reversed(coeffs))
         coeffs.append((p, q))

@@ -6,7 +6,7 @@ import sys
 from typing import NamedTuple, Tuple
 
 import mpmath
-from mpmath import mp, mpc, mpf
+from mpmath import libmp, mp, mpc, mpf
 
 from updownlab.modular import _LEVELS, _as_mpc, _check_nu, _frac_mpf, _off_branch_point
 from updownlab.numerics import DomainError, PrecisionContext
@@ -136,3 +136,18 @@ def fibonacci_lucas(n: int) -> Tuple[int, int]:
 
     f, g = fib_pair(n)
     return f, 2 * g - f
+
+
+def trigamma_plan_bernfrac(dps: int):
+    """numerics._trigamma_plan with its Bernoulli numbers from mpmath's
+    ``bernfrac``, searched up to order dps: the reference the tangent-number
+    plan must match bit for bit."""
+    n = int(0.7 * dps)
+    coeffs = []
+    for k in range(1, dps + 1):
+        p, q = mpmath.bernfrac(2 * k)
+        if abs(p) * 10 ** (dps + 1) < q * n ** (2 * k + 1):
+            prec = libmp.dps_to_prec(dps) + (n + len(coeffs) + 4).bit_length() + 4
+            return n, prec, tuple((b << prec) // c for b, c in reversed(coeffs))
+        coeffs.append((p, q))
+    raise RuntimeError(f"no Euler-Maclaurin order reaches 10^-{dps} with N = {n}")

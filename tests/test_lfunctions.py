@@ -16,8 +16,9 @@ from updownlab import (
     is_fundamental_discriminant,
     kronecker_symbol,
 )
+from updownlab import lfunctions
 from updownlab.identities import _check_tag, load_corpus
-from updownlab.numerics import DomainError, _is_squarefree
+from updownlab.numerics import DomainError, _is_squarefree, trigamma
 
 from conftest import dirichlet_l2_direct, run_bounded
 
@@ -261,6 +262,30 @@ class TestDirichletL2:
         with pytest.raises(DomainError, match="10\\^12"):
             dirichlet_l2(10**12 + 1, PrecisionContext(digits=20))
 
+    @pytest.mark.parametrize("d", [-12, -16, -27, -28, -44, -63, -75, -99])
+    def test_imprimitive_characters_against_hurwitz(self, d):
+        # The unit sum J_2(q) zeta(2) holds for characters that are not
+        # primitive too: Hurwitz's sum at ten more digits, rounded to ctx.
+        ctx = PrecisionContext(digits=100)
+        want = _hurwitz_l2(d, ctx.bumped())
+        with ctx.working():
+            assert dirichlet_l2(d, ctx) == +want
+
+    @pytest.mark.parametrize("d", [-4, -111, -116])
+    def test_trigamma_runs_on_half_the_units(self, d, monkeypatch):
+        calls = []
+
+        def counted(x, ctx):
+            calls.append(x)
+            return trigamma(x, ctx)
+
+        monkeypatch.setattr(lfunctions, "trigamma", counted)
+        dirichlet_l2(d, PrecisionContext(digits=20))
+        q = -d
+        units = sum(math.gcd(a, q) == 1 for a in range(1, q))
+        assert len(calls) == units // 2
+        assert all(kronecker_symbol(d, x.numerator) == -1 for x in calls)
+
     def test_more_residues_than_max_terms(self):
         # |d| = 10^7 + 3 residues, over MAX_TERMS, raise before any trigamma.
         with pytest.raises(DomainError, match="MAX_TERMS"):
@@ -303,3 +328,12 @@ class TestClassGroupOracle:
             got = _form_sum_l2(d, ctx)
             with ctx.working():
                 assert abs(got - want) < 10 * ctx.eps * want, d
+
+    @pytest.mark.parametrize("digits", [40, 300])
+    def test_correctly_rounded(self, digits):
+        # L_d(2) against its own value at 40 more digits, rounded to ctx.
+        ctx, wide = PrecisionContext(digits=digits), PrecisionContext(digits=digits + 40)
+        for d in self.DS:
+            want = dirichlet_l2(d, wide)
+            with ctx.working():
+                assert dirichlet_l2(d, ctx) == +want, d

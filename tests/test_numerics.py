@@ -23,6 +23,7 @@ from updownlab.numerics import (KEPT_TERMS, DomainError, _is_squarefree, _square
                                 kept_table, trigamma)
 
 from conftest import run_bounded
+from oracles import trigamma_plan_bernfrac
 
 
 class TestPrecisionContext:
@@ -264,6 +265,12 @@ class TestZetaAndTrigamma:
         with mpmath.workdps(ctx.dps + 20):
             expected = mpmath.polygamma(1, mpf(x.numerator) / x.denominator)
             assert abs(value - expected) < ctx.eps * expected
+
+    @pytest.mark.parametrize("dps", [55, 1015, 2015])
+    def test_plan_from_tangent_numbers_matches_bernfrac(self, dps):
+        # N, P and every scaled Bernoulli number, bit for bit: the plan of
+        # 40, 1000 and 2000 digits against the one from mpmath's bernfrac.
+        assert numerics._trigamma_plan(dps) == trigamma_plan_bernfrac(dps)
 
     def test_trigamma_domain(self, ctx40):
         with pytest.raises(DomainError):
