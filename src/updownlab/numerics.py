@@ -315,9 +315,11 @@ class QuadExpr:
 
 # -- special constants -----------------------------------------------------
 
+@lru_cache(maxsize=16)
 def zeta_int(n: int, ctx: PrecisionContext) -> mpf:
     """zeta(2), zeta(3), or zeta(4) at ctx's working precision (ctx.dps
-    digits), from mpmath's pi and Apery constants."""
+    digits), from mpmath's pi and Apery constants. Memoized per (n, ctx):
+    every odd L_d(2) reads zeta(2) at ctx.bumped()."""
     with ctx.working():
         if n == 2:
             return mp.pi**2 / 6

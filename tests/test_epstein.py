@@ -316,7 +316,7 @@ def _rounding_mismatches(ctx, extra=()):
 
 
 class TestCorrectRounding:
-    @pytest.mark.parametrize("digits", [40, 300])
+    @pytest.mark.parametrize("digits", [40, 300, pytest.param(1000, marks=pytest.mark.highprec)])
     def test_correctly_rounded_at_the_reduced_point(self, digits):
         # One fixed-point pass and one rounding: the bits of E(w, 2) summed
         # 60 digits wider and rounded once at the working precision.
@@ -342,7 +342,7 @@ def _cm_rounding_mismatches(ctx):
 
 
 class TestCorrectRoundingAtCMPoints:
-    @pytest.mark.parametrize("digits", [40, 300])
+    @pytest.mark.parametrize("digits", [40, 300, pytest.param(1000, marks=pytest.mark.highprec)])
     def test_correctly_rounded_at_the_exact_point(self, digits):
         # A CMPoint is reduced as an integer form and its reduced point
         # embedded once at the kernel's precision: no rounding of z comes
@@ -376,7 +376,7 @@ def _lane_mismatches(ctx):
 
 
 class TestRealLane:
-    @pytest.mark.parametrize("digits", [40, 300])
+    @pytest.mark.parametrize("digits", [40, 300, pytest.param(1000, marks=pytest.mark.highprec)])
     def test_bits_of_the_two_lane_pass(self, digits):
         # Skipping the Im lane leaves the Re lane's bits as they are.
         assert _lane_mismatches(PrecisionContext(digits=digits)) == ([], 52)

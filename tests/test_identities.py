@@ -486,7 +486,7 @@ class TestVerification:
         assert untimed(ConstantsCache(path)) == plain  # cold
         assert untimed(ConstantsCache(path)) == plain  # warm
 
-    @pytest.mark.parametrize("digits", [40, 300])
+    @pytest.mark.parametrize("digits", [40, 300, pytest.param(1000, marks=pytest.mark.highprec)])
     def test_record_alone_gives_the_bits_of_the_full_run(self, digits):
         # A record's bits depend on the record alone, not on which others run.
         assert _separate_run_mismatches(PrecisionContext(digits=digits)) == ([], 54)

@@ -234,13 +234,19 @@ class TestDirichletL2:
         with ctx.working():
             assert abs(dirichlet_l2(253, ctx) - _sine_sum_l2(253, ctx)) < ctx.tol
 
-    @pytest.mark.parametrize("digits", [40, 300])
-    def test_closed_form_against_sine_sum(self, digits):
+    @pytest.mark.parametrize("digits, ds", [
+        pytest.param(40, range(2, 301), id="40"),
+        pytest.param(300, range(2, 301), id="300"),
+        # Every d > 1 that the corpus's lattice-sum instances read.
+        pytest.param(2000, (5, 8, 12, 24, 28, 29, 32, 33, 44, 48, 56, 65, 85, 88, 92,
+                            185, 232, 253), id="2000", marks=pytest.mark.highprec),
+    ])
+    def test_closed_form_against_sine_sum(self, digits, ds):
         # Every valid 1 < d <= 300: fundamental, d0 f^2 with E != 1 (45 =
         # 5 * 3^2) and squares, whose d0 is 1 (4, 9, ..., 289).
         ctx = PrecisionContext(digits=digits)
         with ctx.working():
-            for d in range(2, 301):
+            for d in ds:
                 if d % 4 in (0, 1):
                     assert abs(dirichlet_l2(d, ctx) - _sine_sum_l2(d, ctx)) < ctx.tol, d
 
@@ -320,7 +326,7 @@ class TestClassGroupOracle:
             forms = sorted((r.A, r.B, r.C) for r in (p.reduced() for p in inst.points))
             assert forms == _reduced_forms(d), inst.id
 
-    @pytest.mark.parametrize("digits", [40, 300])
+    @pytest.mark.parametrize("digits", [40, 300, pytest.param(1000, marks=pytest.mark.highprec)])
     def test_form_sum_against_trigamma(self, digits):
         ctx = PrecisionContext(digits=digits)
         for d in self.DS:
@@ -329,7 +335,7 @@ class TestClassGroupOracle:
             with ctx.working():
                 assert abs(got - want) < 10 * ctx.eps * want, d
 
-    @pytest.mark.parametrize("digits", [40, 300])
+    @pytest.mark.parametrize("digits", [40, 300, pytest.param(1000, marks=pytest.mark.highprec)])
     def test_correctly_rounded(self, digits):
         # L_d(2) against its own value at 40 more digits, rounded to ctx.
         ctx, wide = PrecisionContext(digits=digits), PrecisionContext(digits=digits + 40)

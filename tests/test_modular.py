@@ -610,7 +610,7 @@ class TestEulerSums:
                 assert _eta_e2_star(z, ctx)[0]._mpc_ == want._mpc_, z
             assert dedekind_eta(z, ctx)._mpc_ == want._mpc_, z
 
-    @pytest.mark.parametrize("digits", [40, 300])
+    @pytest.mark.parametrize("digits", [40, 300, pytest.param(1000, marks=pytest.mark.highprec)])
     def test_forms_against_sigma_oracles(self, digits):
         assert _sigma_oracle_mismatches(PrecisionContext(digits=digits)) == []
 
@@ -687,10 +687,15 @@ class TestEichlerIntegral:
         with pytest.raises(DomainError):
             re_eichler_closed_form(mpc("0.21", "0.9"), ctx30)
 
-    def test_unreduced_points_within_the_error_model(self):
+    @pytest.mark.parametrize("heights", [
+        pytest.param(("0.1", "0.03", "0.01", "0.003", "0.001"), id="to-1e-3"),
+        # n_max is 79k to 458k terms here, past numerics.KEPT_TERMS: every
+        # call sieves and sums on a table of its own.
+        pytest.param(("3e-4", "1e-4"), id="past-the-kept-table", marks=pytest.mark.highprec),
+    ])
+    def test_unreduced_points_within_the_error_model(self, heights):
         # The q-series at z itself, where the recurrence amplifies an error
         # most: 1/(1 - |q|)^2 is about 25000 at Im z = 0.001.
-        heights = ("0.1", "0.03", "0.01", "0.003", "0.001")
         for z, ratio in _eichler_error_ratios(heights, PrecisionContext(30), PrecisionContext(90)):
             assert ratio < 1, z
 

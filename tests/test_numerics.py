@@ -266,10 +266,11 @@ class TestZetaAndTrigamma:
             expected = mpmath.polygamma(1, mpf(x.numerator) / x.denominator)
             assert abs(value - expected) < ctx.eps * expected
 
-    @pytest.mark.parametrize("dps", [55, 1015, 2015])
+    @pytest.mark.parametrize("dps", [55, 1015, 2015,
+                                     pytest.param(4015, marks=pytest.mark.highprec)])
     def test_plan_from_tangent_numbers_matches_bernfrac(self, dps):
         # N, P and every scaled Bernoulli number, bit for bit: the plan of
-        # 40, 1000 and 2000 digits against the one from mpmath's bernfrac.
+        # 40, 1000, 2000 and 4000 digits against the one from mpmath's bernfrac.
         assert numerics._trigamma_plan(dps) == trigamma_plan_bernfrac(dps)
 
     def test_trigamma_domain(self, ctx40):

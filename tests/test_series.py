@@ -2,7 +2,6 @@
 
 import math
 import re
-import time
 from fractions import Fraction
 
 import mpmath
@@ -156,44 +155,32 @@ def _corpus_loops(ctx):
     return list(dict.fromkeys(loop for loops in _record_loops(ctx).values() for loop in loops))
 
 
-def _timed(runs, loops, ctx):
-    """([(value, count) per loop] per run, [CPU seconds per run])."""
-    results, seconds = [], []
-    for run in runs:
-        start = time.process_time()
-        results.append([run(*loop, ctx) for loop in loops])
-        seconds.append(time.process_time() - start)
-    return results, seconds
-
-
 def _plain_loop_mismatches(ctx):
-    """(mismatches, blocked_s, plain_s): the corpus loops that the plain
-    loop sums (not CRVZ) whose blocked sum and one-product-per-term sum
-    differ in K or in their bits rounded at ctx, and the CPU seconds each
-    loop took over all of them."""
+    """The corpus loops that the plain loop sums (not CRVZ) whose blocked sum
+    and one-product-per-term sum differ in K or in their bits rounded at ctx."""
     loops = [loop for loop in _corpus_loops(ctx) if not series._plan(*loop, ctx)[1]]
-    results, seconds = _timed((series._sum_linear_series, _plain_linear_series), loops, ctx)
     bad = []
-    with ctx.working():
-        for loop, (value, K), (plain, plain_K) in zip(loops, *results):
+    for loop in loops:
+        value, K = series._sum_linear_series(*loop, ctx)
+        plain, plain_K = _plain_linear_series(*loop, ctx)
+        with ctx.working():
             if K != plain_K or (+value)._mpf_ != (+plain)._mpf_:
                 bad.append((loop[3].tag, mpmath.nstr(loop[2], 8), K, plain_K))
-    return bad, seconds[0], seconds[1]
+    return bad
 
 
 def _crvz_against_plain(ctx):
-    """(rows, crvz_s, plain_s): (record id, n, K, |CRVZ - plain| / ctx.eps)
-    for each corpus loop summed by CRVZ in n terms, against the loop with
-    one product per term and its K, and the CPU seconds each took over all
-    of them."""
-    labelled = [(rid, loop) for rid, loops in _record_loops(ctx).items()
-                for loop in loops if series._plan(*loop, ctx)[1]]
-    loops = [loop for _, loop in labelled]
-    results, seconds = _timed((series._sum_linear_series, _plain_linear_series), loops, ctx)
-    with ctx.working():
-        rows = [(rid, n, K, abs(value - plain) / ctx.eps)
-                for (rid, _), (value, n), (plain, K) in zip(labelled, *results)]
-    return rows, seconds[0], seconds[1]
+    """(record id, n, K, |CRVZ - plain| / ctx.eps) for each corpus loop summed
+    by CRVZ in n terms, against the loop with one product per term and its K."""
+    rows = []
+    for rid, loops in _record_loops(ctx).items():
+        for loop in loops:
+            if series._plan(*loop, ctx)[1]:
+                value, n = series._sum_linear_series(*loop, ctx)
+                plain, K = _plain_linear_series(*loop, ctx)
+                with ctx.working():
+                    rows.append((rid, n, K, abs(value - plain) / ctx.eps))
+    return rows
 
 
 def _algorithm_1(n):
@@ -553,20 +540,22 @@ class TestBlocks:
 
 
 class TestBlockedAgainstPlainLoop:
-    @pytest.mark.parametrize("digits", [40, 300, 1000])
+    @pytest.mark.parametrize("digits", [40, 300, 1000,
+                                        pytest.param(2000, marks=pytest.mark.highprec)])
     def test_every_corpus_group(self, digits):
         # Same K and the same bits once rounded at ctx as the loop that pays
         # one full-width product per term, on every loop the plain loop sums.
-        bad, _, _ = _plain_loop_mismatches(PrecisionContext(digits=digits))
+        bad = _plain_loop_mismatches(PrecisionContext(digits=digits))
         assert not bad
 
 
 class TestCRVZ:
     G = series._BLOCK
 
-    @pytest.mark.parametrize("digits", [40, 300, 1000])
+    @pytest.mark.parametrize("digits", [40, 300, 1000,
+                                        pytest.param(4000, marks=pytest.mark.highprec)])
     def test_b6_and_c3_within_one_eps_of_the_plain_loop(self, digits):
-        rows, _, _ = _crvz_against_plain(PrecisionContext(digits=digits))
+        rows = _crvz_against_plain(PrecisionContext(digits=digits))
         assert [rid for rid, *_ in rows] == ["b6", "c3"]
         for rid, n, K, gap in rows:
             assert n < K and gap <= 1, (rid, n, K, gap)
@@ -854,10 +843,17 @@ class TestConstantsAgainstUnreducedOracle:
     LOW = [(mpc(x, y), level) for x, y in (("0.41", "0.02"), ("-0.38", "0.01"))
            for level in (2, 3, 4)]
 
-    @pytest.mark.parametrize("digits", [40, 100, 300])
-    def test_rows_and_low_points(self, digits):
+    @pytest.mark.parametrize("digits, points", [
+        pytest.param(40, ROWS + LOW, id="40"),
+        pytest.param(100, ROWS + LOW, id="100"),
+        pytest.param(300, ROWS + LOW, id="300"),
+        # The rows alone: at 1000 digits the oracle's q-series at a low point
+        # runs to 38000 terms, and the six cost eight times the 14 rows.
+        pytest.param(1000, ROWS, id="1000", marks=pytest.mark.highprec),
+    ])
+    def test_rows_and_low_points(self, digits, points):
         ctx = PrecisionContext(digits=digits)
-        for point, level in self.ROWS + self.LOW:
+        for point, level in points:
             z = point.to_point(ctx) if isinstance(point, CMPoint) else point
             got = series_constants_from_cm(z, level, ctx)
             want = _unreduced_constants(z, level, ctx)
@@ -941,8 +937,12 @@ class TestConstantsNearCusps:
     # alpha = 1/(1 + t) and m = s (1 + t)^2 / t from the eta quotient t: no
     # 1 - alpha is formed, so c1, c2 and m keep the working precision where
     # alpha rounds to 0 or 1, and none is refused there.
-    def test_grid_at_30_digits_against_120(self):
-        bad = _cusp_grid_mismatches(PrecisionContext(digits=30), PrecisionContext(digits=120))
+    @pytest.mark.parametrize("digits, ref", [
+        pytest.param(30, 120, id="30-120"),
+        pytest.param(300, 900, id="300-900", marks=pytest.mark.highprec),
+    ])
+    def test_grid_against_a_wider_run(self, digits, ref):
+        bad = _cusp_grid_mismatches(PrecisionContext(digits=digits), PrecisionContext(digits=ref))
         assert bad == []
 
 
