@@ -4,14 +4,29 @@ For every valid discriminant d (d = 1, or d = 0, 1 mod 4), chi(k) = (d/k) is
 a Dirichlet character mod |d| with chi(-1) = sign(d), so L_d(2) =
 sum_{k>=1} chi(k) / k^2 is a finite sum over residue classes:
 
-* d < 0 (odd character): with q = |d|, the trigamma values psi'(a/q) over
-  the units a mod q sum to J_2(q) zeta(2), J_2(q) = q^2 prod_{p | q}
-  (1 - p^-2): Hurwitz's sum_{a=1}^{q} zeta(2, a/q) = q^2 zeta(2) restricted
-  to (a, q) = 1. As chi(q - a) = -chi(a),
-  q^2 L_d(2) = J_2(q) zeta(2) - 2 sum_{0<a<q, chi(a)=-1} psi'(a/q),
-  which needs phi(q)/2 trigamma values, primitive chi or not. The trigamma
-  psi' from ``numerics`` is an integer fixed-point kernel; the sum runs ten
-  digits above the working precision and is rounded once;
+* d < 0 (odd character), q = |d|: chi(q - a) = -chi(a), so each unit pair
+  {a, q - a} enters once, with a < q/2, primitive chi or not, by one of two
+  sums, both ten digits above the working precision and rounded once:
+  - trigamma: the values psi'(a/q) over the units a mod q sum to
+    J_2(q) zeta(2), J_2(q) = q^2 prod_{p | q} (1 - p^-2) (Hurwitz's
+    sum_{a=1}^{q} zeta(2, a/q) = q^2 zeta(2) restricted to (a, q) = 1), so
+    q^2 L_d(2) = J_2(q) zeta(2) - 2 sum_{0<a<q, chi(a)=-1} psi'(a/q):
+    phi(q)/2 calls of the integer fixed-point kernel of ``numerics``, each
+    with its own Euler-Maclaurin tail, summed by fsum;
+  - character moments: with h_a = a/q - 1/2 and Z_s = zeta(s, K + 1/2),
+    Taylor's series psi'(K + 1/2 + h) = sum_j (-1)^j (j+1) Z_{j+2} h^j,
+    |h| < 1/2 < K + 1/2, gives
+    q^2 L_d(2) = sum_{a unit} chi(a) sum_{n<K} q^2/(a+nq)^2
+                 - sum_{j odd} (j+1) mu_j Z_{j+2},  mu_j = sum_a chi(a) h_a^j,
+    whose terms shrink like (2K+1)^-j; the even moments vanish. K direct
+    terms per pair and the exact integer moments up to J, in integer fixed
+    point, and one table of Z_s per precision (``numerics._hurwitz_plan``)
+    for every d.
+  ``dirichlet_l2`` takes the sum that the two plans count as fewer
+  fixed-point operations for q (``numerics._moment_cost`` against phi(q)/2
+  times ``numerics._trigamma_cost``). The moments' fixed work decides only
+  for one pair: q = 3 and 4 stay on trigamma below about 90 digits and take
+  the moments from about 110, every other q takes the moments;
 * d > 0 (even character): d = d0 f^2 with d0 the fundamental discriminant
   (1 for square d), and chi_d is chi_{d0} with the primes of f removed. The
   functional equation with tau(chi) = sqrt(d0) and L(-1, chi) = -B_{2,chi}/2
@@ -25,12 +40,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import add, floordiv, mul
 
 import mpmath
-from mpmath import mpf
+from mpmath import libmp, mp, mpf
 
-from .numerics import (MAX_TERMS, DomainError, PrecisionContext, _is_squarefree,
-                       _square_part, trigamma, zeta_int)
+from .numerics import (MAX_TERMS, DomainError, PrecisionContext, _hurwitz_plan,
+                       _is_squarefree, _moment_cost, _square_part, _trigamma_cost,
+                       trigamma, zeta_int)
+
+# Residues per block of the moment sums: the lists of one block bound the
+# memory, whatever |d|.
+_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -105,17 +127,37 @@ def dirichlet_l2(d, ctx: PrecisionContext) -> mpf:
     d must be below 10^12, where ``_square_part`` finds d0 exactly. Raises
     DomainError if the residues a branch reads, d0 or |d|, exceed MAX_TERMS.
 
-    For d < 0, with q = |d|, q^2 L_d(2) = J_2(q) zeta(2) - 2 sum_{chi(a)=-1}
-    psi'(a/q) over the units a mod q: phi(q)/2 trigamma values, the member
-    with chi = -1 of each pair {a, q - a} read off chi(a) for a < q/2. The
-    sum runs at ctx.bumped(), whose precision P' is 33 or more bits above
-    ctx's: each psi' is within 1/16 + sqrt(2) < 1.5 ulps of 2^-P' (its
+    For d < 0, with q = |d|, one of the two sums of the module docstring, by
+    the cost rule there; both run at ctx.bumped(), whose precision P' is 33
+    or more bits above ctx's, and both use L_d(2) >= zeta(4)/zeta(2) =
+    pi^2/15, true of every real character.
+
+    Trigamma: q^2 L_d(2) = J_2(q) zeta(2) - 2 sum_{chi(a)=-1} psi'(a/q) over
+    the units a mod q, the member with chi = -1 of each pair read off chi(a)
+    for a < q/2. Each psi' is within 1/16 + sqrt(2) < 1.5 ulps of 2^-P' (its
     rounding and its Euler-Maclaurin remainder), and the fsum, J_2(q) zeta(2)
     and the difference add 1, 5 and 1 relative ulps. With 2 sum psi' <
-    J_2(q) zeta(2) <= q^2 zeta(2) and L_d(2) >= zeta(4)/zeta(2) = pi^2/15 for
-    every real character, that is under 17 ulps of L_d(2) at P'. Divided by
-    q^2 and rounded once to ctx, L_d(2) is correctly rounded unless it lies
-    within 2^-28 ulps of a rounding boundary.
+    J_2(q) zeta(2) <= q^2 zeta(2), that is under 17 ulps of L_d(2) at P'.
+    Divided by q^2 and rounded once to ctx, L_d(2) is correctly rounded
+    unless it lies within 2^-28 ulps of a rounding boundary.
+
+    Moments: with b = q - 2a for 0 < a < q/2, the pair's direct terms join
+    as q^2/(a+nq)^2 - q^2/((n+1)q-a)^2 = q^3 b (2n+1) / (a(q-a) + n(n+1)q^2)^2,
+    and m_i = sum chi(a) b^(2i+1), mu_j = -2 m_j / (2q)^j, j = 2i+1, so
+    q^2 L_d(2) = sum_a chi(a) sum_{n<K} q^3 b (2n+1) / (...)^2
+                 + (1/q) sum_{i<=(J-1)/2} (2i+2) m_i Z_{2i+3} / (4q^2)^i,
+    the tail summed by Horner's rule in 1/(4q^2). Everything is a Python int
+    scaled by 2^P, P = P' plus the plan's guard bits, over blocks of _CHUNK
+    residues, so memory does not grow with q. In ulps of 2^-P: K floors per
+    pair; each Z_s within 1.1 N + 1.5 (``numerics._hurwitz_plan``), weighted
+    by (j+1) |mu_j| <= (j+1) phi(q) 2^-j, which sums to 16/9 phi(q); the
+    moments past J under phi(q) (``numerics._last_moment``); the Horner
+    floors under 2. That is under phi(q) (K/2 + 2N + 4) + 2, which against
+    q^2 L_d(2) >= 0.65 q^2 and q >= 3 is under K/2 + 2N + 4 <= 2 dps + 6
+    relative ulps (the plan checks the bound), so the guard bits make it
+    2^-4 ulps of 2^-P'. The exact quotient of the sum by q^2 2^P is rounded
+    once to ctx, so L_d(2) is correctly rounded unless it lies within 2^-37
+    ulps of a rounding boundary.
     """
     if isinstance(d, Discriminant):
         d = d.d
@@ -141,6 +183,24 @@ def dirichlet_l2(d, ctx: PrecisionContext) -> mpf:
             r *= 1 - Fraction(kronecker_symbol(d0, p), p * p)
         with ctx.working():
             return zeta_int(2, ctx) * r.numerator / (r.denominator * mpmath.sqrt(d0))
+    return _moment_l2(d, ctx) if _moments_cost_less(q, ctx) else _trigamma_l2(d, ctx)
+
+
+def _moments_cost_less(q: int, ctx: PrecisionContext) -> bool:
+    """Whether the moment sum over the phi(q)/2 unit pairs {a, q - a} costs
+    fewer fixed-point operations than phi(q)/2 trigamma calls at
+    ctx.bumped(), by the two plans' counts."""
+    phi = q
+    for p in _prime_divisors(q):
+        phi = phi // p * (p - 1)
+    dps = ctx.bumped().dps
+    return _moment_cost(dps, phi // 2) < phi // 2 * _trigamma_cost(dps)
+
+
+def _trigamma_l2(d: int, ctx: PrecisionContext) -> mpf:
+    """L_d(2), d = -q < 0, from q^2 L_d(2) = J_2(q) zeta(2) - 2 sum_{chi(a)=-1}
+    psi'(a/q) (``dirichlet_l2``)."""
+    q = -d
     wide, j2, terms = ctx.bumped(), q * q, []
     for p in _prime_divisors(q):
         j2 = j2 // (p * p) * (p * p - 1)
@@ -152,3 +212,33 @@ def dirichlet_l2(d, ctx: PrecisionContext) -> mpf:
         total = zeta_int(2, wide) * j2 - 2 * mpmath.fsum(terms)
     with ctx.working():
         return total / (q * q)
+
+
+def _moment_l2(d: int, ctx: PrecisionContext) -> mpf:
+    """L_d(2), d = -q < 0, from K direct terms per unit pair and the character
+    moments m_i = sum_{0<a<q/2} chi(a) (q - 2a)^(2i+1) (``dirichlet_l2``)."""
+    q = -d
+    k, _, prec, zs = _hurwitz_plan(ctx.bumped().dps)
+    qqq, half = q**3 << prec, (q + 1) // 2
+    direct, moments = 0, [0] * len(zs)
+    for start in range(1, half, _CHUNK):
+        units = [(a, chi) for a in range(start, min(start + _CHUNK, half))
+                 if (chi := kronecker_symbol(d, a))]
+        signed = [chi * (q - 2 * a) for a, chi in units]
+        bases = [a * (q - a) for a, _ in units]
+        for n in range(k):  # (nq + a)((n+1)q - a) = a(q - a) + n(n+1) q^2
+            t = list(map(add, bases, repeat(n * (n + 1) * q * q)))
+            direct += sum(map(floordiv, map(mul, signed, repeat((2 * n + 1) * qqq)),
+                              map(mul, t, t)))
+        squares = [x * x for x in signed]
+        for i in range(len(zs)):
+            moments[i] += sum(signed)
+            signed = list(map(mul, signed, squares))
+    h, qq4 = 0, 4 * q * q
+    for i in range(len(zs) - 1, -1, -1):
+        h = h // qq4 + (2 * i + 2) * moments[i] * zs[i]
+    total = direct + h // q
+    with ctx.working():
+        value = libmp.mpf_div(libmp.from_int(total), libmp.from_int(q * q), mp.prec,
+                              libmp.round_nearest)
+        return mp.make_mpf(libmp.mpf_shift(value, -prec))

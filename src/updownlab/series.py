@@ -40,7 +40,7 @@ from .modular import alpha_n, legendre_ramanujan_r  # noqa: F401 (perfbench trac
 class SeriesFamily(enum.Enum):
     """Denominator family. denom(k-1) / denom(k) = k^3 / den_k with
     den_k = c (2k-1)(ak-1)(ak-a+1); ``scale`` = 2 c a^2 is the growth rate
-    of the denominator."""
+    of the denominator, and ``den1`` = den_1 = c (a-1) heads every plan."""
 
     CENTRAL3 = ("CENTRAL3", 8, 2)
     C2X3K = ("C2x3K", 6, 3)
@@ -51,6 +51,7 @@ class SeriesFamily(enum.Enum):
         self.c = c
         self.a = a
         self.scale = 2 * c * a * a
+        self.den1 = self.ratio(1)[1]
 
     def ratio(self, k: int) -> Tuple[int, int]:
         """denom(k-1) / denom(k) as the exact small-integer pair (k^3, den_k),
@@ -154,7 +155,7 @@ def _term_count(r: float, gap: float, a1: float, a2: float,
         # |s_1| = r scale / den_1. The right side grows with K, so the
         # steps rise to its least fixed point and stop there.
         rate = -math.log(r) if r < 0.5 else -math.log1p(-gap)
-        top = (math.log(big) + math.log(family.scale / family.ratio(1)[1])
+        top = (math.log(big) + math.log(family.scale / family.den1)
                + ctx.dps * math.log(10) - rate)
         w1, w0 = lin / big, const / big
         last = 0
@@ -171,7 +172,7 @@ def _crvz_count(r: float, a1: float, a2: float, family: SeriesFamily,
     |s_1| = r scale / den_1, is at most ctx.eps (see _sum_linear_series), in
     floats, plus one term for their rounding. OverflowError when the floats
     cannot hold it."""
-    head = 2 * r * family.scale / family.ratio(1)[1] * (a1 + a2)
+    head = 2 * r * family.scale / family.den1 * (a1 + a2)
     if not head:
         return 1
     return max(0, math.ceil((math.log(head) + ctx.dps * math.log(10)) / _CRVZ_RATE)) + 1
@@ -182,17 +183,30 @@ def _is_real(*values) -> bool:
     return mpc not in map(type, values)
 
 
+def _magnitude(v, prec: int):
+    """|v| of an mpf or mpc rounded to nearest at prec bits, as a raw mpf:
+    the value of abs(v) at that working precision."""
+    if isinstance(v, mpc):
+        return libmp.mpc_abs(v._mpc_, prec, libmp.round_nearest)
+    return libmp.mpf_abs(v._mpf_, prec, libmp.round_nearest)
+
+
 def _plan(c1, c2, m, family: SeriesFamily, ctx: PrecisionContext):
     """(terms, crvz, P) of _sum_linear_series: the term count, whether the
-    loop sums by CRVZ, and the bits of its fixed point."""
-    with ctx.working():
-        r = abs(m) / family.scale
-        if r >= 1:
-            raise DomainError(f"series diverges: |m|/{family.scale} = {float(r)}")
-        exact = (r, 1 - r, abs(c1), abs(c2), abs(m))
-        r, gap, a1, a2, am = plan = [float(v) for v in exact]
-        underflow = any(v and not f for f, v in zip(plan, exact))
-        base = libmp.dps_to_prec(ctx.bumped().dps)
+    loop sums by CRVZ, and the bits of its fixed point. The floats of the
+    plan are r = |m| / scale, 1 - r, |c1|, |c2| and |m|, each rounded to
+    nearest at ctx's working precision and then to a float, on raw mpf
+    tuples: no working context is entered and no mpf is made."""
+    prec, nearest = libmp.dps_to_prec(ctx.dps), libmp.round_nearest
+    am = _magnitude(m, prec)
+    r = libmp.mpf_div(am, libmp.from_int(family.scale), prec, nearest)
+    if libmp.mpf_cmp(r, libmp.fone) >= 0:
+        raise DomainError(f"series diverges: |m|/{family.scale} = {libmp.to_float(r, rnd=nearest)}")
+    exact = (r, libmp.mpf_sub(libmp.fone, r, prec, nearest), _magnitude(c1, prec),
+             _magnitude(c2, prec), am)
+    r, gap, a1, a2, am = plan = [libmp.to_float(v, rnd=nearest) for v in exact]
+    underflow = any(v != libmp.fzero and not f for f, v in zip(plan, exact))
+    base = libmp.dps_to_prec(ctx.bumped().dps)
     crvz = False
     try:
         if underflow:

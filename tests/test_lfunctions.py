@@ -277,8 +277,40 @@ class TestDirichletL2:
         with ctx.working():
             assert dirichlet_l2(d, ctx) == +want
 
-    @pytest.mark.parametrize("d", [-4, -111, -116])
+    @pytest.mark.parametrize("d", [-3, -4])
     def test_trigamma_runs_on_half_the_units(self, d, monkeypatch):
+        # One unit pair: the cost rule keeps q = 3 and 4 on trigamma at 20
+        # and 40 digits, one call each, the member of the pair with chi = -1.
+        minus = Fraction(2, 3) if d == -3 else Fraction(3, 4)
+        for digits in (20, 40):
+            assert self._trigamma_calls(d, digits, monkeypatch) == [minus]
+
+    @pytest.mark.parametrize("d", [-111, -116])
+    def test_moment_path_calls_no_trigamma(self, d, monkeypatch):
+        for digits in (20, 40, 300):
+            assert self._trigamma_calls(d, digits, monkeypatch) == []
+
+    def test_every_odd_d_takes_the_path_of_the_rule(self, monkeypatch):
+        # Each odd d from -300 to -3 at 20 and 40 digits: phi(q)/2 trigamma
+        # calls, all with chi = -1, where the rule keeps d on trigamma, and
+        # none where it takes the moments, as every q >= 5 does there.
+        for digits in (20, 40):
+            kept = []
+            for d in range(-3, -301, -1):
+                if d % 4 not in (0, 1):
+                    continue
+                calls = self._trigamma_calls(d, digits, monkeypatch)
+                if lfunctions._moments_cost_less(-d, PrecisionContext(digits)):
+                    assert calls == [], d
+                    continue
+                kept.append(d)
+                units = sum(math.gcd(a, -d) == 1 for a in range(1, -d))
+                assert len(calls) == units // 2, d
+                assert all(kronecker_symbol(d, x.numerator) == -1 for x in calls), d
+            assert kept == [-3, -4]
+
+    @staticmethod
+    def _trigamma_calls(d, digits, monkeypatch):
         calls = []
 
         def counted(x, ctx):
@@ -286,11 +318,42 @@ class TestDirichletL2:
             return trigamma(x, ctx)
 
         monkeypatch.setattr(lfunctions, "trigamma", counted)
-        dirichlet_l2(d, PrecisionContext(digits=20))
-        q = -d
-        units = sum(math.gcd(a, q) == 1 for a in range(1, q))
-        assert len(calls) == units // 2
-        assert all(kronecker_symbol(d, x.numerator) == -1 for x in calls)
+        dirichlet_l2(d, PrecisionContext(digits=digits))
+        monkeypatch.undo()
+        return calls
+
+    @pytest.mark.parametrize("digits, ds", [
+        pytest.param(40, range(-3, -301, -1), id="40"),
+        pytest.param(300, range(-3, -301, -1), id="300"),
+        pytest.param(2000, _corpus_odd_discriminants(), id="2000",
+                     marks=pytest.mark.highprec),
+        pytest.param(4000, [-116], id="4000", marks=pytest.mark.highprec),
+    ])
+    def test_moment_and_trigamma_paths_agree(self, digits, ds):
+        # Both private kernels, each rounded once to ctx, give the same mpf for
+        # every odd d from -300 to -3 at 40 and 300 digits, and for the corpus's
+        # odd d at 2000 digits and d = -116 at 4000.
+        ctx = PrecisionContext(digits=digits)
+        for d in ds:
+            if d % 4 in (0, 1):
+                assert lfunctions._moment_l2(d, ctx) == lfunctions._trigamma_l2(d, ctx), d
+
+    def test_moment_memory_does_not_grow_with_q(self):
+        # The moment sums run over blocks of _CHUNK residues: the peak of
+        # q = 10007 (5003 unit pairs) stays within twice that of q = 1019.
+        # One list of all the pairs' trigamma values grew 9.6-fold here.
+        code = ("import tracemalloc\n"
+                "from updownlab import PrecisionContext, dirichlet_l2, numerics\n"
+                "ctx = PrecisionContext(40)\n"
+                "numerics._hurwitz_plan(ctx.bumped().dps)\n"
+                "peaks = []\n"
+                "for d in (-1019, -10007):\n"
+                "    tracemalloc.start()\n"
+                "    dirichlet_l2(d, ctx)\n"
+                "    peaks.append(tracemalloc.get_traced_memory()[1])\n"
+                "    tracemalloc.stop()\n"
+                "print(peaks[1] <= 2 * peaks[0], peaks)")
+        assert run_bounded("-c", code).stdout.startswith("True")
 
     def test_more_residues_than_max_terms(self):
         # |d| = 10^7 + 3 residues, over MAX_TERMS, raise before any trigamma.

@@ -273,6 +273,30 @@ class TestZetaAndTrigamma:
         # 40, 1000, 2000 and 4000 digits against the one from mpmath's bernfrac.
         assert numerics._trigamma_plan(dps) == trigamma_plan_bernfrac(dps)
 
+    @pytest.mark.parametrize("dps", [35, 65, 325, pytest.param(1025, marks=pytest.mark.highprec)])
+    def test_hurwitz_plan_within_its_ulps(self, dps):
+        # Each Z_s = zeta(s, K + 1/2) of the moment plan within the 1.1 N + 1.5
+        # ulps of 2^-P that its docstring counts, against mpmath's Hurwitz zeta
+        # 20 digits higher; 65 dps is corpus-40's, 35 the least ctx.bumped().
+        k, n, prec, zs = numerics._hurwitz_plan(dps)
+        assert (k, 2 * len(zs) - 1, prec) == numerics._moment_order(dps)
+        with mpmath.workdps(dps + 20):
+            x, ulp = k + mpf(1) / 2, mpmath.ldexp(1, -prec)
+            for i, z in enumerate(zs):
+                err = abs(mpmath.ldexp(z, -prec) - mpmath.zeta(2 * i + 3, x))
+                assert err < (1.1 * n + 1.5) * ulp, 2 * i + 3
+
+    def test_hurwitz_plan_is_built_on_first_use(self):
+        # Lazily: importing the package builds no plan; an odd L_d(2) on the
+        # moments builds the moment plan of its precision and no trigamma
+        # plan, which the cost rule counts without building.
+        code = ("from updownlab import PrecisionContext, dirichlet_l2, numerics\n"
+                "plans = (numerics._hurwitz_plan, numerics._trigamma_plan)\n"
+                "print([p.cache_info().currsize for p in plans])\n"
+                "dirichlet_l2(-116, PrecisionContext(40))\n"
+                "print([p.cache_info().currsize for p in plans])")
+        assert run_bounded("-c", code).stdout == "[0, 0]\n[1, 0]\n"
+
     def test_trigamma_domain(self, ctx40):
         with pytest.raises(DomainError):
             trigamma(Fraction(3, 2), ctx40)
