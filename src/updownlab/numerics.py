@@ -138,21 +138,19 @@ def _as_fraction(x: RationalLike) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
-@dataclass(frozen=True)
 class QuadraticNumber:
-    """Exact a + b*sqrt(D) with rational a, b and squarefree D >= 1.
+    """Exact a + b*sqrt(D) with rational a, b and squarefree D >= 1, held as
+    ints (p + r*sqrt(D)) / den in lowest terms, den > 0; a, b read as Fractions.
 
     b == 0 is normalized to D == 1, so plain rationals mix with any radicand.
-    Arithmetic between two genuinely irrational values requires equal D.
+    Arithmetic between two genuinely irrational values requires equal D. Only
+    the constructor tests D: arithmetic is integer products and one gcd.
     """
 
-    a: Fraction
-    b: Fraction
-    D: int
+    __slots__ = ("_p", "_r", "_den", "_D", "_hash")
 
     def __init__(self, a: RationalLike = 0, b: RationalLike = 0, D: int = 1):
-        a = _as_fraction(a)
-        b = _as_fraction(b)
+        a, b = _as_fraction(a), _as_fraction(b)
         if D < 1:
             raise ValueError(f"radicand must be >= 1, got {D}")
         if b == 0:
@@ -161,33 +159,29 @@ class QuadraticNumber:
             a, b = a + b, Fraction(0)
         elif not _is_squarefree(D):
             raise ValueError(f"radicand must be squarefree, got {D}")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "D", D)
+        den = math.lcm(a.denominator, b.denominator)
+        self._p, self._r = a.numerator * den // a.denominator, b.numerator * den // b.denominator
+        self._den, self._D, self._hash = den, D, None
+
+    a = property(lambda self: Fraction(self._p, self._den))
+    b = property(lambda self: Fraction(self._r, self._den))
+    D = property(lambda self: self._D)
 
     # -- helpers -----------------------------------------------------------
 
     @property
     def is_rational(self) -> bool:
-        return self.b == 0
+        return self._r == 0
 
     def _coerce(self, other) -> "QuadraticNumber":
-        if isinstance(other, QuadraticNumber):
-            return other
         if isinstance(other, (int, Fraction)):
-            return QuadraticNumber(other)
-        return NotImplemented
+            return _quadratic(other.numerator, 0, other.denominator, 1)
+        return other if isinstance(other, QuadraticNumber) else NotImplemented
 
     def _common_d(self, other: "QuadraticNumber") -> int:
-        if self.is_rational:
-            return other.D
-        if other.is_rational:
-            return self.D
-        if self.D != other.D:
-            raise MixedRadicandError(
-                f"cannot combine sqrt({self.D}) with sqrt({other.D})"
-            )
-        return self.D
+        if self._r and other._r and self._D != other._D:
+            raise MixedRadicandError(f"cannot combine sqrt({self._D}) with sqrt({other._D})")
+        return self._D if self._r else other._D
 
     # -- ring operations ---------------------------------------------------
 
@@ -195,19 +189,17 @@ class QuadraticNumber:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        D = self._common_d(other)
-        return QuadraticNumber(self.a + other.a, self.b + other.b, D)
+        D, d, e = self._common_d(other), self._den, other._den
+        return _quadratic(self._p * e + other._p * d, self._r * e + other._r * d, d * e, D)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadraticNumber(-self.a, -self.b, self.D)
+        return _quadratic(-self._p, -self._r, self._den, self._D)
 
     def __sub__(self, other):
         other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return NotImplemented if other is NotImplemented else self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -216,29 +208,27 @@ class QuadraticNumber:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        D = self._common_d(other)
-        return QuadraticNumber(
-            self.a * other.a + self.b * other.b * D,
-            self.a * other.b + self.b * other.a,
-            D,
-        )
+        D, p, r, s, t = self._common_d(other), self._p, self._r, other._p, other._r
+        return _quadratic(p * s + r * t * D, p * t + r * s, self._den * other._den, D)
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "QuadraticNumber":
-        return QuadraticNumber(self.a, -self.b, self.D)
+        return _quadratic(self._p, -self._r, self._den, self._D)
 
     def norm(self) -> Fraction:
-        return self.a * self.a - self.b * self.b * self.D
+        return Fraction(self._p * self._p - self._r * self._r * self._D, self._den * self._den)
 
     def __truediv__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        n = other.norm()
+        s, t, e = other._p, other._r, other._den
+        n = s * s - t * t * other._D
         if n == 0:
             raise ZeroDivisionError("division by zero quadratic number")
-        return self * other.conjugate() * QuadraticNumber(Fraction(1, 1) / n)
+        D, p, r = self._common_d(other), self._p, self._r
+        return _quadratic((p * s - r * t * D) * e, (r * s - p * t) * e, self._den * n, D)
 
     def __rtruediv__(self, other):
         return QuadraticNumber(other) / self
@@ -246,8 +236,7 @@ class QuadraticNumber:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("only nonnegative integer powers are supported")
-        result = QuadraticNumber(1)
-        base = self
+        result, base = QuadraticNumber(1), self
         while n:
             if n & 1:
                 result = result * base
@@ -255,8 +244,21 @@ class QuadraticNumber:
             n >>= 1
         return result
 
+    def __eq__(self, other):
+        if other.__class__ is not QuadraticNumber:
+            return NotImplemented
+        return (self._p, self._r, self._den, self._D) == (other._p, other._r, other._den, other._D)
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((self.a, self.b, self._D))
+        return self._hash
+
     def __bool__(self) -> bool:
-        return self.a != 0 or self.b != 0
+        return bool(self._p or self._r)
+
+    def __repr__(self) -> str:
+        return f"QuadraticNumber(a={self.a!r}, b={self.b!r}, D={self._D})"
 
     def __str__(self) -> str:
         if self.is_rational:
@@ -264,24 +266,52 @@ class QuadraticNumber:
         return f"{self.a} + {self.b}*sqrt({self.D})"
 
 
-def embed_quadratic(q: QuadraticNumber, ctx: PrecisionContext) -> mpf:
-    """Evaluate a + b*sqrt(D) with the positive square root, to a few ulps.
+def _quadratic(p: int, r: int, den: int, D: int) -> QuadraticNumber:
+    """(p + r*sqrt(D)) / den in lowest terms, den != 0, D tested already."""
+    g = -math.gcd(p, r, den) if den < 0 else math.gcd(p, r, den)
+    q = object.__new__(QuadraticNumber)
+    q._p, q._r, q._den, q._D, q._hash = p // g, r // g, den // g, D if r else 1, None
+    return q
 
-    Values such as (1121 - 338*sqrt(11))^4 have huge exactly-known a and b
-    whose embeddings nearly cancel. When a and b have opposite signs, the
-    value is therefore taken as the exact rational norm a^2 - b^2 D over
-    the conjugate a - b*sqrt(D), whose two terms have the same sign, so no
-    digits cancel at any size of a and b.
+
+_NEAREST = libmp.round_nearest
+
+
+@lru_cache(maxsize=32)
+def _sqrt_bits(D: int, prec: int) -> tuple:
+    """sqrt(D) rounded to prec bits, a raw mpf kept per precision as mpmath's pi."""
+    return libmp.mpf_sqrt(libmp.from_int(D), prec, _NEAREST)
+
+
+def _quotient(n: int, d: int, prec: int) -> tuple:
+    """The raw mpf of mpf(n') / d' at prec bits, for n'/d' = n/d in lowest
+    terms: n' rounded to nearest, then its quotient by the exact d' too."""
+    g = math.gcd(n, d)
+    x = libmp.from_int(n // g, prec, _NEAREST)
+    return x if d == g else libmp.mpf_div(x, libmp.from_int(d // g), prec, _NEAREST)
+
+
+def embed_quadratic(q: QuadraticNumber, ctx: PrecisionContext) -> mpf:
+    """a + b*sqrt(D), positive root, at ctx's working precision of P bits, on
+    raw mpf tuples with no context entered: a and b as ``_quotient`` rounds
+    them, b sqrt(D) and a + b each rounded to nearest. Values such as
+    (1121 - 338*sqrt(11))^4 have huge exactly-known a and b whose embeddings
+    nearly cancel. When a and b have opposite signs, the value is therefore
+    the exact norm a^2 - b^2 D, rounded as a is, over the conjugate
+    a - b*sqrt(D), whose two terms have the same sign, so no digits cancel.
+    No part passes more than 5 roundings (8 on the norm route), each off by
+    under 2^-P relative, so the value is within 5 ulps (8 on that route).
     """
-    with ctx.working():
-        a = mpf(q.a.numerator) / q.a.denominator
-        if not q.b:
-            return a
-        b = (mpf(q.b.numerator) / q.b.denominator) * mpmath.sqrt(q.D)
-        if q.a * q.b >= 0:
-            return a + b
-        norm = q.norm()
-        return (mpf(norm.numerator) / norm.denominator) / (a - b)
+    prec = libmp.dps_to_prec(ctx.dps)
+    p, r, den = q._p, q._r, q._den
+    a = _quotient(p, den, prec)
+    if not r:
+        return mp.make_mpf(a)
+    b = libmp.mpf_mul(_quotient(r, den, prec), _sqrt_bits(q._D, prec), prec, _NEAREST)
+    if p * r >= 0:
+        return mp.make_mpf(libmp.mpf_add(a, b, prec, _NEAREST))
+    norm = _quotient(p * p - r * r * q._D, den * den, prec)
+    return mp.make_mpf(libmp.mpf_div(norm, libmp.mpf_sub(a, b, prec, _NEAREST), prec, _NEAREST))
 
 
 def to_fixed(x, prec: int) -> Tuple[int, int]:
@@ -303,11 +333,11 @@ class QuadExpr:
     den: QuadraticNumber = QuadraticNumber(1)
 
     def embed(self, ctx: PrecisionContext) -> mpf:
-        with ctx.working():
-            d = embed_quadratic(self.den, ctx)
-            if d == 0:
-                raise ZeroDivisionError("zero denominator in QuadExpr")
-            return embed_quadratic(self.num, ctx) / d
+        d = embed_quadratic(self.den, ctx)
+        if not d:
+            raise ZeroDivisionError("zero denominator in QuadExpr")
+        n = embed_quadratic(self.num, ctx)._mpf_
+        return mp.make_mpf(libmp.mpf_div(n, d._mpf_, libmp.dps_to_prec(ctx.dps), _NEAREST))
 
     def __str__(self) -> str:
         if self.den == QuadraticNumber(1):

@@ -3,13 +3,16 @@ library value by an independent route, so a test can compare the two."""
 
 import math
 import sys
+from dataclasses import dataclass
+from fractions import Fraction
 from typing import NamedTuple, Tuple
 
 import mpmath
 from mpmath import libmp, mp, mpc, mpf
 
 from updownlab.modular import _LEVELS, _as_mpc, _check_nu, _frac_mpf, _off_branch_point
-from updownlab.numerics import DomainError, PrecisionContext
+from updownlab.numerics import (DomainError, MixedRadicandError, PrecisionContext, RationalLike,
+                                _as_fraction, _is_squarefree)
 
 
 def legendre_p_quadrature(nu, t, ctx: PrecisionContext) -> mpc:
@@ -151,3 +154,161 @@ def trigamma_plan_bernfrac(dps: int):
             return n, prec, tuple((b << prec) // c for b, c in reversed(coeffs))
         coeffs.append((p, q))
     raise RuntimeError(f"no Euler-Maclaurin order reaches 10^-{dps} with N = {n}")
+
+
+@dataclass(frozen=True)
+class FractionQuadratic:
+    """Oracle for ``numerics.QuadraticNumber``: exact a + b*sqrt(D) with
+    Fraction a, b and squarefree D >= 1, each result built by the public
+    constructor, which tests D again.
+
+    b == 0 is normalized to D == 1, so plain rationals mix with any radicand.
+    Arithmetic between two genuinely irrational values requires equal D.
+    """
+
+    a: Fraction
+    b: Fraction
+    D: int
+
+    def __init__(self, a: RationalLike = 0, b: RationalLike = 0, D: int = 1):
+        a = _as_fraction(a)
+        b = _as_fraction(b)
+        if D < 1:
+            raise ValueError(f"radicand must be >= 1, got {D}")
+        if b == 0:
+            D = 1
+        elif D == 1:
+            a, b = a + b, Fraction(0)
+        elif not _is_squarefree(D):
+            raise ValueError(f"radicand must be squarefree, got {D}")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "D", D)
+
+    # -- helpers -----------------------------------------------------------
+
+    @property
+    def is_rational(self) -> bool:
+        return self.b == 0
+
+    def _coerce(self, other) -> "FractionQuadratic":
+        if isinstance(other, FractionQuadratic):
+            return other
+        if isinstance(other, (int, Fraction)):
+            return FractionQuadratic(other)
+        return NotImplemented
+
+    def _common_d(self, other: "FractionQuadratic") -> int:
+        if self.is_rational:
+            return other.D
+        if other.is_rational:
+            return self.D
+        if self.D != other.D:
+            raise MixedRadicandError(
+                f"cannot combine sqrt({self.D}) with sqrt({other.D})"
+            )
+        return self.D
+
+    # -- ring operations ---------------------------------------------------
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        D = self._common_d(other)
+        return FractionQuadratic(self.a + other.a, self.b + other.b, D)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return FractionQuadratic(-self.a, -self.b, self.D)
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        D = self._common_d(other)
+        return FractionQuadratic(
+            self.a * other.a + self.b * other.b * D,
+            self.a * other.b + self.b * other.a,
+            D,
+        )
+
+    __rmul__ = __mul__
+
+    def conjugate(self) -> "FractionQuadratic":
+        return FractionQuadratic(self.a, -self.b, self.D)
+
+    def norm(self) -> Fraction:
+        return self.a * self.a - self.b * self.b * self.D
+
+    def __truediv__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        n = other.norm()
+        if n == 0:
+            raise ZeroDivisionError("division by zero quadratic number")
+        return self * other.conjugate() * FractionQuadratic(Fraction(1, 1) / n)
+
+    def __rtruediv__(self, other):
+        return FractionQuadratic(other) / self
+
+    def __pow__(self, n: int):
+        if not isinstance(n, int) or n < 0:
+            raise ValueError("only nonnegative integer powers are supported")
+        result = FractionQuadratic(1)
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
+    def __bool__(self) -> bool:
+        return self.a != 0 or self.b != 0
+
+    def __str__(self) -> str:
+        if self.is_rational:
+            return str(self.a)
+        return f"{self.a} + {self.b}*sqrt({self.D})"
+
+
+def embed_quadratic_mpf(q: FractionQuadratic, ctx: PrecisionContext) -> mpf:
+    """Oracle for ``numerics.embed_quadratic``: the same rounding sequence on
+    mpf objects inside ctx's working context. It evaluates a + b*sqrt(D) with
+    the positive square root.
+
+    Values such as (1121 - 338*sqrt(11))^4 have huge exactly-known a and b
+    whose embeddings nearly cancel. When a and b have opposite signs, the
+    value is therefore taken as the exact rational norm a^2 - b^2 D over
+    the conjugate a - b*sqrt(D), whose two terms have the same sign, so no
+    digits cancel at any size of a and b.
+    """
+    with ctx.working():
+        a = mpf(q.a.numerator) / q.a.denominator
+        if not q.b:
+            return a
+        b = (mpf(q.b.numerator) / q.b.denominator) * mpmath.sqrt(q.D)
+        if q.a * q.b >= 0:
+            return a + b
+        norm = q.norm()
+        return (mpf(norm.numerator) / norm.denominator) / (a - b)
+
+
+def embed_quad_expr_mpf(num: FractionQuadratic, den: FractionQuadratic,
+                        ctx: PrecisionContext) -> mpf:
+    """Oracle for ``numerics.QuadExpr.embed``: the quotient of the two
+    mpf-path embeddings, rounded in ctx's working context."""
+    with ctx.working():
+        return embed_quadratic_mpf(num, ctx) / embed_quadratic_mpf(den, ctx)

@@ -525,8 +525,11 @@ class TestGoldenOutputs:
     the file with that command and names the moved fields."""
 
     @pytest.mark.parametrize("name, argv", [
+        ("verify_all_10.json", "verify --all --digits 10 --json"),
         ("verify_all_40.json", "verify --all --digits 40 --json"),
         ("verify_all_300.json", "verify --all --digits 300 --json"),
+        pytest.param("verify_all_1000.json", "verify --all --digits 1000 --json",
+                     marks=pytest.mark.highprec),
         *((f"tables_{n}_100.json", f"tables --table {n} --digits 100 --json")
           for n in (1, 2, 3)),
     ])

@@ -6,9 +6,9 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from mpmath import mpf
+from mpmath import libmp, mp, mpc, mpf
 
 from updownlab import (
     MixedRadicandError,
@@ -18,12 +18,15 @@ from updownlab import (
     embed_quadratic,
     zeta_int,
 )
-from updownlab import numerics
+from updownlab import numerics, series
+from updownlab.identities import load_tables
 from updownlab.numerics import (KEPT_TERMS, DomainError, _is_squarefree, _square_part,
                                 kept_table, trigamma)
+from updownlab.series import SeriesFamily, UpsideDownSeries
 
 from conftest import run_bounded
-from oracles import trigamma_plan_bernfrac
+from oracles import (FractionQuadratic, embed_quad_expr_mpf, embed_quadratic_mpf,
+                     trigamma_plan_bernfrac)
 
 
 class TestPrecisionContext:
@@ -232,6 +235,181 @@ class TestEmbedQuadratic:
     def test_quad_expr_zero_denominator(self, ctx40):
         with pytest.raises(ZeroDivisionError):
             QuadExpr(QuadraticNumber(1), QuadraticNumber(0)).embed(ctx40)
+
+
+def _oracle(q: QuadraticNumber) -> FractionQuadratic:
+    return FractionQuadratic(q.a, q.b, q.D)
+
+
+def _fields(q):
+    """Everything of a quadratic number that its users read."""
+    return q.a, q.b, q.D, str(q), hash(q), bool(q), q.is_rational
+
+
+# Working precisions of 10, 40 and 300 digits are 86, 186 and 1050 bits.
+# Numerators and denominators are drawn narrower than all of them and wider
+# than all of them, where mpf(numerator) rounds before the division.
+_INTS = st.one_of(st.just(0), st.integers(-2**40, 2**40), st.integers(-2**1200, 2**1200))
+_RATIONALS = st.builds(Fraction, _INTS, st.one_of(st.integers(1, 2**40),
+                                                 st.integers(1, 2**1200)))
+_RADICANDS = st.sampled_from([1, 2, 3, 5, 6, 7, 11, 13, 101])
+_WIDE = 3**700
+_EDGES = [  # a = 0, b = 0, opposite signs narrow and wide, a rational with D > 1
+    (Fraction(0), Fraction(3, 7), 5), (Fraction(-5, 3), Fraction(0), 11),
+    (Fraction(1121), Fraction(-338), 11), (Fraction(-_WIDE, 7), Fraction(_WIDE + 1, 3), 2),
+    (Fraction(_WIDE, _WIDE + 2), Fraction(-1, _WIDE), 3),
+]
+
+
+class TestAgainstFractionOracle:
+    """QuadraticNumber's integer arithmetic and raw-tuple embedding against
+    oracles.FractionQuadratic, the Fraction-based form they replaced, and its
+    embedding on mpf objects inside the working context: the same values,
+    the same hash and text, and the same bits."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_RADICANDS, _RATIONALS, _RATIONALS, _RATIONALS, _RATIONALS, _RATIONALS,
+           st.integers(0, 4))
+    @example(5, Fraction(0), Fraction(1), Fraction(-3, 2), Fraction(0), Fraction(7), 3)
+    @example(11, Fraction(1121), Fraction(-338), Fraction(1121), Fraction(338), Fraction(1, 2), 4)
+    def test_arithmetic(self, D, a, b, c, d, k, n):
+        x, y = QuadraticNumber(a, b, D), QuadraticNumber(c, d, D)
+        ox, oy = FractionQuadratic(a, b, D), FractionQuadratic(c, d, D)
+        pairs = [(x, ox), (x + y, ox + oy), (x - y, ox - oy), (x * y, ox * oy),
+                 (-x, -ox), (x.conjugate(), ox.conjugate()), (x**n, ox**n),
+                 (x + k, ox + k), (k - x, k - ox), (x * k, ox * k), (x - 3, ox - 3),
+                 (2 * x + 1, 2 * ox + 1)]
+        pairs += [(x / y, ox / oy)] if y else []
+        pairs += [(k / x, k / ox), (y / x, oy / ox)] if x else []
+        for got, want in pairs:
+            assert _fields(got) == _fields(want)
+            assert got._den > 0 and math.gcd(got._p, got._r, got._den) == 1
+        assert x.norm() == ox.norm() and type(x.norm()) is Fraction
+        assert (x == y) == (ox == oy) and x == QuadraticNumber(a, b, D)
+        assert (x == y) == (x.a == y.a and x.b == y.b)
+
+    def test_mixed_radicands_and_zero_as_before(self):
+        x, y = QuadraticNumber(1, 2, 3), QuadraticNumber(0, 1, 5)
+        for op in (lambda u, v: u + v, lambda u, v: u * v, lambda u, v: u / v):
+            with pytest.raises(MixedRadicandError):
+                op(x, y)
+            with pytest.raises(MixedRadicandError):
+                op(_oracle(x), _oracle(y))
+        with pytest.raises(ZeroDivisionError):
+            x / 0
+        with pytest.raises(TypeError):
+            x + 0.5
+        assert x != (1, 2, 3) and QuadraticNumber(3) != 3
+
+    @pytest.mark.parametrize("digits", [10, 40, 300])
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(_RADICANDS, _RATIONALS, _RATIONALS)
+    def test_embedding_bit_for_bit(self, digits, D, a, b):
+        ctx = PrecisionContext(digits)
+        for q in [QuadraticNumber(a, b, D), *(QuadraticNumber(*e) for e in _EDGES)]:
+            got = embed_quadratic(q, ctx)
+            assert type(got) is mpf and got._mpf_ == embed_quadratic_mpf(_oracle(q), ctx)._mpf_
+
+    @pytest.mark.parametrize("digits", [10, 40, 300])
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(_RADICANDS, _RATIONALS, _RATIONALS)
+    def test_embedding_within_its_ulps(self, digits, D, a, b):
+        # Under 5 ulps when a and b share a sign, under 8 on the norm route,
+        # against the value at enough bits to absorb the cancellation.
+        q = QuadraticNumber(a, b, D)
+        got = embed_quadratic(q, PrecisionContext(digits))
+        if not got:
+            assert not q
+            return
+        prec = libmp.dps_to_prec(digits + numerics.GUARD_DIGITS)
+        bound = 5 if a * b >= 0 else 8
+        extra = 2 * sum(abs(v).bit_length() for v in (q._p, q._r, q._den))
+        with mpmath.workprec(prec + extra + 64):
+            exact = mpf(q.a.numerator) / q.a.denominator \
+                + mpf(q.b.numerator) / q.b.denominator * mpmath.sqrt(D)
+            man, exp = got.man_exp
+            ulp = mpmath.ldexp(1, exp + man.bit_length() - prec)
+            assert abs(got - exact) < bound * ulp
+
+    @pytest.mark.parametrize("digits", [10, 40, 100, 300, 1000,
+                                        pytest.param(4000, marks=pytest.mark.highprec)])
+    def test_every_corpus_and_table_value(self, digits, corpus, monkeypatch):
+        # Weights, RHS coefficients, each grouped (c1, c2, m) as the series
+        # loops receive it, and every table cell, on the contexts they are
+        # embedded on. Grouping is checked exactly against Fraction sums.
+        ctx, seen = PrecisionContext(digits), []
+
+        def recorded(q, at):
+            seen.append((q, at))
+            return embed_quadratic(q, at)
+
+        monkeypatch.setattr(series, "embed_quadratic", recorded)
+        monkeypatch.setattr(series, "_sum_linear_series", lambda *args: (mpc(0), 0))
+        for rec in corpus.identities:
+            seen.clear()
+            series.evaluate_series_sum(((t.weight, t.series) for t in rec.lhs), ctx)
+            assert [_fields(q) for q, _ in seen] == [_fields(q) for q in _oracle_groups(rec)]
+            seen += [(q, ctx) for q, _ in rec.rhs] + [(t.weight, ctx) for t in rec.lhs]
+            for q, at in seen:
+                assert embed_quadratic(q, at)._mpf_ == embed_quadratic_mpf(_oracle(q), at)._mpf_
+        cells = [c for tab in load_tables() for row in tab["rows"] for c in row["cells"].values()]
+        assert len(cells) == 42
+        for cell in cells:
+            want = embed_quad_expr_mpf(_oracle(cell.num), _oracle(cell.den), ctx)
+            assert cell.embed(ctx)._mpf_ == want._mpf_
+
+
+def _oracle_groups(record):
+    """The (c1, c2, m) that ``evaluate_series_sum`` embeds for a record, summed
+    in FractionQuadratic: every weighted part keyed by family and exact m."""
+    groups = {}
+    for term in record.lhs:
+        s = term.series
+        if isinstance(s, UpsideDownSeries):
+            family, parts = s.family, [(s.a, s.b, s.m)]
+        else:
+            family, parts = SeriesFamily.CENTRAL3, series._fib_halves(s)
+        for a, b, m in parts:
+            c1, c2 = groups.get((family, _oracle(m)), (0, 0))
+            w = _oracle(term.weight)
+            groups[family, _oracle(m)] = (c1 + w * _oracle(a), c2 + w * _oracle(b))
+    return [v for (_, m), (c1, c2) in groups.items() if c1 or c2 for v in (c1, c2, m)]
+
+
+class TestSavedWork:
+    def test_grouping_tests_no_radicand(self, corpus, monkeypatch):
+        # Every corpus left-hand side is grouped with arithmetic alone: the
+        # radicands were tested once, when the corpus was loaded.
+        calls, square_part = [], numerics._square_part
+        monkeypatch.setattr(numerics, "_square_part", lambda n: calls.append(n) or square_part(n))
+        monkeypatch.setattr(series, "_sum_linear_series", lambda *args: (mpc(0), 0))
+        ctx = PrecisionContext(10)
+        for rec in corpus.identities:
+            series.evaluate_series_sum(((t.weight, t.series) for t in rec.lhs), ctx)
+        assert calls == []
+        QuadraticNumber(1, 1, 5)
+        assert calls == [5]
+
+    def test_embedding_enters_no_context(self, monkeypatch):
+        # No working context, and no write to mp.prec or mp.dps: the oracle,
+        # which enters one, shows that the spies see it.
+        writes, entered = [], []
+        for name in ("prec", "dps"):
+            old = getattr(type(mp), name)
+            monkeypatch.setattr(type(mp), name, property(
+                old.fget, lambda ctx, v, old=old: writes.append(v) or old.fset(ctx, v)))
+        ctx, q = PrecisionContext(300), QuadraticNumber(1121, -338, 11) ** 3
+        embed_quadratic_mpf(_oracle(q), ctx)
+        assert writes
+        writes.clear()
+        for name in ("workdps", "workprec"):
+            monkeypatch.setattr(mpmath, name, lambda *args, **kw: entered.append(args))
+        monkeypatch.setattr(PrecisionContext, "working", lambda self: entered.append(self))
+        before = mp.prec
+        for value in (QuadraticNumber(Fraction(22, 7)), QuadraticNumber(1, 2, 5), q):
+            embed_quadratic(value, ctx)
+        QuadExpr(q, QuadraticNumber(0, 2, 2)).embed(ctx)
+        assert (writes, entered, mp.prec) == ([], [], before)
 
 
 class TestZetaAndTrigamma:
