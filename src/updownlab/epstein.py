@@ -7,14 +7,14 @@ closed forms in it.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 import mpmath
-from mpmath import libmp, mp, mpf
+from mpmath import libmp, mp, mpc, mpf
 
-from .numerics import DomainError, PrecisionContext, to_fixed, zeta_int
-from .modular import CMPoint, _as_mpc, _check_level, _qsum_fixed, _reduce_sl2, _sigma3_table
+from .numerics import _NEAREST, DomainError, PrecisionContext, to_fixed, zeta_int
+from .modular import (CMPoint, _as_mpc, _check_level, _q_fixed, _qsum_loop, _reduce_sl2,
+                      _sigma3_table)
 
 
 @lru_cache(maxsize=16)
@@ -36,13 +36,14 @@ def epstein_sl2(z, ctx: PrecisionContext) -> mpf:
         E(w, 2) = y^2 + 45 zeta(3) / (pi^3 y) + (180/pi^2) (S_2 + S_3 / (2 pi y)),
 
     S_j = sum_n sigma_3(n) Re(q^n) / n^j, y = Im w, q = e^{2 pi i w}: the
-    real lane of modular._qsum_fixed at its 24 guard bits, off by under
+    real lane of modular._qsum_loop at its 24 guard bits, off by under
     8.1 (0.61 n_max (n_max + 1)) + n_max < 12 n_max^2 ulps of 2^-P. A CMPoint
-    is reduced exactly, as an integer form (CMPoint.reduced); the kernel
-    embeds the reduced point once, at P + 10 bits, for q, and y =
-    floor(2^P sqrt|D| / (2A)), within 1 ulp, comes from the same form in
-    integers. An mpc is reduced at the working precision (_reduce_sl2), and
-    y = Im w is exact in P bits. In the same fixed point, with the plan's constants and each product or
+    is reduced exactly, as an integer form (CMPoint.reduced); the reduced
+    point is taken in fixed point once, at P + 10 bits, for q, and y =
+    floor(2^P sqrt|D| / (2A)), within 1 ulp, comes from the same integer
+    square root (modular._q_fixed). An mpc is reduced at the working
+    precision (_reduce_sl2), and y = Im w is exact in P bits. In the same
+    fixed point, with the plan's constants and each product or
     quotient within 1 ulp, 180/pi^2 < 18.3 and 1/(2 pi y) < 0.19, the finish
     is off by under 300 n_max^2 ulps, and by under 2y + 3 ulps more where y
     is within 1 ulp (a CMPoint): with the terms past n_max, under 2^-22 ulps
@@ -51,21 +52,27 @@ def epstein_sl2(z, ctx: PrecisionContext) -> mpf:
     2^-22 ulps of a rounding boundary. At a CMPoint, w is the exact reduced
     point, so that holds at the exact CM point; at an mpc, the reduction's
     own rounding, about one ulp of z per step, is not in the count.
+
+    From the point to the rounded value the work is on raw tuples and
+    Python ints, bit for bit the steps mpmath runs on mpf and mpc objects
+    under ctx.working(), and no context is entered: the reduction, q and
+    the finish, rounded once to nearest by from_man_exp. The exceptions are
+    a z that is neither a CMPoint nor an mpc, made an mpc under
+    ctx.working(), and the plan's constants, built once per precision.
     """
     if isinstance(z, CMPoint):
         w = z.reduced()
     else:
-        with ctx.working():
-            w = _reduce_sl2(_as_mpc(z, ctx), ctx)[0]
-    prec, (s2, s3), _ = _qsum_fixed(w, ctx, _sigma3_table, (2, 3), imag=False)
-    if isinstance(w, CMPoint):
-        y = math.isqrt(-w.disc << 2 * prec) // (2 * w.A)  # Im of w.embed(P): floor(2^P Im w)
-    else:
-        y = to_fixed(w.imag, prec)[0]  # exact: Im w > 1/2 has under P bits past the point
+        if not isinstance(z, mpc):  # a float, int or string, taken at the working precision
+            with ctx.working():
+                z = mpc(z)
+        w = _reduce_sl2(_as_mpc(z, ctx), ctx)[0]
+    q = _q_fixed(w, ctx)
+    prec, (s2, s3), _ = _qsum_loop(q, _sigma3_table, (2, 3), imag=False)
+    y = q[4]
     zeta3, scale, inv_2pi = _sl2_plan(prec)
     total = (y * y >> prec) + (zeta3 << prec) // y + (scale * (s2 + s3 * inv_2pi // y) >> prec)
-    with ctx.working():
-        return +mpmath.ldexp(total, -prec)
+    return mp.make_mpf(libmp.from_man_exp(total, -prec, libmp.dps_to_prec(ctx.dps), _NEAREST))
 
 
 # G_N = sum a E(m z, 2) / den over (m, a) in pairs: N -> (pairs, den).

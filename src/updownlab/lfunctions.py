@@ -119,6 +119,37 @@ def _prime_divisors(n: int):
         p += 1
 
 
+# chi + 1 as a byte: the map that takes chi to -chi.
+_NEGATE = bytes.maketrans(b"\x00\x02", b"\x02\x00")
+
+
+def _characters(d: int, stop: int) -> bytearray:
+    """chi(a) + 1, chi(a) = (d/a), for 0 <= a < stop, one byte each. (d/.)
+    is completely multiplicative, so kronecker_symbol runs once per prime
+    p < stop, which a sieve of Eratosthenes on bytes finds, and a chi(p) of
+    0 or -1 reaches every multiple of p, or of each power of p, by one
+    byte-slice map per power; chi(p) = 1 changes nothing. With the sieve,
+    two bytes per residue: q bytes for L_d(2), q <= MAX_TERMS."""
+    chi, composite = bytearray(b"\x02") * stop, bytearray(stop)
+    for p in range(2, stop):
+        if composite[p]:
+            continue
+        c = kronecker_symbol(d, p)
+        if 2 * p >= stop:  # p is its own only multiple below stop
+            chi[p] = c + 1
+            continue
+        if p * p < stop:
+            composite[p * p::p] = b"\x01" * len(range(p * p, stop, p))
+        if c == 0:
+            chi[p::p] = b"\x01" * len(range(p, stop, p))
+        elif c < 0:
+            power = p
+            while power < stop:
+                chi[power::power] = chi[power::power].translate(_NEGATE)
+                power *= p
+    return chi
+
+
 def dirichlet_l2(d, ctx: PrecisionContext) -> mpf:
     """L_d(2) to ctx.digits; d may be a Discriminant or an integer.
 
@@ -204,10 +235,9 @@ def _trigamma_l2(d: int, ctx: PrecisionContext) -> mpf:
     wide, j2, terms = ctx.bumped(), q * q, []
     for p in _prime_divisors(q):
         j2 = j2 // (p * p) * (p * p - 1)
-    for a in range(1, (q + 1) // 2):
-        chi = kronecker_symbol(d, a)
-        if chi:  # chi(q - a) = -chi(a)
-            terms.append(trigamma(Fraction(a if chi < 0 else q - a, q), wide))
+    for a, byte in enumerate(_characters(d, (q + 1) // 2)[1:], 1):
+        if byte != 1:  # chi(a) = byte - 1 is -1 or 1, and chi(q - a) = -chi(a)
+            terms.append(trigamma(Fraction(a if byte == 0 else q - a, q), wide))
     with wide.working():
         total = zeta_int(2, wide) * j2 - 2 * mpmath.fsum(terms)
     with ctx.working():
@@ -220,10 +250,10 @@ def _moment_l2(d: int, ctx: PrecisionContext) -> mpf:
     q = -d
     k, _, prec, zs = _hurwitz_plan(ctx.bumped().dps)
     qqq, half = q**3 << prec, (q + 1) // 2
-    direct, moments = 0, [0] * len(zs)
+    direct, moments, chis = 0, [0] * len(zs), _characters(d, half)
     for start in range(1, half, _CHUNK):
-        units = [(a, chi) for a in range(start, min(start + _CHUNK, half))
-                 if (chi := kronecker_symbol(d, a))]
+        stop = min(start + _CHUNK, half)
+        units = [(a, byte - 1) for a, byte in zip(range(start, stop), chis[start:stop]) if byte != 1]
         signed = [chi * (q - 2 * a) for a, chi in units]
         bases = [a * (q - a) for a, _ in units]
         for n in range(k):  # (nq + a)((n+1)q - a) = a(q - a) + n(n+1) q^2

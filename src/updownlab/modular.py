@@ -14,8 +14,8 @@ from operator import floordiv
 import mpmath
 from mpmath import libmp, mp, mpc, mpf
 
-from .numerics import (GUARD_DIGITS, MAX_TERMS, DomainError, PrecisionContext, _square_part,
-                       kept_table, to_fixed)
+from .numerics import (_NEAREST, GUARD_DIGITS, MAX_TERMS, DomainError, PrecisionContext,
+                       _quotient, _sqrt_bits, _square_part, kept_table)
 
 _LEVELS = (2, 3, 4)
 _NU_BY_LEVEL = {2: Fraction(-1, 4), 3: Fraction(-1, 3), 4: Fraction(-1, 2)}
@@ -35,7 +35,7 @@ def _as_mpc(z, ctx: PrecisionContext) -> mpc:
         return z.to_point(ctx)
     if not isinstance(z, mpc):
         z = mpc(z)
-    if not z.imag > 0:
+    if not libmp.mpf_gt(z._mpc_[1], libmp.fzero):
         raise DomainError(f"point must lie in the upper half-plane, got {z}")
     return z
 
@@ -95,20 +95,31 @@ class CMPoint:
         return self.B * self.B - 4 * self.A * self.C
 
     def to_point(self, ctx: PrecisionContext) -> mpc:
-        with ctx.working():
-            return mpc(
-                mpf(-self.B) / (2 * self.A),
-                mpmath.sqrt(mpf(-self.disc)) / (2 * self.A),
-            )
+        """The point at ctx's working precision of P bits, bit for bit as
+        mpc(mpf(-B) / (2A), sqrt(mpf(|D|)) / (2A)) under ctx.working() gives
+        it, on raw tuples with no context entered: -B and |D| rounded to
+        nearest at P bits, the square root and both quotients by the exact
+        2A each rounded to nearest. Where -B fits in P bits, Re is -B/(2A)
+        rounded once, so it is taken in lowest terms (numerics._quotient),
+        which spares mpf_div the trailing zeros of an exact quotient such as
+        28/14. sqrt(|D|) comes from numerics._sqrt_bits, so the points of one
+        discriminant, such as the forms of one lattice sum, share one square
+        root per precision."""
+        prec = libmp.dps_to_prec(ctx.dps)
+        two_a = libmp.from_int(2 * self.A)
+        if self.B.bit_length() <= prec:
+            re = _quotient(-self.B, 2 * self.A, prec)
+        else:
+            re = libmp.mpf_div(libmp.from_int(-self.B, prec, _NEAREST), two_a, prec, _NEAREST)
+        im = libmp.mpf_div(_sqrt_bits(-self.disc, prec), two_a, prec, _NEAREST)
+        return mp.make_mpc((re, im))
 
-    def embed(self, bits: int) -> mpc:
-        """The point in fixed point, each part truncated toward -oo to ``bits``
-        bits past the binary point, from integers alone: Re = floor(-B 2^bits
-        / (2A)) 2^-bits and Im = isqrt(|D| 4^bits) // (2A) 2^-bits, exact as
-        mpf at any height, within 2^-bits of the exact point."""
-        re = (-self.B << bits) // (2 * self.A)
-        im = math.isqrt(-self.disc << 2 * bits) // (2 * self.A)
-        return mp.make_mpc((libmp.from_man_exp(re, -bits), libmp.from_man_exp(im, -bits)))
+    def fixed(self, bits: int) -> tuple:
+        """(Re, Im) of the point as Python ints scaled by 2^bits, each
+        truncated toward -oo, from integers alone: floor(-B 2^bits / (2A))
+        and isqrt(|D| 4^bits) // (2A), within 1 of the exact scaled parts."""
+        two_a = 2 * self.A
+        return (-self.B << bits) // two_a, math.isqrt(-self.disc << 2 * bits) // two_a
 
     def reduced(self) -> "CMPoint":
         """The reduced form of the class of (A, B, C) under SL(2, Z), by Gauss
@@ -148,13 +159,14 @@ class CMPoint:
 
 # -- the q-series kernel --------------------------------------------------
 
-def _qseries_cutoff(y: mpf, ctx: PrecisionContext) -> int:
-    """Smallest n with |q|^n 20 digits below the working epsilon; a
-    DomainError if that exceeds MAX_TERMS, or if Im z is 0 as a float."""
-    h = 2 * math.pi * float(y)
+def _qseries_cutoff(y: tuple, ctx: PrecisionContext) -> int:
+    """Smallest n with |q|^n 20 digits below the working epsilon, for Im z
+    the raw mpf y; a DomainError if that exceeds MAX_TERMS, or if Im z is 0
+    as a float."""
+    h = 2 * math.pi * libmp.to_float(y, rnd=_NEAREST)
     n_max = int((ctx.dps + 20) * math.log(10) / h) + 2 if h > 0 else math.inf
     if n_max > MAX_TERMS:
-        raise DomainError(f"q-series at Im z = {mpmath.nstr(y, 3)} needs {n_max} terms, "
+        raise DomainError(f"q-series at Im z = {libmp.to_str(y, 3)} needs {n_max} terms, "
                           f"more than MAX_TERMS = {MAX_TERMS}")
     return n_max
 
@@ -185,22 +197,57 @@ def _pentagonal_table(n_max: int) -> tuple:
 _GUARD_BITS = 24
 
 
-def _qsum_fixed(z, ctx: PrecisionContext, build, powers, imag=True) -> tuple:
-    """(P, re, im): Re and Im of sum_n a(n) q^n / n^j, q = e^{2 pi i z}, for
-    each j in ``powers`` (ascending), as unrounded Python ints scaled by 2^P,
-    P the bits of the working dps + 5 bits per bit of n_max + _GUARD_BITS;
-    a(1..n_max) from kept_table(build, n_max), cut off by _qseries_cutoff.
-    The package's one loop over powers of q. z is an mpc, or a CMPoint,
-    whose Im the cutoff reads from its embedding at 53 bits (an mpf, so a
-    height past the floats reads inf, not an OverflowError) and which is
-    embedded once more, at P + 10 bits, for q (CMPoint.embed). q = expjpi(2z)
-    at P + 10 bits (cospi and sinpi reduce 2 Re z mod 2 exactly) is exactly
-    1-periodic and exactly real at Re z in {0, +-1/2}. At a CMPoint with
-    Im z >= 1/2, the embedding's 2^-(P+10) moves q by under 2^-10 ulp. Lanes Re q^n and Im q^n
-    follow x_{n+1} = T x_n - N x_{n-1} from (1, Re q) and (0, Im q), (T, N)
-    = (2 Re q, |q|^2), or (q, 0) for real q; the Im lane is skipped, and
-    reads 0, for real q or ``imag`` false. Terms a(n) x_n are floored by n^j, then
-    by n per unit step, as floor(floor(u / n^i) / n) = floor(u / n^(i+1)).
+def _dyadic(man: int, exp: int, prec: int) -> tuple:
+    """libmp.from_man_exp(man, exp, prec, round_nearest), the raw mpf of
+    man 2^exp rounded to nearest at prec bits, with man's trailing zero bits
+    shifted out at once, not a byte per step as from_man_exp strips them:
+    Re = +-1/2 in fixed point has over P of them."""
+    if not man:
+        return libmp.fzero
+    zeros = (man & -man).bit_length() - 1
+    return libmp.from_man_exp(man >> zeros, exp + zeros, prec, _NEAREST)
+
+
+def _q_fixed(z, ctx: PrecisionContext) -> tuple:
+    """(P, n_max, Re q, Im q, Im z), q = e^{2 pi i z}, for _qsum_loop: n_max
+    from _qseries_cutoff, P the bits of the working dps + 5 bits per bit of
+    n_max + _GUARD_BITS, and the rest Python ints scaled by 2^P, truncated
+    toward -oo. On raw tuples, with no context entered. z is an mpc, or a
+    CMPoint, whose Im the cutoff reads from its fixed point at 53 bits (as
+    a raw mpf, so a height past the floats reads inf, not an OverflowError)
+    and which is taken once more in fixed point at P + 10 bits for q
+    (CMPoint.fixed). q = mpc_expjpi(2z) at P + 10 bits, the parts of z
+    doubled and rounded to nearest there, bit for bit as mpmath.expjpi(2 * z)
+    under workprec(P + 10); cospi and sinpi reduce 2 Re z mod 2 exactly, so
+    q is exactly 1-periodic and exactly real at Re z in {0, +-1/2}. At a
+    CMPoint with Im z >= 1/2, the fixed point's 2^-(P+10) moves q by under
+    2^-10 ulp, and the same integer square root gives Im z:
+    isqrt(|D| 4^(P+10)) >> 10 = isqrt(|D| 4^P), and the floors by 2^10 and
+    by 2A compose into one. At an mpc, Im z is its Im truncated."""
+    cm = isinstance(z, CMPoint)
+    n_max = _qseries_cutoff(libmp.from_man_exp(z.fixed(53)[1], -53) if cm else z._mpc_[1], ctx)
+    prec = libmp.dps_to_prec(ctx.dps) + 5 * n_max.bit_length() + _GUARD_BITS
+    wp = prec + 10
+    if cm:
+        re, im = z.fixed(wp)
+        two_z = _dyadic(re, 1 - wp, wp), _dyadic(im, 1 - wp, wp)
+        y = im >> 10
+    else:
+        two_z = libmp.mpc_mul_int(z._mpc_, 2, wp, _NEAREST)
+        y = libmp.to_fixed(z._mpc_[1], prec)
+    qr, qi = (libmp.to_fixed(x, prec) for x in libmp.mpc_expjpi(two_z, wp, _NEAREST))
+    return prec, n_max, qr, qi, y
+
+
+def _qsum_loop(q: tuple, build, powers, imag=True) -> tuple:
+    """(P, re, im): Re and Im of sum_n a(n) q^n / n^j, for each j in
+    ``powers`` (ascending), as unrounded Python ints scaled by 2^P, from
+    q = (P, n_max, Re q, Im q, _) of _q_fixed; a(1..n_max) from
+    kept_table(build, n_max). The package's one loop over powers of q.
+    Lanes Re q^n and Im q^n follow x_{n+1} = T x_n - N x_{n-1} from (1, Re q)
+    and (0, Im q), (T, N) = (2 Re q, |q|^2), or (q, 0) for real q; the Im
+    lane is skipped, and reads 0, for real q or ``imag`` false. Terms
+    a(n) x_n are floored by n^j, then by n per unit step, as floor(floor(u / n^i) / n) = floor(u / n^(i+1)).
     Error, in ulps 2^-P: q, good to 1/16 ulp, is truncated, so T errs by
     under 2.2 and N by under 1 + 3.1 |q|, and each truncated step (|x_n| <= 1)
     by under 8. Step k's error reaches step k + m times
@@ -216,11 +263,7 @@ def _qsum_fixed(z, ctx: PrecisionContext, build, powers, imag=True) -> tuple:
     j >= 2), and 1/(1 - |q|) < 1 + 1/(2 pi Im z) < 1 + n_max/100 < 2^L/1.9,
     as n_max > 103/(2 pi Im z).
     """
-    cm = isinstance(z, CMPoint)
-    n_max = _qseries_cutoff(z.embed(53).imag if cm else z.imag, ctx)
-    prec = libmp.dps_to_prec(ctx.dps) + 5 * n_max.bit_length() + _GUARD_BITS
-    with mpmath.workprec(prec + 10):
-        qr, qi = to_fixed(mpmath.expjpi(2 * (z.embed(prec + 10) if cm else z)), prec)
+    prec, n_max, qr, qi, _ = q
     t, nq = (2 * qr, (qr * qr + qi * qi) >> prec) if qi else (qr, 0)
     coeffs, ns = kept_table(build, n_max), range(1, n_max + 1)
     re, im = [], []
@@ -234,6 +277,11 @@ def _qsum_fixed(z, ctx: PrecisionContext, build, powers, imag=True) -> tuple:
                 terms, j = list(map(floordiv, terms, ns)), j + 1
             sums.append(sum(terms))
     return prec, re, im or [0] * len(powers)
+
+
+def _qsum_fixed(z, ctx: PrecisionContext, build, powers, imag=True) -> tuple:
+    """(P, re, im): _qsum_loop's sums at z, an mpc or a CMPoint (_q_fixed)."""
+    return _qsum_loop(_q_fixed(z, ctx), build, powers, imag)
 
 
 def _qsum(z: mpc, ctx: PrecisionContext, build, powers) -> tuple:
@@ -250,22 +298,30 @@ def _reduce_sl2(z: mpc, ctx: PrecisionContext) -> tuple:
     |Re w| <= 1/2, |w| >= 1 by translations v -> v - nint(Re v), whose
     integers add up to ``shift``, and inversions v -> -1/v, taken at the
     points ``inverted`` in order. Each inversion raises Im v, so Im w ends
-    at least sqrt(3)/2. |v| within 10^-digits of 1 counts as on the circle,
-    so rounding noise cannot bounce a boundary point between v and -1/v;
-    the test is on |v|^2, which takes no square root. The caller holds
-    ``ctx.working()``."""
-    edge = (1 - ctx.tol) ** 2
+    at least sqrt(3)/2. |v| within 10^-digits of 1 counts as on the circle
+    (|v|^2 >= ctx.edge = (1 - tol)^2), so rounding noise cannot bounce a
+    boundary point between v and -1/v; the test on |v|^2 takes no square
+    root. On raw tuples at ctx's working precision, with no context entered,
+    and bit for bit the sequence mpmath runs on mpc under ctx.working(), each
+    step rounded to nearest: mpf_nint (ties to even) and mpf_sub for the
+    translation, which leaves Im v as it is; mpf_mul, mpf_add and the
+    comparison for |v|^2; mpc_mpf_div for -1/v, the real -1 over v. So w is
+    z's image up to about one ulp of z per step, which a caller's error
+    count does not include."""
+    prec, edge = libmp.dps_to_prec(ctx.dps), ctx.edge._mpf_
+    re, im = z._mpc_
     shift, inverted = 0, []
     for _ in range(MAX_TERMS):
-        n = mpmath.nint(z.real)
-        z -= n
-        shift += int(n)
-        x, y = z.real, z.imag
-        if x * x + y * y >= edge:
-            return z, shift, inverted
-        inverted.append(z)
-        z = -1 / z
-    raise DomainError(f"SL(2, Z) reduction of {z} needs more than "
+        n = libmp.mpf_nint(re, prec, _NEAREST)
+        re = libmp.mpf_sub(re, n, prec, _NEAREST)
+        shift += libmp.to_int(n)
+        size = libmp.mpf_add(libmp.mpf_mul(re, re, prec, _NEAREST),
+                             libmp.mpf_mul(im, im, prec, _NEAREST), prec, _NEAREST)
+        if libmp.mpf_ge(size, edge):
+            return mp.make_mpc((re, im)), shift, inverted
+        inverted.append(mp.make_mpc((re, im)))
+        re, im = libmp.mpc_mpf_div(libmp.fnone, (re, im), prec, _NEAREST)
+    raise DomainError(f"SL(2, Z) reduction of {mp.make_mpc((re, im))} needs more than "
                       f"MAX_TERMS = {MAX_TERMS} steps")
 
 

@@ -5,9 +5,11 @@ import os
 import random
 import subprocess
 import sys
+import types
 
+import mpmath
 import pytest
-from mpmath import mpc
+from mpmath import mp, mpc
 
 import updownlab
 from updownlab import PrecisionContext, kronecker_symbol, load_corpus, satisfies_region
@@ -26,6 +28,28 @@ def ctx40():
 @pytest.fixture(scope="session")
 def corpus():
     return load_corpus()
+
+
+@pytest.fixture
+def context_spy(monkeypatch):
+    """Spies on mpmath's context: ``writes`` collects every value written to
+    mp.prec or mp.dps, and, once ``arm()`` has run (after any set-up that may
+    enter a context), ``entered`` every mpmath.workdps, mpmath.workprec or
+    PrecisionContext.working entered, which then does nothing."""
+    spy = types.SimpleNamespace(writes=[], entered=[])
+    for name in ("prec", "dps"):
+        old = getattr(type(mp), name)
+        monkeypatch.setattr(type(mp), name, property(
+            old.fget, lambda ctx, v, old=old: spy.writes.append(v) or old.fset(ctx, v)))
+
+    def arm():
+        spy.writes.clear()
+        for name in ("workdps", "workprec"):
+            monkeypatch.setattr(mpmath, name, lambda *args, **kw: spy.entered.append(args))
+        monkeypatch.setattr(PrecisionContext, "working", lambda self: spy.entered.append(self))
+
+    spy.arm = arm
+    return spy
 
 
 def run_bounded(*args, seconds=10):

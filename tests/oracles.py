@@ -10,9 +10,11 @@ from typing import NamedTuple, Tuple
 import mpmath
 from mpmath import libmp, mp, mpc, mpf
 
-from updownlab.modular import _LEVELS, _as_mpc, _check_nu, _frac_mpf, _off_branch_point
+from updownlab import epstein, modular
+from updownlab.modular import (_LEVELS, CMPoint, _as_mpc, _check_nu, _frac_mpf,
+                               _off_branch_point, _qsum_loop, _sigma3_table)
 from updownlab.numerics import (DomainError, MixedRadicandError, PrecisionContext, RationalLike,
-                                _as_fraction, _is_squarefree)
+                                _as_fraction, _is_squarefree, to_fixed)
 
 
 def legendre_p_quadrature(nu, t, ctx: PrecisionContext) -> mpc:
@@ -312,3 +314,64 @@ def embed_quad_expr_mpf(num: FractionQuadratic, den: FractionQuadratic,
     mpf-path embeddings, rounded in ctx's working context."""
     with ctx.working():
         return embed_quadratic_mpf(num, ctx) / embed_quadratic_mpf(den, ctx)
+
+
+def to_point_mpf(p: CMPoint, ctx: PrecisionContext) -> mpc:
+    """Oracle for ``modular.CMPoint.to_point``: the point built from mpf
+    objects inside ctx's working context."""
+    with ctx.working():
+        return mpc(mpf(-p.B) / (2 * p.A), mpmath.sqrt(mpf(-p.disc)) / (2 * p.A))
+
+
+def reduce_sl2_mpf(z: mpc, ctx: PrecisionContext) -> tuple:
+    """Oracle for ``modular._reduce_sl2``: (w, shift, inverted) from the
+    translations v - nint(Re v) and inversions -1/v on mpc objects inside
+    ctx's working context, with |v|^2 tested against (1 - tol)^2."""
+    with ctx.working():
+        edge = (1 - ctx.tol) ** 2
+        shift, inverted = 0, []
+        while True:
+            n = mpmath.nint(z.real)
+            z -= n
+            shift += int(n)
+            x, y = z.real, z.imag
+            if x * x + y * y >= edge:
+                return z, shift, inverted
+            inverted.append(z)
+            z = -1 / z
+
+
+def _embed(p: CMPoint, bits: int) -> mpc:
+    """The point ``CMPoint.fixed(bits)`` as an mpc, each part exact."""
+    re, im = p.fixed(bits)
+    return mp.make_mpc((libmp.from_man_exp(re, -bits), libmp.from_man_exp(im, -bits)))
+
+
+def epstein_sl2_mpf(z, ctx: PrecisionContext) -> mpf:
+    """Oracle for ``epstein.epstein_sl2`` on its mpf layer: a CMPoint
+    reduced as a form and embedded from ``CMPoint.fixed``, an mpc reduced by
+    ``reduce_sl2_mpf``; the cutoff from float(Im w) of an mpf; q from
+    mpmath.expjpi on an mpc inside workprec; the library's integer loop
+    (``modular._qsum_loop``) and finish; the total rounded by ldexp inside
+    ctx's working context."""
+    cm = isinstance(z, CMPoint)
+    if cm:
+        w = z.reduced()
+        height = _embed(w, 53).imag
+    else:
+        with ctx.working():
+            w = reduce_sl2_mpf(_as_mpc(z, ctx), ctx)[0]
+        height = w.imag
+    n_max = int((ctx.dps + 20) * math.log(10) / (2 * math.pi * float(height))) + 2
+    prec = libmp.dps_to_prec(ctx.dps) + 5 * n_max.bit_length() + modular._GUARD_BITS
+    with mpmath.workprec(prec + 10):
+        qr, qi = to_fixed(mpmath.expjpi(2 * (_embed(w, prec + 10) if cm else w)), prec)
+    _, (s2, s3), _ = _qsum_loop((prec, n_max, qr, qi, None), _sigma3_table, (2, 3), imag=False)
+    if cm:
+        y = math.isqrt(-w.disc << 2 * prec) // (2 * w.A)
+    else:
+        y = to_fixed(w.imag, prec)[0]
+    zeta3, scale, inv_2pi = epstein._sl2_plan(prec)
+    total = (y * y >> prec) + (zeta3 << prec) // y + (scale * (s2 + s3 * inv_2pi // y) >> prec)
+    with ctx.working():
+        return +mpmath.ldexp(total, -prec)

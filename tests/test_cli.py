@@ -530,8 +530,10 @@ class TestGoldenOutputs:
         ("verify_all_300.json", "verify --all --digits 300 --json"),
         pytest.param("verify_all_1000.json", "verify --all --digits 1000 --json",
                      marks=pytest.mark.highprec),
-        *((f"tables_{n}_100.json", f"tables --table {n} --digits 100 --json")
-          for n in (1, 2, 3)),
+        *((f"tables_{n}_{digits}.json", f"tables --table {n} --digits {digits} --json")
+          for digits in (40, 100) for n in (1, 2, 3)),
+        *(pytest.param(f"tables_{n}_1000.json", f"tables --table {n} --digits 1000 --json",
+                       marks=pytest.mark.highprec) for n in (1, 2, 3)),
     ])
     def test_matches_golden(self, capsys, name, argv):
         code, out, err = run(capsys, *argv.split())

@@ -18,11 +18,12 @@ from updownlab import (
 from updownlab import epstein
 from updownlab.epstein import MAX_EXTRA_DIGITS
 from updownlab.identities import load_corpus, load_tables
-from updownlab.modular import _pentagonal_table, _qsum_fixed, _reduce_sl2, _sigma3_table
+from updownlab.modular import _pentagonal_table, _qsum_fixed, _qsum_loop, _reduce_sl2, _sigma3_table
 from updownlab.numerics import DomainError, to_fixed
 
 from conftest import random_admissible, random_points
-from oracles import _float_point, epstein_fourier_reference, gamma0_lattice_sum
+from oracles import (_float_point, epstein_fourier_reference, epstein_sl2_mpf, gamma0_lattice_sum,
+                     to_point_mpf)
 
 
 class TestClosedForms:
@@ -351,27 +352,28 @@ class TestCorrectRoundingAtCMPoints:
 
 
 def _lane_mismatches(ctx):
-    """(bad, n): the reduced points w, among the n distinct reduced corpus
-    points, at which the real-lane sums epstein_sl2 reads from _qsum_fixed
-    differ in P or in any bit from the Re parts of the two-lane sums at the
-    same w and guard bits."""
+    """(bad, n): the q of the reduced points w, among the n distinct reduced
+    corpus points, at which the real-lane sums epstein_sl2 reads from
+    _qsum_loop differ in P or in any bit from the Re parts of the two-lane
+    sums at the same q and guard bits; every w must make one such call."""
     calls = []
 
     def recorded(*args, **kwargs):
         calls.append((args, kwargs))
-        return _qsum_fixed(*args, **kwargs)
+        return _qsum_loop(*args, **kwargs)
 
     with ctx.working():
         points = {_reduce_sl2(p.to_point(ctx), ctx)[0]
                   for inst in load_corpus().kronecker for p in inst.points}
-    epstein._qsum_fixed = recorded
+    epstein._qsum_loop = recorded
     try:
         for w in points:
             epstein_sl2(w, ctx)
     finally:
-        epstein._qsum_fixed = _qsum_fixed
+        epstein._qsum_loop = _qsum_loop
+    assert len(calls) == len(points)
     bad = [args[0] for args, kwargs in calls
-           if kwargs != {"imag": False} or _qsum_fixed(*args, **kwargs)[:2] != _qsum_fixed(*args)[:2]]
+           if kwargs != {"imag": False} or _qsum_loop(*args, **kwargs)[:2] != _qsum_loop(*args)[:2]]
     return bad, len(points)
 
 
@@ -448,3 +450,43 @@ class TestGuardBits:
         # within 2^-22 ulps of 1 before _qsum rounds them.
         gaps, n = _qsum_guard_gaps(PrecisionContext(digits=digits))
         assert n == 28 and max(gaps) <= Fraction(1, 2**22)
+
+
+class TestAgainstTheMpfLayer:
+    # epstein_sl2 runs on raw tuples from the point to the rounded value;
+    # the oracle runs the same steps on mpf and mpc objects inside working
+    # contexts. Every bit must agree, for a CMPoint and for its mpc.
+    @pytest.mark.parametrize("digits", [10, 40, 300,
+                                        pytest.param(1000, marks=pytest.mark.highprec),
+                                        pytest.param(2000, marks=pytest.mark.highprec)])
+    def test_every_corpus_point_bit_for_bit(self, digits):
+        ctx = PrecisionContext(digits)
+        points = [p for inst in load_corpus().kronecker for p in inst.points]
+        assert len(points) == 94
+        for p in points:
+            z = p.to_point(ctx)
+            assert z._mpc_ == to_point_mpf(p, ctx)._mpc_, str(p)
+            for point in (p, z):
+                got = epstein_sl2(point, ctx)
+                assert type(got) is mpf and got._mpf_ == epstein_sl2_mpf(point, ctx)._mpf_, str(p)
+
+    def test_reduction_and_e_enter_no_context(self, context_spy):
+        # The E(z, 2) path writes neither mp.prec nor mp.dps and enters no
+        # working context, for a CMPoint and for an mpc that needs five
+        # inversions; the oracle shows that the spies see one. The plan's
+        # constants, built once per precision inside a context, are built
+        # first; a fresh context computes its own thresholds.
+        points = [CMPoint.from_string(t) for t in ("1/2+1/2*sqrt(7)*i", "13/34+1/5000*sqrt(3)*i")]
+        for p in points:
+            epstein_sl2_mpf(p, PrecisionContext(300))
+        assert context_spy.writes
+        for p in points:
+            epstein_sl2(p.to_point(PrecisionContext(300)), PrecisionContext(300))
+        context_spy.arm()
+        before, ctx = mp.prec, PrecisionContext(300)
+        for p in points:
+            z = p.to_point(ctx)
+            assert len(_reduce_sl2(z, ctx)[2]) == (5 if p is points[1] else 0)
+            epstein_sl2(p, ctx)
+            epstein_sl2(z, ctx)
+        assert (context_spy.writes, context_spy.entered, mp.prec) == ([], [], before)

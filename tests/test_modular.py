@@ -36,7 +36,7 @@ from updownlab.modular import (
 from updownlab.numerics import KEPT_TERMS, DomainError, kept_table
 
 from conftest import random_points, run_bounded, sigma1_table
-from oracles import epstein_fourier_reference, legendre_p_quadrature
+from oracles import epstein_fourier_reference, legendre_p_quadrature, reduce_sl2_mpf, to_point_mpf
 
 
 @st.composite
@@ -201,19 +201,93 @@ class TestGaussReduction:
         q, g = p.scaled(N), math.gcd(p.A, N * p.B, N * N * p.C)
         assert math.gcd(q.A, q.B, q.C) == 1 and q.disc * g * g == N * N * p.disc
         for bits in (53, 200):
-            with mpmath.workprec(bits + 64):
-                assert abs(q.embed(bits) - N * p.embed(bits)) < 2 * (N + 1) * mpmath.ldexp(1, -bits)
+            (qr, qi), (pr, pi) = q.fixed(bits), p.fixed(bits)
+            assert (qr - N * pr) ** 2 + (qi - N * pi) ** 2 < (2 * (N + 1)) ** 2
 
     def test_embed_truncates_to_fixed_point(self):
-        # Each part of embed(bits) is the exact point truncated toward -oo to
-        # bits past the binary point, at heights floats cannot hold too.
+        # Each part of fixed(bits) is the exact point scaled by 2^bits and
+        # truncated toward -oo, at heights floats cannot hold too.
         for p in self.FORMS + [CMPoint(10**800, 0, 1).reduced(), CMPoint(1, 0, 10**60)]:
             for bits in (53, 200, 3333):
-                z = p.embed(bits)
+                parts = p.fixed(bits)
                 with mpmath.workprec(bits + abs(p.disc).bit_length() + 64):
                     exact = p.to_point(PrecisionContext(mpmath.mp.dps))
-                    for got, want in ((z.real, exact.real), (z.imag, exact.imag)):
-                        assert mpmath.ldexp(got, bits) == mpmath.floor(mpmath.ldexp(want, bits))
+                    for got, want in zip(parts, (exact.real, exact.imag)):
+                        assert got == mpmath.floor(mpmath.ldexp(want, bits))
+
+
+def _reduction_bits(reduce, z, ctx):
+    """(w, shift, inverted) of ``reduce`` with each point as its raw parts."""
+    w, shift, inverted = reduce(z, ctx)
+    return w._mpc_, shift, [v._mpc_ for v in inverted]
+
+
+def _boundary_points(ctx):
+    """Points at which a rounding rule decides the reduction: Re v at a tie
+    k + 1/2 of nint; |v|^2 within a few ulps of (1 - tol)^2, on either side;
+    and low points at Fibonacci ratios, which need many inversions."""
+    with ctx.working():
+        ties = [mpc(k + mpf(1) / 2, y) for k in range(-3, 3) for y in ("0.3", "0.9", "2")]
+        edge, ulp = ctx.edge, mpmath.ldexp(1, -mp.prec)
+        rim = [mpc(x, mpmath.sqrt(edge - mpf(x) ** 2) + k * ulp)
+               for x in ("0.1", "-0.3", "0.45") for k in range(-3, 4)]
+        fib = [mpc(mpf(8) / 21, "1e-3"), mpc(mpf(-89) / 144, "1e-6"), mpc(mpf(233) / 377, "1e-9")]
+    return ties, rim, fib
+
+
+class TestReductionAgainstTheMpfLayer:
+    # _reduce_sl2 and CMPoint.to_point run on raw tuples; the oracles run
+    # the same steps on mpc objects inside the working context.
+    DIGITS = [10, 40, 300, 1000]
+
+    @pytest.mark.parametrize("digits", DIGITS)
+    def test_corpus_and_table_points(self, digits, corpus):
+        ctx = PrecisionContext(digits)
+        points = [p for inst in corpus.kronecker for p in inst.points]
+        points += [row["point"] for tab in load_tables() for row in tab["rows"]]
+        assert len(points) == 94 + 14
+        for p in points:
+            z = p.to_point(ctx)
+            assert z._mpc_ == to_point_mpf(p, ctx)._mpc_, str(p)
+            want = _reduction_bits(reduce_sl2_mpf, z, ctx)
+            assert _reduction_bits(_reduce_sl2, z, ctx) == want, str(p)
+
+    @pytest.mark.parametrize("digits", DIGITS)
+    def test_ties_circle_and_many_inversions(self, digits):
+        ctx = PrecisionContext(digits)
+        ties, rim, fib = _boundary_points(ctx)
+        inversions = {}
+        for z in ties + rim + fib:
+            want = _reduction_bits(reduce_sl2_mpf, z, ctx)
+            assert _reduction_bits(_reduce_sl2, z, ctx) == want, z
+            inversions[z] = len(want[2])
+        # The rim straddles the edge, a tie k + 1/2 above the circle goes to
+        # the even one of k and k + 1, and a low point at a Fibonacci ratio
+        # takes four to seven inversions.
+        assert {inversions[z] for z in rim} == {0, 1}
+        assert {_reduce_sl2(z, ctx)[1] % 2 for z in ties if z.imag > 1 / 2} == {0}
+        assert [inversions[z] for z in fib] == [4, 6, 7]
+
+    @pytest.mark.parametrize("digits", [10, 40, 300])
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.floats(-3, 3), st.floats(-3, 1))
+    def test_random_points(self, digits, x, log_y):
+        ctx = PrecisionContext(digits)
+        z = mpc(x, 10.0 ** log_y)
+        assert _reduction_bits(_reduce_sl2, z, ctx) == _reduction_bits(reduce_sl2_mpf, z, ctx)
+
+    @pytest.mark.parametrize("digits", [10, 40, 300])
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(primitive_forms(), st.integers(0, 700))
+    def test_to_point_of_random_forms(self, digits, p, scale):
+        # Wide discriminants and wide B too: |D| 4^scale has more bits than P
+        # from about 10 digits, so mpf(|D|) rounds before its square root,
+        # and so does -B of the point moved by k = 2^scale.
+        ctx, k = PrecisionContext(digits), 2**scale
+        wide = CMPoint(p.A, p.B, p.C + 4**scale * p.A)
+        moved = CMPoint(p.A, p.B - 2 * p.A * k, p.A * k * k - p.B * k + p.C)
+        for q in (p, wide, moved):
+            assert q.to_point(ctx)._mpc_ == to_point_mpf(q, ctx)._mpc_, str(q)
 
 
 class TestDedekindEta:

@@ -390,26 +390,18 @@ class TestSavedWork:
         QuadraticNumber(1, 1, 5)
         assert calls == [5]
 
-    def test_embedding_enters_no_context(self, monkeypatch):
+    def test_embedding_enters_no_context(self, context_spy):
         # No working context, and no write to mp.prec or mp.dps: the oracle,
         # which enters one, shows that the spies see it.
-        writes, entered = [], []
-        for name in ("prec", "dps"):
-            old = getattr(type(mp), name)
-            monkeypatch.setattr(type(mp), name, property(
-                old.fget, lambda ctx, v, old=old: writes.append(v) or old.fset(ctx, v)))
         ctx, q = PrecisionContext(300), QuadraticNumber(1121, -338, 11) ** 3
         embed_quadratic_mpf(_oracle(q), ctx)
-        assert writes
-        writes.clear()
-        for name in ("workdps", "workprec"):
-            monkeypatch.setattr(mpmath, name, lambda *args, **kw: entered.append(args))
-        monkeypatch.setattr(PrecisionContext, "working", lambda self: entered.append(self))
+        assert context_spy.writes
+        context_spy.arm()
         before = mp.prec
         for value in (QuadraticNumber(Fraction(22, 7)), QuadraticNumber(1, 2, 5), q):
             embed_quadratic(value, ctx)
         QuadExpr(q, QuadraticNumber(0, 2, 2)).embed(ctx)
-        assert (writes, entered, mp.prec) == ([], [], before)
+        assert (context_spy.writes, context_spy.entered, mp.prec) == ([], [], before)
 
 
 class TestZetaAndTrigamma:

@@ -528,7 +528,7 @@ class TestBlocks:
             with ctx.working():
                 z = mpc("0.123", height)
             eichler_e4_tilde(z, ctx)
-        assert modular._qseries_cutoff(z.imag, ctx) > KEPT_TERMS
+        assert modular._qseries_cutoff(z.imag._mpf_, ctx) > KEPT_TERMS
         for K in (100, KEPT_TERMS + 3):
             monkeypatch.setattr(series, "_term_count", lambda *args, K=K: K)
             assert series._sum_linear_series(*case, ctx)[1] == K
