@@ -11,6 +11,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from operator import add, mul
 from typing import Tuple
 
@@ -139,40 +140,39 @@ def _crvz_weights(n: int):
     return d, weights()
 
 
-def _term_count(r: float, gap: float, a1: float, a2: float,
+def _term_count(r: float, gap: float, bound: float,
                 family: SeriesFamily, ctx: PrecisionContext) -> int:
-    """The least K whose tail bound |s_1| r^K (a1 (K+1) / gap^2 + a2 / gap),
-    gap = 1 - r, is at most ctx.eps (see _sum_linear_series), by fixed-point
-    steps on its logarithm in floats, plus one term for their rounding; 1
-    when the bound is 0. OverflowError when the floats cannot hold it."""
-    lin, const = a1 / gap / gap, a2 / gap
-    big = max(lin, const)
-    if math.isinf(big):
+    """The least K whose tail bound |s_1| r^K B ((K+1) / gap^2 + 1 / gap),
+    gap = 1 - r and B = bound, is at most ctx.eps (see _sum_linear_series),
+    by fixed-point steps on its logarithm in floats, plus one term for their
+    rounding; 1 when the bound is 0. OverflowError when the floats cannot
+    hold it."""
+    lin = bound / gap / gap
+    if math.isinf(lin):
         raise OverflowError
     K = 1
-    if r and big:
-        # K >= (log(|s_1| (lin (K+1) + const)) - log eps) / -log r, with
+    if r and lin:
+        # K >= (log(|s_1| lin (K+1+gap)) - log eps) / -log r, with
         # |s_1| = r scale / den_1. The right side grows with K, so the
         # steps rise to its least fixed point and stop there.
         rate = -math.log(r) if r < 0.5 else -math.log1p(-gap)
-        top = (math.log(big) + math.log(family.scale / family.den1)
+        top = (math.log(lin) + math.log(family.scale / family.den1)
                + ctx.dps * math.log(10) - rate)
-        w1, w0 = lin / big, const / big
         last = 0
         while K != last:
-            step = (top + math.log(w1 * (K + 1) + w0)) / rate
+            step = (top + math.log(K + 1 + gap)) / rate
             last, K = K, max(K, math.ceil(step))
         K += 1
     return K
 
 
-def _crvz_count(r: float, a1: float, a2: float, family: SeriesFamily,
+def _crvz_count(r: float, bound: float, family: SeriesFamily,
                 ctx: PrecisionContext) -> int:
-    """The least n whose CRVZ bound 2 |s_1| (a1 + a2) / (3 + sqrt 8)^n,
+    """The least n whose CRVZ bound 4 |s_1| B / (3 + sqrt 8)^n, B = bound and
     |s_1| = r scale / den_1, is at most ctx.eps (see _sum_linear_series), in
     floats, plus one term for their rounding. OverflowError when the floats
     cannot hold it."""
-    head = 2 * r * family.scale / family.den1 * (a1 + a2)
+    head = 4 * r * family.scale / family.den1 * bound
     if not head:
         return 1
     return max(0, math.ceil((math.log(head) + ctx.dps * math.log(10)) / _CRVZ_RATE)) + 1
@@ -183,48 +183,89 @@ def _is_real(*values) -> bool:
     return mpc not in map(type, values)
 
 
-def _magnitude(v, prec: int):
-    """|v| of an mpf or mpc rounded to nearest at prec bits, as a raw mpf:
-    the value of abs(v) at that working precision."""
+def _magnitude(v, prec: int, rnd=libmp.round_nearest):
+    """|v| of an mpf or mpc rounded at prec bits, to nearest by default, as
+    a raw mpf: the value of abs(v) at that working precision."""
     if isinstance(v, mpc):
-        return libmp.mpc_abs(v._mpc_, prec, libmp.round_nearest)
-    return libmp.mpf_abs(v._mpf_, prec, libmp.round_nearest)
+        return libmp.mpc_abs(v._mpc_, prec, rnd)
+    return libmp.mpf_abs(v._mpf_, prec, rnd)
 
 
 def _plan(c1, c2, m, family: SeriesFamily, ctx: PrecisionContext):
     """(terms, crvz, P) of _sum_linear_series: the term count, whether the
     loop sums by CRVZ, and the bits of its fixed point. The floats of the
-    plan are r = |m| / scale, 1 - r, |c1|, |c2| and |m|, each rounded to
-    nearest at ctx's working precision and then to a float, on raw mpf
-    tuples: no working context is entered and no mpf is made."""
+    plan are r = |m| / scale, 1 - r and |m|, each rounded to nearest at
+    ctx's working precision and then to a float, and the bucket bound
+    B = 2^(16 ceil(log2 max(|c1|, |c2|) / 16)), 0 when c1 = c2 = 0, from
+    the magnitudes rounded up there, so B >= |c1|, |c2|: on raw mpf tuples,
+    with no working context entered and no mpf made. c1 and c2 enter the
+    plan through B alone, so every (c1, c2) of one bucket on one m gets the
+    same K, CRVZ choice and P, and with them the same kept lanes
+    (_real_lanes)."""
     prec, nearest = libmp.dps_to_prec(ctx.dps), libmp.round_nearest
     am = _magnitude(m, prec)
     r = libmp.mpf_div(am, libmp.from_int(family.scale), prec, nearest)
     if libmp.mpf_cmp(r, libmp.fone) >= 0:
         raise DomainError(f"series diverges: |m|/{family.scale} = {libmp.to_float(r, rnd=nearest)}")
-    exact = (r, libmp.mpf_sub(libmp.fone, r, prec, nearest), _magnitude(c1, prec),
-             _magnitude(c2, prec), am)
-    r, gap, a1, a2, am = plan = [libmp.to_float(v, rnd=nearest) for v in exact]
+    exact = (r, libmp.mpf_sub(libmp.fone, r, prec, nearest), am)
+    r, gap, am = plan = [libmp.to_float(v, rnd=nearest) for v in exact]
     underflow = any(v != libmp.fzero and not f for f, v in zip(plan, exact))
+    a1, a2 = (_magnitude(c, prec, libmp.round_up) for c in (c1, c2))
+    _, man, exp, bc = a1 if libmp.mpf_cmp(a1, a2) >= 0 else a2
+    bits = -16 * (((man == 1) - exp - bc) // 16)  # 16 ceil(log2 max / 16): odd man
     base = libmp.dps_to_prec(ctx.bumped().dps)
     crvz = False
     try:
-        if underflow:
+        bound = math.ldexp(1.0, bits) if man else 0.0
+        if underflow or (man and not bound):
             raise OverflowError
-        terms = _term_count(r, gap, a1, a2, family, ctx)
+        terms = _term_count(r, gap, bound, family, ctx)
         if terms > _CRVZ_COST and _is_real(c1, c2, m) and m._mpf_[0]:  # sign bit: m < 0
-            n = _crvz_count(r, a1, a2, family, ctx)
+            n = _crvz_count(r, bound, family, ctx)
             crvz = _CRVZ_COST * n < terms
             terms = n if crvz else terms
         if terms > MAX_TERMS:
             raise DomainError(f"series needs {terms} terms at {ctx.dps} digits, "
                               f"more than MAX_TERMS = {MAX_TERMS}")
-        prec = (base + int(5 * terms * (a1 * terms + a2 + 1) / gap).bit_length()
+        prec = (base + int(5 * terms * (bound * (terms + 1) + 1) / gap).bit_length()
                 + _BLOCK * max(0, math.frexp(am)[1]))
     except OverflowError:
         raise DomainError(f"series plan leaves the float range: "
-                          f"r, 1 - r, |c1|, |c2|, |m| = {plan}") from None
+                          f"r, 1 - r, |m| = {plan}, B = 2^{bits}") from None
     return terms, crvz, prec
+
+
+@lru_cache(maxsize=64)
+def _real_lanes(family: SeriesFamily, m_raw: tuple, K: int, crvz: bool, prec: int, g: int):
+    """(S_2, S_3, d) of _sum_linear_series's real loop on m = m_raw, a raw
+    mpf: Python ints scaled by 2^prec, before c1 and c2 enter, with d = T_K(3)
+    under CRVZ and 1 otherwise. Kept per process, keyed by every input of the
+    loop, so the records that share a family, an m and a plan bucket run one
+    loop between them."""
+    mr = libmp.to_fixed(m_raw, prec)
+    powers = [mr]
+    for _ in range(min(g, K) - 1):
+        powers.append((powers[-1] * mr) >> prec)
+    d, weights = _crvz_weights(K) if crvz else (1, None)
+    lane3, acc = [0] * g, [0] * g
+    t = 1 << prec
+    for b, pairs in enumerate(_ratio_blocks(family, K)):
+        if b:
+            t = (t * powers[-1]) >> prec
+            acc = list(map(add, acc, lane3))
+        if weights is None:
+            for i, (cube, den) in enumerate(pairs):
+                t = t * cube // den
+                lane3[i] += t
+        else:
+            for i, ((cube, den), e) in enumerate(zip(pairs, weights)):
+                t = t * cube // den
+                lane3[i] += e * t
+    last = range(g * b + 1, g * b + g + 1)  # the k of each lane in the last block
+    u = list(map(mul, lane3, powers))
+    s3 = sum(u) >> prec
+    s2 = (sum(map(mul, last, u)) - g * sum(map(mul, acc, powers))) >> prec
+    return s2, s3, d
 
 
 def _sum_linear_series(c1, c2, m, family: SeriesFamily, ctx: PrecisionContext):
@@ -241,21 +282,26 @@ def _sum_linear_series(c1, c2, m, family: SeriesFamily, ctx: PrecisionContext):
     (k-1)^3 and one floor division by den_k, both read from the family's
     table (_ratio_blocks), not rebuilt from k. Lane i adds t_k to its share
     of S_3, lane3[i]. Its share of S_2, the sum of k t_k = (bg + i) t_k,
-    comes from prefix sums instead of a product k t_k per term: with B
+    comes from prefix sums instead of a product k t_k per term: with J
     blocks and acc[i] the sum of lane3[i] as it stood at the start of each
-    block after the first, sum_b b t_{bg+i} = (B-1) lane3[i] - acc[i], so
-    lane i of S_2 is g ((B-1) lane3[i] - acc[i]) + i lane3[i] =
-    k_i lane3[i] - g acc[i], with k_i = g (B-1) + i, an exact integer
+    block after the first, sum_b b t_{bg+i} = (J-1) lane3[i] - acc[i], so
+    lane i of S_2 is g ((J-1) lane3[i] - acc[i]) + i lane3[i] =
+    k_i lane3[i] - g acc[i], with k_i = g (J-1) + i, an exact integer
     identity. One full-width product, by m^g, closes the block: it turns
     the last t into s_{bg+g}, from which the next block starts. The lanes
     join once at the end, S_j = sum_i lane_j[i] m^i, on m^2 .. m^g taken by
     repeated products, and c1 and c2 apply once: about K/g + 3g full-width
-    products instead of K.
+    products instead of K. In the real branch the loop up to S_2, S_3 and
+    CRVZ's d is _real_lanes, kept per process and keyed by m and the plan,
+    so the loops of one m whose (c1, c2) share _plan's bucket run once.
 
     Tail: |s_{k+1} / s_k| = |m| k^3 / den_{k+1} < r = |m| / scale, as
     (2k+1)(ak+a-1)(ak+1) > 2 a^2 k^3, so |s_k| <= |s_1| r^(k-1) with
     |s_1| = |m| / den_1, and the terms after K sum to at most
-    |s_1| r^K (|c1| (K+1) / (1-r)^2 + |c2| / (1-r)). _term_count finds K.
+    |s_1| r^K (|c1| (K+1) / (1-r)^2 + |c2| / (1-r)), and so at most
+    |s_1| r^K B ((K+1) / (1-r)^2 + 1 / (1-r)) for _plan's bucket bound
+    B >= |c1|, |c2|. _term_count finds K for B: no less than the K of the
+    magnitudes themselves.
 
     CRVZ: Cohen, Rodriguez Villegas & Zagier, "Convergence acceleration of
     alternating series" (Experimental Math. 9, 2000), Algorithm 1. For real
@@ -287,7 +333,8 @@ def _sum_linear_series(c1, c2, m, family: SeriesFamily, ctx: PrecisionContext):
       so G(j+1) is the moment sequence of e^-u dnu(u) carried to x = e^-u.
       So a'_j is one.
     Both a_0 and a'_0 are |s_1|, so c1 S_2 - c2 S_3 is off by at most
-    2 |s_1| (|c1| + |c2|) / (3 + sqrt 8)^n, and _crvz_count finds n.
+    2 |s_1| (|c1| + |c2|) / (3 + sqrt 8)^n <= 4 |s_1| B / (3 + sqrt 8)^n,
+    and _crvz_count finds n for B.
 
     Cost rule: the loop sums by CRVZ when m < 0 in the real branch and
     _CRVZ_COST n < K, both counts known before the loop. A CRVZ term pays
@@ -310,15 +357,16 @@ def _sum_linear_series(c1, c2, m, family: SeriesFamily, ctx: PrecisionContext):
     |t_k| <= 1 / den_1 if |m| < 1. So each product closing a block adds
     under 2 sqrt2 M, S_3 is off by under sqrt2 M K ((1 + 2/g) / (1-r) + 1)
     + sqrt2 and S_2 by K times that, and c1 S_2 - c2 S_3, truncated once
-    more, by under 5 M K (|c1| K + |c2| + 1) / (1-r) ulps. Under CRVZ the
+    more, by under 5 M K (|c1| K + |c2| + 1) / (1-r) <= 5 M K (B (K+1) + 1)
+    / (1-r) ulps. Under CRVZ the
     lanes hold e_{k-1} t_k exactly for the computed t_k, so after the
     division by d each term's error is the plain one's times
     e_{k-1} / d < 1, the truncations by 2^P shrink to 1/d ulp, and the
     division adds one ulp: the same count with K = n holds, since its
     factor 5 leaves more than one ulp to spare. P is the bits of
     ctx.bumped().dps plus the bits of that count: the g max(0, e) guard bits
-    of M, for the |m|^i of the join, and those of 5 K (|c1| K + |c2| + 1) /
-    (1-r).
+    of M, for the |m|^i of the join, and those of 5 K (B (K+1) + 1) / (1-r).
+    K, CRVZ's choice and P read c1 and c2 through B alone.
 
     Real c1, c2 and m give an mpf, the fixed-point sum unrounded, anything
     else an mpc rounded at ctx's working precision. DomainError if
@@ -328,29 +376,8 @@ def _sum_linear_series(c1, c2, m, family: SeriesFamily, ctx: PrecisionContext):
     K, crvz, prec = _plan(c1, c2, m, family, ctx)
     g = _BLOCK
     if _is_real(c1, c2, m):
-        c1r, c2r, mr = (libmp.to_fixed(v._mpf_, prec) for v in (c1, c2, m))
-        powers = [mr]
-        for _ in range(min(g, K) - 1):
-            powers.append((powers[-1] * mr) >> prec)
-        d, weights = _crvz_weights(K) if crvz else (1, None)
-        lane3, acc = [0] * g, [0] * g
-        t = 1 << prec
-        for b, pairs in enumerate(_ratio_blocks(family, K)):
-            if b:
-                t = (t * powers[-1]) >> prec
-                acc = list(map(add, acc, lane3))
-            if weights is None:
-                for i, (cube, den) in enumerate(pairs):
-                    t = t * cube // den
-                    lane3[i] += t
-            else:
-                for i, ((cube, den), e) in enumerate(zip(pairs, weights)):
-                    t = t * cube // den
-                    lane3[i] += e * t
-        last = range(g * b + 1, g * b + g + 1)  # the k of each lane in the last block
-        u = list(map(mul, lane3, powers))
-        s3 = sum(u) >> prec
-        s2 = (sum(map(mul, last, u)) - g * sum(map(mul, acc, powers))) >> prec
+        s2, s3, d = _real_lanes(family, m._mpf_, K, crvz, prec, g)
+        c1r, c2r = (libmp.to_fixed(v._mpf_, prec) for v in (c1, c2))
         return mpmath.ldexp(((c1r * s2 - c2r * s3) >> prec) // d, -prec), K
     (c1r, c1i), (c2r, c2i), (mr, mi) = (to_fixed(v, prec) for v in (c1, c2, m))
     powers = [(mr, mi)]
@@ -420,7 +447,8 @@ def evaluate_series_sum(terms, ctx: PrecisionContext) -> Tuple[mpf, int]:
     holds them), and each group with c1 or c2 not 0 runs one loop on c1, c2
     and m embedded once on ctx.bumped(). terms_used sums the terms that the
     loops summed: K for the plain loop, n for one summed by CRVZ (see
-    _sum_linear_series).
+    _sum_linear_series). A loop on an m and a plan bucket that an earlier
+    call in the process summed is read back from _real_lanes, bit for bit.
     """
     groups = {}
     for weight, s in terms:

@@ -19,6 +19,7 @@ from updownlab import (
     identities,
     load_corpus,
     serialize_corpus,
+    series,
     series_constants_from_cm,
 )
 from updownlab.cli import (
@@ -540,6 +541,22 @@ class TestGoldenOutputs:
         assert code == EXIT_OK and err == ""
         with open(os.path.join(GOLDEN, name), encoding="utf-8") as fh:
             assert out == fh.read()
+
+    def test_warm_memos_give_the_cold_bytes(self, capsys):
+        # verify --all at 40 and then 300 digits in one process, first with
+        # the memos of computed values empty and then with them full: every
+        # report holds the golden bytes, which a fresh process wrote.
+        outputs = []
+        for _ in ("cold", "warm"):
+            for digits in (40, 300):
+                code, out, err = run(capsys, "verify", "--all", "--digits", str(digits), "--json")
+                assert code == EXIT_OK and err == ""
+                outputs.append(out)
+        assert series._real_lanes.cache_info().hits > 0
+        assert identities._kept_epstein.cache_info().hits > 0
+        for digits, out in zip((40, 300, 40, 300), outputs):
+            with open(os.path.join(GOLDEN, f"verify_all_{digits}.json"), encoding="utf-8") as fh:
+                assert out == fh.read(), digits
 
 
 class TestArgumentHandling:

@@ -35,6 +35,8 @@ from updownlab.modular import CMPoint
 from updownlab.numerics import embed_quadratic
 from updownlab.series import _FAMILY_BY_LEVEL, evaluate_series_sum
 
+from conftest import clear_memos
+
 
 class TestCorpusLoading:
     def test_shipped_corpus_size(self, corpus):
@@ -360,17 +362,23 @@ class TestConstantsCache:
         assert stored._mpf_ == v._mpf_
 
 
-def _separate_run_mismatches(ctx):
+def _separate_run_mismatches(ctx, warm):
     """(bad, n): the ids, among the n records and instances of the shipped
     corpus, whose report from verify_all(ctx, id) differs from its entry in
     verify_all(ctx) in any bit of lhs_value, rhs_value or abs_residual, or in
-    terms_used."""
+    terms_used. Each record runs alone on the memos of computed values that
+    the full run left (warm), or on empty ones (cold)."""
     def bits(report):
         return (report.lhs_value._mpf_, report.rhs_value._mpf_,
                 report.abs_residual._mpf_, report.terms_used)
 
+    def alone(record_id):
+        if not warm:
+            clear_memos()
+        return verify_all(ctx, record_id)
+
     full = verify_all(ctx)
-    bad = [r.id for r in full if [bits(s) for s in verify_all(ctx, r.id)] != [bits(r)]]
+    bad = [r.id for r in full if [bits(s) for s in alone(r.id)] != [bits(r)]]
     return bad, len(full)
 
 
@@ -411,8 +419,8 @@ class TestVerification:
     def test_single_series_terms_used_at_40_digits(self, corpus, ctx40):
         # The a-priori count of each record's one loop: K, or CRVZ's n for
         # b6 and c3.
-        expected = {"zeilberger": 33, "grnew": 448, "grold": 18,
-                    "b6": 82, "c3": 82}
+        expected = {"zeilberger": 35, "grnew": 481, "grold": 18,
+                    "b6": 88, "c3": 88}
         got = {rid: verify_identity(rid, ctx40, corpus).terms_used
                for rid in expected}
         assert got == expected
@@ -488,8 +496,37 @@ class TestVerification:
 
     @pytest.mark.parametrize("digits", [40, 300, pytest.param(1000, marks=pytest.mark.highprec)])
     def test_record_alone_gives_the_bits_of_the_full_run(self, digits):
-        # A record's bits depend on the record alone, not on which others run.
-        assert _separate_run_mismatches(PrecisionContext(digits=digits)) == ([], 54)
+        # A record's bits depend on the record alone, not on which others
+        # run, nor on what the memos of computed values hold: each record
+        # runs alone on empty memos, and then on those the full runs left.
+        ctx = PrecisionContext(digits=digits)
+        for warm in (False, True):
+            assert _separate_run_mismatches(ctx, warm) == ([], 54), warm
+
+    @pytest.mark.parametrize("digits", [40, 300])
+    def test_each_reduced_point_summed_once(self, corpus, digits, monkeypatch):
+        # The lattice sums' 94 points reduce to 52 forms: verify_all sums
+        # E(z, 2) once for each, at the reduced point, and a second run in
+        # the same process sums none.
+        ctx = PrecisionContext(digits=digits)
+        calls = []
+        original = identities.epstein_sl2
+
+        def counting(point, ctx):
+            calls.append(point)
+            return original(point, ctx)
+
+        monkeypatch.setattr(identities, "epstein_sl2", counting)
+        points = [p for inst in corpus.kronecker for p in inst.points]
+        assert len(points) == 94
+        first = [verify_kronecker(inst, ctx) for inst in corpus.kronecker]
+        assert len(calls) == len(set(calls)) == 52
+        assert set(calls) == {p.reduced() for p in points}
+        calls.clear()
+        again = [verify_kronecker(inst, ctx) for inst in corpus.kronecker]
+        assert calls == []
+        assert ([dataclasses.replace(r, elapsed_ms=0) for r in again]
+                == [dataclasses.replace(r, elapsed_ms=0) for r in first])
 
     def test_each_l_value_computed_once_per_run(self, corpus, monkeypatch):
         # Without a cache, verify_all still computes every L(d) tag once,

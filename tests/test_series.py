@@ -38,6 +38,21 @@ def _exact(x) -> Fraction:
     return (-1) ** sign * man * Fraction(2) ** exp
 
 
+def _bucket_bound(*coeffs) -> Fraction:
+    """_plan's bound B = 2^(16 ceil(log2 max |c| / 16)) over mpf, mpc or
+    float coefficients, from their exact values: the least L with
+    4^L >= max |c|^2, then L rounded up to a multiple of 16; 0 when every
+    coefficient is 0."""
+    top = max(_exact(mpmath.mpf(c.real)) ** 2 + _exact(mpmath.mpf(c.imag)) ** 2
+              for c in coeffs)
+    if not top:
+        return 0
+    L = -((top.denominator.bit_length() - top.numerator.bit_length()) // 2) - 2
+    while Fraction(4) ** L < top:
+        L += 1
+    return Fraction(2) ** (16 * -(-L // 16))
+
+
 def _exact_sum(c1, c2, m, family, k_max, weights=None):
     """sum_{k<=k_max} w_k (c1 k - c2) m^k / (k^3 denom(k)) in exact Gaussian
     rationals, (Re num, Im num, den), for mpf/mpc c1, c2, m, with the
@@ -65,13 +80,15 @@ def _exact_sum(c1, c2, m, family, k_max, weights=None):
 
 def _plain_linear_series(c1, c2, m, family, ctx):
     """The series loop with one full-width product, u_{k-1} m, per term, and
-    its own term-count plan: the oracle for the blocked loop's K and bits.
+    its own term-count plan on the blocked loop's bound B >= |c1|, |c2|
+    (_bucket_bound): the oracle for the blocked loop's K and bits.
     Rounding: under 4 K (|c1| K + |c2| + 1) / (1-r) ulps of 2^-P."""
+    bound = _bucket_bound(c1, c2)
     with ctx.working():
         r = abs(m) / family.scale
         if r >= 1:
             raise DomainError(f"series diverges: |m|/{family.scale} = {float(r)}")
-        exact = (r, 1 - r, abs(c1), abs(c2))
+        exact = (r, 1 - r, bound, bound)
         r, gap, a1, a2 = plan = [float(v) for v in exact]
         underflow = any(v and not f for f, v in zip(plan, exact))
         base = libmp.dps_to_prec(ctx.bumped().dps)
@@ -361,9 +378,10 @@ class TestTermCount:
         (300, "1e-30"), (300, "3e-4"), (300, "0.5")])
     @pytest.mark.parametrize("c1, c2", [(3.5, -2), (0, 1), (4.7e10, 1e3)])
     def test_count_is_least_within_two(self, digits, r, c1, c2):
-        # K meets the tail bound |s_1| r^K (|c1| (K+1)/(1-r)^2 + |c2|/(1-r))
-        # <= eps, and K - 2 does not unless K sits at its floor 1 + 1: the
-        # steps converge, for tiny r and for r close to 1 alike.
+        # K meets the tail bound |s_1| r^K B ((K+1)/(1-r)^2 + 1/(1-r)) <= eps
+        # for the plan's bound B >= |c1|, |c2|, and K - 2 does not unless K
+        # sits at its floor 1 + 1: the steps converge, for tiny r and for r
+        # close to 1 alike.
         ctx = PrecisionContext(digits=digits)
         family = SeriesFamily.C2X4K
         with ctx.working():
@@ -371,11 +389,10 @@ class TestTermCount:
             _, count = series._sum_linear_series(mpf(c1), mpf(c2), m, family, ctx)
         with mpmath.workdps(ctx.dps + 20):
             ratio = m / family.scale
-            head = m / family.ratio(1)[1]
+            head = m / family.ratio(1)[1] * _bucket_bound(c1, c2)
 
             def bound(k):
-                return head * ratio**k * (abs(c1) * (k + 1) / (1 - ratio) ** 2
-                                          + abs(c2) / (1 - ratio))
+                return head * ratio**k * ((k + 1) / (1 - ratio) ** 2 + 1 / (1 - ratio))
 
             assert bound(count) <= ctx.eps
             assert count <= 2 or bound(count - 2) > ctx.eps
@@ -393,7 +410,7 @@ class TestTermCount:
                                           family, ctx)
         count = int(re.search(r"needs (\d+) terms", str(err.value)).group(1))
         with mpmath.workdps(ctx.dps + 20):
-            head = ratio * family.scale / family.ratio(1)[1]
+            head = ratio * family.scale / family.ratio(1)[1] * _bucket_bound(1, 1)
 
             def bound(k):
                 return head * ratio**k * ((k + 1) / (1 - ratio) ** 2 + 1 / (1 - ratio))
@@ -435,16 +452,19 @@ class TestRealLoop:
 
 
 def _documented_count(c1, c2, m, family, K, ctx):
-    """(P, N) of _sum_linear_series's docstring: the loop's bits and its
-    rounding count, N ulps of 2^-P, for a loop of K terms."""
+    """(P, N) of _sum_linear_series's docstring: the loop's bits, from the
+    bound B >= |c1|, |c2| of its plan, and its rounding count, N ulps of
+    2^-P, from |c1| and |c2| themselves, for a loop of K terms."""
     g = series._BLOCK
+    bound = float(_bucket_bound(c1, c2))
     with ctx.working():
         r = abs(m) / family.scale
         a1, a2, gap, am = (float(v) for v in (abs(c1), abs(c2), 1 - r, abs(m)))
-    count = 5 * K * (a1 * K + a2 + 1) / gap
     guard = g * max(0, math.frexp(am)[1])
-    P = libmp.dps_to_prec(ctx.bumped().dps) + int(count).bit_length() + guard
-    return P, Fraction(count) * 2**guard
+    P = (libmp.dps_to_prec(ctx.bumped().dps) + guard
+         + int(5 * K * (bound * (K + 1) + 1) / gap).bit_length())
+    assert series._plan(c1, c2, m, family, ctx)[2] == P
+    return P, Fraction(5 * K * (a1 * K + a2 + 1) / gap) * 2**guard
 
 
 class TestBlocks:
@@ -499,13 +519,15 @@ class TestBlocks:
         # A bound of one block: the phi^8 loop at 40 digits runs past it on a
         # ratio table of its own, which is not kept. The bits are those of
         # the loop with the bound raised, and rounded at ctx those of the
-        # one-product loop.
+        # one-product loop. The kept lanes are dropped in between, so that
+        # the loop runs again.
         ctx = PrecisionContext(digits=40)
         wide = ctx.bumped()
         phi_half, _ = _fib_halves(corpus.identity("fib1").lhs[0].series)
         with wide.working():
             loop = (*(embed_quadratic(v, wide) for v in phi_half), SeriesFamily.CENTRAL3)
         default, default_K = series._sum_linear_series(*loop, ctx)
+        series._real_lanes.cache_clear()
         monkeypatch.setattr(numerics, "_kept", {})
         monkeypatch.setattr(numerics, "KEPT_TERMS", self.G)
         value, K = series._sum_linear_series(*loop, ctx)
@@ -547,6 +569,44 @@ class TestBlockedAgainstPlainLoop:
         # one full-width product per term, on every loop the plain loop sums.
         bad = _plain_loop_mismatches(PrecisionContext(digits=digits))
         assert not bad
+
+
+class TestKeptLanes:
+    @pytest.mark.parametrize("digits", [40, 300])
+    def test_one_loop_per_m_and_bucket(self, corpus, digits):
+        # The eleven PI2-only records sum on three m (zeilberger's, phi^8
+        # and psi^8), and every (c1, c2) of one m falls in one bucket: three
+        # loops run between them.
+        ctx = PrecisionContext(digits=digits)
+        for rid in ("zeilberger", "grnew", "grold", "fib1", "fib2", "fib1p", "fib2p",
+                    "flpm-plus", "flpm-minus", "grnew-plus-grold", "grnew-minus-grold"):
+            record = corpus.identity(rid)
+            series.evaluate_series_sum(((t.weight, t.series) for t in record.lhs), ctx)
+        assert series._real_lanes.cache_info().misses == 3
+
+    def test_a_changed_plan_runs_a_fresh_loop(self, corpus, monkeypatch):
+        # b6 by CRVZ and, with CRVZ priced out, on the plain loop: each on
+        # empty memos, and then one after the other on the memo the other
+        # left. A kept loop serves only the very plan it was summed on.
+        ctx = PrecisionContext(digits=40)
+        wide = ctx.bumped()
+        s = corpus.identity("b6").lhs[0].series
+        with wide.working():
+            loop = (*(embed_quadratic(v, wide) for v in (s.a, s.b, s.m)), s.family)
+
+        def summed(cost):
+            with monkeypatch.context() as patch:
+                patch.setattr(series, "_CRVZ_COST", cost)
+                value, count = series._sum_linear_series(*loop, ctx)
+            return value._mpf_, count
+
+        costs = (series._CRVZ_COST, math.inf)
+        cold = []
+        for cost in costs:
+            series._real_lanes.cache_clear()
+            cold.append(summed(cost))
+        assert cold[0][1] < cold[1][1]  # CRVZ's n < the plain K
+        assert [summed(cost) for cost in costs + costs] == cold + cold
 
 
 class TestCRVZ:
