@@ -196,7 +196,7 @@ def _plan(c1, c2, m, family: SeriesFamily, ctx: PrecisionContext):
     loop sums by CRVZ, and the bits of its fixed point. The floats of the
     plan are r = |m| / scale, 1 - r and |m|, each rounded to nearest at
     ctx's working precision and then to a float, and the bucket bound
-    B = 2^(16 ceil(log2 max(|c1|, |c2|) / 16)), 0 when c1 = c2 = 0, from
+    B = 2^(4 ceil(log2 max(|c1|, |c2|) / 4)), 0 when c1 = c2 = 0, from
     the magnitudes rounded up there, so B >= |c1|, |c2|: on raw mpf tuples,
     with no working context entered and no mpf made. c1 and c2 enter the
     plan through B alone, so every (c1, c2) of one bucket on one m gets the
@@ -212,7 +212,7 @@ def _plan(c1, c2, m, family: SeriesFamily, ctx: PrecisionContext):
     underflow = any(v != libmp.fzero and not f for f, v in zip(plan, exact))
     a1, a2 = (_magnitude(c, prec, libmp.round_up) for c in (c1, c2))
     _, man, exp, bc = a1 if libmp.mpf_cmp(a1, a2) >= 0 else a2
-    bits = -16 * (((man == 1) - exp - bc) // 16)  # 16 ceil(log2 max / 16): odd man
+    bits = -4 * (((man == 1) - exp - bc) // 4)  # 4 ceil(log2 max / 4): odd man
     base = libmp.dps_to_prec(ctx.bumped().dps)
     crvz = False
     try:

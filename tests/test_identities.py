@@ -419,8 +419,8 @@ class TestVerification:
     def test_single_series_terms_used_at_40_digits(self, corpus, ctx40):
         # The a-priori count of each record's one loop: K, or CRVZ's n for
         # b6 and c3.
-        expected = {"zeilberger": 35, "grnew": 481, "grold": 18,
-                    "b6": 88, "c3": 88}
+        expected = {"zeilberger": 34, "grnew": 454, "grold": 18,
+                    "b6": 83, "c3": 83}
         got = {rid: verify_identity(rid, ctx40, corpus).terms_used
                for rid in expected}
         assert got == expected

@@ -39,9 +39,9 @@ def _exact(x) -> Fraction:
 
 
 def _bucket_bound(*coeffs) -> Fraction:
-    """_plan's bound B = 2^(16 ceil(log2 max |c| / 16)) over mpf, mpc or
+    """_plan's bound B = 2^(4 ceil(log2 max |c| / 4)) over mpf, mpc or
     float coefficients, from their exact values: the least L with
-    4^L >= max |c|^2, then L rounded up to a multiple of 16; 0 when every
+    4^L >= max |c|^2, then L rounded up to a multiple of 4; 0 when every
     coefficient is 0."""
     top = max(_exact(mpmath.mpf(c.real)) ** 2 + _exact(mpmath.mpf(c.imag)) ** 2
               for c in coeffs)
@@ -50,7 +50,7 @@ def _bucket_bound(*coeffs) -> Fraction:
     L = -((top.denominator.bit_length() - top.numerator.bit_length()) // 2) - 2
     while Fraction(4) ** L < top:
         L += 1
-    return Fraction(2) ** (16 * -(-L // 16))
+    return Fraction(2) ** (4 * -(-L // 4))
 
 
 def _exact_sum(c1, c2, m, family, k_max, weights=None):
@@ -574,15 +574,23 @@ class TestBlockedAgainstPlainLoop:
 class TestKeptLanes:
     @pytest.mark.parametrize("digits", [40, 300])
     def test_one_loop_per_m_and_bucket(self, corpus, digits):
-        # The eleven PI2-only records sum on three m (zeilberger's, phi^8
-        # and psi^8), and every (c1, c2) of one m falls in one bucket: three
-        # loops run between them.
+        # The eight records on phi^8 have every phi^8 (c1, c2) in one
+        # bucket (log2 max |c| from 0.06 to 2.22) and every psi^8 half in
+        # another (6.57 to 7.73): two loops. grold's psi^8 (7.73) joins the
+        # second; zeilberger's m and flpm-minus's psi^8 (8.73, the next
+        # bucket) add one loop each.
         ctx = PrecisionContext(digits=digits)
-        for rid in ("zeilberger", "grnew", "grold", "fib1", "fib2", "fib1p", "fib2p",
-                    "flpm-plus", "flpm-minus", "grnew-plus-grold", "grnew-minus-grold"):
-            record = corpus.identity(rid)
-            series.evaluate_series_sum(((t.weight, t.series) for t in record.lhs), ctx)
-        assert series._real_lanes.cache_info().misses == 3
+
+        def misses(*rids):
+            for rid in rids:
+                record = corpus.identity(rid)
+                series.evaluate_series_sum(((t.weight, t.series) for t in record.lhs), ctx)
+            return series._real_lanes.cache_info().misses
+
+        assert misses("grnew", "fib1", "fib2", "fib1p", "fib2p", "flpm-plus",
+                      "grnew-plus-grold", "grnew-minus-grold") == 2
+        assert misses("grold") == 2
+        assert misses("zeilberger", "flpm-minus") == 4
 
     def test_a_changed_plan_runs_a_fresh_loop(self, corpus, monkeypatch):
         # b6 by CRVZ and, with CRVZ priced out, on the plain loop: each on
