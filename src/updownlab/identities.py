@@ -366,30 +366,26 @@ def check_table(table_no: int, ctx: PrecisionContext):
     raise DomainError(f"no table {table_no}")
 
 
-# -- constants cache -------------------------------------------------------
+# -- RHS constants: the kept values and perfbench's file -------------------
 
 class ConstantsCache:
-    """RHS constants stored exactly, keyed by tag and working precision (dps).
-
-    Each value is kept as its signed ``(man, exp)`` pair, so a warm cache returns
-    the very bits a cold run computed. An entry of any other shape, such as a
-    decimal string written by an older version, counts as a miss and is
-    overwritten by the next ``put``. It has two users: ``verify_all``'s
-    in-memory memo, which lasts one run, and, with a ``path``, the JSON file
-    of perfbench's ``corpus-40-cached`` workload. The CLI reads no file.
+    """RHS constants in a JSON file, keyed by tag and working precision (dps),
+    each stored exactly as its signed ``(man, exp)`` pair: a warm file returns
+    the bits a cold run computed. An entry of any other shape, such as a
+    decimal string written by an older version, is a miss that the next
+    ``put`` overwrites. Its one user is perfbench's ``corpus-40-cached``
+    workload; the library and the CLI read no file (ROADMAP item 13).
     """
 
-    def __init__(self, path: Optional[str] = None):
-        self.path = path
-        self._data = {}
-        if path and os.path.exists(path):
-            try:
-                with open(path, encoding="utf-8") as fh:
-                    data = json.load(fh)
-            except (OSError, ValueError):
-                data = None
-            if isinstance(data, dict):
-                self._data = data
+    def __init__(self, path: str):
+        self.path, self._data = path, {}
+        try:
+            with open(path, encoding="utf-8") as fh:
+                data = json.load(fh)
+        except (OSError, ValueError):  # no file yet, or not JSON
+            return
+        if isinstance(data, dict):
+            self._data = data
 
     def get(self, tag: str, dps: int) -> Optional[mpf]:
         entry = self._data.get(f"{tag}@{dps}")
@@ -402,45 +398,51 @@ class ConstantsCache:
         # The signed mantissa: ``mpf.man_exp`` drops the sign.
         sign, man, exp, _ = value._mpf_
         self._data[f"{tag}@{dps}"] = [int(-man if sign else man), int(exp)]
-        if self.path:
-            tmp = self.path + ".tmp"
-            with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(self._data, fh, indent=2, sort_keys=True)
-            os.replace(tmp, self.path)
+        tmp = self.path + ".tmp"
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(self._data, fh, indent=2, sort_keys=True)
+        os.replace(tmp, self.path)
+
+
+@lru_cache(maxsize=128)
+def _kept_constant(tag: str, ctx: PrecisionContext) -> mpf:
+    """The value of a RHS constant tag at ctx's working precision, kept per
+    process: it depends on the tag and ctx alone. One ``verify --all`` reads
+    33 distinct tags per precision (31 L(d), PI2 and ZETA2), so 128 values
+    hold three precisions."""
+    d = _check_tag(tag)
+    with ctx.working():
+        if tag == "PI2":
+            return mp.pi**2
+        if tag == "ZETA2":
+            return zeta_int(2, ctx)
+        if tag == "ZETA3":
+            return zeta_int(3, ctx)
+        return dirichlet_l2(d, ctx)
+
+
+@lru_cache(maxsize=128)
+def _kept_epstein(point: CMPoint, ctx: PrecisionContext) -> mpf:
+    """E(point, 2) by epstein_sl2 for a reduced CMPoint, kept per process:
+    the value depends on the reduced form and ctx alone."""
+    return epstein_sl2(point, ctx)
 
 
 def constant_value(tag: str, ctx: PrecisionContext,
                    cache: Optional[ConstantsCache] = None) -> mpf:
-    """Value of a RHS constant tag at the working precision, via the cache
-    when possible. Every RHS constant of either record kind comes from here."""
-    d = _check_tag(tag)
-    with ctx.working():
-        if cache is not None:
-            hit = cache.get(tag, ctx.dps)
-            if hit is not None:
-                return hit
-        if tag == "PI2":
-            value = mp.pi**2
-        elif tag == "ZETA2":
-            value = zeta_int(2, ctx)
-        elif tag == "ZETA3":
-            value = zeta_int(3, ctx)
-        else:
-            value = dirichlet_l2(d, ctx)
-        if cache is not None:
-            cache.put(tag, ctx.dps, value)
-        return value
+    """Value of a RHS constant tag at the working precision. Every RHS
+    constant of either record kind comes from here, and so from
+    _kept_constant. A ``cache`` is read first; a miss fills it."""
+    if cache is None:
+        return _kept_constant(tag, ctx)
+    value = cache.get(tag, ctx.dps)
+    if value is None:
+        value = _kept_constant(tag, ctx)
+        cache.put(tag, ctx.dps, value)
+    return value
 
 
 # -- verification ----------------------------------------------------------
-
-def _rhs_value(rhs, ctx: PrecisionContext, cache=None) -> mpf:
-    with ctx.working():
-        total = mpf(0)
-        for coeff, tag in rhs:
-            total += embed_quadratic(coeff, ctx) * constant_value(tag, ctx, cache)
-        return total
-
 
 def _report(record_id, ctx, lhs, rhs, terms, t0) -> VerificationReport:
     with ctx.working():
@@ -461,15 +463,11 @@ def verify_identity(record: Union[str, IdentityRecord], ctx: PrecisionContext,
         record = corpus.identity(record)
     t0 = time.monotonic()
     lhs, terms = evaluate_series_sum(((t.weight, t.series) for t in record.lhs), ctx)
-    rhs = _rhs_value(record.rhs, ctx, cache)
+    with ctx.working():
+        rhs = mpf(0)
+        for coeff, tag in record.rhs:
+            rhs += embed_quadratic(coeff, ctx) * constant_value(tag, ctx, cache)
     return _report(record.id, ctx, lhs, rhs, terms, t0)
-
-
-@lru_cache(maxsize=128)
-def _kept_epstein(point: CMPoint, ctx: PrecisionContext) -> mpf:
-    """E(point, 2) by epstein_sl2 for a reduced CMPoint, kept per process:
-    the value depends on the reduced form and ctx alone."""
-    return epstein_sl2(point, ctx)
 
 
 def verify_kronecker(instance: Union[str, KroneckerInstance],
@@ -505,12 +503,12 @@ def verify_all(ctx: PrecisionContext, pattern: Optional[str] = None,
 
     Records run one after another in this process: mpmath's working
     precision is process-global, so ``parallelism`` must be 1. Each RHS
-    constant is computed once per run, in memory. ``cache`` has one user:
-    perfbench's ``corpus-40-cached`` workload passes a file-backed one.
+    constant and each E(z_Q, 2) is computed once per input in a process
+    (_kept_constant, _kept_epstein), whichever call reads it first. ``cache``
+    has one user: perfbench's ``corpus-40-cached`` workload passes a file.
     """
     if parallelism != 1:
         raise ValueError(f"parallelism must be 1, got {parallelism}")
-    cache = cache if cache is not None else ConstantsCache()
     corpus = corpus if corpus is not None else load_corpus()
     # A pattern with none of *?[ names one id: compare, skip fnmatch.
     glob = pattern is not None and not set(pattern).isdisjoint("*?[")

@@ -420,8 +420,10 @@ _INV_PHI = QuadraticNumber(Fraction(-1, 2), Fraction(1, 2), 5)
 _INV_SQRT5 = QuadraticNumber(0, Fraction(1, 5), 5)
 
 
+@lru_cache(maxsize=8)
 def _fib_halves(s: FibLucasSeries):
-    """The CENTRAL3 series (c1, c2, m) whose sum is ``s``, m = phi^8 and psi^8.
+    """The CENTRAL3 series (c1, c2, m) whose sum is ``s``, m = phi^8 and psi^8,
+    kept per series: the corpus's 8 Fibonacci-Lucas terms are 4 series.
 
     With L_n = F_n + 2 F_{n-1} and Binet's F_n = (phi^n - psi^n)/sqrt5, the
     numerator is (f1 k + f0) F_{8k} + (g1 k + g0) F_{8k-1}, and F_{8k-1} takes

@@ -1,5 +1,6 @@
 """Shared fixtures: precision contexts, the shipped corpus, and random
-half-plane points drawn from a fixed seed so runs are reproducible."""
+half-plane points drawn from a fixed seed so runs are reproducible. The
+fixture that empties the memos before every test is in the root conftest.py."""
 
 import os
 import random
@@ -12,22 +13,8 @@ import pytest
 from mpmath import mp, mpc
 
 import updownlab
-from updownlab import PrecisionContext, identities, kronecker_symbol, load_corpus, series
+from updownlab import PrecisionContext, kronecker_symbol, load_corpus
 from updownlab import satisfies_region
-
-
-def clear_memos():
-    """Empty the per-process memos of computed values: the series loop's
-    kept lanes and the kept E(z, 2) of the lattice sums."""
-    series._real_lanes.cache_clear()
-    identities._kept_epstein.cache_clear()
-
-
-@pytest.fixture(autouse=True)
-def cold_memos():
-    """Every test starts with empty memos, so its result does not depend on
-    which tests ran before it in the process."""
-    clear_memos()
 
 
 @pytest.fixture(scope="session")

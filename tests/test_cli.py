@@ -553,7 +553,9 @@ class TestGoldenOutputs:
                 assert code == EXIT_OK and err == ""
                 outputs.append(out)
         assert series._real_lanes.cache_info().hits > 0
+        assert series._fib_halves.cache_info().hits > 0
         assert identities._kept_epstein.cache_info().hits > 0
+        assert identities._kept_constant.cache_info().hits > 0
         for digits, out in zip((40, 300, 40, 300), outputs):
             with open(os.path.join(GOLDEN, f"verify_all_{digits}.json"), encoding="utf-8") as fh:
                 assert out == fh.read(), digits

@@ -35,8 +35,6 @@ from updownlab.modular import CMPoint
 from updownlab.numerics import embed_quadratic
 from updownlab.series import _FAMILY_BY_LEVEL, evaluate_series_sum
 
-from conftest import clear_memos
-
 
 class TestCorpusLoading:
     def test_shipped_corpus_size(self, corpus):
@@ -346,28 +344,29 @@ class TestConstantsCache:
         stored = json.loads(path.read_text(encoding="utf-8"))
         assert stored["ZETA3@40"] == list(value.man_exp)
 
-    def test_constant_value_uses_cache(self):
+    def test_constant_value_uses_cache(self, tmp_path):
         ctx = PrecisionContext(digits=20)
-        cache = ConstantsCache()
+        cache = ConstantsCache(str(tmp_path / "cache.json"))
         sentinel = mpf("123.5")
         cache.put("ZETA3", ctx.dps, sentinel)
         assert constant_value("ZETA3", ctx, cache) == sentinel
 
-    def test_constant_value_fills_cache(self):
+    def test_constant_value_fills_cache(self, tmp_path):
         ctx = PrecisionContext(digits=20)
-        cache = ConstantsCache()
+        cache = ConstantsCache(str(tmp_path / "cache.json"))
         v = constant_value("L(-4)", ctx, cache)
         stored = cache.get("L(-4)", ctx.dps)
         assert stored is not None
         assert stored._mpf_ == v._mpf_
 
 
-def _separate_run_mismatches(ctx, warm):
+def _separate_run_mismatches(ctx, warm, clear_memos):
     """(bad, n): the ids, among the n records and instances of the shipped
     corpus, whose report from verify_all(ctx, id) differs from its entry in
     verify_all(ctx) in any bit of lhs_value, rhs_value or abs_residual, or in
     terms_used. Each record runs alone on the memos of computed values that
-    the full run left (warm), or on empty ones (cold)."""
+    the full run left (warm), or on empty ones, which clear_memos makes
+    (cold)."""
     def bits(report):
         return (report.lhs_value._mpf_, report.rhs_value._mpf_,
                 report.abs_residual._mpf_, report.terms_used)
@@ -495,13 +494,13 @@ class TestVerification:
         assert untimed(ConstantsCache(path)) == plain  # warm
 
     @pytest.mark.parametrize("digits", [40, 300, pytest.param(1000, marks=pytest.mark.highprec)])
-    def test_record_alone_gives_the_bits_of_the_full_run(self, digits):
+    def test_record_alone_gives_the_bits_of_the_full_run(self, digits, cold_memos):
         # A record's bits depend on the record alone, not on which others
         # run, nor on what the memos of computed values hold: each record
         # runs alone on empty memos, and then on those the full runs left.
         ctx = PrecisionContext(digits=digits)
         for warm in (False, True):
-            assert _separate_run_mismatches(ctx, warm) == ([], 54), warm
+            assert _separate_run_mismatches(ctx, warm, cold_memos) == ([], 54), warm
 
     @pytest.mark.parametrize("digits", [40, 300])
     def test_each_reduced_point_summed_once(self, corpus, digits, monkeypatch):
@@ -528,9 +527,10 @@ class TestVerification:
         assert ([dataclasses.replace(r, elapsed_ms=0) for r in again]
                 == [dataclasses.replace(r, elapsed_ms=0) for r in first])
 
-    def test_each_l_value_computed_once_per_run(self, corpus, monkeypatch):
-        # Without a cache, verify_all still computes every L(d) tag once,
-        # and its reports equal those of records verified one by one.
+    def test_each_l_value_computed_once_per_process(self, corpus, monkeypatch, cold_memos):
+        # On empty memos verify_all computes every L(d) tag once, and a
+        # second run in the same process computes none; both runs' reports
+        # equal those of the records verified one by one from empty memos.
         ctx = PrecisionContext(digits=20)
         tags = {tag for rec in corpus.identities for _, tag in rec.rhs
                 if tag.startswith("L(")}
@@ -538,10 +538,13 @@ class TestVerification:
             d1, d2 = inst.d1.d, inst.d2.d
             tags |= ({f"L({d1})", f"L({d2})"} if inst.kind == "KRONECKER"
                      else {f"L({d1 * d2})"})
+        assert len(tags) == 31
         separate = [dataclasses.replace(verify_identity(r, ctx), elapsed_ms=0.0)
                     for r in corpus.identities]
         separate += [dataclasses.replace(verify_kronecker(k, ctx), elapsed_ms=0.0)
                      for k in corpus.kronecker]
+        separate.sort(key=lambda r: r.id)
+        cold_memos()
         calls = []
 
         def counting(d, ctx):
@@ -549,11 +552,13 @@ class TestVerification:
             return dirichlet_l2(d, ctx)
 
         monkeypatch.setattr(identities, "dirichlet_l2", counting)
-        reports = [dataclasses.replace(r, elapsed_ms=0.0)
-                   for r in verify_all(ctx, None, corpus)]
-        assert len(calls) == len(tags) == len(set(calls))
-        assert sorted(reports, key=lambda r: r.id) == \
-            sorted(separate, key=lambda r: r.id)
+        for computed in (tags, set()):
+            calls.clear()
+            reports = [dataclasses.replace(r, elapsed_ms=0.0)
+                       for r in verify_all(ctx, None, corpus)]
+            assert len(calls) == len(computed)
+            assert {f"L({d.d})" for d in calls} == computed
+            assert reports == separate
 
 
 class TestNegativeControls:
