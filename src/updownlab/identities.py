@@ -351,16 +351,18 @@ def load_tables() -> tuple:
 
 def check_table(table_no: int, ctx: PrecisionContext):
     """Recompute every cell of one table; yields (row_text, cell, residual).
-    Points are embedded at ctx.bumped(), where the constants are computed."""
+    The constants start at the exact CM point (series_constants_from_cm on
+    the row's CMPoint), and Im z, which c1 and c2 are divided by, is taken
+    at ctx.bumped(), where the constants are computed."""
     for tab in load_tables():
         if tab["table"] != table_no:
             continue
         level = tab["level"]
         for row in tab["rows"]:
-            z = row["point"].to_point(ctx.bumped())
+            y = row["point"].to_point(ctx.bumped()).imag
             with ctx.working():
-                c1, c2, m = series_constants_from_cm(z, level, ctx)
-                for name, value in zip(("c1", "c2", "m"), (c1 / 2 / z.imag, c2 / z.imag, m)):
+                c1, c2, m = series_constants_from_cm(row["point"], level, ctx)
+                for name, value in zip(("c1", "c2", "m"), (c1 / 2 / y, c2 / y, m)):
                     yield row["text"], name, abs(value - row["cells"][name].embed(ctx))
         return
     raise DomainError(f"no table {table_no}")

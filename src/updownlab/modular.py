@@ -325,6 +325,34 @@ def _reduce_sl2(z: mpc, ctx: PrecisionContext) -> tuple:
                       f"MAX_TERMS = {MAX_TERMS} steps")
 
 
+def _reduce_form(p: CMPoint) -> tuple:
+    """(w, shift, inverted): _reduce_sl2's steps at the exact point p, in
+    integers. A form (a, b, c) stands for its root v = (-b + sqrt(D)) / (2a):
+    v - n is the root of (a, b + 2an, .) and -1/v that of (c, -b, a). Each
+    step translates by n = nint(Re v), Re v = -b / (2a), a tie n - 1/2
+    going to the even one as mpf_nint does, and inverts where |v|^2 = c/a
+    is below 1. w is the CMPoint at which the loop stops and ``inverted``
+    the pairs (a, b) at which it inverts, all of discriminant D. So w lies
+    in the closed fundamental domain, w.reduced() is p.reduced(), and on an
+    edge (Re w = 1/2, or |w| = 1 with B < 0) w may be the point that
+    reduced() identifies with its own; shift and the inversions are those
+    of _reduce_sl2 on the embedded point, except where some |v|^2 lies
+    below 1 by less than ctx.tol, which takes a > 10^digits / 2. Each
+    inversion lowers a, so the loop ends."""
+    a, b, d = p.A, p.B, p.disc
+    shift, inverted = 0, []
+    while True:
+        n, r = divmod(a - b, 2 * a)  # floor(Re v + 1/2)
+        n -= r == 0 and n % 2
+        b += 2 * a * n
+        shift += n
+        c = (b * b - d) // (4 * a)
+        if c >= a:
+            return CMPoint(a, b, c), shift, inverted
+        inverted.append((a, b))
+        a, b = c, -b
+
+
 # -- eta, E2*, alpha_N, j, E4 ----------------------------------------------
 
 def _e4(w: mpc, ctx: PrecisionContext) -> tuple:
@@ -366,60 +394,155 @@ def dedekind_eta(z, ctx: PrecisionContext) -> mpc:
         return _eta_e2_star(z, ctx)[0]
 
 
-def _uncancelled(total, size, what: str):
-    """``total``, a sum of terms whose moduli add up to ``size``; DomainError
-    where it cancels past the GUARD_DIGITS of the working precision."""
-    if abs(total) > size / 10**GUARD_DIGITS:
+def _uncancelled(total: tuple, terms: tuple, what: str) -> tuple:
+    """``total``, a raw mpc sum of the raw mpc ``terms``; DomainError where
+    it cancels past the GUARD_DIGITS of the working precision, |total| at
+    most 10^-GUARD_DIGITS sum |term|. The moduli are taken at 53 bits: the
+    test needs no more."""
+    size = libmp.fzero
+    for u in terms:
+        size = libmp.mpf_add(size, libmp.mpc_abs(u, 53, _NEAREST), 53, _NEAREST)
+    if libmp.mpf_gt(libmp.mpf_mul_int(libmp.mpc_abs(total, 53, _NEAREST), 10**GUARD_DIGITS, 53,
+                                      _NEAREST), size):
         return total
     raise DomainError(f"{what} cancels past the {GUARD_DIGITS} guard digits: z is at a pole")
 
 
-def _level(z: mpc, N: int, ctx: PrecisionContext) -> tuple:
-    """(t, E2*(z), E2*(Nz)) from one _eta_e2_star pass at each of z and Nz,
-    t = Q/s, Q = (eta(z)/eta(Nz))^(24/(N-1)), s = N^(6/(N-1)). Every Gamma0(N)
-    quantity is rational in t, with no subtraction but its pole factor 1 + t:
-    alpha_N = 1/(1 + t), 1 - alpha_N = t/(1 + t), xi = 1 - 2/(1 + t). eta has
-    no zero, so t is never 0. DomainError where 1 + t cancels, at alpha_N's
-    poles, as at 1/2+1/2*i (N = 2) and 1/2+1/6*sqrt(3)*i (N = 3), elliptic
-    points of Gamma0(N). Call under ``ctx.working()``."""
+def _nearest(prec: int):
+    """op(*args) for a raw libmp operation ``op``, rounded to nearest at
+    prec bits."""
+    return lambda op, *args: op(*args, prec, _NEAREST)
+
+
+def _eta_squared_e2_star(v, ctx: PrecisionContext) -> tuple:
+    """(x, P, V, E2*(v)), raw mpc tuples at ctx's working precision of p
+    bits, with eta(v)^2 = e^{pi i x / 6} P^2 / V: _eta_e2_star's carry-back
+    squared, so that it takes no square root. From the reduction (w, shift,
+    inverted) of v, x = w + (shift + 3k) mod 24 over the k inverted points,
+    V = prod_j v_j over them, P = 1 + s from one pass of Euler's sums s and
+    M1 at w, and E2*(v) = E2*(w) / V^2, E2*(w) = 1 + 24 M1 / P - 3 / (pi Im w).
+    A CMPoint is reduced in integers (_reduce_form) and q taken at its exact
+    reduced point (_q_fixed): with S = sqrt|D| at p bits (_sqrt_bits), x =
+    ((2a k - b) + i S) / (2a) and V = (X + i Y S) / prod 2a_j for the exact
+    integers X + i Y S = prod (-b_j + i S), as S^2 = |D|, each part within
+    about 2 ulps. An mpc is reduced at the working precision (_reduce_sl2),
+    x = w + (shift + 3k) and V the product of the mpc points, each product
+    rounded. On raw tuples, with no context entered."""
+    prec = libmp.dps_to_prec(ctx.dps)
+    r = _nearest(prec)
+    if isinstance(v, CMPoint):
+        w, shift, inverted = _reduce_form(v)
+        k = (shift + 3 * len(inverted)) % 24
+        root, two_a = _sqrt_bits(-w.disc, prec), 2 * w.A
+        x = _quotient(two_a * k - w.B, two_a, prec), r(libmp.mpf_div, root, libmp.from_int(two_a))
+        re, im, den = 1, 0, 1
+        for a, b in inverted:
+            re, im, den = w.disc * im - b * re, re - b * im, 2 * a * den
+        v_prod = (_quotient(re, den, prec),
+                  r(libmp.mpf_div, r(libmp.mpf_mul_int, root, im), libmp.from_int(den)))
+    else:
+        w, shift, inverted = _reduce_sl2(v, ctx)
+        k = (shift + 3 * len(inverted)) % 24
+        x, v_prod = r(libmp.mpc_add_mpf, w._mpc_, libmp.from_int(k)), libmp.mpc_one
+        for u in inverted:
+            v_prod = r(libmp.mpc_mul, v_prod, u._mpc_)
+    bits, re, im = _qsum_fixed(w, ctx, _pentagonal_table, (1, 2))
+    m1 = _dyadic(re[0], -bits, prec), _dyadic(im[0], -bits, prec)
+    p = _dyadic(re[1] + (1 << bits), -bits, prec), _dyadic(im[1], -bits, prec)
+    e2 = r(libmp.mpc_add_mpf, r(libmp.mpc_mul_int, r(libmp.mpc_div, m1, p), 24), libmp.fone)
+    pi_y = r(libmp.mpf_mul, libmp.mpf_pi(prec), x[1])
+    e2 = r(libmp.mpc_sub_mpf, e2, r(libmp.mpf_div, libmp.from_int(3), pi_y))
+    if inverted:
+        e2 = r(libmp.mpc_div, e2, r(libmp.mpc_square, v_prod))
+    return x, p, v_prod, e2
+
+
+def _power(z: tuple, n: int, prec: int) -> tuple:
+    """z^n for a raw mpc z and n >= 1 by repeated squaring, each product
+    rounded at prec + 10 bits and the result once more at prec: unlike
+    libmp.mpc_pow_int, no exact power, nor exp(n log z) past 10^4 bits."""
+    wp, acc = prec + 10, None
+    while True:
+        if n & 1:
+            acc = z if acc is None else libmp.mpc_mul(acc, z, wp, _NEAREST)
+        n >>= 1
+        if not n:
+            return libmp.mpc_pos(acc, prec, _NEAREST)
+        z = libmp.mpc_square(z, wp, _NEAREST)
+
+
+def _level(z, N: int, ctx: PrecisionContext) -> tuple:
+    """(t, E2*(z), E2*(Nz)), raw mpc tuples at ctx's working precision,
+    from one _eta_squared_e2_star pass at each of z and Nz (CMPoint.scaled
+    for a CMPoint, the product N z rounded for an mpc): t = Q/s with
+    Q = (eta(z)/eta(Nz))^e, e = 24/(N-1), and s = N^(6/(N-1)). With h = e/2,
+    Q = (e^{pi i (x - x') / 6} P^2 V' / (P'^2 V))^h, the primes at Nz, which
+    is e^{2 pi i (x - x')/(N-1)} (P/P')^e prod v'^h / prod v^h: one
+    exponential per row, and no square root. At a CMPoint every error count
+    starts at the exact point. Every Gamma0(N) quantity is rational in t,
+    with no subtraction but its pole factor 1 + t: alpha_N = 1/(1 + t),
+    1 - alpha_N = t/(1 + t), xi = 1 - 2/(1 + t). eta has no zero, so t is
+    never 0. DomainError where 1 + t cancels, at alpha_N's poles, as at
+    1/2+1/2*i (N = 2) and 1/2+1/6*sqrt(3)*i (N = 3), elliptic points of
+    Gamma0(N). A z that is not a CMPoint is taken as _as_mpc makes it. On
+    raw tuples, with no context entered."""
     _check_level(N)
-    (eta, e2), (eta_n, e2n) = (_eta_e2_star(v, ctx) for v in (z, N * z))
-    t = (eta / eta_n) ** (24 // (N - 1)) / _ALPHA_SCALE[N]
-    _uncancelled(1 + t, 1 + abs(t), f"alpha_{N}'s denominator 1 + Q/s")
+    prec = libmp.dps_to_prec(ctx.dps)
+    if isinstance(z, CMPoint):
+        nz = z.scaled(N)
+    else:
+        z = _as_mpc(z, ctx)
+        nz = mp.make_mpc(libmp.mpc_mul_int(z._mpc_, N, prec, _NEAREST))
+    (x, p, v, e2), (xn, pn, vn, e2n) = (_eta_squared_e2_star(u, ctx) for u in (z, nz))
+    r = _nearest(prec)
+    turn = r(libmp.mpc_expjpi, r(libmp.mpc_div_mpf, r(libmp.mpc_sub, x, xn), libmp.from_int(6)))
+    num = r(libmp.mpc_mul, r(libmp.mpc_mul, turn, r(libmp.mpc_square, p)), vn)
+    den = r(libmp.mpc_mul, r(libmp.mpc_square, pn), v)
+    quot = _power(r(libmp.mpc_div, num, den), 12 // (N - 1), prec)
+    t = r(libmp.mpc_div_mpf, quot, libmp.from_int(_ALPHA_SCALE[N]))
+    _uncancelled(r(libmp.mpc_add_mpf, t, libmp.fone), (libmp.mpc_one, t),
+                 f"alpha_{N}'s denominator 1 + Q/s")
     return t, e2, e2n
 
 
 def alpha_n(z, N: int, ctx: PrecisionContext) -> mpc:
     """Level-N modular invariant alpha_N = 1/(1 + t) from the eta quotient
-    t = (eta(z)/eta(Nz))^(24/(N-1)) / N^(6/(N-1)) of _level."""
-    z = _as_mpc(z, ctx)
-    with ctx.working():
-        return 1 / (1 + _level(z, N, ctx)[0])
+    t = (eta(z)/eta(Nz))^(24/(N-1)) / N^(6/(N-1)) of _level, at the exact
+    point for a CMPoint."""
+    r = _nearest(libmp.dps_to_prec(ctx.dps))
+    return mp.make_mpc(r(libmp.mpc_div, libmp.mpc_one,
+                         r(libmp.mpc_add_mpf, _level(z, N, ctx)[0], libmp.fone)))
 
 
 def series_constants_from_cm(z, N: int, ctx: PrecisionContext):
-    """(2 xi, R_nu(xi), m) at z, all on ctx.bumped(), where a CMPoint is
-    embedded too, from one pass of Euler's sums at each of z and Nz
-    (_level): the eta quotient t and E2*(v) = E2(v) - 3 / (pi Im v).
-    With alpha = alpha_N(z) = 1/(1 + t), xi = 1 - 2 alpha = 1 - 2/(1 + t) and
-    m = s / (alpha (1 - alpha)) = s (1 + t)^2 / t, so 1 - alpha, which
-    cancels near the cusp 0, is never formed. R_nu comes from
-    the E2* form of Guillera & Rogers, "Ramanujan series upside-down", and
-    Chan, Chan & Liu, "Domb's numbers and Ramanujan-Sato type series for 1/pi"
-    (2004), in which the 1/(pi Im z) terms of E2 cancel; legendre_ramanujan_r
-    is the oracle:
+    """(2 xi, R_nu(xi), m) at z, all on ctx.bumped(), from one pass of
+    Euler's sums at each of z and Nz (_level): the eta quotient t and
+    E2*(v) = E2(v) - 3 / (pi Im v). A CMPoint is not embedded: its error
+    count starts at the exact point. With alpha = alpha_N(z) = 1/(1 + t),
+    xi = 1 - 2 alpha = 1 - 2/(1 + t) and m = s / (alpha (1 - alpha)) =
+    s (1 + t)^2 / t, so 1 - alpha, which cancels near the cusp 0, is never
+    formed. R_nu comes from the E2* form of Guillera & Rogers, "Ramanujan
+    series upside-down", and Chan, Chan & Liu, "Domb's numbers and
+    Ramanujan-Sato type series for 1/pi" (2004), in which the 1/(pi Im z)
+    terms of E2 cancel; legendre_ramanujan_r is the oracle:
 
         R_nu = -(N-1)(E2*(z) + N E2*(Nz)) / (6 (N E2*(Nz) - E2*(z))) + (N+1)xi/6.
 
-    DomainError where 1 + t or this denominator cancels (_uncancelled)."""
+    DomainError where 1 + t or this denominator cancels (_uncancelled). On
+    raw tuples, with no context entered."""
     wide = ctx.bumped()
-    z = _as_mpc(z, wide)
-    with wide.working():
-        t, e2, e2n = _level(z, N, wide)
-        xi = 1 - 2 / (1 + t)
-        den = _uncancelled(N * e2n - e2, N * abs(e2n) + abs(e2), "N E2*(Nz) - E2*(z)")
-        c2 = -(N - 1) * (e2 + N * e2n) / (6 * den) + (N + 1) * xi / 6
-        return 2 * xi, c2, _ALPHA_SCALE[N] * (1 + t) ** 2 / t
+    t, e2, e2n = _level(z, N, wide)
+    r = _nearest(libmp.dps_to_prec(wide.dps))
+    one_t = r(libmp.mpc_add_mpf, t, libmp.fone)
+    xi = r(libmp.mpc_sub, libmp.mpc_one, r(libmp.mpc_div, libmp.mpc_two, one_t))
+    n_e2n = r(libmp.mpc_mul_int, e2n, N)
+    den = _uncancelled(r(libmp.mpc_sub, n_e2n, e2), (n_e2n, e2), "N E2*(Nz) - E2*(z)")
+    c2 = r(libmp.mpc_div, r(libmp.mpc_mul_int, r(libmp.mpc_add, e2, n_e2n), 1 - N),
+           r(libmp.mpc_mul_int, den, 6))
+    c2 = r(libmp.mpc_add, c2,
+           r(libmp.mpc_div_mpf, r(libmp.mpc_mul_int, xi, N + 1), libmp.from_int(6)))
+    m = r(libmp.mpc_div, r(libmp.mpc_mul_int, r(libmp.mpc_square, one_t), _ALPHA_SCALE[N]), t)
+    return tuple(mp.make_mpc(u) for u in (r(libmp.mpc_mul_int, xi, 2), c2, m))
 
 
 def j_invariant(z, ctx: PrecisionContext) -> mpc:
@@ -592,9 +715,10 @@ def legendre_ramanujan_r(nu, xi, ctx: PrecisionContext) -> mpc:
 
 def satisfies_region(z, N: int, ctx: PrecisionContext) -> bool:
     """Admissibility constraints for the series lemma, with boundary slack."""
+    t = mp.make_mpc(_level(z, N, ctx)[0])
     z = _as_mpc(z, ctx)
     with ctx.working():
-        return _in_region(z, N, 1 - 2 / (1 + _level(z, N, ctx)[0]), ctx)
+        return _in_region(z, N, 1 - 2 / (1 + t), ctx)
 
 
 def _in_region(z: mpc, N: int, xi, ctx: PrecisionContext) -> bool:

@@ -341,6 +341,17 @@ def reduce_sl2_mpf(z: mpc, ctx: PrecisionContext) -> tuple:
             z = -1 / z
 
 
+def level_eta_e2_star(z: mpc, N: int, ctx: PrecisionContext) -> tuple:
+    """Oracle for ``modular._level``: (t, E2*(z), E2*(Nz)) from
+    ``modular._eta_e2_star`` at z and at the product N z, each eta with its
+    multiplier e^{pi i (w + shift + 3k) / 12} and its square roots, and
+    t = (eta(z)/eta(Nz))^(24/(N-1)) / N^(6/(N-1)) on mpc objects inside
+    ctx's working context."""
+    with ctx.working():
+        (eta, e2), (eta_n, e2n) = (modular._eta_e2_star(v, ctx) for v in (z, N * z))
+        return (eta / eta_n) ** (24 // (N - 1)) / modular._ALPHA_SCALE[N], e2, e2n
+
+
 def _embed(p: CMPoint, bits: int) -> mpc:
     """The point ``CMPoint.fixed(bits)`` as an mpc, each part exact."""
     re, im = p.fixed(bits)

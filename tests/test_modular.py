@@ -28,15 +28,16 @@ from updownlab import (
     satisfies_region,
     series_constants_from_cm,
 )
-from updownlab import modular, numerics
-from updownlab.identities import load_tables
+from updownlab import cli, modular, numerics
+from updownlab.identities import check_table, load_tables
 from updownlab.modular import (
-    _eta_e2_star, _pentagonal_table, _qsum, _r_direct, _reduce_sl2, _sigma3_table,
-    legendre_p, legendre_p_dt)
+    _eta_e2_star, _eta_squared_e2_star, _pentagonal_table, _qsum, _r_direct, _reduce_sl2,
+    _sigma3_table, legendre_p, legendre_p_dt)
 from updownlab.numerics import KEPT_TERMS, DomainError, kept_table
 
 from conftest import random_points, run_bounded, sigma1_table
-from oracles import epstein_fourier_reference, legendre_p_quadrature, reduce_sl2_mpf, to_point_mpf
+from oracles import (epstein_fourier_reference, legendre_p_quadrature, level_eta_e2_star,
+                     reduce_sl2_mpf, to_point_mpf)
 
 
 @st.composite
@@ -468,27 +469,35 @@ class TestSigmaTable:
 
 
 class TestPointEmbedding:
-    # Every point-taking function but epstein_sl2 and epstein_gamma0 embeds a
-    # CMPoint at the context it computes on, so it gives the very bits of the
-    # same call on p.to_point(ctx), or on p.to_point(ctx.bumped()) for
-    # series_constants_from_cm, which runs on ctx.bumped().
+    # The Eichler integral embeds a CMPoint at the context it computes on, so
+    # it gives the very bits of the same call on p.to_point(ctx). epstein_sl2,
+    # epstein_gamma0 and the Gamma0(N) quantities of _level (alpha_n,
+    # series_constants_from_cm) start at the exact point instead.
     CTX = PrecisionContext(digits=60)
     TEXTS = ["sqrt(232)*i", "1/2+1/2*sqrt(7)*i", "-1/8+1/8*sqrt(15)*i"]
 
-    @pytest.mark.parametrize("fn, embed", [
-        (lambda z, ctx: alpha_n(z, 3, ctx), CTX),
-        (eichler_e4_tilde, CTX),
-        (lambda z, ctx: series_constants_from_cm(z, 4, ctx), CTX.bumped()),
-    ], ids=["alpha_n", "eichler_e4_tilde", "series_constants_from_cm"])
+    @pytest.mark.parametrize("fn, embed", [(eichler_e4_tilde, CTX)], ids=["eichler_e4_tilde"])
     @pytest.mark.parametrize("text", TEXTS)
     def test_cm_point_gives_the_bits_of_to_point(self, fn, embed, text):
         p = CMPoint.from_string(text)
-        bits = [
-            tuple(getattr(v, "_mpc_", None) or v._mpf_ for v in
-                  (out if isinstance(out, tuple) else (out,)))
-            for out in (fn(p, self.CTX), fn(p.to_point(embed), self.CTX))
-        ]
+        bits = [fn(z, self.CTX)._mpc_ for z in (p, p.to_point(embed))]
         assert bits[0] == bits[1]
+
+    @pytest.mark.parametrize("fn, eps", [
+        (lambda z, ctx: (alpha_n(z, 3, ctx),), CTX.eps),
+        (lambda z, ctx: series_constants_from_cm(z, 4, ctx), CTX.bumped().eps),
+    ], ids=["alpha_n", "constants"])
+    @pytest.mark.parametrize("text", TEXTS)
+    def test_exact_point_value(self, fn, eps, text):
+        # alpha_n and series_constants_from_cm reduce a CMPoint in integers
+        # and take q at the exact reduced points (_level): each value within
+        # 32 eps of the context it runs on (ctx.bumped() for the constants),
+        # relative, of the same call 60 digits wider. Measured worst: 11.4,
+        # m at sqrt(232)*i, where |N z| = 61 scales the multiplier's error.
+        p, wide = CMPoint.from_string(text), PrecisionContext(self.CTX.digits + 60)
+        with wide.working():
+            for got, want in zip(fn(p, self.CTX), fn(p, wide)):
+                assert abs(got - want) < 32 * eps * abs(want), text
 
     @pytest.mark.parametrize("text", TEXTS)
     def test_cm_point_gives_the_correctly_rounded_epstein_sl2(self, text):
@@ -590,6 +599,98 @@ class TestJInvariant:
             assert abs(got / ref - 1) < mpf(10) ** -30
 
 
+def _cm_arguments(corpus):
+    """The 28 eta arguments of the tables (z and N z, as CMPoint.scaled)
+    and the 94 points of the corpus's lattice sums."""
+    points = [p for tab in load_tables() for row in tab["rows"]
+              for p in (row["point"], row["point"].scaled(tab["level"]))]
+    return points + [p for inst in corpus.kronecker for p in inst.points]
+
+
+class TestExactCMPath:
+    # A CMPoint reaches the Gamma0(N) quantities exactly: _reduce_form
+    # reduces it in integers, and no mpc reduction runs on its path.
+    def test_no_mpc_reduction_on_a_cm_path(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("_reduce_sl2 on a CM path")
+
+        monkeypatch.setattr(modular, "_reduce_sl2", refuse)
+        ctx = PrecisionContext(digits=40)
+        for table in (1, 2, 3):
+            assert all(r < ctx.verdict_tol for _, _, r in check_table(table, ctx))
+        for tab in load_tables():
+            for row in tab["rows"]:
+                series_constants_from_cm(row["point"], tab["level"], ctx)
+                alpha_n(row["point"], tab["level"], ctx)
+        assert satisfies_region(CMPoint.from_string("-1/8+1/8*sqrt(15)*i"), 4, ctx)
+        for argv in (["alpha", "--z", "1/2+1/2*sqrt(7)*i", "--N", "3"],
+                     ["constants", "--z=-1/8+1/8*sqrt(15)*i", "--N", "4"]):
+            assert cli.main(argv) == cli.EXIT_OK
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("digits", [10, 40, 300])
+    def test_counted_reduction_matches_reduce_sl2(self, digits, corpus):
+        # The same translations and inversions as the mpc reduction of the
+        # embedded point: w within 4 ulps of _reduce_sl2's, and so is each
+        # inverted point. Both may stop on an edge (Re w = 1/2, |w| = 1), at
+        # the point that CMPoint.reduced() identifies with its own. Where the
+        # last translation is a tie (|B| = A), the mpc point, rounded after an
+        # inversion, can take the other one: then w + shift agree. That
+        # happens at 1/2+1/22*sqrt(22)*i (three arguments) at 10 and 40
+        # digits, and at 1/2+1/14*sqrt(7)*i at 10.
+        ctx = PrecisionContext(digits)
+        points = _cm_arguments(corpus)
+        assert len(points) == 28 + 94
+        for p in points:
+            w, shift, inverted = modular._reduce_form(p)
+            w_mpc, shift_mpc, inverted_mpc = _reduce_sl2(p.to_point(ctx), ctx)
+            assert w.reduced() == p.reduced() and abs(w.B) <= w.A <= w.C, str(p)
+            assert len(inverted) == len(inverted_mpc), str(p)
+            forms = [CMPoint(a, b, (b * b - p.disc) // (4 * a)) for a, b in inverted]
+            with ctx.working():
+                ulp, v = mpmath.ldexp(1, -mp.prec), w.to_point(ctx)
+                if shift != shift_mpc:
+                    assert abs(w.B) == w.A and abs(shift - shift_mpc) == 1, str(p)
+                    v += shift - shift_mpc
+                for got, want in zip([*(f.to_point(ctx) for f in forms), v],
+                                     inverted_mpc + [w_mpc]):
+                    assert abs(got - want) < 4 * ulp * abs(want), str(p)
+
+    def test_one_constants_call_is_two_q_passes(self, monkeypatch):
+        # One q and one pass of Euler's sums at each of z and N z, and no
+        # mpc reduction.
+        calls = []
+        for name in ("_reduce_sl2", "_q_fixed"):
+            def counted(*args, _name=name, _fn=getattr(modular, name)):
+                calls.append(_name)
+                return _fn(*args)
+
+            monkeypatch.setattr(modular, name, counted)
+        series_constants_from_cm(CMPoint.from_string("1/2+1/58*sqrt(58)*i"), 4,
+                                 PrecisionContext(digits=100))
+        assert calls == ["_q_fixed", "_q_fixed"]
+
+
+class TestLevelAgainstEtaOracle:
+    # _level at the 14 table rows against the oracle that takes eta and E2*
+    # from _eta_e2_star at the embedded points z and N z, with its
+    # multipliers and square roots: t, E2*(z) and E2*(Nz) within 16 eps of
+    # the working precision, relative to max(|value|, 1) (E2* is 0 at the
+    # orbit of i). Measured worst: 4.3 eps, t at 1000 digits.
+    @pytest.mark.parametrize("digits", [40, 100, 300, pytest.param(1000, marks=pytest.mark.highprec)])
+    def test_table_rows(self, digits):
+        ctx = PrecisionContext(digits=digits)
+        for tab in load_tables():
+            for row in tab["rows"]:
+                p, N = row["point"], tab["level"]
+                got = modular._level(p, N, ctx)
+                want = level_eta_e2_star(p.to_point(ctx), N, ctx)
+                with ctx.working():
+                    for a, b in zip(got, want):
+                        err = abs(mp.make_mpc(a) - b)
+                        assert err < 16 * ctx.eps * max(abs(b), 1), (row["text"], N)
+
+
 class TestJSinglePass:
     def test_one_reduction_and_one_q_pass(self, ctx30, monkeypatch):
         # j = E4^3 / eta^24 takes both sums from one pass at the reduced
@@ -641,7 +742,7 @@ _FORM_ULPS = {"E2*": 64, "E4": 1024, "j": 16384}
 
 
 def _sigma_oracle_mismatches(ctx):
-    """(z, form, gap in u) wherever E2* (_eta_e2_star), eisenstein_e4 or
+    """(z, form, gap in u) wherever E2* (_eta_squared_e2_star), eisenstein_e4 or
     j_invariant strays from its sigma oracle at _form_points past
     _FORM_ULPS: E2 by sigma_1 and E4 by sigma_3, each summed in its own pass
     at the same reduced point and carried back alike, and j as E4^3 / eta^24
@@ -658,7 +759,7 @@ def _sigma_oracle_mismatches(ctx):
             for v in inverted:
                 e2, e4, scale = e2 / (v * v), e4 / v**4, scale * abs(v)
             u = mpmath.ldexp(1, 1 - mp.prec)
-            gaps = {"E2*": abs(_eta_e2_star(z, ctx)[1] - e2) * scale**2,
+            gaps = {"E2*": abs(mp.make_mpc(_eta_squared_e2_star(z, ctx)[3]) - e2) * scale**2,
                     "E4": abs(eisenstein_e4(z, ctx) - e4) * scale**4,
                     "j": abs(j_invariant(z, ctx) - j) * mpmath.exp(-2 * mp.pi * w.imag)}
         bad += [(z, form, gap / u) for form, gap in gaps.items()

@@ -24,7 +24,7 @@ from updownlab import (
 )
 from updownlab import eichler_e4_tilde, modular, numerics, series
 from updownlab.identities import load_corpus, load_tables
-from updownlab.modular import _ALPHA_SCALE, _NU_BY_LEVEL, CMPoint, _eta_e2_star, _qsum
+from updownlab.modular import _ALPHA_SCALE, _NU_BY_LEVEL, CMPoint, _eta_squared_e2_star, _qsum
 from updownlab.numerics import KEPT_TERMS, MAX_TERMS, DomainError, embed_quadratic, to_fixed
 from updownlab.series import _FAMILY_BY_LEVEL, _fib_halves, evaluate_fib_series
 
@@ -846,24 +846,27 @@ class TestPoleRule:
 
     @pytest.mark.parametrize("digits", [10, 40, 100])
     def test_table_rows_stay_far_from_the_rule(self, digits):
-        # Measured smallest ratios: 1.0e-4 for alpha, 3.1e-4 for c2.
+        # Measured smallest ratios: 1.0e-4 for alpha, 3.1e-4 for c2. E2* at
+        # z and N z from the per-argument helper, t from _level, all at the
+        # exact point.
         wide = PrecisionContext(digits=digits).bumped()
         for point, N in self.ROWS:
+            e2, e2n = (mp.make_mpc(_eta_squared_e2_star(v, wide)[3])
+                       for v in (point, point.scaled(N)))
+            t = mp.make_mpc(modular._level(point, N, wide)[0])
             with wide.working():
-                z = point.to_point(wide)
-                (eta, e2), (eta_n, e2n) = (_eta_e2_star(v, wide) for v in (z, N * z))
-                t = (eta / eta_n) ** (24 // (N - 1)) / _ALPHA_SCALE[N]
                 assert abs(1 + t) > mpf("1e-5") * abs(t), (point, N)
                 den = N * e2n - e2
                 assert abs(den) > mpf("1e-5") * (abs(e2) + N * abs(e2n)), (point, N)
 
     def test_cancelled_c2_denominator_raises(self, ctx30, monkeypatch):
         # Both E2* values 0, as at the elliptic point 1/2+1/2*i of Gamma0(2),
-        # at an ordinary point: the c2 rule alone raises.
-        monkeypatch.setattr(modular, "_eta_e2_star",
-                            lambda v, ctx: (_eta_e2_star(v, ctx)[0], mpc(0)))
-        with pytest.raises(DomainError, match="N E2"):
-            series_constants_from_cm(mpc("0.1", "1.1"), 2, ctx30)
+        # at an ordinary point, an mpc or a CMPoint: the c2 rule alone raises.
+        monkeypatch.setattr(modular, "_eta_squared_e2_star",
+                            lambda v, ctx: (*_eta_squared_e2_star(v, ctx)[:3], libmp.mpc_zero))
+        for z in (mpc("0.1", "1.1"), CMPoint.from_string("1/10+11/10*i")):
+            with pytest.raises(DomainError, match="N E2"):
+                series_constants_from_cm(z, 2, ctx30)
 
     @pytest.mark.parametrize("text, N", [("1/2+1/2*i", 2), ("1/2+1/6*sqrt(3)*i", 3)])
     def test_region_test_at_a_pole_raises(self, ctx30, text, N):
@@ -872,11 +875,11 @@ class TestPoleRule:
 
 
 class TestE2Star:
-    # E2*(z) = E2(z) - 3/(pi Im z) from one pass at the reduced point.
+    # E2*(z) = E2(z) - 3/(pi Im z) from one pass at the reduced point, as
+    # the series constants take it (_eta_squared_e2_star).
     @staticmethod
     def _e2_star(z, ctx):
-        with ctx.working():
-            return _eta_e2_star(z, ctx)[1]
+        return mp.make_mpc(_eta_squared_e2_star(z, ctx)[3])
 
     @pytest.mark.parametrize("digits", [40, 300])
     def test_weight_two_law(self, digits):
@@ -904,9 +907,9 @@ class TestE2Star:
 class TestConstantsAgainstUnreducedOracle:
     # Every table row, and two low points whose reduction takes three
     # inversions: the constants agree with the unreduced-E2 oracle within
-    # 1000 ulps of ctx.bumped(), relative. Measured worst: 100 for c2 at
-    # 1/2+1/58*sqrt(58)*i, level 4, where both lose about 4 of its 10 guard
-    # digits alike, and 3 at the low points.
+    # 1000 ulps of ctx.bumped(), relative. Measured worst: 71 for c2 at
+    # 1/2+1/58*sqrt(58)*i, level 4 (at 40 digits), where both lose about 4
+    # of its 10 guard digits alike.
     ROWS = [(row["point"], tab["level"]) for tab in load_tables() for row in tab["rows"]]
     LOW = [(mpc(x, y), level) for x, y in (("0.41", "0.02"), ("-0.38", "0.01"))
            for level in (2, 3, 4)]
@@ -930,9 +933,11 @@ class TestConstantsAgainstUnreducedOracle:
                     assert abs(a - b) < 1000 * ctx.bumped().eps * abs(b), (point, level)
 
     def test_cm_points_embedded_on_the_bumped_context(self):
-        # A CMPoint is embedded at ctx.bumped(), where the passes run, so the
-        # ten extra digits reach c1, c2 and m: within 1e-60 relative of a
-        # 200-digit run at 40 digits (embedded at ctx: up to 1.0e-55).
+        # A CMPoint is not embedded at all: it is reduced in integers and q is
+        # taken at the exact reduced points, on ctx.bumped(), where the passes
+        # run, so the ten extra digits reach c1, c2 and m: within 1e-60
+        # relative of a 200-digit run at 40 digits (embedded at ctx: up to
+        # 1.0e-55).
         ctx, ref = PrecisionContext(digits=40), PrecisionContext(digits=200)
         for point, level in self.ROWS:
             got = series_constants_from_cm(point, level, ctx)
