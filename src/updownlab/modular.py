@@ -97,14 +97,12 @@ class CMPoint:
     def to_point(self, ctx: PrecisionContext) -> mpc:
         """The point at ctx's working precision of P bits, bit for bit as
         mpc(mpf(-B) / (2A), sqrt(mpf(|D|)) / (2A)) under ctx.working() gives
-        it, on raw tuples with no context entered: -B and |D| rounded to
-        nearest at P bits, the square root and both quotients by the exact
-        2A each rounded to nearest. Where -B fits in P bits, Re is -B/(2A)
-        rounded once, so it is taken in lowest terms (numerics._quotient),
-        which spares mpf_div the trailing zeros of an exact quotient such as
-        28/14. sqrt(|D|) comes from numerics._sqrt_bits, so the points of one
-        discriminant, such as the forms of one lattice sum, share one square
-        root per precision."""
+        it, on raw tuples: -B and |D| rounded to nearest at P bits, the
+        square root and both quotients by the exact 2A each rounded. Where -B
+        fits in P bits, Re is -B/(2A) in lowest terms (numerics._quotient),
+        which spares mpf_div the trailing zeros of a quotient such as 28/14.
+        sqrt(|D|) is kept per precision (numerics._sqrt_bits), so the points
+        of one discriminant share one square root."""
         prec = libmp.dps_to_prec(ctx.dps)
         two_a = libmp.from_int(2 * self.A)
         if self.B.bit_length() <= prec:
@@ -127,16 +125,10 @@ class CMPoint:
         |B| <= A <= C, and B >= 0 when |B| = A or A = C. Its root is the
         point's image in the fundamental domain |Re w| <= 1/2, |w| >= 1, and
         two points of the upper half-plane lie on one SL(2, Z) orbit exactly
-        when their reduced forms are equal. The translation w -> w + k takes
-        (A, B, C) to (A, B - 2Ak, A k^2 - B k + C), the inversion w -> -1/w
-        to (C, -B, A); each inversion lowers A, so the loop ends."""
-        a, b, c, d = self.A, self.B, self.C, self.disc
-        while True:
-            b -= 2 * a * ((b + a - 1) // (2 * a))  # into (-a, a]
-            c = (b * b - d) // (4 * a)
-            if a <= c:
-                return CMPoint(a, -b if a == c and b < 0 else b, c)
-            a, b, c = c, -b, a
+        when their reduced forms are equal. It is _reduce_form's point, moved
+        from an edge (B = -A, or A = C and B < 0) to the one it identifies."""
+        w = _reduce_form(self)[0]
+        return CMPoint(w.A, -w.B, w.C) if w.B == -w.A or (w.A == w.C and w.B < 0) else w
 
     def scaled(self, N: int) -> "CMPoint":
         """N z: the root of (A, N B, N^2 C) made primitive."""
@@ -212,18 +204,17 @@ def _q_fixed(z, ctx: PrecisionContext) -> tuple:
     """(P, n_max, Re q, Im q, Im z), q = e^{2 pi i z}, for _qsum_loop: n_max
     from _qseries_cutoff, P the bits of the working dps + 5 bits per bit of
     n_max + _GUARD_BITS, and the rest Python ints scaled by 2^P, truncated
-    toward -oo. On raw tuples, with no context entered. z is an mpc, or a
-    CMPoint, whose Im the cutoff reads from its fixed point at 53 bits (as
-    a raw mpf, so a height past the floats reads inf, not an OverflowError)
-    and which is taken once more in fixed point at P + 10 bits for q
-    (CMPoint.fixed). q = mpc_expjpi(2z) at P + 10 bits, the parts of z
-    doubled and rounded to nearest there, bit for bit as mpmath.expjpi(2 * z)
-    under workprec(P + 10); cospi and sinpi reduce 2 Re z mod 2 exactly, so
-    q is exactly 1-periodic and exactly real at Re z in {0, +-1/2}. At a
-    CMPoint with Im z >= 1/2, the fixed point's 2^-(P+10) moves q by under
-    2^-10 ulp, and the same integer square root gives Im z:
-    isqrt(|D| 4^(P+10)) >> 10 = isqrt(|D| 4^P), and the floors by 2^10 and
-    by 2A compose into one. At an mpc, Im z is its Im truncated."""
+    toward -oo, on raw tuples. z is an mpc, or a CMPoint, whose Im the
+    cutoff reads from its fixed point at 53 bits (as a raw mpf: a height
+    past the floats reads inf) and which is taken once more in fixed point
+    at P + 10 bits for q (CMPoint.fixed). q = mpc_expjpi(2z) at P + 10
+    bits, the parts of z doubled and rounded to nearest there, bit for bit
+    as mpmath.expjpi(2 * z) under workprec(P + 10); cospi and sinpi reduce
+    2 Re z mod 2 exactly, so q is exactly 1-periodic and exactly real at
+    Re z in {0, +-1/2}. At a CMPoint with Im z >= 1/2, the fixed point's
+    2^-(P+10) moves q by under 2^-10 ulp, and the same integer square root
+    gives Im z: isqrt(|D| 4^(P+10)) >> 10 = isqrt(|D| 4^P), the floors by
+    2^10 and by 2A composed into one. At an mpc, Im z is its Im truncated."""
     cm = isinstance(z, CMPoint)
     n_max = _qseries_cutoff(libmp.from_man_exp(z.fixed(53)[1], -53) if cm else z._mpc_[1], ctx)
     prec = libmp.dps_to_prec(ctx.dps) + 5 * n_max.bit_length() + _GUARD_BITS
@@ -300,14 +291,11 @@ def _reduce_sl2(z: mpc, ctx: PrecisionContext) -> tuple:
     points ``inverted`` in order. Each inversion raises Im v, so Im w ends
     at least sqrt(3)/2. |v| within 10^-digits of 1 counts as on the circle
     (|v|^2 >= ctx.edge = (1 - tol)^2), so rounding noise cannot bounce a
-    boundary point between v and -1/v; the test on |v|^2 takes no square
-    root. On raw tuples at ctx's working precision, with no context entered,
-    and bit for bit the sequence mpmath runs on mpc under ctx.working(), each
-    step rounded to nearest: mpf_nint (ties to even) and mpf_sub for the
-    translation, which leaves Im v as it is; mpf_mul, mpf_add and the
-    comparison for |v|^2; mpc_mpf_div for -1/v, the real -1 over v. So w is
-    z's image up to about one ulp of z per step, which a caller's error
-    count does not include."""
+    boundary point between v and -1/v. On raw tuples at ctx's working
+    precision, bit for bit the sequence mpmath runs on mpc under
+    ctx.working(), each step rounded to nearest: mpf_nint (ties to even) and
+    mpf_sub, mpf_mul and mpf_add for |v|^2, mpc_mpf_div for -1/v. So w is
+    z's image up to about one ulp of z per step, which no caller counts."""
     prec, edge = libmp.dps_to_prec(ctx.dps), ctx.edge._mpf_
     re, im = z._mpc_
     shift, inverted = 0, []
@@ -329,16 +317,12 @@ def _reduce_form(p: CMPoint) -> tuple:
     """(w, shift, inverted): _reduce_sl2's steps at the exact point p, in
     integers. A form (a, b, c) stands for its root v = (-b + sqrt(D)) / (2a):
     v - n is the root of (a, b + 2an, .) and -1/v that of (c, -b, a). Each
-    step translates by n = nint(Re v), Re v = -b / (2a), a tie n - 1/2
-    going to the even one as mpf_nint does, and inverts where |v|^2 = c/a
-    is below 1. w is the CMPoint at which the loop stops and ``inverted``
-    the pairs (a, b) at which it inverts, all of discriminant D. So w lies
-    in the closed fundamental domain, w.reduced() is p.reduced(), and on an
-    edge (Re w = 1/2, or |w| = 1 with B < 0) w may be the point that
-    reduced() identifies with its own; shift and the inversions are those
-    of _reduce_sl2 on the embedded point, except where some |v|^2 lies
-    below 1 by less than ctx.tol, which takes a > 10^digits / 2. Each
-    inversion lowers a, so the loop ends."""
+    step translates by n = nint(Re v) = nint(-b / (2a)), ties to even as
+    mpf_nint, and inverts where |v|^2 = c/a < 1, which lowers a. w is the
+    CMPoint where it stops, in the closed fundamental domain (on an edge,
+    maybe the point CMPoint.reduced() moves), and ``inverted`` the pairs
+    (a, b) it inverts at. Its steps are _reduce_sl2's at the embedded point
+    unless some |v|^2 is below 1 by under ctx.tol, which takes a > 10^digits / 2."""
     a, b, d = p.A, p.B, p.disc
     shift, inverted = 0, []
     while True:
@@ -355,43 +339,78 @@ def _reduce_form(p: CMPoint) -> tuple:
 
 # -- eta, E2*, alpha_N, j, E4 ----------------------------------------------
 
-def _e4(w: mpc, ctx: PrecisionContext) -> tuple:
-    """(P, E4) at w from one pass of Euler's sums: Ramanujan's E4 = E2^2 -
-    12 q dE2/dq = E2^2 - 288 (M2 P - M1^2) / P^2, E2 = 1 + 24 M1 / P as in
-    _eta_e2_star. Call under ``ctx.working()``."""
-    m2, m1, s = _qsum(w, ctx, _pentagonal_table, (0, 1, 2))
-    p = 1 + s
-    e2 = 1 + 24 * m1 / p
-    return p, e2 * e2 - 288 * (m2 * p - m1 * m1) / (p * p)
+def _nearest(prec: int):
+    """op(*args) for a raw libmp operation ``op``, rounded to nearest at prec bits."""
+    return lambda op, *args: op(*args, prec, _NEAREST)
 
 
-def _eta_e2_star(z: mpc, ctx: PrecisionContext) -> tuple:
-    """(eta(z), E2*(z)) from one SL(2, Z) reduction and one pass of Euler's
-    sums s = P - 1 and M1 at the reduced point w, where |q| < 0.005, carried
-    back over the k points ``inverted``. eta by eta(v + n) = e^{pi i n / 12}
-    eta(v) and eta(-1/v) = sqrt(-i v) eta(v) = e^{-pi i / 4} sqrt(v) eta(v)
-    (Apostol, Modular Functions and Dirichlet Series, ch. 3): eta(z) =
-    e^{pi i (w + shift + 3k) / 12} P / prod_v sqrt(v), shift + 3k taken mod
-    24. E2 = 1 + 24 M1 / P, as q d/dq log P = -sum sigma_1(n) q^n (ch. 3),
-    and E2*(z) = E2(z) - 3 / (pi Im z) is a weight-2 form: E2*(v + 1) =
-    E2*(v) and E2*(-1/v) = v^2 E2*(v), so E2*(z) = E2*(w) / prod_v v^2.
-    Call under ``ctx.working()``."""
-    w, shift, inverted = _reduce_sl2(z, ctx)
-    m1, s = _qsum(w, ctx, _pentagonal_table, (1, 2))
-    eta = mpmath.expjpi((w + (shift + 3 * len(inverted)) % 24) / 12) * (1 + s)
-    e2 = 1 + 24 * m1 / (1 + s) - 3 / (mp.pi * w.imag)
-    for v in inverted:
-        eta /= mpmath.sqrt(v)
-        e2 /= v * v
-    return eta, e2
+def _reduced_sums(v, ctx: PrecisionContext, powers, prec: int) -> tuple:
+    """(w, k, V, flips, sums): the one SL(2, Z) reduction (w, shift,
+    inverted) of v and one pass of Euler's sums at w (_qsum_fixed at ctx's
+    working dps), for eta, E2*, E4 and j. k = (shift + 3 len(inverted)) mod
+    24, V = prod v_j over the inverted points (None if none), ``flips`` the
+    j where Im(v_1 ... v_j) turns negative from Im(v_1 ... v_(j-1)) >= 0, as
+    sum arg v_j passes an odd multiple of pi: prod sqrt(v_j) = (-1)^flips
+    sqrt(V). ``sums``: _pentagonal_table's for ``powers``, ending at 2 (the
+    last is P = 1 + s). V and sums are raw mpc at prec bits. A CMPoint is
+    reduced in integers (_reduce_form), q taken at the exact w, and V =
+    (X + i Y S) / prod 2a_j from the exact integers X + i Y S = prod (-b_j +
+    i S), S = sqrt|D| at prec bits: each part within 2 ulps, the sign of Im
+    exact. Any other v is _as_mpc's, reduced in mpc (_reduce_sl2)."""
+    r = _nearest(prec)
+    v_prod, flips = None, 0
+    if isinstance(v, CMPoint):
+        w, shift, inverted = _reduce_form(v)
+        if inverted:
+            re, im, den = 1, 0, 1
+            for a, b in inverted:
+                re, im, den, flips = (w.disc * im - b * re, re - b * im, 2 * a * den,
+                                      flips + (im >= 0 > re - b * im))
+            v_prod = (_quotient(re, den, prec),
+                      r(libmp.mpf_div, r(libmp.mpf_mul_int, _sqrt_bits(-w.disc, prec), im),
+                        libmp.from_int(den)))
+    else:
+        w, shift, inverted = _reduce_sl2(_as_mpc(v, ctx), ctx)
+        for u in inverted:
+            prev = v_prod or libmp.mpc_one
+            v_prod = r(libmp.mpc_mul, prev, u._mpc_)
+            flips += libmp.mpf_sign(prev[1]) >= 0 > libmp.mpf_sign(v_prod[1])
+    bits, re, im = _qsum_fixed(w, ctx, _pentagonal_table, powers)
+    re[-1] += 1 << bits
+    sums = [(_dyadic(a, -bits, prec), _dyadic(b, -bits, prec)) for a, b in zip(re, im)]
+    return w, (shift + 3 * len(inverted)) % 24, v_prod, flips, sums
+
+
+def _shifted(w, k: int, prec: int) -> tuple:
+    """w + k at prec bits, a raw mpc; at a CMPoint ((2a k - b) + i S) / (2a)."""
+    if isinstance(w, CMPoint):
+        return (_quotient(2 * w.A * k - w.B, 2 * w.A, prec),
+                libmp.mpf_div(_sqrt_bits(-w.disc, prec), libmp.from_int(2 * w.A), prec, _NEAREST))
+    return libmp.mpc_add_mpf(w._mpc_, libmp.from_int(k), prec, _NEAREST)
+
+
+# eta, E4 and j work at _WIDE bits past the working precision P and round once:
+# from a CMPoint's exact point each is within 1.1 u max(|value|, 1), u = 2^-P,
+# past the height term in its docstring (measured: at most 0.82, 0.99 and 0.96
+# u at the 56 distinct CM arguments, 40 to 1000 digits). An mpc adds its reduction's error.
+_WIDE = 10
 
 
 def dedekind_eta(z, ctx: PrecisionContext) -> mpc:
-    """eta(z) = e^{pi i z / 12} prod (1 - q^n), the product summed once by
-    Euler's pentagonal-number expansion at the reduced point (_eta_e2_star)."""
-    z = _as_mpc(z, ctx)
-    with ctx.working():
-        return _eta_e2_star(z, ctx)[0]
+    """eta(z) = e^{pi i z / 12} prod (1 - q^n), Euler's pentagonal sum at
+    the reduced point w (_reduced_sums), carried back by eta(v + n) =
+    e^{pi i n / 12} eta(v) and eta(-1/v) = e^{-pi i / 4} sqrt(v) eta(v)
+    (Apostol, Modular Functions and Dirichlet Series, ch. 3): eta(z) = e^{pi
+    i (w + k + 12 flips) / 12} P / sqrt(V) = e^{pi i (w + k) / 12} P / prod
+    sqrt(v_j). Height term (_WIDE): Im w u / 2000."""
+    prec = libmp.dps_to_prec(ctx.dps)
+    wp = prec + _WIDE
+    w, k, v_prod, flips, (p,) = _reduced_sums(z, ctx, (2,), wp)
+    turn = libmp.mpc_div_mpf(_shifted(w, (k + 12 * flips) % 24, wp), libmp.from_int(12), wp)
+    eta = libmp.mpc_mul(libmp.mpc_expjpi(turn, wp), p, wp)
+    if v_prod:
+        eta = libmp.mpc_div(eta, libmp.mpc_sqrt(v_prod, wp), wp)
+    return mp.make_mpc(libmp.mpc_pos(eta, prec, _NEAREST))
 
 
 def _uncancelled(total: tuple, terms: tuple, what: str) -> tuple:
@@ -408,53 +427,33 @@ def _uncancelled(total: tuple, terms: tuple, what: str) -> tuple:
     raise DomainError(f"{what} cancels past the {GUARD_DIGITS} guard digits: z is at a pole")
 
 
-def _nearest(prec: int):
-    """op(*args) for a raw libmp operation ``op``, rounded to nearest at
-    prec bits."""
-    return lambda op, *args: op(*args, prec, _NEAREST)
-
-
 def _eta_squared_e2_star(v, ctx: PrecisionContext) -> tuple:
-    """(x, P, V, E2*(v)), raw mpc tuples at ctx's working precision of p
-    bits, with eta(v)^2 = e^{pi i x / 6} P^2 / V: _eta_e2_star's carry-back
-    squared, so that it takes no square root. From the reduction (w, shift,
-    inverted) of v, x = w + (shift + 3k) mod 24 over the k inverted points,
-    V = prod_j v_j over them, P = 1 + s from one pass of Euler's sums s and
-    M1 at w, and E2*(v) = E2*(w) / V^2, E2*(w) = 1 + 24 M1 / P - 3 / (pi Im w).
-    A CMPoint is reduced in integers (_reduce_form) and q taken at its exact
-    reduced point (_q_fixed): with S = sqrt|D| at p bits (_sqrt_bits), x =
-    ((2a k - b) + i S) / (2a) and V = (X + i Y S) / prod 2a_j for the exact
-    integers X + i Y S = prod (-b_j + i S), as S^2 = |D|, each part within
-    about 2 ulps. An mpc is reduced at the working precision (_reduce_sl2),
-    x = w + (shift + 3k) and V the product of the mpc points, each product
-    rounded. On raw tuples, with no context entered."""
+    """(x, P, V, E2*(v)), raw mpc tuples at ctx's working precision, with
+    eta(v)^2 = e^{pi i x / 6} P^2 / V, x = w + k (_shifted), V = 1 if nothing
+    is inverted: dedekind_eta's carry-back squared, with no square root.
+    E2*(v) = E2*(w) / V^2, E2*(w) = 1 + 24 M1 / P - 3 / (pi Im w), as
+    q d/dq log P = -sum sigma_1(n) q^n (Apostol, ch. 3), of weight 2."""
     prec = libmp.dps_to_prec(ctx.dps)
     r = _nearest(prec)
-    if isinstance(v, CMPoint):
-        w, shift, inverted = _reduce_form(v)
-        k = (shift + 3 * len(inverted)) % 24
-        root, two_a = _sqrt_bits(-w.disc, prec), 2 * w.A
-        x = _quotient(two_a * k - w.B, two_a, prec), r(libmp.mpf_div, root, libmp.from_int(two_a))
-        re, im, den = 1, 0, 1
-        for a, b in inverted:
-            re, im, den = w.disc * im - b * re, re - b * im, 2 * a * den
-        v_prod = (_quotient(re, den, prec),
-                  r(libmp.mpf_div, r(libmp.mpf_mul_int, root, im), libmp.from_int(den)))
-    else:
-        w, shift, inverted = _reduce_sl2(v, ctx)
-        k = (shift + 3 * len(inverted)) % 24
-        x, v_prod = r(libmp.mpc_add_mpf, w._mpc_, libmp.from_int(k)), libmp.mpc_one
-        for u in inverted:
-            v_prod = r(libmp.mpc_mul, v_prod, u._mpc_)
-    bits, re, im = _qsum_fixed(w, ctx, _pentagonal_table, (1, 2))
-    m1 = _dyadic(re[0], -bits, prec), _dyadic(im[0], -bits, prec)
-    p = _dyadic(re[1] + (1 << bits), -bits, prec), _dyadic(im[1], -bits, prec)
+    w, k, v_prod, _, (m1, p) = _reduced_sums(v, ctx, (1, 2), prec)
+    x = _shifted(w, k, prec)
     e2 = r(libmp.mpc_add_mpf, r(libmp.mpc_mul_int, r(libmp.mpc_div, m1, p), 24), libmp.fone)
     pi_y = r(libmp.mpf_mul, libmp.mpf_pi(prec), x[1])
     e2 = r(libmp.mpc_sub_mpf, e2, r(libmp.mpf_div, libmp.from_int(3), pi_y))
-    if inverted:
-        e2 = r(libmp.mpc_div, e2, r(libmp.mpc_square, v_prod))
-    return x, p, v_prod, e2
+    if v_prod is None:
+        return x, p, libmp.mpc_one, e2
+    return x, p, v_prod, r(libmp.mpc_div, e2, r(libmp.mpc_square, v_prod))
+
+
+def _e4_at(z, ctx: PrecisionContext, prec: int) -> tuple:
+    """(w, V, P, E4(w)), E4 = E2^2 - 12 q dE2/dq = E2^2 - 288 (M2 P - M1^2) / P^2
+    (Ramanujan), E2 = 1 + 24 M1 / P, from _reduced_sums' pass at prec bits."""
+    r = _nearest(prec)
+    w, _, v_prod, _, (m2, m1, p) = _reduced_sums(z, ctx, (0, 1, 2), prec)
+    e2 = r(libmp.mpc_add_mpf, r(libmp.mpc_mul_int, r(libmp.mpc_div, m1, p), 24), libmp.fone)
+    d = r(libmp.mpc_sub, r(libmp.mpc_mul, m2, p), r(libmp.mpc_square, m1))
+    d = r(libmp.mpc_div, r(libmp.mpc_mul_int, d, 288), r(libmp.mpc_square, p))
+    return w, v_prod, p, r(libmp.mpc_sub, r(libmp.mpc_square, e2), d)
 
 
 def _power(z: tuple, n: int, prec: int) -> tuple:
@@ -473,26 +472,21 @@ def _power(z: tuple, n: int, prec: int) -> tuple:
 
 def _level(z, N: int, ctx: PrecisionContext) -> tuple:
     """(t, E2*(z), E2*(Nz)), raw mpc tuples at ctx's working precision,
-    from one _eta_squared_e2_star pass at each of z and Nz (CMPoint.scaled
-    for a CMPoint, the product N z rounded for an mpc): t = Q/s with
-    Q = (eta(z)/eta(Nz))^e, e = 24/(N-1), and s = N^(6/(N-1)). With h = e/2,
-    Q = (e^{pi i (x - x') / 6} P^2 V' / (P'^2 V))^h, the primes at Nz, which
-    is e^{2 pi i (x - x')/(N-1)} (P/P')^e prod v'^h / prod v^h: one
-    exponential per row, and no square root. At a CMPoint every error count
+    from one _eta_squared_e2_star pass at each of z and Nz (CMPoint.scaled,
+    or the product N z rounded for an mpc, as _as_mpc takes it): t = Q/s,
+    Q = (eta(z)/eta(Nz))^e, e = 24/(N-1), s = N^(6/(N-1)). With h = e/2,
+    Q = (e^{pi i (x - x') / 6} P^2 V' / (P'^2 V))^h, the primes at Nz: one
+    exponential per row, no square root, and at a CMPoint every error count
     starts at the exact point. Every Gamma0(N) quantity is rational in t,
     with no subtraction but its pole factor 1 + t: alpha_N = 1/(1 + t),
-    1 - alpha_N = t/(1 + t), xi = 1 - 2/(1 + t). eta has no zero, so t is
-    never 0. DomainError where 1 + t cancels, at alpha_N's poles, as at
-    1/2+1/2*i (N = 2) and 1/2+1/6*sqrt(3)*i (N = 3), elliptic points of
-    Gamma0(N). A z that is not a CMPoint is taken as _as_mpc makes it. On
-    raw tuples, with no context entered."""
+    1 - alpha_N = t/(1 + t), xi = 1 - 2/(1 + t); t is never 0. DomainError
+    where 1 + t cancels, at alpha_N's poles, as at the elliptic points
+    1/2+1/2*i (N = 2) and 1/2+1/6*sqrt(3)*i (N = 3). On raw tuples."""
     _check_level(N)
     prec = libmp.dps_to_prec(ctx.dps)
-    if isinstance(z, CMPoint):
-        nz = z.scaled(N)
-    else:
-        z = _as_mpc(z, ctx)
-        nz = mp.make_mpc(libmp.mpc_mul_int(z._mpc_, N, prec, _NEAREST))
+    cm = isinstance(z, CMPoint)
+    z = z if cm else _as_mpc(z, ctx)
+    nz = z.scaled(N) if cm else mp.make_mpc(libmp.mpc_mul_int(z._mpc_, N, prec, _NEAREST))
     (x, p, v, e2), (xn, pn, vn, e2n) = (_eta_squared_e2_star(u, ctx) for u in (z, nz))
     r = _nearest(prec)
     turn = r(libmp.mpc_expjpi, r(libmp.mpc_div_mpf, r(libmp.mpc_sub, x, xn), libmp.from_int(6)))
@@ -515,21 +509,19 @@ def alpha_n(z, N: int, ctx: PrecisionContext) -> mpc:
 
 
 def series_constants_from_cm(z, N: int, ctx: PrecisionContext):
-    """(2 xi, R_nu(xi), m) at z, all on ctx.bumped(), from one pass of
-    Euler's sums at each of z and Nz (_level): the eta quotient t and
-    E2*(v) = E2(v) - 3 / (pi Im v). A CMPoint is not embedded: its error
-    count starts at the exact point. With alpha = alpha_N(z) = 1/(1 + t),
-    xi = 1 - 2 alpha = 1 - 2/(1 + t) and m = s / (alpha (1 - alpha)) =
-    s (1 + t)^2 / t, so 1 - alpha, which cancels near the cusp 0, is never
-    formed. R_nu comes from the E2* form of Guillera & Rogers, "Ramanujan
-    series upside-down", and Chan, Chan & Liu, "Domb's numbers and
-    Ramanujan-Sato type series for 1/pi" (2004), in which the 1/(pi Im z)
-    terms of E2 cancel; legendre_ramanujan_r is the oracle:
+    """(2 xi, R_nu(xi), m) at z, all on ctx.bumped(), from _level's t and
+    E2*(v) = E2(v) - 3 / (pi Im v) at z and Nz; a CMPoint is not embedded.
+    With alpha = alpha_N(z) = 1/(1 + t), xi = 1 - 2/(1 + t) and
+    m = s / (alpha (1 - alpha)) = s (1 + t)^2 / t, so 1 - alpha, which
+    cancels near the cusp 0, is never formed. R_nu comes from the E2* form
+    of Guillera & Rogers, "Ramanujan series upside-down", and Chan, Chan &
+    Liu, "Domb's numbers and Ramanujan-Sato type series for 1/pi" (2004), in
+    which the 1/(pi Im z) terms of E2 cancel; legendre_ramanujan_r is the oracle:
 
         R_nu = -(N-1)(E2*(z) + N E2*(Nz)) / (6 (N E2*(Nz) - E2*(z))) + (N+1)xi/6.
 
     DomainError where 1 + t or this denominator cancels (_uncancelled). On
-    raw tuples, with no context entered."""
+    raw tuples."""
     wide = ctx.bumped()
     t, e2, e2n = _level(z, N, wide)
     r = _nearest(libmp.dps_to_prec(wide.dps))
@@ -546,23 +538,28 @@ def series_constants_from_cm(z, N: int, ctx: PrecisionContext):
 
 
 def j_invariant(z, ctx: PrecisionContext) -> mpc:
-    """Klein's j = E4^3 / eta^24 (Apostol, ch. 1), so j(i) = 1728, from one
-    pass of Euler's sums at the reduced point w of z, as j is SL(2, Z)
-    invariant: eta(w)^24 = q P^24. eta has no zero, so j has no pole."""
-    z = _as_mpc(z, ctx)
-    with ctx.working():
-        w = _reduce_sl2(z, ctx)[0]
-        p, e4 = _e4(w, ctx)
-        return e4**3 / (mpmath.expjpi(2 * w) * p**24)
+    """Klein's j = E4^3 / eta^24 (Apostol, ch. 1), so j(i) = 1728, at the
+    reduced point w of z (_e4_at), as j is SL(2, Z) invariant:
+    j = E4(w)^3 / (q P^24), q = e^{2 pi i w}, both powers by _power. eta has
+    no zero, so j has no pole. Height term (_WIDE): Im w u / 50."""
+    prec = libmp.dps_to_prec(ctx.dps)
+    wp = prec + _WIDE
+    w, _, p, e4 = _e4_at(z, ctx, wp)
+    q = libmp.mpc_expjpi(libmp.mpc_mul_int(_shifted(w, 0, wp), 2, wp), wp)
+    den = libmp.mpc_mul(q, _power(p, 24, wp), wp)
+    return mp.make_mpc(libmp.mpc_div(_power(e4, 3, wp), den, prec, _NEAREST))
 
 
 def eisenstein_e4(z, ctx: PrecisionContext) -> mpc:
-    """E4(z) = 1 + 240 sum sigma_3(n) q^n from Euler's sums at the reduced
-    point w, carried back by E4(-1/v) = v^4 E4(v) over the points ``inverted``."""
-    z = _as_mpc(z, ctx)
-    with ctx.working():
-        w, _, inverted = _reduce_sl2(z, ctx)
-        return _e4(w, ctx)[1] / mpmath.fprod(v**4 for v in inverted)
+    """E4(z) = 1 + 240 sum sigma_3(n) q^n at the reduced point w (_e4_at),
+    carried back by E4(-1/v) = v^4 E4(v): E4(z) = E4(w) / V^4, V^4 by
+    _power. Height term (_WIDE): u / (10 |V|^4), as E4 is 0 at rho."""
+    prec = libmp.dps_to_prec(ctx.dps)
+    wp = prec + _WIDE
+    _, v_prod, _, e4 = _e4_at(z, ctx, wp)
+    if v_prod:
+        e4 = libmp.mpc_div(e4, _power(v_prod, 4, wp), wp)
+    return mp.make_mpc(libmp.mpc_pos(e4, prec, _NEAREST))
 
 
 def eichler_e4_tilde(z, ctx: PrecisionContext) -> mpc:
@@ -582,26 +579,31 @@ def eichler_e4_tilde(z, ctx: PrecisionContext) -> mpc:
         return 240j * (z.imag / (2 * mp.pi**2) * s2 + s3 / (4 * mp.pi**3))
 
 
-def _reflection_poly(r2, y):
-    """The reflection identity's right side, with r2 = |z|^2, less its factor."""
-    return (r2 + 2 * y * y) / r2**2 + r2 + 2 * y * y - 5
+def _reflection_poly(r2, y2):
+    """The reflection identity's right side less its factor, r2 = |z|^2, y2 = (Im z)^2."""
+    return (r2 + 2 * y2) / r2**2 + r2 + 2 * y2 - 5
 
 
 def re_eichler_closed_form(z, ctx: PrecisionContext) -> mpf:
     """Closed form of Re of the Eichler integral when 2 Re z or 2 Re(1/z) is
-    an integer (the second case from the reflection functional equation)."""
-    z = _as_mpc(z, ctx)
+    an integer (the second case from the reflection functional equation). At
+    a CMPoint (A, B, C) the tests are A | B and C | B, and the second case is
+    rational: x = -B/(2A), |z|^2 = C/A and (Im z)^2 = |D|/(4A^2)."""
+    z = z if isinstance(z, CMPoint) else _as_mpc(z, ctx)
     with ctx.working():
-        x, y = z.real, z.imag
-        two_x = 2 * x
-        if abs(two_x - mpmath.nint(two_x)) < ctx.slack:
+        if isinstance(z, CMPoint):
+            x, r2, y2 = Fraction(-z.B, 2 * z.A), Fraction(z.C, z.A), Fraction(-z.disc, 4 * z.A**2)
+            zero, reflected = z.B % z.A == 0, z.B % z.C == 0
+        else:
+            x, y2 = z.real, z.imag**2
+            r2 = x * x + y2
+            zero, reflected = (abs(u - mpmath.nint(u)) < ctx.slack for u in (2 * x, 2 * x / r2))
+        if zero:
             return mpf(0)
-        w = 2 * (1 / z).real
-        if abs(w - mpmath.nint(w)) < ctx.slack:
-            return -(x / 3) * _reflection_poly(x * x + y * y, y)
-        raise DomainError(
-            f"neither 2*Re(z) nor 2*Re(1/z) is an integer at z = {z}"
-        )
+        if not reflected:
+            raise DomainError(f"neither 2*Re(z) nor 2*Re(1/z) is an integer at z = {z}")
+        value = -(x / 3) * _reflection_poly(r2, y2)
+        return mpf(value.numerator) / value.denominator if isinstance(z, CMPoint) else value
 
 
 def reflection_residual(z, ctx: PrecisionContext) -> mpf:
@@ -609,14 +611,10 @@ def reflection_residual(z, ctx: PrecisionContext) -> mpf:
     integral at z and at -1/z; small residuals certify the q-series path."""
     z = _as_mpc(z, ctx)
     with ctx.working():
-        x, y = z.real, z.imag
-        r2 = x * x + y * y
-        lhs = (
-            r2 / y**2 * eichler_e4_tilde(-1 / z, ctx).real
-            - eichler_e4_tilde(z, ctx).real / y**2
-        )
-        rhs = x / (3 * y**2) * _reflection_poly(r2, y)
-        return abs(lhs - rhs)
+        x, y2 = z.real, z.imag**2
+        r2 = x * x + y2
+        lhs = (r2 * eichler_e4_tilde(-1 / z, ctx).real - eichler_e4_tilde(z, ctx).real) / y2
+        return abs(lhs - x / (3 * y2) * _reflection_poly(r2, y2))
 
 
 # -- Legendre / Legendre-Ramanujan functions -------------------------------
@@ -714,25 +712,24 @@ def legendre_ramanujan_r(nu, xi, ctx: PrecisionContext) -> mpc:
 
 
 def satisfies_region(z, N: int, ctx: PrecisionContext) -> bool:
-    """Admissibility constraints for the series lemma, with boundary slack."""
+    """Admissibility constraints for the series lemma, with boundary slack;
+    a CMPoint is not embedded."""
     t = mp.make_mpc(_level(z, N, ctx)[0])
-    z = _as_mpc(z, ctx)
+    z = z if isinstance(z, CMPoint) else _as_mpc(z, ctx)
     with ctx.working():
         return _in_region(z, N, 1 - 2 / (1 + t), ctx)
 
 
-def _in_region(z: mpc, N: int, xi, ctx: PrecisionContext) -> bool:
+def _in_region(z, N: int, xi, ctx: PrecisionContext) -> bool:
     """satisfies_region for a caller that holds xi = 1 - 2 alpha_N(z), so
-    |1 - xi^2| = |4 alpha (1 - alpha)| and |xi| = |2 alpha - 1|. Call under
-    ``ctx.working()``."""
+    |1 - xi^2| = |4 alpha (1 - alpha)| and |xi| = |2 alpha - 1|. The tests
+    on z are exact at a CMPoint (A, B, C): |Re z| <= 1/2 is |B| <= A, and
+    |z -+ 1/N| >= 1/N, |z|^2 -+ 2 Re z / N >= 0 with |z|^2 = C/A, is
+    N C >= |B|. An mpc passes them within ctx.slack. Under ctx.working()."""
     slack = ctx.slack
-    if abs(1 - xi**2) < 1 - slack:
+    if abs(1 - xi**2) < 1 - slack or abs(xi) <= slack:
         return False
-    if abs(xi) <= slack:
-        return False
-    if abs(z.real) > mpf(1) / 2 + slack:
-        return False
+    if isinstance(z, CMPoint):
+        return abs(z.B) <= min(z.A, N * z.C)
     r = mpf(1) / N
-    if abs(z + r) < r - slack or abs(z - r) < r - slack:
-        return False
-    return True
+    return abs(z.real) <= mpf(1) / 2 + slack and min(abs(z + r), abs(z - r)) >= r - slack

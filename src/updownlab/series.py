@@ -29,6 +29,7 @@ from .numerics import (
     to_fixed,
 )
 from .modular import (
+    CMPoint,
     _as_mpc,
     _in_region,
     eichler_e4_tilde,
@@ -484,8 +485,9 @@ evaluate_fib_series = evaluate_updown
 
 
 def sigma_gr(z, N: int, ctx: PrecisionContext):
-    """Complex value of the weighted series at an admissible CM point."""
-    z = _as_mpc(z, ctx)
+    """Complex value of the weighted series at an admissible CM point; a
+    CMPoint is not embedded."""
+    z = z if isinstance(z, CMPoint) else _as_mpc(z, ctx)
     c1, c2, m = series_constants_from_cm(z, N, ctx)
     with ctx.working():
         admissible = _in_region(z, N, c1 / 2, ctx)
@@ -497,10 +499,11 @@ def sigma_gr(z, N: int, ctx: PrecisionContext):
 def sigma_gr_im_rhs(z, N: int, ctx: PrecisionContext) -> mpf:
     """Closed form for Im of the weighted series: a cubic polynomial in the
     coordinates of z plus a weighted real part of the iterated integral of
-    1 - E_4, with the convention sign(0) = 0 in the shifted abscissa."""
-    z = _as_mpc(z, ctx)
+    1 - E_4, with the convention sign(0) = 0 in the shifted abscissa. The
+    region test takes a CMPoint unembedded."""
     if not satisfies_region(z, N, ctx):
         raise DomainError(f"point {z} outside the admissible region for N={N}")
+    z = _as_mpc(z, ctx)
     with ctx.working():
         x, y = z.real, z.imag
         xt = x if x == 0 else x - x / (2 * abs(x))

@@ -341,14 +341,34 @@ def reduce_sl2_mpf(z: mpc, ctx: PrecisionContext) -> tuple:
             z = -1 / z
 
 
+def eta_e2_star(z: mpc, ctx: PrecisionContext) -> tuple:
+    """Oracle for ``modular.dedekind_eta`` and the E2* of
+    ``modular._eta_squared_e2_star``: (eta(z), E2*(z)) from one mpc
+    reduction (``modular._reduce_sl2``) and one pass of Euler's sums s = P - 1
+    and M1 at the reduced point w, carried back over the k points
+    ``inverted`` on mpc objects inside ctx's working context, one square
+    root per inverted point: eta(z) = e^{pi i (w + shift + 3k) / 12} P /
+    prod_v sqrt(v), shift + 3k taken mod 24, and E2*(z) =
+    (1 + 24 M1 / P - 3 / (pi Im w)) / prod_v v^2."""
+    with ctx.working():
+        w, shift, inverted = modular._reduce_sl2(z, ctx)
+        m1, s = modular._qsum(w, ctx, modular._pentagonal_table, (1, 2))
+        eta = mpmath.expjpi((w + (shift + 3 * len(inverted)) % 24) / 12) * (1 + s)
+        e2 = 1 + 24 * m1 / (1 + s) - 3 / (mp.pi * w.imag)
+        for v in inverted:
+            eta /= mpmath.sqrt(v)
+            e2 /= v * v
+        return eta, e2
+
+
 def level_eta_e2_star(z: mpc, N: int, ctx: PrecisionContext) -> tuple:
     """Oracle for ``modular._level``: (t, E2*(z), E2*(Nz)) from
-    ``modular._eta_e2_star`` at z and at the product N z, each eta with its
+    ``eta_e2_star`` at z and at the product N z, each eta with its
     multiplier e^{pi i (w + shift + 3k) / 12} and its square roots, and
     t = (eta(z)/eta(Nz))^(24/(N-1)) / N^(6/(N-1)) on mpc objects inside
     ctx's working context."""
     with ctx.working():
-        (eta, e2), (eta_n, e2n) = (modular._eta_e2_star(v, ctx) for v in (z, N * z))
+        (eta, e2), (eta_n, e2n) = (eta_e2_star(v, ctx) for v in (z, N * z))
         return (eta / eta_n) ** (24 // (N - 1)) / modular._ALPHA_SCALE[N], e2, e2n
 
 

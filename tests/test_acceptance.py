@@ -12,12 +12,15 @@ import pytest
 from mpmath import mp, mpc, mpf
 
 from updownlab import (
+    CMPoint,
     PrecisionContext,
     alpha_n,
     dedekind_eta,
     dirichlet_l2,
     eichler_e4_tilde,
+    eisenstein_e4,
     epstein_sl2,
+    j_invariant,
     legendre_ramanujan_r,
     load_corpus,
     reflection_residual,
@@ -200,6 +203,7 @@ def test_criterion_7_property_suites(capsys):
     # Precision escalation: digits vs digits + 10 across public operations.
     lo, hi = PrecisionContext(digits=30), PrecisionContext(digits=40)
     z = mpc("0.31", "1.07")
+    cm = CMPoint.from_string("-1/8+1/8*sqrt(15)*i")
     pairs = [
         (dirichlet_l2(-7, lo), dirichlet_l2(-7, hi)),
         (zeta_int(3, lo), zeta_int(3, hi)),
@@ -207,6 +211,8 @@ def test_criterion_7_property_suites(capsys):
         (dedekind_eta(z, lo), dedekind_eta(z, hi)),
         (alpha_n(z, 3, lo), alpha_n(z, 3, hi)),
         (eichler_e4_tilde(z, lo), eichler_e4_tilde(z, hi)),
+        (eisenstein_e4(cm, lo), eisenstein_e4(cm, hi)),
+        (j_invariant(cm, lo), j_invariant(cm, hi)),
         (epstein_sl2(z, lo), epstein_sl2(z, hi)),
         (legendre_ramanujan_r(Fraction(-1, 2), mpf("1.8"), lo),
          legendre_ramanujan_r(Fraction(-1, 2), mpf("1.8"), hi)),

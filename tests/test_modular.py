@@ -10,7 +10,7 @@ import mpmath
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from mpmath import mp, mpc, mpf
+from mpmath import libmp, mp, mpc, mpf
 
 from updownlab import (
     CMPoint,
@@ -27,17 +27,19 @@ from updownlab import (
     reflection_residual,
     satisfies_region,
     series_constants_from_cm,
+    sigma_gr,
+    sigma_gr_im_rhs,
 )
 from updownlab import cli, modular, numerics
 from updownlab.identities import check_table, load_tables
 from updownlab.modular import (
-    _eta_e2_star, _eta_squared_e2_star, _pentagonal_table, _qsum, _r_direct, _reduce_sl2,
+    _eta_squared_e2_star, _pentagonal_table, _qsum, _qsum_fixed, _r_direct, _reduce_sl2,
     _sigma3_table, legendre_p, legendre_p_dt)
 from updownlab.numerics import KEPT_TERMS, DomainError, kept_table
 
 from conftest import random_points, run_bounded, sigma1_table
-from oracles import (epstein_fourier_reference, legendre_p_quadrature, level_eta_e2_star,
-                     reduce_sl2_mpf, to_point_mpf)
+from oracles import (epstein_fourier_reference, eta_e2_star, legendre_p_quadrature,
+                     level_eta_e2_star, reduce_sl2_mpf, to_point_mpf)
 
 
 @st.composite
@@ -610,7 +612,7 @@ def _cm_arguments(corpus):
 class TestExactCMPath:
     # A CMPoint reaches the Gamma0(N) quantities exactly: _reduce_form
     # reduces it in integers, and no mpc reduction runs on its path.
-    def test_no_mpc_reduction_on_a_cm_path(self, capsys, monkeypatch):
+    def test_no_mpc_reduction_on_a_cm_path(self, capsys, monkeypatch, corpus):
         def refuse(*args):
             raise AssertionError("_reduce_sl2 on a CM path")
 
@@ -622,6 +624,18 @@ class TestExactCMPath:
             for row in tab["rows"]:
                 series_constants_from_cm(row["point"], tab["level"], ctx)
                 alpha_n(row["point"], tab["level"], ctx)
+        admissible = 0
+        for p in set(_cm_arguments(corpus)):  # the table rows among them
+            dedekind_eta(p, ctx), eisenstein_e4(p, ctx), j_invariant(p, ctx)
+            for N in (2, 3, 4):
+                try:
+                    if satisfies_region(p, N, ctx):
+                        sigma_gr_im_rhs(p, N, ctx)
+                        admissible += 1
+                        sigma_gr(p, N, ctx)
+                except DomainError as err:  # alpha_N's poles; |m| on the series' radius
+                    assert "pole" in str(err) or "diverges" in str(err), (str(p), N)
+        assert admissible == 28
         assert satisfies_region(CMPoint.from_string("-1/8+1/8*sqrt(15)*i"), 4, ctx)
         for argv in (["alpha", "--z", "1/2+1/2*sqrt(7)*i", "--N", "3"],
                      ["constants", "--z=-1/8+1/8*sqrt(15)*i", "--N", "4"]):
@@ -673,7 +687,7 @@ class TestExactCMPath:
 
 class TestLevelAgainstEtaOracle:
     # _level at the 14 table rows against the oracle that takes eta and E2*
-    # from _eta_e2_star at the embedded points z and N z, with its
+    # from oracles.eta_e2_star at the embedded points z and N z, with its
     # multipliers and square roots: t, E2*(z) and E2*(Nz) within 16 eps of
     # the working precision, relative to max(|value|, 1) (E2* is 0 at the
     # orbit of i). Measured worst: 4.3 eps, t at 1000 digits.
@@ -691,19 +705,61 @@ class TestLevelAgainstEtaOracle:
                         assert err < 16 * ctx.eps * max(abs(b), 1), (row["text"], N)
 
 
+# dedekind_eta, eisenstein_e4 and j_invariant at a CMPoint, counted from the
+# exact point as their docstrings count them: within 1.1 u max(|value|, 1),
+# u = 2^-P at the working precision of P bits, u from the one final rounding
+# to nearest and the rest from the work at P + 10 bits. Measured worst at the
+# 56 distinct CM arguments: eta 0.82, E4 0.99 and j 0.96 u at 40, 300 and
+# 1000 digits.
+_FORM_COUNT = 1.1
+
+
+class TestExactPointForms:
+    @pytest.mark.parametrize("digits", [40, 300, pytest.param(1000, marks=pytest.mark.highprec)])
+    def test_against_sixty_digits_more(self, digits, corpus):
+        ctx, hi = PrecisionContext(digits=digits), PrecisionContext(digits=digits + 60)
+        u = mpmath.ldexp(1, -libmp.dps_to_prec(ctx.dps))
+        points = set(_cm_arguments(corpus))
+        assert len(points) == 56
+        for fn in (dedekind_eta, eisenstein_e4, j_invariant):
+            for p in points:
+                got, want = fn(p, ctx), fn(p, hi)
+                with hi.working():
+                    err = abs(got - want)
+                    assert err < _FORM_COUNT * u * max(abs(want), 1), (fn.__name__, str(p))
+
+    def test_branch_of_the_one_square_root(self, ctx30):
+        # At these points, three inversions each, the principal sqrt(V) and
+        # prod sqrt(v_j) differ by one flip, and the flip picks the product's
+        # branch: the CMPoint and mpc paths agree with eta's inversion law.
+        for text in ("3/10+1/500*sqrt(3)*i", "-2/5+1/300*sqrt(7)*i"):
+            p = CMPoint.from_string(text)
+            z = p.to_point(ctx30)
+            prec = libmp.dps_to_prec(ctx30.dps)
+            assert [modular._reduced_sums(v, ctx30, (2,), prec)[3] for v in (p, z)] == [1, 1]
+            with ctx30.working():
+                assert abs(dedekind_eta(p, ctx30) / dedekind_eta(z, ctx30) - 1) < ctx30.tol, text
+                rhs = mpmath.sqrt(-1j * z) * dedekind_eta(z, ctx30)
+                assert abs(dedekind_eta(-1 / z, ctx30) / rhs - 1) < ctx30.tol, text
+
+
 class TestJSinglePass:
     def test_one_reduction_and_one_q_pass(self, ctx30, monkeypatch):
-        # j = E4^3 / eta^24 takes both sums from one pass at the reduced
-        # point, here after three inversions.
+        # j = E4^3 / eta^24 takes both sums from one q and one pass at the
+        # reduced point: for an mpc after one mpc reduction, here with three
+        # inversions, and for a CMPoint after none.
         calls = []
-        for name in ("_reduce_sl2", "_qsum"):
+        for name in ("_reduce_sl2", "_q_fixed"):
             def counted(*args, _name=name, _fn=getattr(modular, name)):
                 calls.append(_name)
                 return _fn(*args)
 
             monkeypatch.setattr(modular, name, counted)
         j_invariant(mpc("-0.38", "0.01"), ctx30)
-        assert sorted(calls) == ["_qsum", "_reduce_sl2"]
+        assert sorted(calls) == ["_q_fixed", "_reduce_sl2"]
+        calls.clear()
+        j_invariant(CMPoint.from_string("-1/8+1/8*sqrt(15)*i"), ctx30)
+        assert calls == ["_q_fixed"]
 
 
 def _euler_signs(n_max):
@@ -772,18 +828,23 @@ class TestEulerSums:
     # reduced point.
     @pytest.mark.parametrize("digits", [40, 300])
     def test_eta_has_the_bits_of_the_sign_sum(self, digits):
-        # n^2 a(n) / n^2 is exact, so the scaled table gives eta the bits of
-        # the sum on Euler's signs themselves, carried back as before.
-        ctx = PrecisionContext(digits=digits)
+        # n^2 a(n) / n^2 is exact, so the scaled table's sum at power 2 is,
+        # integer for integer before any rounding, the sum on Euler's signs
+        # themselves. eta, summed on the scaled table, is within its count
+        # (_FORM_COUNT) of the oracle that carries back one square root per
+        # inverted point, run 20 digits higher at the embedded point.
+        ctx, hi = PrecisionContext(digits=digits), PrecisionContext(digits=digits + 20)
         for z in _form_points(ctx):
-            with ctx.working():
-                w, shift, inverted = _reduce_sl2(z, ctx)
-                s, = _qsum(w, ctx, _euler_signs, (0,))
-                want = mpmath.expjpi((w + (shift + 3 * len(inverted)) % 24) / 12) * (1 + s)
-                for v in inverted:
-                    want /= mpmath.sqrt(v)
-                assert _eta_e2_star(z, ctx)[0]._mpc_ == want._mpc_, z
-            assert dedekind_eta(z, ctx)._mpc_ == want._mpc_, z
+            w = _reduce_sl2(z, ctx)[0]
+            prec, re, im = _qsum_fixed(w, ctx, _pentagonal_table, (2,))
+            assert (prec, re, im) == _qsum_fixed(w, ctx, _euler_signs, (0,)), z
+        points = [p for tab in load_tables() for row in tab["rows"]
+                  for p in (row["point"], row["point"].scaled(tab["level"]))]
+        u = mpmath.ldexp(1, -libmp.dps_to_prec(ctx.dps))
+        for p in points:
+            want = eta_e2_star(p.to_point(hi), hi)[0]
+            with hi.working():
+                assert abs(dedekind_eta(p, ctx) - want) < _FORM_COUNT * u * abs(want), str(p)
 
     @pytest.mark.parametrize("digits", [40, 300, pytest.param(1000, marks=pytest.mark.highprec)])
     def test_forms_against_sigma_oracles(self, digits):
@@ -861,6 +922,22 @@ class TestEichlerIntegral:
     def test_closed_form_rejects_generic_points(self, ctx30):
         with pytest.raises(DomainError):
             re_eichler_closed_form(mpc("0.21", "0.9"), ctx30)
+
+    @pytest.mark.parametrize("digits", [30, 300])
+    def test_closed_form_at_cm_points(self, digits):
+        # At a CMPoint (A, B, C) the two tests are A | B and C | B, in
+        # integers: (1, -1, 2) takes the 0 branch, (2, 1, 1) the reflection
+        # branch, its rational value against the Eichler integral and the
+        # mpc path, and (3, 1, 2) neither.
+        ctx = PrecisionContext(digits=digits)
+        assert re_eichler_closed_form(CMPoint(1, -1, 2), ctx) == 0
+        p = CMPoint(2, 1, 1)
+        got, z = re_eichler_closed_form(p, ctx), p.to_point(ctx)
+        with ctx.working():
+            assert abs(got - eichler_e4_tilde(z, ctx).real) < ctx.tol
+            assert abs(got - re_eichler_closed_form(z, ctx)) < ctx.tol
+        with pytest.raises(DomainError, match="neither"):
+            re_eichler_closed_form(CMPoint(3, 1, 2), ctx)
 
     @pytest.mark.parametrize("heights", [
         pytest.param(("0.1", "0.03", "0.01", "0.003", "0.001"), id="to-1e-3"),
@@ -1031,6 +1108,18 @@ class TestAdmissibleRegion:
             # Deep inside the disk |z - 1/N| < 1/N.
             assert not satisfies_region(mpc("0.25", "0.05"), 4, ctx30)
             assert not satisfies_region(mpc("-0.25", "0.05"), 4, ctx30)
+
+    @given(primitive_forms(), st.sampled_from([2, 3, 4]))
+    def test_cm_point_tests_in_integers(self, p, N):
+        # |B| <= A and N C >= |B| at a CMPoint give the verdicts of the slack
+        # tests at the embedded point: with coefficients up to 40 no point
+        # lies within the slack of an edge but off it. xi = 3 passes both
+        # tests on xi.
+        ctx = PrecisionContext(digits=30)
+        with ctx.working():
+            xi = mpf(3)
+            exact, embedded = (modular._in_region(v, N, xi, ctx) for v in (p, p.to_point(ctx)))
+            assert exact == embedded, (str(p), N)
 
     def test_strip_bound(self, ctx30):
         assert not satisfies_region(mpc("0.8", "1.0"), 2, ctx30)

@@ -1,7 +1,9 @@
 """Precision plumbing, exact quadratic arithmetic, and base constants."""
 
 import dataclasses
+import importlib
 import math
+import pkgutil
 from fractions import Fraction
 
 import mpmath
@@ -18,6 +20,7 @@ from updownlab import (
     embed_quadratic,
     zeta_int,
 )
+import updownlab
 from updownlab import numerics, series
 from updownlab.identities import load_tables
 from updownlab.numerics import (KEPT_TERMS, DomainError, _is_squarefree, _square_part,
@@ -75,6 +78,30 @@ class TestPrecisionContext:
         with ctx.working():
             assert mpmath.mp.dps == 75
         assert mpmath.mp.dps == before
+
+
+class TestMemoRegistry:
+    # The root conftest.py empties the memos of computed values before every
+    # test (VALUE_MEMOS) and keeps its plans and tables (KEPT_MEMOS). A memo
+    # in neither list would carry state from test to test unnoticed.
+    @staticmethod
+    def _name(memo) -> str:
+        return f"{memo.__module__}.{memo.__qualname__}"
+
+    def test_every_memo_is_emptied_or_kept(self, cold_memos):
+        lists = cold_memos.__globals__
+        emptied = {self._name(m) for m in lists["VALUE_MEMOS"]}
+        kept = {self._name(m) for m in lists["KEPT_MEMOS"]}
+        found = set()
+        for info in pkgutil.iter_modules(updownlab.__path__):
+            module = importlib.import_module(f"updownlab.{info.name}")
+            found |= {self._name(obj) for obj in vars(module).values()
+                      if hasattr(obj, "cache_clear")}
+        assert not emptied & kept
+        assert sorted(found - emptied - kept) == []
+        assert sorted((emptied | kept) - found) == []
+        cold_memos()
+        assert [m.cache_info().currsize for m in lists["VALUE_MEMOS"]] == [0] * len(emptied)
 
 
 class TestKeptTable:
